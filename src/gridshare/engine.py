@@ -1,6 +1,7 @@
 """The 5-minute slot loop: plug in, select, charge, depart, record.
 
-Each slot: arrivals plug in, list membership is refreshed, the grid
+Each slot: arrivals plug in, list membership takes in the slot's
+events (arrivals, the previous slot's charges and departures), the grid
 yields K charger slots, the policy picks that many vehicles, each
 selected vehicle gains one interval of charge, and vehicles that have
 reached both their expected departure boundary and their required
@@ -113,7 +114,7 @@ def run_simulation(
         return _run_loop(
             cfg, vehicles, charger, k_profile, cycle,
             csv.writer(trace_file) if trace_file else None,
-            check_invariants, stats, state=new_policy_state(cfg.policy, charger),
+            check_invariants, stats, state=new_policy_state(cfg.policy, charger, vehicles),
         )
     finally:
         if trace_file:
@@ -122,8 +123,9 @@ def run_simulation(
 
 def _run_loop(cfg, vehicles, charger, k_profile, cycle, trace, check_invariants, stats, state):
     rate = charger.miles_per_slot
-    eligible: dict[int, Vehicle] = {}     # plugged, battery not full
     active: dict[int, Vehicle] = {}       # all plugged
+    charged: list[int] = []               # ids charged in the previous slot
+    left: list[int] = []                  # ids departed at the last boundary
     departure_bucket = defaultdict(list)  # boundary slot -> ids due to leave
     satisfied_slot: dict[int, int] = {}
     charged_count: dict[int, int] = defaultdict(int)
@@ -161,7 +163,7 @@ def _run_loop(cfg, vehicles, charger, k_profile, cycle, trace, check_invariants,
             measured=v.measured,
         )
         del active[v.id]
-        eligible.pop(v.id, None)
+        left.append(v.id)
 
     max_slots = (cfg.days + 60) * SLOTS_PER_DAY
     next_arrival = 0
@@ -171,6 +173,7 @@ def _run_loop(cfg, vehicles, charger, k_profile, cycle, trace, check_invariants,
         if t >= max_slots:
             raise RuntimeError(f"simulation did not drain within {max_slots} slots")
 
+        first_arrival = next_arrival
         while next_arrival < n and vehicles[next_arrival].arrival_slot == t:
             v = vehicles[next_arrival]
             next_arrival += 1
@@ -178,13 +181,12 @@ def _run_loop(cfg, vehicles, charger, k_profile, cycle, trace, check_invariants,
             initial_miles[v.id] = v.current_miles
             if v.current_miles >= v.required_miles:
                 satisfied_slot[v.id] = v.arrival_slot
-            if v.current_miles < v.battery_capacity_miles:
-                eligible[v.id] = v
             departure_bucket[v.expected_departure_slot].append(v.id)
 
-        update_membership(state, eligible)
+        update_membership(state, t, range(first_arrival, next_arrival), charged, left)
+        left.clear()
         k = k_profile[t % cycle]
-        selected = select(cfg.policy, state, t, k, eligible)
+        selected = select(cfg.policy, state, t, k)
         if check_invariants and len(selected) != min(k, len(state.deficit) + len(state.topoff)):
             raise SimulationInvariantError(f"slot {t}: selected {len(selected)} of min({k}, eligible)")
 
@@ -192,7 +194,7 @@ def _run_loop(cfg, vehicles, charger, k_profile, cycle, trace, check_invariants,
             chosen = set(selected)
             for tier, ids in (("1", state.deficit), ("2", state.topoff)):
                 for vid in ids:
-                    v = eligible[vid]
+                    v = active[vid]
                     needed = charge_intervals_required(v, charger)
                     trace.writerow([
                         t, k, vid, tier, v.arrival_slot, v.expected_departure_slot,
@@ -202,7 +204,7 @@ def _run_loop(cfg, vehicles, charger, k_profile, cycle, trace, check_invariants,
 
         boundary = t + 1
         for vid in selected:
-            v = eligible[vid]
+            v = active[vid]
             before = v.current_miles
             v.current_miles = min(before + rate, v.battery_capacity_miles)
             charged_count[vid] += 1
@@ -210,9 +212,7 @@ def _run_loop(cfg, vehicles, charger, k_profile, cycle, trace, check_invariants,
                 satisfied_slot[vid] = boundary
                 if boundary >= v.expected_departure_slot:
                     depart(v, boundary)
-                    continue
-            if v.current_miles >= v.battery_capacity_miles:
-                del eligible[vid]
+        charged = selected
         if stats is not None:
             stats.total_selections += len(selected)
 

@@ -9,12 +9,12 @@ tier. Ties break by arrival slot, then id.
 
 from __future__ import annotations
 
-import heapq
 import math
-from collections import deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Mapping
+from itertools import islice
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
     from .powergrid import ChargerSpec
@@ -32,6 +32,8 @@ class PolicyKind(Enum):
 # Kinds whose priority key depends on the charge deficit, so the simple
 # (no driving-distance information) variant makes no sense for them.
 _DISTANCE_REQUIRED = frozenset({PolicyKind.FDFS, PolicyKind.MINMAX_ER, PolicyKind.MINMAX_DT})
+# Kinds whose key changes each time a deficit vehicle is charged.
+_NEED_KEYED = frozenset({PolicyKind.MINMAX_ER, PolicyKind.MINMAX_DT})
 
 
 @dataclass(frozen=True)
@@ -67,25 +69,31 @@ ALL_POLICY_NAMES = tuple(k.value for k in PolicyKind)
 
 @dataclass
 class PolicyState:
-    """Rotating lists plus tie-break data, owned by a single run.
+    """The two tiers of one run, each in list order.
 
-    deficit and topoff hold vehicle ids in list order (head = next in
-    line for the rotation policies); membership mirrors their union.
+    deficit and topoff map vehicle id -> packed priority key, and dict
+    order is list order (head = next in line for the rotation policy).
+    A key is primary * len(vehicles) + rank, where rank is the vehicle's
+    position in `vehicles` (the run's fleet sorted by arrival slot, then
+    id). Comparing two keys therefore compares (primary, arrival slot,
+    id), the policy's tuple key, and key % len(vehicles) recovers the
+    vehicle. Keys are kept current by update_membership, so select only
+    sorts plain ints.
     """
 
-    use_distance_info: bool = True
-    rate_miles_per_slot: float = 0.5
-    deficit: deque = field(default_factory=deque)
-    topoff: deque = field(default_factory=deque)
-    members: set = field(default_factory=set)
-    arrival_order: dict = field(default_factory=dict)
+    policy: Policy
+    rate_miles_per_slot: float
+    vehicles: Sequence["Vehicle"]
+    deficit: dict = field(default_factory=dict)
+    topoff: dict = field(default_factory=dict)
+    # Least-slack FDFS only: expected departure slot -> ids whose key
+    # switches to the late group at that slot.
+    due: dict = field(default_factory=lambda: defaultdict(list))
 
 
-def new_policy_state(policy: Policy, charger: "ChargerSpec") -> PolicyState:
-    return PolicyState(
-        use_distance_info=policy.use_distance_info,
-        rate_miles_per_slot=charger.miles_per_slot,
-    )
+def new_policy_state(policy: Policy, charger: "ChargerSpec", vehicles: Sequence["Vehicle"]) -> PolicyState:
+    """Empty tiers for a run over `vehicles`, sorted by (arrival slot, id)."""
+    return PolicyState(policy=policy, rate_miles_per_slot=charger.miles_per_slot, vehicles=vehicles)
 
 
 def intervals_for_deficit(required_miles: float, current_miles: float, rate_miles_per_slot: float) -> int:
@@ -112,140 +120,149 @@ def delay_if_continuous(vehicle: "Vehicle", t: int, charger: "ChargerSpec") -> i
     return needed - (vehicle.expected_departure_slot - t)
 
 
-def _as_map(plugged) -> Mapping[int, "Vehicle"]:
-    if isinstance(plugged, Mapping):
-        return plugged
-    return {v.id: v for v in plugged}
+# Least-slack FDFS puts every late vehicle ahead of every vehicle that
+# still has slack: its primary is shifted down by far more than any
+# slack a vehicle can have.
+_LATE = 1 << 62
 
 
-def update_membership(state: PolicyState, plugged) -> PolicyState:
-    """Refresh list membership from the plugged fleet, preserving order.
+def _primary(state: PolicyState, v: "Vehicle", t: int) -> int:
+    """First component of v's priority key at slot t; smaller is served earlier.
 
-    Departed or fully charged vehicles drop out; deficit vehicles that
-    crossed their required charge move to the tail of the top-off list
-    (in deficit-list order); new arrivals join the tail of their tier in
-    plugged order. Without distance information there is no top-off
-    tier: every not-full vehicle stays in the single deficit list.
+    Ties break by arrival slot, then id, through the rank in the packed
+    key. Dropping the common -t from least slack keeps keys of one tier
+    comparable across the slots they were computed in.
     """
-    plugged_map = _as_map(plugged)
-    informed = state.use_distance_info
-
-    new_deficit = deque()
-    movers = []
-    for vid in state.deficit:
-        v = plugged_map.get(vid)
-        if v is None or v.current_miles >= v.battery_capacity_miles:
-            state.members.discard(vid)
-            state.arrival_order.pop(vid, None)
-            continue
-        if informed and v.current_miles >= v.required_miles:
-            movers.append(vid)
-        else:
-            new_deficit.append(vid)
-
-    new_topoff = deque()
-    for vid in state.topoff:
-        v = plugged_map.get(vid)
-        if v is None or v.current_miles >= v.battery_capacity_miles:
-            state.members.discard(vid)
-            state.arrival_order.pop(vid, None)
-            continue
-        new_topoff.append(vid)
-    new_topoff.extend(movers)
-
-    for vid, v in plugged_map.items():
-        if vid in state.members:
-            continue
-        if v.current_miles >= v.battery_capacity_miles:
-            continue
-        state.members.add(vid)
-        state.arrival_order[vid] = v.arrival_slot
-        if informed and v.current_miles >= v.required_miles:
-            new_topoff.append(vid)
-        else:
-            new_deficit.append(vid)
-
-    state.deficit = new_deficit
-    state.topoff = new_topoff
-    return state
-
-
-def _priority_key(policy: Policy, t: int, rate: float):
-    """Smaller key = served earlier. Keys fold in the tie-break."""
+    policy = state.policy
     kind = policy.kind
-    if kind is PolicyKind.FCFS:
-        def key(v):
-            return (v.arrival_slot, v.id)
-    elif kind is PolicyKind.FDFS and not policy.fdfs_least_slack:
+    if kind is PolicyKind.FCFS or kind is PolicyKind.RR:
+        return 0
+    t_l = v.expected_departure_slot
+    if kind is PolicyKind.FDFS and not policy.fdfs_least_slack:
         # Late vehicles first by how late they are; descending lateness
         # equals ascending expected departure, which also orders the
         # not-yet-late by earliest departure, so one key covers both.
-        def key(v):
-            return (v.expected_departure_slot, v.arrival_slot, v.id)
-    elif kind is PolicyKind.FDFS:
-        def key(v):
+        return t_l
+    if kind is PolicyKind.FDFS and t >= t_l:
+        return t_l - _LATE
+    needed = intervals_for_deficit(v.required_miles, v.current_miles, state.rate_miles_per_slot)
+    if kind is PolicyKind.MINMAX_ER:
+        return -needed
+    # minmax-dt: descending delay-if-charged-continuously is ascending
+    # (departure - slots still needed); least slack orders the same way.
+    return t_l - needed
+
+
+def update_membership(state: PolicyState, t: int, arrived: Iterable[int],
+                      charged: Iterable[int], left: Iterable[int]) -> PolicyState:
+    """Apply one slot's events to the tiers, preserving list order.
+
+    arrived holds the ranks (positions in state.vehicles) of the vehicles
+    plugging in at slot t; charged and left hold the ids charged in the
+    previous slot and departed at its end boundary. Departed or fully
+    charged vehicles drop out; deficit vehicles that crossed their
+    required charge move to the tail of the top-off list (in deficit-list
+    order); arrivals that are not full join the tail of their tier.
+    Without distance information there is no top-off tier: every
+    not-full vehicle stays in the single deficit list.
+    """
+    deficit, topoff, vehicles = state.deficit, state.topoff, state.vehicles
+    n = len(vehicles)
+    policy = state.policy
+    informed = policy.use_distance_info
+    rotating = policy.kind is PolicyKind.RR
+    least_slack = policy.kind is PolicyKind.FDFS and policy.fdfs_least_slack
+    rekey = policy.kind in _NEED_KEYED or least_slack
+    by_need = policy.kind is PolicyKind.MINMAX_ER
+    rate = state.rate_miles_per_slot
+
+    for vid in left:
+        if deficit.pop(vid, None) is None:
+            topoff.pop(vid, None)
+
+    movers = []
+    for vid in charged:
+        tier = deficit if vid in deficit else topoff
+        key = tier.get(vid)
+        if key is None:
+            continue  # departed at the last boundary
+        rank = key % n
+        v = vehicles[rank]
+        if v.current_miles >= v.battery_capacity_miles:
+            del tier[vid]
+        elif tier is topoff:
+            continue  # a top-off key needs no charge, so it stays
+        elif informed and v.current_miles >= v.required_miles:
+            del deficit[vid]
+            movers.append(rank)
+        elif rekey:
+            # _primary for a vehicle still short of its required charge,
+            # inlined: this branch runs once per charged deficit vehicle.
+            needed = math.ceil((v.required_miles - v.current_miles) / rate)
             t_l = v.expected_departure_slot
-            if t >= t_l:
-                return (0, t_l, v.arrival_slot, v.id)
-            needed = intervals_for_deficit(v.required_miles, v.current_miles, rate)
-            return (1, (t_l - t) - needed, v.arrival_slot, v.id)
-    elif kind is PolicyKind.MINMAX_ER:
-        def key(v):
-            needed = intervals_for_deficit(v.required_miles, v.current_miles, rate)
-            return (-needed, v.arrival_slot, v.id)
-    elif kind is PolicyKind.MINMAX_DT:
-        # Descending delay-if-charged-continuously; at a fixed slot that
-        # is ascending (departure - slots still needed).
-        def key(v):
-            needed = intervals_for_deficit(v.required_miles, v.current_miles, rate)
-            return (v.expected_departure_slot - needed, v.arrival_slot, v.id)
-    else:  # pragma: no cover
-        raise AssertionError(kind)
-    return key
+            if by_need:
+                primary = -needed
+            elif least_slack and t >= t_l:
+                primary = t_l - _LATE
+            else:
+                primary = t_l - needed
+            deficit[vid] = primary * n + rank
+
+    # Movers keep deficit-list order: rank order for the keyed policies,
+    # whose deficit list only ever grows at the tail, and pick order for
+    # the rotation policy, which moved its picks to the tail in that order.
+    if not rotating:
+        movers.sort()
+    for rank in movers:
+        v = vehicles[rank]
+        topoff[v.id] = _primary(state, v, t) * n + rank
+
+    for vid in state.due.pop(t, ()):
+        for tier in (deficit, topoff):
+            key = tier.get(vid)
+            if key is not None:
+                tier[vid] = _primary(state, vehicles[key % n], t) * n + key % n
+
+    for rank in arrived:
+        v = vehicles[rank]
+        if v.current_miles >= v.battery_capacity_miles:
+            continue
+        if least_slack:
+            state.due[v.expected_departure_slot].append(v.id)
+        tier = topoff if informed and v.current_miles >= v.required_miles else deficit
+        tier[v.id] = _primary(state, v, t) * n + rank
+    return state
 
 
-def _take_top(ids: Iterable[int], k: int, plugged_map, key) -> list[int]:
-    return heapq.nsmallest(k, ids, key=lambda vid: key(plugged_map[vid]))
+def _take_top(state: PolicyState, tier: dict, k: int) -> list[int]:
+    if k == len(tier):
+        return list(tier)
+    if k == 0:
+        return []
+    vehicles = state.vehicles
+    n = len(vehicles)
+    return [vehicles[key % n].id for key in sorted(tier.values())[:k]]
 
 
-def _rotate(queue: deque, k: int) -> list[int]:
-    picked = []
-    for _ in range(k):
-        vid = queue.popleft()
-        queue.append(vid)
-        picked.append(vid)
+def _rotate(tier: dict, k: int) -> list[int]:
+    picked = list(islice(tier, k))
+    for vid in picked:
+        tier[vid] = tier.pop(vid)
     return picked
 
 
-def select(policy: Policy, state: PolicyState, t: int, K: int, plugged) -> list[int]:
+def select(policy: Policy, state: PolicyState, t: int, K: int) -> list[int]:
     """Ids of the vehicles switched on this slot, highest priority first.
 
-    Always returns min(K, eligible) ids, deficit tier before top-off.
+    Always returns min(K, eligible) ids, deficit tier before top-off; a
+    tier taken whole comes in list order.
     The rotation policy moves what it picks to the bottom of its list;
     every other policy leaves the state untouched.
     """
     if K < 0:
         raise ValueError("negative capacity")
-    n1 = len(state.deficit)
-    n2 = len(state.topoff)
-    take = min(K, n1 + n2)
-    if take == 0:
-        return []
-    if take == n1 + n2 and policy.kind is not PolicyKind.RR:
-        return list(state.deficit) + list(state.topoff)
-
-    k1 = min(take, n1)
-    k2 = take - k1
+    k1 = min(K, len(state.deficit))
+    k2 = min(K - k1, len(state.topoff))
     if policy.kind is PolicyKind.RR:
         return _rotate(state.deficit, k1) + _rotate(state.topoff, k2)
-
-    plugged_map = _as_map(plugged)
-    key = _priority_key(policy, t, state.rate_miles_per_slot)
-    selected = (
-        list(state.deficit) if k1 == n1 else _take_top(state.deficit, k1, plugged_map, key)
-    )
-    if k2:
-        selected += (
-            list(state.topoff) if k2 == n2 else _take_top(state.topoff, k2, plugged_map, key)
-        )
-    return selected
+    return _take_top(state, state.deficit, k1) + _take_top(state, state.topoff, k2)

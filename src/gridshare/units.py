@@ -15,12 +15,3 @@ KWH_PER_MILE = 0.28
 def hours_to_slots(hours: float) -> int:
     """Convert hours to whole slots, rounding to nearest."""
     return round(hours * SLOTS_PER_HOUR)
-
-
-def slot_hour_of_day(slot: int) -> int:
-    """Hour of day (0..23) containing a slot index."""
-    return (slot // SLOTS_PER_HOUR) % 24
-
-
-def slots_to_minutes(slots: int) -> int:
-    return slots * SLOT_MINUTES

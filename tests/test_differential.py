@@ -1,0 +1,87 @@
+"""The engine against the reference loop on small random fleets.
+
+Every policy variant runs with trace on; outcomes and trace rows (order
+included) must equal the reference's, the trace auditor must report
+nothing, and each vehicle must be charged exactly its initial need
+before it is satisfied.
+"""
+
+import csv
+import os
+import tempfile
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridshare.engine import SimConfig, run_simulation
+from gridshare.oracle import audit_trace
+from gridshare.policies import charge_intervals_required, parse_policy
+from gridshare.powergrid import ChargerSpec
+from gridshare.workload import Vehicle
+
+from reference_loop import reference_run
+
+VARIANTS = [
+    parse_policy("fcfs"), parse_policy("fdfs"), parse_policy("rr"),
+    parse_policy("minmax-er"), parse_policy("minmax-dt"),
+    parse_policy("fcfs", simple=True), parse_policy("rr", simple=True),
+    parse_policy("fdfs", fdfs_least_slack=True),
+    # The CLI passes --fdfs-slack to every policy; other kinds ignore it.
+    parse_policy("minmax-dt", fdfs_least_slack=True),
+]
+
+
+@st.composite
+def scenarios(draw):
+    n = draw(st.integers(min_value=1, max_value=30))
+    ids = draw(st.permutations(range(n)))
+    unit = draw(st.sampled_from([1.0, 0.5]))  # integer or half-integer miles
+    fleet = []
+    for vid in ids:
+        arrival = draw(st.integers(min_value=0, max_value=12))
+        capacity = draw(st.integers(min_value=1, max_value=12))
+        required = draw(st.integers(min_value=0, max_value=capacity))
+        # Most arrive short of their need; some satisfied, some full.
+        current = draw(st.one_of(
+            st.integers(min_value=0, max_value=required), st.integers(min_value=0, max_value=capacity),
+            st.just(capacity)))
+        fleet.append(Vehicle(
+            id=vid, arrival_slot=arrival,
+            expected_departure_slot=arrival + draw(st.integers(min_value=1, max_value=20)),
+            required_miles=required * unit, current_miles=current * unit,
+            battery_capacity_miles=capacity * unit,
+        ))
+    k_profile = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=4))
+    if not any(k_profile):
+        k_profile[-1] = 1
+    rate = draw(st.sampled_from([1.0, 0.5]))
+    return fleet, k_profile, rate
+
+
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [[int(x) for x in row] for row in list(csv.reader(fh))[1:]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenarios())
+def test_engine_matches_reference_loop(scenario):
+    fleet, k_profile, rate = scenario
+    charger = ChargerSpec(volts=120.0, amps=28.0, miles_per_slot=rate)
+    need = {v.id: charge_intervals_required(v, charger) for v in fleet}
+    with tempfile.TemporaryDirectory() as tmp:
+        trace_path = os.path.join(tmp, "trace.csv")
+        for policy in VARIANTS:
+            cfg = SimConfig(policy=policy, sdr_target=1.0, seed=0,
+                            days=3, warmup_days=0, last_measured_day=1)
+            outcomes = run_simulation(cfg, fleet, None, charger,
+                                      k_profile=k_profile, trace_path=trace_path)
+            rows = read_rows(trace_path)
+            want_outcomes, want_rows = reference_run(cfg, fleet, k_profile, rate)
+            assert outcomes == want_outcomes, policy.name
+            assert rows == want_rows, policy.name
+            assert audit_trace(trace_path, policy) == [], policy.name
+            satisfied = {o.id: o.satisfied_slot for o in outcomes}
+            charges = Counter(row[2] for row in rows if row[8] and row[0] < satisfied[row[2]])
+            assert {vid: charges[vid] for vid in need} == need, policy.name

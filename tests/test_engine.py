@@ -147,8 +147,8 @@ def test_invariant_checks_catch_corrupted_policy(monkeypatch, unit_charger):
 
     real_select = engine_mod.select
 
-    def lazy_select(policy, state, t, k, plugged):
-        picked = real_select(policy, state, t, k, plugged)
+    def lazy_select(policy, state, t, k):
+        picked = real_select(policy, state, t, k)
         return picked[:-1] if len(picked) > 1 else picked  # drop one: not work conserving
 
     monkeypatch.setattr(engine_mod, "select", lazy_select)

@@ -17,12 +17,21 @@ from gridshare.policies import (
 )
 
 from conftest import make_test_vehicle
+from reference_loop import priority_key
+
+
+def plugged_state(policy, charger, vehicles, t=0):
+    """Tiers after `vehicles` plug in together at slot t, and the id map."""
+    fleet = sorted(vehicles, key=lambda v: (v.arrival_slot, v.id))
+    state = new_policy_state(policy, charger, fleet)
+    update_membership(state, t, range(len(fleet)), charged=(), left=())
+    return state, {v.id: v for v in fleet}
 
 
 @pytest.fixture
 def state_for(unit_charger):
-    def make(policy):
-        return new_policy_state(policy, unit_charger)
+    def make(policy, vehicles, t=0):
+        return plugged_state(policy, unit_charger, vehicles, t)[0]
 
     return make
 
@@ -58,107 +67,90 @@ def test_delay_if_continuous_examples(unit_charger):
 
 def test_minmax_dt_takes_largest_delays(state_for, unit_charger):
     policy = parse_policy("minmax-dt")
-    state = state_for(policy)
     # Delays if charged continuously at t=10: a:+5, b:0, c:-2.
     a = make_test_vehicle(1, 0, 15, required=10.0, current=0.0)
     b = make_test_vehicle(2, 0, 20, required=10.0, current=0.0)
     c = make_test_vehicle(3, 0, 22, required=10.0, current=0.0)
-    plugged = {v.id: v for v in (a, b, c)}
-    update_membership(state, plugged)
-    assert set(select(policy, state, 10, 2, plugged)) == {1, 2}
+    state = state_for(policy, [a, b, c])
+    assert set(select(policy, state, 10, 2)) == {1, 2}
 
 
 def test_all_eligible_selected_when_capacity_suffices(state_for):
     for name in ("fcfs", "fdfs", "rr", "minmax-er", "minmax-dt"):
         policy = parse_policy(name)
-        state = state_for(policy)
         vehicles = [make_test_vehicle(i, 0, 50, required=5.0, current=0.0) for i in range(4)]
-        plugged = {v.id: v for v in vehicles}
-        update_membership(state, plugged)
-        assert set(select(policy, state, 0, 10, plugged)) == {0, 1, 2, 3}
+        state = state_for(policy, vehicles)
+        assert set(select(policy, state, 0, 10)) == {0, 1, 2, 3}
 
 
 def test_negative_capacity_rejected(state_for):
     policy = parse_policy("fcfs")
-    state = state_for(policy)
+    state = state_for(policy, [])
     with pytest.raises(ValueError, match="negative capacity"):
-        select(policy, state, 0, -1, {})
+        select(policy, state, 0, -1)
 
 
 def test_rr_rotates_selected_to_bottom(state_for):
     policy = parse_policy("rr")
-    state = state_for(policy)
     vehicles = [make_test_vehicle(i, i, 50, required=10.0, current=0.0) for i in (1, 2, 3)]
-    plugged = {v.id: v for v in vehicles}
-    update_membership(state, plugged)
+    state = state_for(policy, vehicles)
     assert list(state.deficit) == [1, 2, 3]
-    picked = select(policy, state, 5, 2, plugged)
+    picked = select(policy, state, 5, 2)
     assert picked == [1, 2]
     assert list(state.deficit) == [3, 1, 2]
 
 
 def test_fcfs_orders_by_arrival(state_for):
     policy = parse_policy("fcfs")
-    state = state_for(policy)
     vehicles = [
         make_test_vehicle(5, 30, 300, required=10.0, current=0.0),
         make_test_vehicle(7, 10, 300, required=10.0, current=0.0),
         make_test_vehicle(2, 20, 300, required=10.0, current=0.0),
     ]
-    plugged = {v.id: v for v in vehicles}
-    update_membership(state, plugged)
-    assert select(policy, state, 40, 2, plugged) == [7, 2]
+    state = state_for(policy, vehicles)
+    assert select(policy, state, 40, 2) == [7, 2]
 
 
 def test_fdfs_prefers_most_delayed_then_earliest_departure(state_for):
     policy = parse_policy("fdfs")
-    state = state_for(policy)
     late_big = make_test_vehicle(1, 0, 8, required=30.0, current=0.0)    # 2 slots late at t=10
     late_small = make_test_vehicle(2, 0, 9, required=30.0, current=0.0)  # 1 slot late
     soon = make_test_vehicle(3, 0, 30, required=30.0, current=0.0)
     later = make_test_vehicle(4, 0, 40, required=30.0, current=0.0)
-    plugged = {v.id: v for v in (late_big, late_small, soon, later)}
-    update_membership(state, plugged)
-    assert select(policy, state, 10, 3, plugged) == [1, 2, 3]
+    state = state_for(policy, [late_big, late_small, soon, later])
+    assert select(policy, state, 10, 3) == [1, 2, 3]
 
 
-def test_fdfs_least_slack_variant_orders_by_slack(state_for, unit_charger):
+def test_fdfs_least_slack_variant_orders_by_slack(state_for):
     policy = parse_policy("fdfs", fdfs_least_slack=True)
-    state = new_policy_state(policy, unit_charger)
     # At t=0: slack(a) = 20-15 = 5, slack(b) = 30-28 = 2: b first despite later departure.
     a = make_test_vehicle(1, 0, 20, required=15.0, current=0.0)
     b = make_test_vehicle(2, 0, 30, required=28.0, current=0.0)
-    plugged = {v.id: v for v in (a, b)}
-    update_membership(state, plugged)
-    assert select(policy, state, 0, 1, plugged) == [2]
+    state = state_for(policy, [a, b])
+    assert select(policy, state, 0, 1) == [2]
     # Default reading picks the earlier departure instead.
     default = parse_policy("fdfs")
-    state2 = new_policy_state(default, unit_charger)
-    update_membership(state2, plugged)
-    assert select(default, state2, 0, 1, plugged) == [1]
+    state2 = state_for(default, [a, b])
+    assert select(default, state2, 0, 1) == [1]
 
 
 def test_minmax_er_takes_largest_remaining_need(state_for):
     policy = parse_policy("minmax-er")
-    state = state_for(policy)
     small = make_test_vehicle(1, 0, 99, required=5.0, current=0.0)
     big = make_test_vehicle(2, 5, 99, required=50.0, current=0.0)
-    plugged = {v.id: v for v in (small, big)}
-    update_membership(state, plugged)
-    assert select(policy, state, 10, 1, plugged) == [2]
+    state = state_for(policy, [small, big])
+    assert select(policy, state, 10, 1) == [2]
 
 
 def test_ties_break_by_arrival_then_id(state_for):
     policy = parse_policy("minmax-er")
-    state = state_for(policy)
     vehicles = [
         make_test_vehicle(9, 4, 99, required=10.0, current=0.0),
         make_test_vehicle(3, 4, 99, required=10.0, current=0.0),
         make_test_vehicle(5, 2, 99, required=10.0, current=0.0),
     ]
-    plugged = {v.id: v for v in vehicles}
-    update_membership(state, plugged)
-    assert select(policy, state, 5, 2, plugged) == [5, 3]
+    state = state_for(policy, vehicles)
+    assert select(policy, state, 5, 2) == [5, 3]
 
 
 # --- membership maintenance -------------------------------------------------
@@ -166,48 +158,40 @@ def test_ties_break_by_arrival_then_id(state_for):
 
 def test_vehicle_crossing_required_moves_to_topoff_tail(state_for):
     policy = parse_policy("fcfs")
-    state = state_for(policy)
     a = make_test_vehicle(1, 0, 99, required=10.0, current=0.0, capacity=20.0)
     b = make_test_vehicle(2, 1, 99, required=10.0, current=5.0, capacity=20.0)
     old_topoff = make_test_vehicle(3, 2, 99, required=5.0, current=7.0, capacity=20.0)
-    plugged = {v.id: v for v in (a, b, old_topoff)}
-    update_membership(state, plugged)
+    state = state_for(policy, [a, b, old_topoff])
     assert list(state.deficit) == [1, 2]
     assert list(state.topoff) == [3]
     a.current_miles = 12.0  # crossed its requirement
-    update_membership(state, plugged)
+    update_membership(state, 1, arrived=(), charged=[1], left=())
     assert list(state.deficit) == [2]
     assert list(state.topoff) == [3, 1]
 
 
 def test_full_battery_vehicle_leaves_both_lists(state_for):
     policy = parse_policy("fcfs")
-    state = state_for(policy)
     v = make_test_vehicle(1, 0, 99, required=10.0, current=0.0, capacity=12.0)
-    plugged = {1: v}
-    update_membership(state, plugged)
+    state = state_for(policy, [v])
     assert list(state.deficit) == [1]
     v.current_miles = 12.0
-    update_membership(state, plugged)
+    update_membership(state, 1, arrived=(), charged=[1], left=())
     assert not state.deficit and not state.topoff
 
 
 def test_departed_vehicle_dropped(state_for):
     policy = parse_policy("rr")
-    state = state_for(policy)
-    vehicles = {i: make_test_vehicle(i, 0, 99, required=10.0, current=0.0) for i in (1, 2)}
-    update_membership(state, vehicles)
-    del vehicles[1]
-    update_membership(state, vehicles)
+    state = state_for(policy, [make_test_vehicle(i, 0, 99, required=10.0, current=0.0) for i in (1, 2)])
+    update_membership(state, 1, arrived=(), charged=(), left=[1])
     assert list(state.deficit) == [2]
 
 
 def test_simple_variant_keeps_single_list(unit_charger):
     policy = parse_policy("fcfs", simple=True)
-    state = new_policy_state(policy, unit_charger)
     satisfied = make_test_vehicle(1, 0, 99, required=5.0, current=8.0, capacity=20.0)
     needy = make_test_vehicle(2, 0, 99, required=15.0, current=0.0, capacity=20.0)
-    update_membership(state, {1: satisfied, 2: needy})
+    state, _ = plugged_state(policy, unit_charger, [satisfied, needy])
     assert list(state.deficit) == [1, 2]
     assert not state.topoff
 
@@ -255,11 +239,9 @@ def test_selection_cardinality_property(scenario, name):
     charger = ChargerSpec(volts=120.0, amps=28.0, miles_per_slot=1.0)
     vehicles, k, t = scenario
     policy = parse_policy(name)
-    state = new_policy_state(policy, charger)
-    plugged = {v.id: v for v in vehicles}
-    update_membership(state, plugged)
+    state, _ = plugged_state(policy, charger, vehicles, t)
     eligible = len(state.deficit) + len(state.topoff)
-    picked = select(policy, state, t, k, plugged)
+    picked = select(policy, state, t, k)
     assert len(picked) == min(k, eligible)
     assert len(set(picked)) == len(picked)
 
@@ -267,17 +249,17 @@ def test_selection_cardinality_property(scenario, name):
 @settings(max_examples=60, deadline=None)
 @given(random_scenario(), st.sampled_from(["fcfs", "fdfs", "minmax-er", "minmax-dt"]))
 def test_top_k_property_for_sorted_policies(scenario, name):
-    from gridshare.policies import _priority_key
     from gridshare.powergrid import ChargerSpec
 
     charger = ChargerSpec(volts=120.0, amps=28.0, miles_per_slot=1.0)
     vehicles, k, t = scenario
     policy = parse_policy(name)
-    state = new_policy_state(policy, charger)
-    plugged = {v.id: v for v in vehicles}
-    update_membership(state, plugged)
-    picked = set(select(policy, state, t, k, plugged))
-    key = _priority_key(policy, t, charger.miles_per_slot)
+    state, plugged = plugged_state(policy, charger, vehicles, t)
+    picked = set(select(policy, state, t, k))
+
+    def key(v):
+        return priority_key(policy, t, v, charger.miles_per_slot)
+
     for tier in (state.deficit, state.topoff):
         chosen = [vid for vid in tier if vid in picked]
         passed = [vid for vid in tier if vid not in picked]
@@ -298,10 +280,8 @@ def test_minmax_dt_dominance_property(scenario):
     charger = ChargerSpec(volts=120.0, amps=28.0, miles_per_slot=1.0)
     vehicles, k, t = scenario
     policy = parse_policy("minmax-dt")
-    state = new_policy_state(policy, charger)
-    plugged = {v.id: v for v in vehicles}
-    update_membership(state, plugged)
-    picked = set(select(policy, state, t, k, plugged))
+    state, plugged = plugged_state(policy, charger, vehicles, t)
+    picked = set(select(policy, state, t, k))
     deficit = list(state.deficit)
     chosen = [plugged[v] for v in deficit if v in picked]
     passed = [plugged[v] for v in deficit if v not in picked]
@@ -313,17 +293,15 @@ def test_minmax_dt_dominance_property(scenario):
 
 def test_rr_fairness_over_static_window(unit_charger):
     policy = parse_policy("rr")
-    state = new_policy_state(policy, unit_charger)
-    vehicles = {
-        i: make_test_vehicle(i, 0, 10_000, required=5000.0, current=0.0)
-        for i in range(7)
-    }
-    update_membership(state, vehicles)
-    counts = {i: 0 for i in vehicles}
+    vehicles = [make_test_vehicle(i, 0, 10_000, required=5000.0, current=0.0) for i in range(7)]
+    state, _ = plugged_state(policy, unit_charger, vehicles)
+    counts = {v.id: 0 for v in vehicles}
     k = 3
+    picked = []
     for t in range(70):
-        update_membership(state, vehicles)
-        for vid in select(policy, state, t, k, vehicles):
+        update_membership(state, t, arrived=(), charged=picked, left=())
+        picked = select(policy, state, t, k)
+        for vid in picked:
             counts[vid] += 1
     assert max(counts.values()) - min(counts.values()) <= 1
     assert sum(counts.values()) == 70 * k
@@ -331,13 +309,11 @@ def test_rr_fairness_over_static_window(unit_charger):
 
 def test_non_rotation_select_is_pure(state_for):
     policy = parse_policy("minmax-dt")
-    state = state_for(policy)
-    vehicles = {
-        i: make_test_vehicle(i, i, 60, required=10.0 + i, current=0.0) for i in range(5)
-    }
-    update_membership(state, vehicles)
-    before = (list(state.deficit), list(state.topoff))
-    first = select(policy, state, 10, 2, vehicles)
-    second = select(policy, state, 10, 2, vehicles)
+    state = state_for(policy, [make_test_vehicle(i, i, 60, required=10.0 + i, current=0.0)
+                               for i in range(5)])
+    before = (dict(state.deficit), dict(state.topoff))
+    first = select(policy, state, 10, 2)
+    second = select(policy, state, 10, 2)
     assert first == second
-    assert (list(state.deficit), list(state.topoff)) == before
+    assert (list(state.deficit), list(state.topoff)) == (list(before[0]), list(before[1]))
+    assert (state.deficit, state.topoff) == before
