@@ -1,0 +1,63 @@
+"""Golden outputs: pinned SHA-256 digests of one short cell per policy variant.
+
+Each case runs `gridshare simulate` for six days at a tight supply ratio
+and compares the digests of fod.csv, adfd.csv and outcomes.csv with the
+ones recorded when the test was added. A change to the engine, the
+policies or the metrics that moves any output byte fails here. The
+dryer charger and the exact household rate cover charge rates that are
+not a power of two.
+"""
+
+import hashlib
+
+import pytest
+
+from gridshare.cli import EXIT_OK, run
+
+from test_differential import VARIANTS
+
+FILES = ("fod.csv", "adfd.csv", "outcomes.csv")
+
+
+def _flags(policy):
+    flags = ["--policy", policy.kind.value]
+    if not policy.use_distance_info:
+        flags.append("--simple")
+    if policy.fdfs_least_slack:
+        flags.append("--fdfs-slack")
+    return flags
+
+
+CASES = {
+    "-".join(flag.lstrip("-") for flag in flags[1:]): flags
+    for flags in [_flags(p) for p in VARIANTS] + [
+        ["--policy", "minmax-er", "--charger", "dryer-220-30"],
+        ["--policy", "minmax-dt", "--exact-charger-physics"],
+    ]
+}
+
+# case -> (fod.csv, adfd.csv, outcomes.csv) digests, truncated to 16 hex digits.
+GOLDEN = {
+    "fcfs": ("19461ddadb98cd1b", "ccdb33af4c357ef8", "f8d425f67eb36275"),
+    "fdfs": ("d7c8374514681965", "44669f67b4313033", "f5c471b0c592bdc4"),
+    "rr": ("d8e5594046affafd", "87a0848b53fd9a13", "960e01de096ebaa9"),
+    "minmax-er": ("232babe535369853", "7cdaf2020e644d13", "8fc303022240a508"),
+    "minmax-dt": ("a94277ccda591c30", "df4385be35ae6ca3", "a8baabd574e20092"),
+    "fcfs-simple": ("8298bfea74d2c36d", "98949e65cea4b871", "e53a0ed3234cf8ba"),
+    "rr-simple": ("7a9c871f34137f59", "178dceea1a6c29e2", "09ba62e0bc8499ba"),
+    "fdfs-fdfs-slack": ("2bc972ee873a1003", "f3ba7b3affce2cc1", "c4c9447d28423b77"),
+    "minmax-dt-fdfs-slack": ("a94277ccda591c30", "df4385be35ae6ca3", "a8baabd574e20092"),
+    "minmax-er-charger-dryer-220-30": ("232babe535369853", "a2e45f27975db8b8", "8bf03a19cc8bb738"),
+    "minmax-dt-exact-charger-physics": ("c55d6857600ba29d", "2b4b8055b1cfac73", "cf63a6c537e3d75c"),
+}
+
+
+def digests(tmp_path, flags):
+    argv = ["simulate", *flags, "--sdr", "1.0", "--seed", "3", "--days", "6", "--out", str(tmp_path)]
+    assert run(argv) == EXIT_OK
+    return tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16] for name in FILES)
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_outputs_match_golden_digests(tmp_path, case):
+    assert digests(tmp_path, CASES[case]) == GOLDEN[case]
