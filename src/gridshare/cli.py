@@ -17,16 +17,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import defaults, figures, metrics, oracle
-from .engine import RunStats, SimConfig, measurement_filter, run_simulation
-from .policies import ALL_POLICY_NAMES, Policy, parse_policy
-from .powergrid import (
-    ChargerSpec,
-    LoadShape,
-    charger_preset,
-    make_grid,
-    realized_sdr,
-    total_required_energy,
-)
+from .engine import SimConfig
+from .policies import ALL_POLICY_NAMES, parse_policy
+from .powergrid import LoadShape, charger_preset
 from .workload import (
     WorkloadConfig,
     adjusted_departure_fraction,
@@ -314,25 +307,8 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
         raise ValueError("simulate runs exactly one (policy, sdr, seed) cell; use sweep for grids")
     policy, sdr, seed = cfg.policies[0], cfg.sdr_grid[0], cfg.seeds[0]
     write_run_context(cfg)
-
-    base = cfg.base
-    wl = replace(base.workload, seed=seed)
-    fleet = generate_fleet(wl, base.profile, base.charger)
-    grid = make_grid(base.shape, total_required_energy(fleet, wl.days), sdr, base.peak_other_fraction)
-    sim_cfg = SimConfig(
-        policy=policy, sdr_target=sdr, seed=seed, days=wl.days,
-        warmup_days=base.warmup_days, last_measured_day=base.last_measured_day,
-    )
-    stats = RunStats()
     trace_path = os.path.join(cfg.out_dir, "trace.csv") if cfg.trace else None
-    outcomes = run_simulation(sim_cfg, fleet, grid, base.charger, stats=stats, trace_path=trace_path)
-    measured = measurement_filter(outcomes, sim_cfg)
-    report = metrics.build_report(
-        policy.name, sdr, seed, measured, base.bin_width_min,
-        sdr_realized=realized_sdr(grid),
-        adjusted_fraction=adjusted_departure_fraction(fleet),
-        plugged_at_census=tuple(stats.plugged_at_census),
-    )
+    report, outcomes = metrics.run_cell(cfg.base, policy, sdr, seed, trace_path=trace_path)
     table = [report]
     _write_atomic(os.path.join(cfg.out_dir, "fod.csv"), lambda p: metrics.write_fod_csv(table, p))
     _write_atomic(os.path.join(cfg.out_dir, "adfd.csv"), lambda p: metrics.write_adfd_csv(table, p))

@@ -13,16 +13,10 @@ from __future__ import annotations
 
 import csv
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
-from .policies import (
-    Policy,
-    charge_intervals_required,
-    new_policy_state,
-    select,
-    update_membership,
-)
+from .policies import Policy, new_policy_state, select, update_membership
 from .powergrid import ChargerSpec, GridModel, day_capacity_profile
 from .units import SLOTS_PER_DAY, SLOTS_PER_HOUR
 from .workload import Vehicle
@@ -103,16 +97,14 @@ def run_simulation(
         k_profile = day_capacity_profile(grid, charger)
     cycle = len(k_profile)
 
-    vehicles = sorted((replace(v) for v in fleet), key=lambda v: (v.arrival_slot, v.id))
+    vehicles = sorted(fleet, key=lambda v: (v.arrival_slot, v.id))
     if len({v.id for v in vehicles}) != len(vehicles):
         raise ValueError("vehicle ids must be unique")
-    for v in vehicles:
-        v.measured = cfg.in_measurement_window(v.arrival_slot)
 
     trace_file = open(trace_path, "w", newline="", encoding="utf-8") if trace_path else None
     try:
         return _run_loop(
-            cfg, vehicles, charger, k_profile, cycle,
+            cfg, vehicles, k_profile, cycle,
             csv.writer(trace_file) if trace_file else None,
             check_invariants, stats, state=new_policy_state(cfg.policy, charger, vehicles),
         )
@@ -121,16 +113,17 @@ def run_simulation(
             trace_file.close()
 
 
-def _run_loop(cfg, vehicles, charger, k_profile, cycle, trace, check_invariants, stats, state):
-    rate = charger.miles_per_slot
-    active: dict[int, Vehicle] = {}       # all plugged
-    charged: list[int] = []               # ids charged in the previous slot
-    left: list[int] = []                  # ids departed at the last boundary
-    departure_bucket = defaultdict(list)  # boundary slot -> ids due to leave
-    satisfied_slot: dict[int, int] = {}
-    charged_count: dict[int, int] = defaultdict(int)
-    initial_miles: dict[int, float] = {}
-    outcomes: dict[int, VehicleOutcome] = {}
+def _run_loop(cfg, vehicles, k_profile, cycle, trace, check_invariants, stats, state):
+    # Vehicles are named by rank, their index in `vehicles`; ids appear
+    # only in outcomes and trace rows.
+    need, room = state.need, state.room
+    n = len(vehicles)
+    plugged = 0                           # arrived and not yet departed
+    charged: list[int] = []               # ranks charged in the previous slot
+    left: list[int] = []                  # ranks departed at the last boundary
+    departure_bucket = defaultdict(list)  # boundary slot -> ranks due to leave
+    satisfied_slot = [0] * n              # meaningful once need[rank] is 0
+    outcomes: list[VehicleOutcome | None] = [None] * n
     if trace:
         trace.writerow([
             "slot", "k", "vehicle_id", "tier", "arrival_slot",
@@ -138,21 +131,17 @@ def _run_loop(cfg, vehicles, charger, k_profile, cycle, trace, check_invariants,
             "delay_if_continuous", "selected",
         ])
 
-    def depart(v: Vehicle, boundary: int) -> None:
-        sat = satisfied_slot[v.id]
+    def depart(rank: int, boundary: int) -> None:
+        nonlocal plugged
+        v = vehicles[rank]
+        sat = satisfied_slot[rank]
         actual = max(v.expected_departure_slot, sat)
         if check_invariants:
+            if need[rank]:
+                raise SimulationInvariantError(f"vehicle {v.id} departing {need[rank]} intervals short")
             if boundary != actual:
                 raise SimulationInvariantError(f"vehicle {v.id} departing at {boundary}, not {actual}")
-            if v.current_miles < v.required_miles - 1e-9:
-                raise SimulationInvariantError(f"vehicle {v.id} departing short of required charge")
-            gained = v.current_miles - initial_miles[v.id]
-            expected_gain = rate * charged_count[v.id]
-            shortfall = expected_gain - gained
-            at_cap = v.current_miles >= v.battery_capacity_miles - 1e-9
-            if not (abs(shortfall) < 1e-9 or (at_cap and -1e-9 < shortfall < rate + 1e-9)):
-                raise SimulationInvariantError(f"vehicle {v.id} gained {gained}, charged {charged_count[v.id]} slots")
-        outcomes[v.id] = VehicleOutcome(
+        outcomes[rank] = VehicleOutcome(
             id=v.id,
             arrival_slot=v.arrival_slot,
             expected_departure_slot=v.expected_departure_slot,
@@ -160,28 +149,25 @@ def _run_loop(cfg, vehicles, charger, k_profile, cycle, trace, check_invariants,
             actual_departure_slot=actual,
             delay_slots=actual - v.expected_departure_slot,
             delayed=actual > v.expected_departure_slot,
-            measured=v.measured,
+            measured=cfg.in_measurement_window(v.arrival_slot),
         )
-        del active[v.id]
-        left.append(v.id)
+        plugged -= 1
+        left.append(rank)
 
     max_slots = (cfg.days + 60) * SLOTS_PER_DAY
     next_arrival = 0
-    n = len(vehicles)
     t = 0
-    while next_arrival < n or active:
+    while next_arrival < n or plugged:
         if t >= max_slots:
             raise RuntimeError(f"simulation did not drain within {max_slots} slots")
 
         first_arrival = next_arrival
         while next_arrival < n and vehicles[next_arrival].arrival_slot == t:
-            v = vehicles[next_arrival]
+            if not need[next_arrival]:
+                satisfied_slot[next_arrival] = t
+            departure_bucket[vehicles[next_arrival].expected_departure_slot].append(next_arrival)
             next_arrival += 1
-            active[v.id] = v
-            initial_miles[v.id] = v.current_miles
-            if v.current_miles >= v.required_miles:
-                satisfied_slot[v.id] = v.arrival_slot
-            departure_bucket[v.expected_departure_slot].append(v.id)
+        plugged += next_arrival - first_arrival
 
         update_membership(state, t, range(first_arrival, next_arrival), charged, left)
         left.clear()
@@ -192,44 +178,44 @@ def _run_loop(cfg, vehicles, charger, k_profile, cycle, trace, check_invariants,
 
         if trace:
             chosen = set(selected)
-            for tier, ids in (("1", state.deficit), ("2", state.topoff)):
-                for vid in ids:
-                    v = active[vid]
-                    needed = charge_intervals_required(v, charger)
+            for tier, ranks in (("1", state.deficit), ("2", state.topoff)):
+                for rank in ranks:
+                    v = vehicles[rank]
+                    needed = need[rank]
                     trace.writerow([
-                        t, k, vid, tier, v.arrival_slot, v.expected_departure_slot,
+                        t, k, v.id, tier, v.arrival_slot, v.expected_departure_slot,
                         needed, needed - (v.expected_departure_slot - t),
-                        1 if vid in chosen else 0,
+                        1 if rank in chosen else 0,
                     ])
 
         boundary = t + 1
-        for vid in selected:
-            v = active[vid]
-            before = v.current_miles
-            v.current_miles = min(before + rate, v.battery_capacity_miles)
-            charged_count[vid] += 1
-            if before < v.required_miles <= v.current_miles:
-                satisfied_slot[vid] = boundary
-                if boundary >= v.expected_departure_slot:
-                    depart(v, boundary)
+        for rank in selected:
+            room[rank] -= 1
+            if room[rank] < 0 and check_invariants:
+                raise SimulationInvariantError(f"slot {t}: vehicle {vehicles[rank].id} selected with a full battery")
+            if need[rank]:
+                need[rank] -= 1
+                if not need[rank]:
+                    satisfied_slot[rank] = boundary
+                    if boundary >= vehicles[rank].expected_departure_slot:
+                        depart(rank, boundary)
         charged = selected
         if stats is not None:
             stats.total_selections += len(selected)
 
-        for vid in departure_bucket.pop(boundary, ()):
-            v = active.get(vid)
-            if v is not None and vid in satisfied_slot:
-                depart(v, boundary)
+        for rank in departure_bucket.pop(boundary, ()):
+            if not need[rank] and outcomes[rank] is None:
+                depart(rank, boundary)
 
         if stats is not None and t % SLOTS_PER_DAY == CENSUS_SLOT_OF_DAY:
-            stats.plugged_at_census.append(len(active))
+            stats.plugged_at_census.append(plugged)
         t += 1
 
     if stats is not None:
         stats.slots_run = t
-    if check_invariants and len(outcomes) != n:
+    if check_invariants and None in outcomes:
         raise SimulationInvariantError("missing outcomes for some vehicles")
-    return [outcomes[v.id] for v in vehicles]
+    return outcomes
 
 
 def measurement_filter(outcomes: Sequence[VehicleOutcome], cfg: SimConfig) -> list[VehicleOutcome]:

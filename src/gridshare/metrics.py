@@ -41,7 +41,6 @@ class MetricsReport:
     fod: float
     adfd_minutes: float | None
     delay_histogram: tuple  # (lo_min, hi_min, fraction-of-delayed) triples
-    delay_cdf: tuple        # (minutes, cumulative fraction) pairs
     sdr_realized: float | None = None
     adjusted_fraction: float | None = None
     plugged_at_census: tuple = ()
@@ -114,8 +113,14 @@ class SweepBase:
     bin_width_min: float = 30.0
 
 
-def run_cell(base: SweepBase, policy: Policy, sdr: float, seed: int) -> MetricsReport:
-    """Generate the seed's fleet, calibrate, simulate, and summarize."""
+def run_cell(
+    base: SweepBase, policy: Policy, sdr: float, seed: int, trace_path=None
+) -> tuple[MetricsReport, list[VehicleOutcome]]:
+    """Generate the seed's fleet, calibrate, simulate, and summarize.
+
+    Returns the cell's report and every vehicle's outcome; trace_path,
+    if given, receives the engine's per-slot trace.
+    """
     wl = replace(base.workload, seed=seed)
     fleet = generate_fleet(wl, base.profile, base.charger)
     tpr = total_required_energy(fleet, wl.days)
@@ -125,14 +130,15 @@ def run_cell(base: SweepBase, policy: Policy, sdr: float, seed: int) -> MetricsR
         warmup_days=base.warmup_days, last_measured_day=base.last_measured_day,
     )
     stats = RunStats()
-    outcomes = run_simulation(cfg, fleet, grid, base.charger, stats=stats)
+    outcomes = run_simulation(cfg, fleet, grid, base.charger, stats=stats, trace_path=trace_path)
     measured = measurement_filter(outcomes, cfg)
-    return build_report(
+    report = build_report(
         policy.name, sdr, seed, measured, base.bin_width_min,
         sdr_realized=realized_sdr(grid),
         adjusted_fraction=adjusted_departure_fraction(fleet),
         plugged_at_census=tuple(stats.plugged_at_census),
     )
+    return report, outcomes
 
 
 def build_report(
@@ -146,12 +152,12 @@ def build_report(
     fod = fraction_delayed(measured)
     adfd = average_delay_of_delayed(measured)
     if any(o.delayed for o in measured):
-        histogram, cdf = delay_distribution(measured, bin_width_min)
+        histogram = delay_distribution(measured, bin_width_min)[0]
     else:
-        histogram, cdf = (), ()
+        histogram = ()
     return MetricsReport(
         policy=policy_name, sdr=sdr, seed=seed, n_measured=len(measured),
-        fod=fod, adfd_minutes=adfd, delay_histogram=histogram, delay_cdf=cdf,
+        fod=fod, adfd_minutes=adfd, delay_histogram=histogram,
         **diagnostics,
     )
 
@@ -159,7 +165,7 @@ def build_report(
 def _run_cell_entry(args):
     base, policy, sdr, seed = args
     try:
-        return run_cell(base, policy, sdr, seed)
+        return run_cell(base, policy, sdr, seed)[0]
     except Exception as exc:
         raise RuntimeError(
             f"sweep cell policy={policy.name} sdr={sdr} seed={seed} failed: {exc}"
@@ -223,38 +229,32 @@ def average_reports(group: Sequence[MetricsReport]) -> MetricsReport:
     fod = sum(r.fod for r in group) / len(group)
     adfds = [r.adfd_minutes for r in group if r.adfd_minutes is not None]
     adfd = sum(adfds) / len(adfds) if adfds else None
-    histogram, cdf = _average_distributions(group)
+    histogram = _average_histograms(group)
     realized = [r.sdr_realized for r in group if r.sdr_realized is not None]
     adjusted = [r.adjusted_fraction for r in group if r.adjusted_fraction is not None]
     return MetricsReport(
         policy=group[0].policy, sdr=group[0].sdr, seed=None,
         n_measured=sum(r.n_measured for r in group),
         fod=fod, adfd_minutes=adfd,
-        delay_histogram=histogram, delay_cdf=cdf,
+        delay_histogram=histogram,
         sdr_realized=sum(realized) / len(realized) if realized else None,
         adjusted_fraction=sum(adjusted) / len(adjusted) if adjusted else None,
     )
 
 
-def _average_distributions(group):
+def _average_histograms(group):
     with_delays = [r for r in group if r.delay_histogram]
     if not with_delays:
-        return (), ()
+        return ()
     width = with_delays[0].delay_histogram[0][1] - with_delays[0].delay_histogram[0][0]
     n_bins = max(len(r.delay_histogram) for r in with_delays)
     sums = [0.0] * n_bins
     for r in with_delays:
         for i, (_, _, frac) in enumerate(r.delay_histogram):
             sums[i] += frac
-    histogram = tuple(
+    return tuple(
         (i * width, (i + 1) * width, s / len(with_delays)) for i, s in enumerate(sums)
     )
-    cdf = []
-    running = 0.0
-    for lo, hi, frac in histogram:
-        running += frac
-        cdf.append((hi, running))
-    return histogram, tuple(cdf)
 
 
 # ---------------------------------------------------------------------------

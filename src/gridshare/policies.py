@@ -69,31 +69,42 @@ ALL_POLICY_NAMES = tuple(k.value for k in PolicyKind)
 
 @dataclass
 class PolicyState:
-    """The two tiers of one run, each in list order.
+    """The two tiers of one run, each in list order, and the vehicle counters.
 
-    deficit and topoff map vehicle id -> packed priority key, and dict
-    order is list order (head = next in line for the rotation policy).
-    A key is primary * len(vehicles) + rank, where rank is the vehicle's
-    position in `vehicles` (the run's fleet sorted by arrival slot, then
-    id). Comparing two keys therefore compares (primary, arrival slot,
-    id), the policy's tuple key, and key % len(vehicles) recovers the
-    vehicle. Keys are kept current by update_membership, so select only
-    sorts plain ints.
+    A vehicle is named by its rank, its position in `vehicles` (the
+    run's fleet sorted by arrival slot, then id). need[rank] counts the
+    charging intervals until it holds its required charge and
+    room[rank] those until its battery is full; the engine decrements
+    both as it charges, so no float arithmetic happens after set-up.
+
+    deficit and topoff map rank -> packed priority key, and dict order
+    is list order (head = next in line for the rotation policy). A key
+    is primary * len(vehicles) + rank, so comparing two keys compares
+    (primary, arrival slot, id), the policy's tuple key, and
+    key % len(vehicles) recovers the rank. Keys are kept current by
+    update_membership, so select only sorts plain ints.
     """
 
     policy: Policy
-    rate_miles_per_slot: float
     vehicles: Sequence["Vehicle"]
+    need: list[int]
+    room: list[int]
     deficit: dict = field(default_factory=dict)
     topoff: dict = field(default_factory=dict)
-    # Least-slack FDFS only: expected departure slot -> ids whose key
+    # Least-slack FDFS only: expected departure slot -> ranks whose key
     # switches to the late group at that slot.
     due: dict = field(default_factory=lambda: defaultdict(list))
 
 
 def new_policy_state(policy: Policy, charger: "ChargerSpec", vehicles: Sequence["Vehicle"]) -> PolicyState:
     """Empty tiers for a run over `vehicles`, sorted by (arrival slot, id)."""
-    return PolicyState(policy=policy, rate_miles_per_slot=charger.miles_per_slot, vehicles=vehicles)
+    rate = charger.miles_per_slot
+    return PolicyState(
+        policy=policy,
+        vehicles=vehicles,
+        need=[intervals_for_deficit(v.required_miles, v.current_miles, rate) for v in vehicles],
+        room=[intervals_for_deficit(v.battery_capacity_miles, v.current_miles, rate) for v in vehicles],
+    )
 
 
 def intervals_for_deficit(required_miles: float, current_miles: float, rate_miles_per_slot: float) -> int:
@@ -104,11 +115,6 @@ def intervals_for_deficit(required_miles: float, current_miles: float, rate_mile
     return math.ceil(deficit / rate_miles_per_slot)
 
 
-def charge_intervals_required(vehicle: "Vehicle", charger: "ChargerSpec") -> int:
-    """Slots of charging this vehicle still needs before it can leave."""
-    return intervals_for_deficit(vehicle.required_miles, vehicle.current_miles, charger.miles_per_slot)
-
-
 def delay_if_continuous(vehicle: "Vehicle", t: int, charger: "ChargerSpec") -> int:
     """Departure delay in slots if charged every remaining slot.
 
@@ -116,7 +122,7 @@ def delay_if_continuous(vehicle: "Vehicle", t: int, charger: "ChargerSpec") -> i
     magnitude of a negative value is how many slots of denial the
     vehicle can absorb before becoming late.
     """
-    needed = charge_intervals_required(vehicle, charger)
+    needed = intervals_for_deficit(vehicle.required_miles, vehicle.current_miles, charger.miles_per_slot)
     return needed - (vehicle.expected_departure_slot - t)
 
 
@@ -126,8 +132,8 @@ def delay_if_continuous(vehicle: "Vehicle", t: int, charger: "ChargerSpec") -> i
 _LATE = 1 << 62
 
 
-def _primary(state: PolicyState, v: "Vehicle", t: int) -> int:
-    """First component of v's priority key at slot t; smaller is served earlier.
+def _primary(state: PolicyState, rank: int, t: int) -> int:
+    """First component of a vehicle's priority key at slot t; smaller is served earlier.
 
     Ties break by arrival slot, then id, through the rank in the packed
     key. Dropping the common -t from least slack keeps keys of one tier
@@ -137,7 +143,7 @@ def _primary(state: PolicyState, v: "Vehicle", t: int) -> int:
     kind = policy.kind
     if kind is PolicyKind.FCFS or kind is PolicyKind.RR:
         return 0
-    t_l = v.expected_departure_slot
+    t_l = state.vehicles[rank].expected_departure_slot
     if kind is PolicyKind.FDFS and not policy.fdfs_least_slack:
         # Late vehicles first by how late they are; descending lateness
         # equals ascending expected departure, which also orders the
@@ -145,7 +151,7 @@ def _primary(state: PolicyState, v: "Vehicle", t: int) -> int:
         return t_l
     if kind is PolicyKind.FDFS and t >= t_l:
         return t_l - _LATE
-    needed = intervals_for_deficit(v.required_miles, v.current_miles, state.rate_miles_per_slot)
+    needed = state.need[rank]
     if kind is PolicyKind.MINMAX_ER:
         return -needed
     # minmax-dt: descending delay-if-charged-continuously is ascending
@@ -157,56 +163,43 @@ def update_membership(state: PolicyState, t: int, arrived: Iterable[int],
                       charged: Iterable[int], left: Iterable[int]) -> PolicyState:
     """Apply one slot's events to the tiers, preserving list order.
 
-    arrived holds the ranks (positions in state.vehicles) of the vehicles
-    plugging in at slot t; charged and left hold the ids charged in the
-    previous slot and departed at its end boundary. Departed or fully
-    charged vehicles drop out; deficit vehicles that crossed their
-    required charge move to the tail of the top-off list (in deficit-list
-    order); arrivals that are not full join the tail of their tier.
-    Without distance information there is no top-off tier: every
-    not-full vehicle stays in the single deficit list.
+    arrived holds the ranks of the vehicles plugging in at slot t;
+    charged and left hold the ranks charged in the previous slot (whose
+    counters the engine has already decremented) and departed at its end
+    boundary. Departed or full (room 0) vehicles drop out; deficit
+    vehicles whose need reached 0 move to the tail of the top-off list
+    (in deficit-list order); arrivals that are not full join the tail of
+    their tier. Without distance information there is no top-off tier:
+    every not-full vehicle stays in the single deficit list.
     """
-    deficit, topoff, vehicles = state.deficit, state.topoff, state.vehicles
-    n = len(vehicles)
+    deficit, topoff, need, room = state.deficit, state.topoff, state.need, state.room
+    n = len(state.vehicles)
     policy = state.policy
     informed = policy.use_distance_info
     rotating = policy.kind is PolicyKind.RR
     least_slack = policy.kind is PolicyKind.FDFS and policy.fdfs_least_slack
     rekey = policy.kind in _NEED_KEYED or least_slack
-    by_need = policy.kind is PolicyKind.MINMAX_ER
-    rate = state.rate_miles_per_slot
 
-    for vid in left:
-        if deficit.pop(vid, None) is None:
-            topoff.pop(vid, None)
+    for rank in left:
+        if deficit.pop(rank, None) is None:
+            topoff.pop(rank, None)
 
     movers = []
-    for vid in charged:
-        tier = deficit if vid in deficit else topoff
-        key = tier.get(vid)
-        if key is None:
-            continue  # departed at the last boundary
-        rank = key % n
-        v = vehicles[rank]
-        if v.current_miles >= v.battery_capacity_miles:
-            del tier[vid]
-        elif tier is topoff:
-            continue  # a top-off key needs no charge, so it stays
-        elif informed and v.current_miles >= v.required_miles:
-            del deficit[vid]
-            movers.append(rank)
-        elif rekey:
-            # _primary for a vehicle still short of its required charge,
-            # inlined: this branch runs once per charged deficit vehicle.
-            needed = math.ceil((v.required_miles - v.current_miles) / rate)
-            t_l = v.expected_departure_slot
-            if by_need:
-                primary = -needed
-            elif least_slack and t >= t_l:
-                primary = t_l - _LATE
-            else:
-                primary = t_l - needed
-            deficit[vid] = primary * n + rank
+    for rank in charged:
+        if rank in deficit:
+            if not room[rank]:
+                del deficit[rank]
+            elif informed and not need[rank]:
+                del deficit[rank]
+                movers.append(rank)
+            elif rekey and (not least_slack or t < state.vehicles[rank].expected_departure_slot):
+                # One interval less needed adds one to the primary
+                # (-need, or departure - need); a late key has no need term.
+                deficit[rank] += n
+        elif not room[rank]:
+            # A top-off key needs no charge, so only a full battery
+            # changes it; a vehicle that departed is in neither tier.
+            topoff.pop(rank, None)
 
     # Movers keep deficit-list order: rank order for the keyed policies,
     # whose deficit list only ever grows at the tail, and pick order for
@@ -214,47 +207,42 @@ def update_membership(state: PolicyState, t: int, arrived: Iterable[int],
     if not rotating:
         movers.sort()
     for rank in movers:
-        v = vehicles[rank]
-        topoff[v.id] = _primary(state, v, t) * n + rank
+        topoff[rank] = _primary(state, rank, t) * n + rank
 
-    for vid in state.due.pop(t, ()):
+    for rank in state.due.pop(t, ()):
         for tier in (deficit, topoff):
-            key = tier.get(vid)
-            if key is not None:
-                tier[vid] = _primary(state, vehicles[key % n], t) * n + key % n
+            if rank in tier:
+                tier[rank] = _primary(state, rank, t) * n + rank
 
     for rank in arrived:
-        v = vehicles[rank]
-        if v.current_miles >= v.battery_capacity_miles:
+        if not room[rank]:
             continue
         if least_slack:
-            state.due[v.expected_departure_slot].append(v.id)
-        tier = topoff if informed and v.current_miles >= v.required_miles else deficit
-        tier[v.id] = _primary(state, v, t) * n + rank
+            state.due[state.vehicles[rank].expected_departure_slot].append(rank)
+        tier = topoff if informed and not need[rank] else deficit
+        tier[rank] = _primary(state, rank, t) * n + rank
     return state
 
 
-def _take_top(state: PolicyState, tier: dict, k: int) -> list[int]:
+def _take_top(tier: dict, k: int, n: int) -> list[int]:
     if k == len(tier):
         return list(tier)
     if k == 0:
         return []
-    vehicles = state.vehicles
-    n = len(vehicles)
-    return [vehicles[key % n].id for key in sorted(tier.values())[:k]]
+    return [key % n for key in sorted(tier.values())[:k]]
 
 
 def _rotate(tier: dict, k: int) -> list[int]:
     picked = list(islice(tier, k))
-    for vid in picked:
-        tier[vid] = tier.pop(vid)
+    for rank in picked:
+        tier[rank] = tier.pop(rank)
     return picked
 
 
 def select(policy: Policy, state: PolicyState, t: int, K: int) -> list[int]:
-    """Ids of the vehicles switched on this slot, highest priority first.
+    """Ranks of the vehicles switched on this slot, highest priority first.
 
-    Always returns min(K, eligible) ids, deficit tier before top-off; a
+    Always returns min(K, eligible) ranks, deficit tier before top-off; a
     tier taken whole comes in list order.
     The rotation policy moves what it picks to the bottom of its list;
     every other policy leaves the state untouched.
@@ -265,4 +253,5 @@ def select(policy: Policy, state: PolicyState, t: int, K: int) -> list[int]:
     k2 = min(K - k1, len(state.topoff))
     if policy.kind is PolicyKind.RR:
         return _rotate(state.deficit, k1) + _rotate(state.topoff, k2)
-    return _take_top(state, state.deficit, k1) + _take_top(state, state.topoff, k2)
+    n = len(state.vehicles)
+    return _take_top(state.deficit, k1, n) + _take_top(state.topoff, k2, n)

@@ -97,7 +97,11 @@ class WorkloadConfig:
 
 @dataclass
 class Vehicle:
-    """One charging session. current_miles is mutated during simulation."""
+    """One charging session; current_miles is the charge on arrival.
+
+    The engine reads vehicles and never changes them: it tracks charge
+    as whole intervals in its own per-run counters.
+    """
 
     id: int
     arrival_slot: int
@@ -106,7 +110,6 @@ class Vehicle:
     current_miles: float
     battery_capacity_miles: float
     connected_slots: int = 0  # sampled stay; departure may exceed it
-    measured: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.current_miles <= self.battery_capacity_miles:

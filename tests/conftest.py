@@ -4,8 +4,7 @@ from gridshare.powergrid import ChargerSpec, LoadShape, charger_preset
 from gridshare.workload import Vehicle
 
 
-def make_test_vehicle(vid, arrival, departure, required, current=0.0, capacity=None,
-                      measured=False):
+def make_test_vehicle(vid, arrival, departure, required, current=0.0, capacity=None):
     """Hand-built session for policy/engine tests (1 mile = 1 slot at unit rate)."""
     return Vehicle(
         id=vid,
@@ -15,7 +14,6 @@ def make_test_vehicle(vid, arrival, departure, required, current=0.0, capacity=N
         current_miles=float(current),
         battery_capacity_miles=float(capacity if capacity is not None else max(required, current)),
         connected_slots=departure - arrival,
-        measured=measured,
     )
 
 

@@ -3,7 +3,8 @@
 Every policy variant runs with trace on; outcomes and trace rows (order
 included) must equal the reference's, the trace auditor must report
 nothing, and each vehicle must be charged exactly its initial need
-before it is satisfied.
+before it is satisfied. The test is parametrized by variant so that
+shrinking a failure re-runs one engine and the reference, not nine.
 """
 
 import csv
@@ -11,12 +12,13 @@ import os
 import tempfile
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridshare.engine import SimConfig, run_simulation
 from gridshare.oracle import audit_trace
-from gridshare.policies import charge_intervals_required, parse_policy
+from gridshare.policies import intervals_for_deficit, parse_policy
 from gridshare.powergrid import ChargerSpec
 from gridshare.workload import Vehicle
 
@@ -64,24 +66,28 @@ def read_rows(path):
         return [[int(x) for x in row] for row in list(csv.reader(fh))[1:]]
 
 
+def variant_id(policy):
+    return policy.name + ("-slack" if policy.fdfs_least_slack else "")
+
+
+@pytest.mark.parametrize("policy", VARIANTS, ids=variant_id)
 @settings(max_examples=100, deadline=None)
-@given(scenarios())
-def test_engine_matches_reference_loop(scenario):
+@given(scenario=scenarios())
+def test_engine_matches_reference_loop(policy, scenario):
     fleet, k_profile, rate = scenario
     charger = ChargerSpec(volts=120.0, amps=28.0, miles_per_slot=rate)
-    need = {v.id: charge_intervals_required(v, charger) for v in fleet}
+    need = {v.id: intervals_for_deficit(v.required_miles, v.current_miles, rate) for v in fleet}
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = os.path.join(tmp, "trace.csv")
-        for policy in VARIANTS:
-            cfg = SimConfig(policy=policy, sdr_target=1.0, seed=0,
-                            days=3, warmup_days=0, last_measured_day=1)
-            outcomes = run_simulation(cfg, fleet, None, charger,
-                                      k_profile=k_profile, trace_path=trace_path)
-            rows = read_rows(trace_path)
-            want_outcomes, want_rows = reference_run(cfg, fleet, k_profile, rate)
-            assert outcomes == want_outcomes, policy.name
-            assert rows == want_rows, policy.name
-            assert audit_trace(trace_path, policy) == [], policy.name
-            satisfied = {o.id: o.satisfied_slot for o in outcomes}
-            charges = Counter(row[2] for row in rows if row[8] and row[0] < satisfied[row[2]])
-            assert {vid: charges[vid] for vid in need} == need, policy.name
+        cfg = SimConfig(policy=policy, sdr_target=1.0, seed=0,
+                        days=3, warmup_days=0, last_measured_day=1)
+        outcomes = run_simulation(cfg, fleet, None, charger,
+                                  k_profile=k_profile, trace_path=trace_path)
+        rows = read_rows(trace_path)
+        want_outcomes, want_rows = reference_run(cfg, fleet, k_profile, rate)
+        assert outcomes == want_outcomes
+        assert rows == want_rows
+        assert audit_trace(trace_path, policy) == []
+        satisfied = {o.id: o.satisfied_slot for o in outcomes}
+        charges = Counter(row[2] for row in rows if row[8] and row[0] < satisfied[row[2]])
+        assert {vid: charges[vid] for vid in need} == need

@@ -1,5 +1,7 @@
 """Slot loop: charging, departures, measurement window, conservation."""
 
+from dataclasses import replace
+
 import pytest
 
 from gridshare.engine import (
@@ -71,9 +73,10 @@ def test_repeat_runs_identical():
 
 def test_input_fleet_not_mutated():
     v = make_test_vehicle(0, 0, 5, required=3.0, current=0.0)
+    before = replace(v)
     run_tiny([v], [1])
+    assert v == before
     assert v.current_miles == 0.0
-    assert v.measured is False
 
 
 def test_sdr_below_one_refused():
@@ -155,6 +158,21 @@ def test_invariant_checks_catch_corrupted_policy(monkeypatch, unit_charger):
     vehicles = [make_test_vehicle(i, 0, 30, required=10.0) for i in range(3)]
     with pytest.raises(SimulationInvariantError, match="selected"):
         run_tiny(vehicles, [2], policy="fcfs")
+
+
+def test_invariant_checks_catch_charging_a_full_battery(monkeypatch):
+    import gridshare.engine as engine_mod
+
+    def select_full(policy, state, t, k):
+        return [0]  # rank 0 arrived full, so it is in neither tier
+
+    monkeypatch.setattr(engine_mod, "select", select_full)
+    vehicles = [
+        make_test_vehicle(1, 0, 30, required=2.0, current=4.0, capacity=4.0),
+        make_test_vehicle(2, 0, 30, required=10.0),
+    ]
+    with pytest.raises(SimulationInvariantError, match="full battery"):
+        run_tiny(vehicles, [1], policy="fcfs")
 
 
 def test_outcome_invariants_on_random_scenario():

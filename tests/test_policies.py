@@ -1,5 +1,6 @@
 """Selection disciplines: priority keys, list maintenance, fairness."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 from gridshare.policies import (
     Policy,
     PolicyKind,
-    charge_intervals_required,
     delay_if_continuous,
     intervals_for_deficit,
     new_policy_state,
@@ -15,23 +15,34 @@ from gridshare.policies import (
     select,
     update_membership,
 )
+from gridshare.powergrid import charger_preset
+from gridshare.workload import WorkloadConfig, default_arrival_profile, generate_fleet
 
 from conftest import make_test_vehicle
 from reference_loop import priority_key
 
 
 def plugged_state(policy, charger, vehicles, t=0):
-    """Tiers after `vehicles` plug in together at slot t, and the id map."""
+    """Tiers after `vehicles` plug in together at slot t."""
     fleet = sorted(vehicles, key=lambda v: (v.arrival_slot, v.id))
     state = new_policy_state(policy, charger, fleet)
     update_membership(state, t, range(len(fleet)), charged=(), left=())
-    return state, {v.id: v for v in fleet}
+    return state
+
+
+def ids(state, ranks):
+    """Vehicle ids of a tier or a selection, in order."""
+    return [state.vehicles[r].id for r in ranks]
+
+
+def rank(state, vid):
+    return next(r for r, v in enumerate(state.vehicles) if v.id == vid)
 
 
 @pytest.fixture
 def state_for(unit_charger):
     def make(policy, vehicles, t=0):
-        return plugged_state(policy, unit_charger, vehicles, t)[0]
+        return plugged_state(policy, unit_charger, vehicles, t)
 
     return make
 
@@ -41,16 +52,46 @@ def state_for(unit_charger):
 
 def test_full_battery_from_empty_takes_200_intervals(home_charger):
     v = make_test_vehicle(0, 0, 300, required=100.0, current=0.0, capacity=100.0)
-    assert charge_intervals_required(v, home_charger) == 200
+    state = new_policy_state(parse_policy("fcfs"), home_charger, [v])
+    assert state.need == state.room == [200]
 
 
 def test_no_intervals_needed_at_required_charge(home_charger):
     v = make_test_vehicle(0, 0, 300, required=50.0, current=50.0, capacity=100.0)
-    assert charge_intervals_required(v, home_charger) == 0
+    state = new_policy_state(parse_policy("fcfs"), home_charger, [v])
+    assert state.need == [0]
+    assert state.room == [100]
 
 
 def test_partial_interval_rounds_up(home_charger):
     assert intervals_for_deficit(30.2, 0.0, home_charger.miles_per_slot) == 61
+
+
+@pytest.mark.parametrize("charger", [
+    charger_preset("home-110-15"),
+    charger_preset("home-110-15", exact_physics=True),
+    charger_preset("home-110-15", derate_13a=True),
+    charger_preset("dryer-220-30"),
+], ids=lambda c: f"{c.miles_per_slot:.4f}")
+def test_interval_counters_replay_float_charging(charger):
+    # Outputs stay byte-identical to float-mile charging only if the
+    # counters agree with the float step cur = min(cur + rate, cap) at
+    # every step, on generated fleets at every preset's rate. NumPy
+    # float64 arithmetic is the same IEEE arithmetic as Python floats.
+    fleet = generate_fleet(WorkloadConfig(seed=1, days=2), default_arrival_profile(), charger)
+    state = new_policy_state(parse_policy("fcfs"), charger, fleet)
+    rate = charger.miles_per_slot
+    need, room = np.array(state.need), np.array(state.room)
+    required = np.array([v.required_miles for v in fleet])
+    capacity = np.array([v.battery_capacity_miles for v in fleet])
+    cur = np.array([v.current_miles for v in fleet])
+    for j in range(room.max() + 1):  # cur holds the charge after j steps
+        assert np.array_equal(cur >= required, j >= need)
+        assert np.array_equal(cur >= capacity, j >= room)
+        deficit = required - cur
+        remaining = np.where(deficit > 0.0, np.ceil(deficit / rate), 0.0)
+        assert np.array_equal(remaining, np.maximum(need - j, 0))
+        cur = np.minimum(cur + rate, capacity)
 
 
 def test_delay_if_continuous_examples(unit_charger):
@@ -72,7 +113,7 @@ def test_minmax_dt_takes_largest_delays(state_for, unit_charger):
     b = make_test_vehicle(2, 0, 20, required=10.0, current=0.0)
     c = make_test_vehicle(3, 0, 22, required=10.0, current=0.0)
     state = state_for(policy, [a, b, c])
-    assert set(select(policy, state, 10, 2)) == {1, 2}
+    assert set(ids(state, select(policy, state, 10, 2))) == {1, 2}
 
 
 def test_all_eligible_selected_when_capacity_suffices(state_for):
@@ -80,7 +121,7 @@ def test_all_eligible_selected_when_capacity_suffices(state_for):
         policy = parse_policy(name)
         vehicles = [make_test_vehicle(i, 0, 50, required=5.0, current=0.0) for i in range(4)]
         state = state_for(policy, vehicles)
-        assert set(select(policy, state, 0, 10)) == {0, 1, 2, 3}
+        assert set(ids(state, select(policy, state, 0, 10))) == {0, 1, 2, 3}
 
 
 def test_negative_capacity_rejected(state_for):
@@ -94,10 +135,10 @@ def test_rr_rotates_selected_to_bottom(state_for):
     policy = parse_policy("rr")
     vehicles = [make_test_vehicle(i, i, 50, required=10.0, current=0.0) for i in (1, 2, 3)]
     state = state_for(policy, vehicles)
-    assert list(state.deficit) == [1, 2, 3]
+    assert ids(state, state.deficit) == [1, 2, 3]
     picked = select(policy, state, 5, 2)
-    assert picked == [1, 2]
-    assert list(state.deficit) == [3, 1, 2]
+    assert ids(state, picked) == [1, 2]
+    assert ids(state, state.deficit) == [3, 1, 2]
 
 
 def test_fcfs_orders_by_arrival(state_for):
@@ -108,7 +149,7 @@ def test_fcfs_orders_by_arrival(state_for):
         make_test_vehicle(2, 20, 300, required=10.0, current=0.0),
     ]
     state = state_for(policy, vehicles)
-    assert select(policy, state, 40, 2) == [7, 2]
+    assert ids(state, select(policy, state, 40, 2)) == [7, 2]
 
 
 def test_fdfs_prefers_most_delayed_then_earliest_departure(state_for):
@@ -118,7 +159,7 @@ def test_fdfs_prefers_most_delayed_then_earliest_departure(state_for):
     soon = make_test_vehicle(3, 0, 30, required=30.0, current=0.0)
     later = make_test_vehicle(4, 0, 40, required=30.0, current=0.0)
     state = state_for(policy, [late_big, late_small, soon, later])
-    assert select(policy, state, 10, 3) == [1, 2, 3]
+    assert ids(state, select(policy, state, 10, 3)) == [1, 2, 3]
 
 
 def test_fdfs_least_slack_variant_orders_by_slack(state_for):
@@ -127,11 +168,11 @@ def test_fdfs_least_slack_variant_orders_by_slack(state_for):
     a = make_test_vehicle(1, 0, 20, required=15.0, current=0.0)
     b = make_test_vehicle(2, 0, 30, required=28.0, current=0.0)
     state = state_for(policy, [a, b])
-    assert select(policy, state, 0, 1) == [2]
+    assert ids(state, select(policy, state, 0, 1)) == [2]
     # Default reading picks the earlier departure instead.
     default = parse_policy("fdfs")
     state2 = state_for(default, [a, b])
-    assert select(default, state2, 0, 1) == [1]
+    assert ids(state2, select(default, state2, 0, 1)) == [1]
 
 
 def test_minmax_er_takes_largest_remaining_need(state_for):
@@ -139,7 +180,7 @@ def test_minmax_er_takes_largest_remaining_need(state_for):
     small = make_test_vehicle(1, 0, 99, required=5.0, current=0.0)
     big = make_test_vehicle(2, 5, 99, required=50.0, current=0.0)
     state = state_for(policy, [small, big])
-    assert select(policy, state, 10, 1) == [2]
+    assert ids(state, select(policy, state, 10, 1)) == [2]
 
 
 def test_ties_break_by_arrival_then_id(state_for):
@@ -150,7 +191,7 @@ def test_ties_break_by_arrival_then_id(state_for):
         make_test_vehicle(5, 2, 99, required=10.0, current=0.0),
     ]
     state = state_for(policy, vehicles)
-    assert select(policy, state, 5, 2) == [5, 3]
+    assert ids(state, select(policy, state, 5, 2)) == [5, 3]
 
 
 # --- membership maintenance -------------------------------------------------
@@ -162,37 +203,38 @@ def test_vehicle_crossing_required_moves_to_topoff_tail(state_for):
     b = make_test_vehicle(2, 1, 99, required=10.0, current=5.0, capacity=20.0)
     old_topoff = make_test_vehicle(3, 2, 99, required=5.0, current=7.0, capacity=20.0)
     state = state_for(policy, [a, b, old_topoff])
-    assert list(state.deficit) == [1, 2]
-    assert list(state.topoff) == [3]
-    a.current_miles = 12.0  # crossed its requirement
-    update_membership(state, 1, arrived=(), charged=[1], left=())
-    assert list(state.deficit) == [2]
-    assert list(state.topoff) == [3, 1]
+    assert ids(state, state.deficit) == [1, 2]
+    assert ids(state, state.topoff) == [3]
+    ra = rank(state, 1)
+    state.need[ra], state.room[ra] = 0, 8  # charged to 12 miles: crossed its requirement
+    update_membership(state, 1, arrived=(), charged=[ra], left=())
+    assert ids(state, state.deficit) == [2]
+    assert ids(state, state.topoff) == [3, 1]
 
 
 def test_full_battery_vehicle_leaves_both_lists(state_for):
     policy = parse_policy("fcfs")
     v = make_test_vehicle(1, 0, 99, required=10.0, current=0.0, capacity=12.0)
     state = state_for(policy, [v])
-    assert list(state.deficit) == [1]
-    v.current_miles = 12.0
-    update_membership(state, 1, arrived=(), charged=[1], left=())
+    assert ids(state, state.deficit) == [1]
+    state.need[0], state.room[0] = 0, 0  # charged to its 12-mile capacity
+    update_membership(state, 1, arrived=(), charged=[0], left=())
     assert not state.deficit and not state.topoff
 
 
 def test_departed_vehicle_dropped(state_for):
     policy = parse_policy("rr")
     state = state_for(policy, [make_test_vehicle(i, 0, 99, required=10.0, current=0.0) for i in (1, 2)])
-    update_membership(state, 1, arrived=(), charged=(), left=[1])
-    assert list(state.deficit) == [2]
+    update_membership(state, 1, arrived=(), charged=(), left=[rank(state, 1)])
+    assert ids(state, state.deficit) == [2]
 
 
 def test_simple_variant_keeps_single_list(unit_charger):
     policy = parse_policy("fcfs", simple=True)
     satisfied = make_test_vehicle(1, 0, 99, required=5.0, current=8.0, capacity=20.0)
     needy = make_test_vehicle(2, 0, 99, required=15.0, current=0.0, capacity=20.0)
-    state, _ = plugged_state(policy, unit_charger, [satisfied, needy])
-    assert list(state.deficit) == [1, 2]
+    state = plugged_state(policy, unit_charger, [satisfied, needy])
+    assert ids(state, state.deficit) == [1, 2]
     assert not state.topoff
 
 
@@ -239,7 +281,7 @@ def test_selection_cardinality_property(scenario, name):
     charger = ChargerSpec(volts=120.0, amps=28.0, miles_per_slot=1.0)
     vehicles, k, t = scenario
     policy = parse_policy(name)
-    state, _ = plugged_state(policy, charger, vehicles, t)
+    state = plugged_state(policy, charger, vehicles, t)
     eligible = len(state.deficit) + len(state.topoff)
     picked = select(policy, state, t, k)
     assert len(picked) == min(k, eligible)
@@ -254,18 +296,19 @@ def test_top_k_property_for_sorted_policies(scenario, name):
     charger = ChargerSpec(volts=120.0, amps=28.0, miles_per_slot=1.0)
     vehicles, k, t = scenario
     policy = parse_policy(name)
-    state, plugged = plugged_state(policy, charger, vehicles, t)
+    state = plugged_state(policy, charger, vehicles, t)
+    plugged = state.vehicles
     picked = set(select(policy, state, t, k))
 
     def key(v):
         return priority_key(policy, t, v, charger.miles_per_slot)
 
     for tier in (state.deficit, state.topoff):
-        chosen = [vid for vid in tier if vid in picked]
-        passed = [vid for vid in tier if vid not in picked]
+        chosen = [r for r in tier if r in picked]
+        passed = [r for r in tier if r not in picked]
         if chosen and passed:
-            worst_chosen = max(key(plugged[v]) for v in chosen)
-            best_passed = min(key(plugged[v]) for v in passed)
+            worst_chosen = max(key(plugged[r]) for r in chosen)
+            best_passed = min(key(plugged[r]) for r in passed)
             assert worst_chosen < best_passed
     # Tier ordering: top-off charged only when every deficit vehicle was.
     if any(v in picked for v in state.topoff):
@@ -280,11 +323,12 @@ def test_minmax_dt_dominance_property(scenario):
     charger = ChargerSpec(volts=120.0, amps=28.0, miles_per_slot=1.0)
     vehicles, k, t = scenario
     policy = parse_policy("minmax-dt")
-    state, plugged = plugged_state(policy, charger, vehicles, t)
+    state = plugged_state(policy, charger, vehicles, t)
+    plugged = state.vehicles
     picked = set(select(policy, state, t, k))
     deficit = list(state.deficit)
-    chosen = [plugged[v] for v in deficit if v in picked]
-    passed = [plugged[v] for v in deficit if v not in picked]
+    chosen = [plugged[r] for r in deficit if r in picked]
+    passed = [plugged[r] for r in deficit if r not in picked]
     if chosen and passed:
         min_chosen = min(delay_if_continuous(v, t, charger) for v in chosen)
         max_passed = max(delay_if_continuous(v, t, charger) for v in passed)
@@ -294,14 +338,14 @@ def test_minmax_dt_dominance_property(scenario):
 def test_rr_fairness_over_static_window(unit_charger):
     policy = parse_policy("rr")
     vehicles = [make_test_vehicle(i, 0, 10_000, required=5000.0, current=0.0) for i in range(7)]
-    state, _ = plugged_state(policy, unit_charger, vehicles)
+    state = plugged_state(policy, unit_charger, vehicles)
     counts = {v.id: 0 for v in vehicles}
     k = 3
     picked = []
     for t in range(70):
         update_membership(state, t, arrived=(), charged=picked, left=())
         picked = select(policy, state, t, k)
-        for vid in picked:
+        for vid in ids(state, picked):
             counts[vid] += 1
     assert max(counts.values()) - min(counts.values()) <= 1
     assert sum(counts.values()) == 70 * k

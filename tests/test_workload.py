@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gridshare.policies import charge_intervals_required
+from gridshare.policies import intervals_for_deficit
 from gridshare.powergrid import charger_preset
 from gridshare.units import SLOTS_PER_DAY
 from gridshare.workload import (
@@ -241,7 +241,7 @@ def test_fleet_departures_feasible_after_adjustment(small_fleet):
     _, _, fleet = small_fleet
     charger = charger_preset("home-110-15")
     for v in fleet:
-        needed = charge_intervals_required(v, charger)
+        needed = intervals_for_deficit(v.required_miles, v.current_miles, charger.miles_per_slot)
         assert v.expected_departure_slot - v.arrival_slot >= needed
 
 
