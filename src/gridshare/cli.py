@@ -67,15 +67,12 @@ _CONFIG_DEFAULTS = {
 @dataclass
 class ExperimentConfig:
     raw: dict
-    workload: WorkloadConfig = None
     base: metrics.SweepBase = None
     policies: list = field(default_factory=list)
     sdr_grid: list = field(default_factory=list)
     seeds: list = field(default_factory=list)
     out_dir: str = "out"
     trace: bool = False
-    arrival_weights: list = field(default_factory=list)
-    shape_values: list = field(default_factory=list)
 
 
 def _parse_bool(value: str) -> bool:
@@ -235,21 +232,17 @@ def resolve_config(args) -> ExperimentConfig:
     )
     # Exercise the window constraint early (config error, not runtime).
     SimConfig(
-        policy=policies[0], sdr_target=max(sdr_grid), seed=seeds[0],
-        days=workload.days, warmup_days=base.warmup_days,
+        policy=policies[0], days=workload.days, warmup_days=base.warmup_days,
         last_measured_day=base.last_measured_day,
     )
     return ExperimentConfig(
         raw=raw,
-        workload=workload,
         base=base,
         policies=policies,
         sdr_grid=sdr_grid,
         seeds=seeds,
         out_dir=raw["out"],
         trace=_parse_bool(raw["trace"]),
-        arrival_weights=list(profile.hourly_weights),
-        shape_values=list(shape.values),
     )
 
 
@@ -276,9 +269,9 @@ def write_run_context(cfg: ExperimentConfig) -> None:
     profile_path = os.path.join(cfg.out_dir, "arrival-profile.txt")
     shape_path = os.path.join(cfg.out_dir, "load-shape.txt")
     _write_atomic(profile_path, lambda p: defaults.write_column_file(
-        p, cfg.arrival_weights, header="hourly arrival weights (normalized)"))
+        p, cfg.base.profile.hourly_weights, header="hourly arrival weights (normalized)"))
     _write_atomic(shape_path, lambda p: defaults.write_column_file(
-        p, cfg.shape_values, header="per-slot non-vehicle load shape (peak 1)"))
+        p, cfg.base.shape.values, header="per-slot non-vehicle load shape (peak 1)"))
 
     resolved = dict(cfg.raw)
     resolved["arrival_profile"] = profile_path
@@ -336,7 +329,7 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
 
 def cmd_dump_fleet(cfg: ExperimentConfig, args) -> int:
     write_run_context(cfg)
-    wl = replace(cfg.workload, seed=cfg.seeds[0])
+    wl = replace(cfg.base.workload, seed=cfg.seeds[0])
     fleet = generate_fleet(wl, cfg.base.profile, cfg.base.charger)
     path = os.path.join(cfg.out_dir, "fleet.csv")
     _write_atomic(path, lambda p: dump_fleet_csv(fleet, p))
@@ -357,49 +350,22 @@ def cmd_verify(cfg: ExperimentConfig, args) -> int:
         print(f"audited {args.audit_trace}: {len(violations)} violation(s)")
         return EXIT_OK if not violations else EXIT_RUNTIME
 
-    rng = np.random.default_rng(args.oracle_seed)
-    policies = cfg.policies
-    dt_kind = parse_policy("minmax-dt").kind
-    all_violations = []
-    mismatches = []
-    # Steady-capacity instances check the largest-delay-first policy
-    # against the exhaustive optimum; cycling-capacity instances only
-    # audit the per-slot selection rules (the optimum needs hindsight
-    # there, so no online policy is held to it).
-    for index in range(args.instances):
-        inst = oracle.random_tiny_instance(rng, constant_k=True)
-        optimum = oracle.brute_force_min_max_delay(inst)
-        for policy in policies:
-            trace_path = os.path.join(out, "verify-trace.csv")
-            outcomes = oracle.run_policy_on_instance(inst, policy, trace_path=trace_path)
-            for v in oracle.audit_trace(trace_path, policy):
-                all_violations.append(oracle.Violation(
-                    v.slot, v.rule, f"instance {index} policy {policy.name}: {v.detail}"))
-            if policy.kind is dt_kind:
-                achieved = oracle.max_delay(outcomes)
-                if achieved != optimum:
-                    mismatches.append((index, achieved, optimum))
-    n_varying = args.instances // 2
-    for index in range(n_varying):
-        inst = oracle.random_tiny_instance(rng)
-        for policy in policies:
-            trace_path = os.path.join(out, "verify-trace.csv")
-            oracle.run_policy_on_instance(inst, policy, trace_path=trace_path)
-            for v in oracle.audit_trace(trace_path, policy):
-                all_violations.append(oracle.Violation(
-                    v.slot, v.rule, f"varying instance {index} policy {policy.name}: {v.detail}"))
+    n_cycling = args.instances // 2
+    trace_path = os.path.join(out, "verify-trace.csv")
+    violations, mismatches = oracle.verify_campaign(
+        cfg.policies, np.random.default_rng(args.oracle_seed), args.instances, n_cycling, trace_path)
     _write_atomic(os.path.join(out, "violations.csv"),
-                  lambda p: oracle.write_violations_csv(all_violations, p))
-    if os.path.exists(os.path.join(out, "verify-trace.csv")):
-        os.unlink(os.path.join(out, "verify-trace.csv"))
+                  lambda p: oracle.write_violations_csv(violations, p))
+    if os.path.exists(trace_path):
+        os.unlink(trace_path)
     print(
-        f"verified {args.instances} steady + {n_varying} cycling random instances "
-        f"x {len(policies)} policies: {len(all_violations)} audit violation(s), "
+        f"verified {args.instances} steady + {n_cycling} cycling random instances "
+        f"x {len(cfg.policies)} policies: {len(violations)} audit violation(s), "
         f"{len(mismatches)} optimum mismatch(es)"
     )
     for index, achieved, optimum in mismatches[:10]:
         print(f"  instance {index}: achieved max delay {achieved}, optimum {optimum}")
-    return EXIT_OK if not all_violations and not mismatches else EXIT_RUNTIME
+    return EXIT_OK if not violations and not mismatches else EXIT_RUNTIME
 
 
 def _add_common_flags(sub):

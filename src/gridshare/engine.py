@@ -1,11 +1,11 @@
 """The 5-minute slot loop: plug in, select, charge, depart, record.
 
 Each slot: arrivals plug in, list membership takes in the slot's
-events (arrivals, the previous slot's charges and departures), the grid
-yields K charger slots, the policy picks that many vehicles, each
-selected vehicle gains one interval of charge, and vehicles that have
-reached both their expected departure boundary and their required
-charge leave. The loop runs past the arrival horizon until every
+events (arrivals, the previous slot's charges and departures), the
+capacity profile yields K charger slots, the policy picks that many
+vehicles, each selected vehicle gains one interval of charge, and
+vehicles that have reached both their expected departure boundary and
+their required charge leave. The loop runs past the arrival horizon until every
 vehicle has departed, reusing the day-periodic capacity profile.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .policies import Policy, new_policy_state, select, update_membership
-from .powergrid import ChargerSpec, GridModel, day_capacity_profile
+from .powergrid import ChargerSpec
 from .units import SLOTS_PER_DAY, SLOTS_PER_HOUR
 from .workload import Vehicle
 
@@ -29,8 +29,6 @@ CENSUS_SLOT_OF_DAY = 4 * SLOTS_PER_HOUR
 @dataclass(frozen=True)
 class SimConfig:
     policy: Policy
-    sdr_target: float
-    seed: int
     days: int = 15
     warmup_days: int = 4
     last_measured_day: int = 13
@@ -72,31 +70,18 @@ class SimulationInvariantError(RuntimeError):
 def run_simulation(
     cfg: SimConfig,
     fleet: Sequence[Vehicle],
-    grid: GridModel | None,
+    k_profile: Sequence[int],
     charger: ChargerSpec,
     *,
-    k_profile: Sequence[int] | None = None,
     trace_path=None,
-    check_invariants: bool = True,
     stats: RunStats | None = None,
 ) -> list[VehicleOutcome]:
     """Simulate one policy over the whole fleet; one outcome per vehicle.
 
-    The input fleet is not mutated. k_profile overrides the grid-derived
-    per-slot capacity (used by the verification tools); it is cycled, so
-    post-horizon slots see the same daily pattern.
+    The input fleet is not mutated. k_profile is K for each slot of one
+    capacity period (a day for a calibrated grid); it is cycled, so
+    post-horizon slots see the same pattern.
     """
-    if cfg.sdr_target < 1.0:
-        raise ValueError(
-            f"supply-to-demand ratio {cfg.sdr_target} is below 1: "
-            "delays will grow indefinitely"
-        )
-    if k_profile is None:
-        if grid is None:
-            raise ValueError("need either a calibrated grid or an explicit k_profile")
-        k_profile = day_capacity_profile(grid, charger)
-    cycle = len(k_profile)
-
     vehicles = sorted(fleet, key=lambda v: (v.arrival_slot, v.id))
     if len({v.id for v in vehicles}) != len(vehicles):
         raise ValueError("vehicle ids must be unique")
@@ -104,20 +89,21 @@ def run_simulation(
     trace_file = open(trace_path, "w", newline="", encoding="utf-8") if trace_path else None
     try:
         return _run_loop(
-            cfg, vehicles, k_profile, cycle,
+            cfg, vehicles, k_profile,
             csv.writer(trace_file) if trace_file else None,
-            check_invariants, stats, state=new_policy_state(cfg.policy, charger, vehicles),
+            stats, state=new_policy_state(cfg.policy, charger, vehicles),
         )
     finally:
         if trace_file:
             trace_file.close()
 
 
-def _run_loop(cfg, vehicles, k_profile, cycle, trace, check_invariants, stats, state):
+def _run_loop(cfg, vehicles, k_profile, trace, stats, state):
     # Vehicles are named by rank, their index in `vehicles`; ids appear
     # only in outcomes and trace rows.
     need, room = state.need, state.room
     n = len(vehicles)
+    cycle = len(k_profile)
     plugged = 0                           # arrived and not yet departed
     charged: list[int] = []               # ranks charged in the previous slot
     left: list[int] = []                  # ranks departed at the last boundary
@@ -136,11 +122,10 @@ def _run_loop(cfg, vehicles, k_profile, cycle, trace, check_invariants, stats, s
         v = vehicles[rank]
         sat = satisfied_slot[rank]
         actual = max(v.expected_departure_slot, sat)
-        if check_invariants:
-            if need[rank]:
-                raise SimulationInvariantError(f"vehicle {v.id} departing {need[rank]} intervals short")
-            if boundary != actual:
-                raise SimulationInvariantError(f"vehicle {v.id} departing at {boundary}, not {actual}")
+        if need[rank]:
+            raise SimulationInvariantError(f"vehicle {v.id} departing {need[rank]} intervals short")
+        if boundary != actual:
+            raise SimulationInvariantError(f"vehicle {v.id} departing at {boundary}, not {actual}")
         outcomes[rank] = VehicleOutcome(
             id=v.id,
             arrival_slot=v.arrival_slot,
@@ -173,7 +158,7 @@ def _run_loop(cfg, vehicles, k_profile, cycle, trace, check_invariants, stats, s
         left.clear()
         k = k_profile[t % cycle]
         selected = select(cfg.policy, state, t, k)
-        if check_invariants and len(selected) != min(k, len(state.deficit) + len(state.topoff)):
+        if len(selected) != min(k, len(state.deficit) + len(state.topoff)):
             raise SimulationInvariantError(f"slot {t}: selected {len(selected)} of min({k}, eligible)")
 
         if trace:
@@ -191,7 +176,7 @@ def _run_loop(cfg, vehicles, k_profile, cycle, trace, check_invariants, stats, s
         boundary = t + 1
         for rank in selected:
             room[rank] -= 1
-            if room[rank] < 0 and check_invariants:
+            if room[rank] < 0:
                 raise SimulationInvariantError(f"slot {t}: vehicle {vehicles[rank].id} selected with a full battery")
             if need[rank]:
                 need[rank] -= 1
@@ -213,18 +198,19 @@ def _run_loop(cfg, vehicles, k_profile, cycle, trace, check_invariants, stats, s
 
     if stats is not None:
         stats.slots_run = t
-    if check_invariants and None in outcomes:
+    if None in outcomes:
         raise SimulationInvariantError("missing outcomes for some vehicles")
     return outcomes
 
 
-def measurement_filter(outcomes: Sequence[VehicleOutcome], cfg: SimConfig) -> list[VehicleOutcome]:
+def measurement_filter(outcomes: Sequence[VehicleOutcome]) -> list[VehicleOutcome]:
     """Outcomes for vehicles arriving inside the measurement window.
 
-    The window excludes the warmup days at the start and the tail days
-    whose vehicles might still be charging at the horizon.
+    The window (`SimConfig.in_measurement_window`, applied when each
+    outcome is built) excludes the warmup days at the start and the tail
+    days whose vehicles might still be charging at the horizon.
     """
-    kept = [o for o in outcomes if cfg.in_measurement_window(o.arrival_slot)]
+    kept = [o for o in outcomes if o.measured]
     if not kept:
         raise ValueError("measurement window empty")
     return kept

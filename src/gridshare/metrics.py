@@ -16,7 +16,14 @@ from typing import Sequence
 
 from .engine import RunStats, SimConfig, VehicleOutcome, measurement_filter, run_simulation
 from .policies import Policy
-from .powergrid import ChargerSpec, LoadShape, make_grid, realized_sdr, total_required_energy
+from .powergrid import (
+    ChargerSpec,
+    LoadShape,
+    day_capacity_profile,
+    make_grid,
+    realized_sdr,
+    total_required_energy,
+)
 from .units import SLOT_MINUTES
 from .workload import (
     ArrivalProfile,
@@ -61,13 +68,10 @@ def average_delay_of_delayed(outcomes: Sequence[VehicleOutcome]) -> float | None
     return SLOT_MINUTES * sum(delays) / len(delays)
 
 
-def delay_distribution(
-    outcomes: Sequence[VehicleOutcome], bin_width_min: float = 30.0
-) -> tuple[tuple, tuple]:
-    """Histogram and CDF of delay minutes, normalized over delayed vehicles.
+def delay_distribution(outcomes: Sequence[VehicleOutcome], bin_width_min: float = 30.0) -> tuple:
+    """Histogram of delay minutes, normalized over delayed vehicles.
 
-    Bins are [i*w, (i+1)*w); the CDF is sampled at bin upper edges and
-    ends at 1.
+    Bins are [i*w, (i+1)*w); the fractions sum to 1.
     """
     if bin_width_min <= 0:
         raise ValueError("bin width must be positive")
@@ -79,24 +83,10 @@ def delay_distribution(
     for d in delays:
         counts[int(d // bin_width_min)] += 1
     total = len(delays)
-    histogram = tuple(
+    return tuple(
         (i * bin_width_min, (i + 1) * bin_width_min, c / total)
         for i, c in enumerate(counts)
     )
-    cdf = []
-    running = 0.0
-    for lo, hi, frac in histogram:
-        running += frac
-        cdf.append((hi, running))
-    return histogram, tuple(cdf)
-
-
-def tail_fraction(outcomes: Sequence[VehicleOutcome], threshold_min: float) -> float | None:
-    """Among delayed vehicles, the share delayed strictly more than the cutoff."""
-    delays = [SLOT_MINUTES * o.delay_slots for o in outcomes if o.delayed]
-    if not delays:
-        return None
-    return sum(1 for d in delays if d > threshold_min) / len(delays)
 
 
 @dataclass(frozen=True)
@@ -126,12 +116,15 @@ def run_cell(
     tpr = total_required_energy(fleet, wl.days)
     grid = make_grid(base.shape, tpr, sdr, base.peak_other_fraction)
     cfg = SimConfig(
-        policy=policy, sdr_target=sdr, seed=seed, days=wl.days,
+        policy=policy, days=wl.days,
         warmup_days=base.warmup_days, last_measured_day=base.last_measured_day,
     )
     stats = RunStats()
-    outcomes = run_simulation(cfg, fleet, grid, base.charger, stats=stats, trace_path=trace_path)
-    measured = measurement_filter(outcomes, cfg)
+    outcomes = run_simulation(
+        cfg, fleet, day_capacity_profile(grid, base.charger), base.charger,
+        stats=stats, trace_path=trace_path,
+    )
+    measured = measurement_filter(outcomes)
     report = build_report(
         policy.name, sdr, seed, measured, base.bin_width_min,
         sdr_realized=realized_sdr(grid),
@@ -152,7 +145,7 @@ def build_report(
     fod = fraction_delayed(measured)
     adfd = average_delay_of_delayed(measured)
     if any(o.delayed for o in measured):
-        histogram = delay_distribution(measured, bin_width_min)[0]
+        histogram = delay_distribution(measured, bin_width_min)
     else:
         histogram = ()
     return MetricsReport(

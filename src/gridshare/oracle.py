@@ -3,6 +3,7 @@
 Two tools: an exhaustive search for the best achievable maximum delay
 on tiny instances (never touching the policy code), and an auditor that
 replays a per-slot trace and checks the selection rules slot by slot.
+`verify_campaign` runs both over random instances.
 """
 
 from __future__ import annotations
@@ -133,10 +134,10 @@ def run_policy_on_instance(
     inst: TinyInstance, policy: Policy, trace_path=None
 ) -> list[VehicleOutcome]:
     """Drive the real engine over a tiny instance with its capacity profile."""
-    cfg = SimConfig(policy=policy, sdr_target=1.0, seed=0, days=3, warmup_days=0, last_measured_day=1)
+    cfg = SimConfig(policy=policy, days=3, warmup_days=0, last_measured_day=1)
     return run_simulation(
-        cfg, list(inst.vehicles), None, ORACLE_CHARGER,
-        k_profile=inst.k_profile, trace_path=trace_path, stats=RunStats(),
+        cfg, inst.vehicles, inst.k_profile, ORACLE_CHARGER,
+        trace_path=trace_path, stats=RunStats(),
     )
 
 
@@ -169,6 +170,38 @@ def random_tiny_instance(rng: np.random.Generator, *, constant_k: bool = False) 
             k_profile[int(rng.integers(0, cycle))] = 1
     topoff_extra = float(rng.choice([0.0, 2.0]))
     return tiny_instance(specs, k_profile, topoff_extra=topoff_extra)
+
+
+def verify_campaign(
+    policies: Sequence[Policy], rng: np.random.Generator, n_steady: int, n_cycling: int,
+    trace_path,
+) -> tuple[list[Violation], list[tuple[int, int, int]]]:
+    """Audit every policy on random instances; check minmax-dt's optimum.
+
+    Steady-capacity instances check the largest-delay-first policy
+    against the exhaustive optimum; cycling-capacity instances only
+    audit the per-slot selection rules (the optimum needs hindsight
+    there, so no online policy is held to it). Each run's trace is
+    written to, and audited from, trace_path. Returns the violations,
+    their detail prefixed with the instance and policy, and the
+    (instance, achieved, optimum) mismatches.
+    """
+    violations: list[Violation] = []
+    mismatches: list[tuple[int, int, int]] = []
+    for label, count, steady in (("instance", n_steady, True), ("varying instance", n_cycling, False)):
+        for index in range(count):
+            inst = random_tiny_instance(rng, constant_k=steady)
+            optimum = brute_force_min_max_delay(inst) if steady else None
+            for policy in policies:
+                outcomes = run_policy_on_instance(inst, policy, trace_path=trace_path)
+                for v in audit_trace(trace_path, policy):
+                    violations.append(Violation(
+                        v.slot, v.rule, f"{label} {index} policy {policy.name}: {v.detail}"))
+                if steady and policy.kind is PolicyKind.MINMAX_DT:
+                    achieved = max_delay(outcomes)
+                    if achieved != optimum:
+                        mismatches.append((index, achieved, optimum))
+    return violations, mismatches
 
 
 # ---------------------------------------------------------------------------

@@ -115,17 +115,6 @@ def intervals_for_deficit(required_miles: float, current_miles: float, rate_mile
     return math.ceil(deficit / rate_miles_per_slot)
 
 
-def delay_if_continuous(vehicle: "Vehicle", t: int, charger: "ChargerSpec") -> int:
-    """Departure delay in slots if charged every remaining slot.
-
-    Positive values are unavoidable delay already locked in; the
-    magnitude of a negative value is how many slots of denial the
-    vehicle can absorb before becoming late.
-    """
-    needed = intervals_for_deficit(vehicle.required_miles, vehicle.current_miles, charger.miles_per_slot)
-    return needed - (vehicle.expected_departure_slot - t)
-
-
 # Least-slack FDFS puts every late vehicle ahead of every vehicle that
 # still has slack: its primary is shifted down by far more than any
 # slack a vehicle can have.

@@ -103,11 +103,9 @@ class GridModel:
     sdr_target: float
     tpa_kwh: float
     tpr_kwh: float
-    # Per-slot available kW, precomputed for the day (read-only cache).
-    _available: tuple[float, ...] = field(default=(), repr=False, compare=False)
-
-    def available_kw(self, slot: int) -> float:
-        return self._available[slot % SLOTS_PER_DAY]
+    # kW left for vehicles in each slot of the day: capacity minus the
+    # other loads, never below 0.
+    available_kw: tuple[float, ...] = field(repr=False)
 
 
 def total_required_energy(vehicles: Sequence, days: int) -> float:
@@ -163,7 +161,7 @@ def make_grid(
         sdr_target=sdr_target,
         tpa_kwh=tpa,
         tpr_kwh=tpr_kwh,
-        _available=tuple(
+        available_kw=tuple(
             max(capacity - peak_other_fraction * capacity * v, 0.0) for v in shape.values
         ),
     )
@@ -173,23 +171,14 @@ def make_grid(
 
 
 def realized_sdr(grid: GridModel) -> float:
-    """Re-integrate TPA from the calibrated capacity and divide by TPR."""
-    tpa = SLOT_HOURS * math.fsum(
-        max(grid.capacity_kw - grid.peak_other_fraction * grid.capacity_kw * v, 0.0)
-        for v in grid.shape.values
-    )
-    return tpa / grid.tpr_kwh
-
-
-def available_power(grid: GridModel, slot: int) -> float:
-    """kW left for vehicles in a slot: capacity minus the other loads."""
-    return grid.available_kw(slot)
+    """Re-integrate TPA from the per-slot available power and divide by TPR."""
+    return SLOT_HOURS * math.fsum(grid.available_kw) / grid.tpr_kwh
 
 
 def slot_vehicle_capacity(grid: GridModel, charger: ChargerSpec, slot: int) -> int:
     """K: whole chargers the leftover power can run; remainder is discarded."""
     # 1e-9 guards exact multiples against one-ulp rounding in the divide.
-    return int(math.floor(grid.available_kw(slot) / charger.kw + 1e-9))
+    return int(math.floor(grid.available_kw[slot % SLOTS_PER_DAY] / charger.kw + 1e-9))
 
 
 def day_capacity_profile(grid: GridModel, charger: ChargerSpec) -> list[int]:

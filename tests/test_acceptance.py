@@ -145,33 +145,16 @@ def test_criterion_7_departure_adjustment_rate(table):
 
 def test_criterion_8_oracle_equivalence(tmp_path):
     policies = [parse_policy(n) for n in ("fcfs", "fdfs", "rr", "minmax-er", "minmax-dt")]
-    dt_kind = parse_policy("minmax-dt").kind
-    rng = np.random.default_rng(2024)
-    mismatches = 0
-    violations = 0
     n_equality = 500
-    for _ in range(n_equality):
-        inst = oracle.random_tiny_instance(rng, constant_k=True)
-        optimum = oracle.brute_force_min_max_delay(inst)
-        for policy in policies:
-            trace = tmp_path / "trace.csv"
-            outcomes = oracle.run_policy_on_instance(inst, policy, trace_path=trace)
-            violations += len(oracle.audit_trace(trace, policy))
-            if policy.kind is dt_kind and oracle.max_delay(outcomes) != optimum:
-                mismatches += 1
     n_varying = 100
-    for _ in range(n_varying):
-        inst = oracle.random_tiny_instance(rng)
-        for policy in policies:
-            trace = tmp_path / "trace.csv"
-            oracle.run_policy_on_instance(inst, policy, trace_path=trace)
-            violations += len(oracle.audit_trace(trace, policy))
-    ok = mismatches == 0 and violations == 0
+    violations, mismatches = oracle.verify_campaign(
+        policies, np.random.default_rng(2024), n_equality, n_varying, tmp_path / "trace.csv")
+    ok = not mismatches and not violations
     assert check(
         ok,
-        f"criterion 8: {n_equality} steady-capacity instances, {mismatches} optimum "
+        f"criterion 8: {n_equality} steady-capacity instances, {len(mismatches)} optimum "
         f"mismatches; audits over {n_equality + n_varying} instances x 5 policies, "
-        f"{violations} violations",
+        f"{len(violations)} violations",
     )
 
 

@@ -79,10 +79,8 @@ def test_engine_matches_reference_loop(policy, scenario):
     need = {v.id: intervals_for_deficit(v.required_miles, v.current_miles, rate) for v in fleet}
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = os.path.join(tmp, "trace.csv")
-        cfg = SimConfig(policy=policy, sdr_target=1.0, seed=0,
-                        days=3, warmup_days=0, last_measured_day=1)
-        outcomes = run_simulation(cfg, fleet, None, charger,
-                                  k_profile=k_profile, trace_path=trace_path)
+        cfg = SimConfig(policy=policy, days=3, warmup_days=0, last_measured_day=1)
+        outcomes = run_simulation(cfg, fleet, k_profile, charger, trace_path=trace_path)
         rows = read_rows(trace_path)
         want_outcomes, want_rows = reference_run(cfg, fleet, k_profile, rate)
         assert outcomes == want_outcomes

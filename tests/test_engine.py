@@ -18,9 +18,9 @@ from gridshare.units import SLOTS_PER_DAY
 from conftest import make_test_vehicle
 
 
-def tiny_cfg(policy_name="minmax-dt", sdr=1.0, **kw):
+def tiny_cfg(policy_name="minmax-dt", **kw):
     return SimConfig(
-        policy=parse_policy(policy_name), sdr_target=sdr, seed=0,
+        policy=parse_policy(policy_name),
         days=kw.pop("days", 3), warmup_days=kw.pop("warmup_days", 0),
         last_measured_day=kw.pop("last_measured_day", 1), **kw,
     )
@@ -28,7 +28,7 @@ def tiny_cfg(policy_name="minmax-dt", sdr=1.0, **kw):
 
 def run_tiny(vehicles, k_profile, policy="minmax-dt", **kw):
     cfg = tiny_cfg(policy, **kw)
-    return run_simulation(cfg, vehicles, None, ORACLE_CHARGER, k_profile=k_profile)
+    return run_simulation(cfg, vehicles, k_profile, ORACLE_CHARGER)
 
 
 # --- hand-traced example -----------------------------------------------------
@@ -77,11 +77,6 @@ def test_input_fleet_not_mutated():
     run_tiny([v], [1])
     assert v == before
     assert v.current_miles == 0.0
-
-
-def test_sdr_below_one_refused():
-    with pytest.raises(ValueError, match="delays will grow indefinitely"):
-        run_tiny([make_test_vehicle(0, 0, 5, required=1.0)], [1], sdr=0.9)
 
 
 def test_duplicate_vehicle_ids_rejected():
@@ -137,7 +132,7 @@ def test_extension_runs_past_horizon_with_periodic_capacity():
     cfg = tiny_cfg("fcfs", days=3, warmup_days=0, last_measured_day=1)
     late_arrival = SLOTS_PER_DAY * 3 - 2
     v = make_test_vehicle(0, late_arrival, late_arrival + 4, required=30.0, current=0.0)
-    (outcome,) = run_simulation(cfg, [v], None, ORACLE_CHARGER, k_profile=[1])
+    (outcome,) = run_simulation(cfg, [v], [1], ORACLE_CHARGER)
     assert outcome.actual_departure_slot == late_arrival + 30
     assert outcome.delay_slots == 26
 
@@ -195,7 +190,7 @@ def test_stats_collects_census_and_selections():
     vehicles = [make_test_vehicle(i, 0, 600, required=100.0, capacity=200.0) for i in range(3)]
     cfg = tiny_cfg("rr")
     stats = RunStats()
-    run_simulation(cfg, vehicles, None, ORACLE_CHARGER, k_profile=[1], stats=stats)
+    run_simulation(cfg, vehicles, [1], ORACLE_CHARGER, stats=stats)
     assert stats.total_selections > 0
     assert stats.slots_run >= 600
     assert len(stats.plugged_at_census) >= 2
@@ -204,45 +199,44 @@ def test_stats_collects_census_and_selections():
 # --- measurement window ------------------------------------------------------
 
 
-def outcome_stub(arrival_day):
+def outcome_stub(arrival_day, cfg):
+    """An outcome flagged the way the engine flags it under cfg's window."""
     from gridshare.engine import VehicleOutcome
 
     slot = arrival_day * SLOTS_PER_DAY + 100  # zero-based day
     return VehicleOutcome(
         id=arrival_day, arrival_slot=slot, expected_departure_slot=slot + 10,
         satisfied_slot=slot, actual_departure_slot=slot + 10,
-        delay_slots=0, delayed=False, measured=False,
+        delay_slots=0, delayed=False, measured=cfg.in_measurement_window(slot),
     )
 
 
 def test_measurement_window_boundaries():
-    cfg = SimConfig(policy=parse_policy("fcfs"), sdr_target=1.0, seed=0)
+    cfg = SimConfig(policy=parse_policy("fcfs"))
     # One-based days 4, 5, 13, 14 are zero-based 3, 4, 12, 13.
-    outcomes = [outcome_stub(d) for d in (3, 4, 12, 13)]
-    kept = measurement_filter(outcomes, cfg)
+    outcomes = [outcome_stub(d, cfg) for d in (3, 4, 12, 13)]
+    kept = measurement_filter(outcomes)
     assert [o.id for o in kept] == [4, 12]
 
 
 def test_measurement_window_empty_is_an_error():
-    cfg = SimConfig(policy=parse_policy("fcfs"), sdr_target=1.0, seed=0)
+    cfg = SimConfig(policy=parse_policy("fcfs"))
     with pytest.raises(ValueError, match="measurement window empty"):
-        measurement_filter([outcome_stub(0)], cfg)
+        measurement_filter([outcome_stub(0, cfg)])
 
 
 def test_engine_measured_flag_agrees_with_filter():
-    cfg = SimConfig(policy=parse_policy("fcfs"), sdr_target=1.0, seed=0,
-                    days=6, warmup_days=1, last_measured_day=3)
+    cfg = SimConfig(policy=parse_policy("fcfs"), days=6, warmup_days=1, last_measured_day=3)
     vehicles = [
         make_test_vehicle(d, d * SLOTS_PER_DAY + 8, d * SLOTS_PER_DAY + 48, required=4.0)
         for d in range(5)
     ]
-    outcomes = run_simulation(cfg, vehicles, None, ORACLE_CHARGER, k_profile=[3])
+    outcomes = run_simulation(cfg, vehicles, [3], ORACLE_CHARGER)
     flagged = {o.id for o in outcomes if o.measured}
-    filtered = {o.id for o in measurement_filter(outcomes, cfg)}
+    filtered = {o.id for o in measurement_filter(outcomes)}
     assert flagged == filtered == {1, 2}
 
 
 def test_sim_config_window_validation():
     with pytest.raises(ValueError):
-        SimConfig(policy=parse_policy("fcfs"), sdr_target=1.0, seed=0,
-                  days=10, warmup_days=9, last_measured_day=9)
+        SimConfig(policy=parse_policy("fcfs"), days=10, warmup_days=9, last_measured_day=9)

@@ -1,6 +1,7 @@
 """Evaluation metrics, report building, sweep harness, CSV contracts."""
 
 import csv
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,6 @@ from gridshare.metrics import (
     fraction_delayed,
     run_cell,
     sweep,
-    tail_fraction,
     write_adfd_csv,
     write_delaydist_csv,
     write_fod_csv,
@@ -57,18 +57,15 @@ def test_average_delay_examples():
 
 
 def test_delay_distribution_examples():
-    histogram, cdf = delay_distribution(outcomes_from_minutes([10, 10, 130]), 60.0)
+    histogram = delay_distribution(outcomes_from_minutes([10, 10, 130]), 60.0)
     assert histogram[0] == (0.0, 60.0, pytest.approx(2 / 3))
     assert histogram[1][2] == 0.0
     assert histogram[2] == (120.0, 180.0, pytest.approx(1 / 3))
-    assert cdf[-1] == (180.0, pytest.approx(1.0))
-    assert cdf[0] == (60.0, pytest.approx(2 / 3))
 
 
 def test_delay_distribution_point_mass():
-    histogram, cdf = delay_distribution(outcomes_from_minutes([45]), 30.0)
+    histogram = delay_distribution(outcomes_from_minutes([45]), 30.0)
     assert histogram == ((0.0, 30.0, 0.0), (30.0, 60.0, 1.0))
-    assert cdf == ((30.0, 0.0), (60.0, 1.0))
 
 
 def test_delay_distribution_errors():
@@ -78,12 +75,6 @@ def test_delay_distribution_errors():
         delay_distribution(outcomes_from_minutes([0]), 30.0)
 
 
-def test_tail_fraction_strictly_above_threshold():
-    sample = outcomes_from_minutes([0, 60, 120, 125, 300])
-    assert tail_fraction(sample, 120.0) == 0.5  # 125 and 300 of four delayed
-    assert tail_fraction(outcomes_from_minutes([0]), 120.0) is None
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=400), min_size=1, max_size=60),
        st.sampled_from([15.0, 30.0, 60.0]))
@@ -91,9 +82,9 @@ def test_distribution_mass_and_cdf_monotonicity(delays, width):
     sample = outcomes_from_minutes([d * 5 for d in delays])
     if not any(o.delayed for o in sample):
         return
-    histogram, cdf = delay_distribution(sample, width)
+    histogram = delay_distribution(sample, width)
     assert sum(f for _, _, f in histogram) == pytest.approx(1.0)
-    values = [c for _, c in cdf]
+    values = list(itertools.accumulate(f for _, _, f in histogram))
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
     assert values[-1] == pytest.approx(1.0)
 

@@ -1,5 +1,7 @@
 """Brute-force optimum and trace auditing."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from gridshare.oracle import (
     read_trace,
     run_policy_on_instance,
     tiny_instance,
+    verify_campaign,
     write_violations_csv,
 )
 from gridshare.policies import parse_policy
@@ -96,6 +99,32 @@ def test_randomized_campaign_smoke(tmp_path):
             assert achieved >= optimum  # nobody beats the exhaustive optimum
             if constant and policy.kind is dt_kind:
                 assert achieved == optimum, f"instance {i}"
+
+
+def test_verify_campaign_reports_a_wrong_selection(monkeypatch, tmp_path):
+    import gridshare.engine as engine_mod
+
+    def lowest_priority(policy, state, t, k):
+        # As many vehicles as the real select, but from the back of each tier.
+        ranks = (sorted(state.deficit, key=state.deficit.get, reverse=True)
+                 + sorted(state.topoff, key=state.topoff.get, reverse=True))
+        return ranks[:k]
+
+    monkeypatch.setattr(engine_mod, "select", lowest_priority)
+    violations, mismatches = verify_campaign(
+        ALL_POLICIES, np.random.default_rng(3), 40, 20, tmp_path / "trace.csv")
+    # The prefix the CLI writes to violations.csv and the benchmark parses.
+    prefix = re.compile(r"^(varying )?instance (\d+) policy (\S+): ")
+    found = [prefix.match(v.detail) for v in violations]
+    assert found and all(found)
+    steady = {int(m[2]) for m in found if not m[1]}
+    cycling = {int(m[2]) for m in found if m[1]}
+    assert steady and max(steady) < 40
+    assert cycling and max(cycling) < 20
+    assert {m[3] for m in found} <= {p.name for p in ALL_POLICIES}
+    assert mismatches
+    for index, achieved, optimum in mismatches:
+        assert 0 <= index < 40 and achieved > optimum
 
 
 def test_cycling_zero_capacity_slots_can_defeat_online_lookahead():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from gridshare.policies import (
     Policy,
     PolicyKind,
-    delay_if_continuous,
     intervals_for_deficit,
     new_policy_state,
     parse_policy,
@@ -92,15 +91,6 @@ def test_interval_counters_replay_float_charging(charger):
         remaining = np.where(deficit > 0.0, np.ceil(deficit / rate), 0.0)
         assert np.array_equal(remaining, np.maximum(need - j, 0))
         cur = np.minimum(cur + rate, capacity)
-
-
-def test_delay_if_continuous_examples(unit_charger):
-    v = make_test_vehicle(0, 0, 180, required=200.0, current=0.0, capacity=200.0)
-    assert delay_if_continuous(v, 0, unit_charger) == 20
-    sated = make_test_vehicle(1, 0, 180, required=0.0, current=0.0, capacity=10.0)
-    assert delay_if_continuous(sated, 0, unit_charger) == -180
-    exact = make_test_vehicle(2, 0, 12, required=12.0, current=0.0, capacity=12.0)
-    assert delay_if_continuous(exact, 0, unit_charger) == 0
 
 
 # --- select examples --------------------------------------------------------
@@ -327,11 +317,15 @@ def test_minmax_dt_dominance_property(scenario):
     plugged = state.vehicles
     picked = set(select(policy, state, t, k))
     deficit = list(state.deficit)
-    chosen = [plugged[r] for r in deficit if r in picked]
-    passed = [plugged[r] for r in deficit if r not in picked]
+    chosen = [r for r in deficit if r in picked]
+    passed = [r for r in deficit if r not in picked]
+
+    def delay_if_continuous(r):
+        return state.need[r] - (plugged[r].expected_departure_slot - t)
+
     if chosen and passed:
-        min_chosen = min(delay_if_continuous(v, t, charger) for v in chosen)
-        max_passed = max(delay_if_continuous(v, t, charger) for v in passed)
+        min_chosen = min(delay_if_continuous(r) for r in chosen)
+        max_passed = max(delay_if_continuous(r) for r in passed)
         assert max_passed <= min_chosen
 
 

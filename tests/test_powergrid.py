@@ -166,19 +166,19 @@ def test_calibration_round_trip_property(sdr, trough):
 def test_available_power_at_peak_is_twenty_percent(flat_shape):
     grid = make_grid(flat_shape, tpr_kwh=4.8 * 100.0 / 1.0, sdr_target=1.0)
     assert grid.capacity_kw == pytest.approx(100.0)
-    assert grid.available_kw(0) == pytest.approx(20.0)
+    assert grid.available_kw[0] == pytest.approx(20.0)
 
 
 def test_available_power_full_capacity_when_other_load_zero():
     values = [0.0] * 287 + [1.0]
     grid = make_grid(LoadShape.from_values(values), tpr_kwh=100.0, sdr_target=1.0)
-    assert grid.available_kw(0) == pytest.approx(grid.capacity_kw)
-    assert all(grid.available_kw(s) >= 0.0 for s in range(SLOTS_PER_DAY))
+    assert grid.available_kw[0] == pytest.approx(grid.capacity_kw)
+    assert all(grid.available_kw[s] >= 0.0 for s in range(SLOTS_PER_DAY))
 
 
 def test_slot_capacity_floors_whole_chargers(flat_shape):
     grid = make_grid(flat_shape, tpr_kwh=480.0, sdr_target=1.0)  # 20 kW available
-    assert grid.available_kw(0) == pytest.approx(20.0)
+    assert grid.available_kw[0] == pytest.approx(20.0)
     exact_home = charger_preset("home-110-15", exact_physics=True)
     assert slot_vehicle_capacity(grid, exact_home, 0) == 12  # floor(20 / 1.65)
     dryer = charger_preset("dryer-220-30")
