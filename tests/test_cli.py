@@ -207,6 +207,47 @@ def test_verify_audit_mode_flags_corruption(tiny_config, tmp_path):
 # --- resolved config round trip -------------------------------------------
 
 
+DEFAULT_RESOLVED_CONFIG = """\
+# effective configuration; rerun with --config to reproduce
+arrival_profile={out}/arrival-profile.txt
+arrivals_per_day=1500
+battery_capacity_miles=100
+bin_width_min=30
+charger=home-110-15
+commute_cap_mi=70
+days=15
+derate_13a=false
+duration_max_h=22
+duration_mean_h=14
+duration_min_h=6
+duration_std_h=4
+emergency_mi=10
+exact_charger_physics=false
+extra_daily_mi=20
+fdfs_slack=false
+initial_charge_max_mi=30
+last_measured_day=13
+load_shape={out}/load-shape.txt
+one_way_commute_mean_mi=14.5
+out={out}
+peak_other_fraction=0.8
+policies=fcfs
+sdr_grid=1.2
+seeds=1
+simple=false
+trace=false
+warmup_days=4
+"""
+
+
+def test_default_simulate_resolved_config_text(tmp_path):
+    out = tmp_path / "out"
+    assert run(["simulate", "--policy", "fcfs", "--sdr", "1.2", "--seed", "1",
+                "--out", str(out)]) == EXIT_OK
+    assert (out / "resolved-config").read_text() == DEFAULT_RESOLVED_CONFIG.format(out=out)
+
+
+
 def test_resolved_config_reproduces_run(tiny_config, tmp_path):
     out1 = tmp_path / "first"
     assert run(["simulate", "--config", tiny_config, "--out", str(out1)]) == EXIT_OK
