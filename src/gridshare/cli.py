@@ -2,8 +2,9 @@
 
 Configuration is a flat key=value bundle plus two plain-text column
 files (arrival profile, load shape); command-line flags override file
-values. Every run directory receives a resolved-config capturing all
-effective settings, and output files are written atomically.
+values, and `_CONFIG_DEFAULTS` holds the only default of every key.
+Every run directory receives a resolved-config capturing all effective
+settings, and output files are written atomically.
 """
 
 from __future__ import annotations
@@ -11,14 +12,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import defaults, figures, metrics, oracle
 from .engine import SimConfig
-from .policies import ALL_POLICY_NAMES, parse_policy
+from .policies import ALL_POLICY_NAMES, SIMPLE_VARIANT_NAMES, parse_policy
 from .powergrid import LoadShape, charger_preset
 from .workload import (
     WorkloadConfig,
@@ -53,7 +53,7 @@ _CONFIG_DEFAULTS = {
     "peak_other_fraction": "0.8",
     "bin_width_min": "30",
     "policies": "all",
-    "sdr_grid": ",".join(f"{x:g}" for x in metrics.DEFAULT_SDR_GRID),
+    "sdr_grid": "1,1.05,1.1,1.15,1.2,1.4,1.6,1.8,2,3",
     "seeds": "1,2,3",
     "simple": "false",
     "fdfs_slack": "false",
@@ -67,12 +67,12 @@ _CONFIG_DEFAULTS = {
 @dataclass
 class ExperimentConfig:
     raw: dict
-    base: metrics.SweepBase = None
-    policies: list = field(default_factory=list)
-    sdr_grid: list = field(default_factory=list)
-    seeds: list = field(default_factory=list)
-    out_dir: str = "out"
-    trace: bool = False
+    base: metrics.SweepBase
+    policies: list
+    sdr_grid: list
+    seeds: list
+    out_dir: str
+    trace: bool
 
 
 def _parse_bool(value: str) -> bool:
@@ -102,61 +102,33 @@ def read_config_bundle(path) -> dict:
     return values
 
 
-def _flag_overrides(args) -> dict:
-    mapping = {
-        "days": args.days,
-        "arrivals_per_day": args.arrivals_per_day,
-        "charger": args.charger,
-        "out": args.out,
-        "arrival_profile": args.arrival_profile,
-        "load_shape": args.load_shape,
-    }
-    overrides = {k: str(v) for k, v in mapping.items() if v is not None}
-    if getattr(args, "policy", None):
-        overrides["policies"] = args.policy
-    if getattr(args, "policies", None):
-        overrides["policies"] = args.policies
-    if getattr(args, "sdr", None) is not None:
-        overrides["sdr_grid"] = str(args.sdr)
-    if getattr(args, "sdr_grid", None):
-        overrides["sdr_grid"] = args.sdr_grid
-    if getattr(args, "seed", None) is not None:
-        overrides["seeds"] = str(args.seed)
-    if getattr(args, "seeds", None):
-        overrides["seeds"] = args.seeds
-    if getattr(args, "derate_13a", False):
-        overrides["derate_13a"] = "true"
-    if getattr(args, "exact_charger_physics", False):
-        overrides["exact_charger_physics"] = "true"
-    if getattr(args, "simple", False):
-        overrides["simple"] = "true"
-    if getattr(args, "fdfs_slack", False):
-        overrides["fdfs_slack"] = "true"
-    if getattr(args, "trace", False):
-        overrides["trace"] = "true"
+def config_overrides(args) -> dict:
+    """The key=value strings a command line sets: --config file, then flags."""
+    overrides = read_config_bundle(args.config) if args.config else {}
+    overrides.update({k: str(v) for k, v in vars(args).items()
+                      if k in _CONFIG_DEFAULTS and v is not None})
     return overrides
 
 
-def resolve_config(args) -> ExperimentConfig:
-    raw = dict(_CONFIG_DEFAULTS)
-    explicit = set()
-    if getattr(args, "config", None):
-        from_file = read_config_bundle(args.config)
-        raw.update(from_file)
-        explicit |= set(from_file)
-    overrides = _flag_overrides(args)
-    raw.update(overrides)
-    explicit |= set(overrides)
+def build_config(overrides: dict) -> ExperimentConfig:
+    """The experiment that the table's defaults with `overrides` describe."""
+    unknown = sorted(set(overrides) - set(_CONFIG_DEFAULTS))
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    raw = {**_CONFIG_DEFAULTS, **overrides}
 
     # A shortened horizon scales the measurement window proportionally
     # unless the window was pinned explicitly.
     days = int(raw["days"])
-    if days != int(_CONFIG_DEFAULTS["days"]):
-        if "warmup_days" not in explicit:
-            raw["warmup_days"] = str(min(4, max(1, days * 4 // 15)))
-        if "last_measured_day" not in explicit:
+    full_days, full_warmup, full_last = (
+        int(_CONFIG_DEFAULTS[k]) for k in ("days", "warmup_days", "last_measured_day"))
+    if days != full_days:
+        if "warmup_days" not in overrides:
+            raw["warmup_days"] = str(min(full_warmup, max(1, days * full_warmup // full_days)))
+        if "last_measured_day" not in overrides:
             warmup = int(raw["warmup_days"])
-            raw["last_measured_day"] = str(max(warmup + 1, min(days - 1, days * 13 // 15)))
+            raw["last_measured_day"] = str(
+                max(warmup + 1, min(days - 1, days * full_last // full_days)))
 
     charger = charger_preset(
         raw["charger"],
@@ -164,8 +136,7 @@ def resolve_config(args) -> ExperimentConfig:
         exact_physics=_parse_bool(raw["exact_charger_physics"]),
     )
     workload = WorkloadConfig(
-        seed=0,  # overridden per cell
-        days=int(raw["days"]),
+        days=days,
         duration_mean_h=float(raw["duration_mean_h"]),
         duration_std_h=float(raw["duration_std_h"]),
         duration_min_h=float(raw["duration_min_h"]),
@@ -203,7 +174,7 @@ def resolve_config(args) -> ExperimentConfig:
     policies = [
         parse_policy(
             name,
-            simple=simple and name in ("fcfs", "rr"),
+            simple=simple and name in SIMPLE_VARIANT_NAMES,
             fdfs_least_slack=fdfs_slack,
         )
         for name in policy_names
@@ -246,21 +217,20 @@ def resolve_config(args) -> ExperimentConfig:
     )
 
 
-@contextmanager
-def _atomic(path):
+def resolve_config(args) -> ExperimentConfig:
+    """The experiment a parsed command line describes."""
+    return build_config(config_overrides(args))
+
+
+def _write_atomic(path, writer) -> None:
     tmp = f"{path}.tmp"
     try:
-        yield tmp
+        writer(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _write_atomic(path, writer) -> None:
-    with _atomic(path) as tmp:
-        writer(tmp)
 
 
 def write_run_context(cfg: ExperimentConfig) -> None:
@@ -322,19 +292,18 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
     _write_atomic(os.path.join(out, "adfd.csv"), lambda p: metrics.write_adfd_csv(table, p))
     _write_atomic(os.path.join(out, "delaydist.csv"), lambda p: metrics.write_delaydist_csv(table, p))
     if not args.no_figures:
-        dist_sdr = 1.2 if any(abs(s - 1.2) < 1e-9 for s in cfg.sdr_grid) else cfg.sdr_grid[0]
-        figures.emit_figures(table, out, dist_sdr=dist_sdr)
+        figures.emit_figures(table, out)
     return EXIT_OK
 
 
 def cmd_dump_fleet(cfg: ExperimentConfig, args) -> int:
     write_run_context(cfg)
-    wl = replace(cfg.base.workload, seed=cfg.seeds[0])
-    fleet = generate_fleet(wl, cfg.base.profile, cfg.base.charger)
+    seed = cfg.seeds[0]
+    fleet = generate_fleet(cfg.base.workload, cfg.base.profile, cfg.base.charger, seed)
     path = os.path.join(cfg.out_dir, "fleet.csv")
     _write_atomic(path, lambda p: dump_fleet_csv(fleet, p))
     adjusted = adjusted_departure_fraction(fleet)
-    print(f"fleet seed={wl.seed}: {len(fleet)} vehicles, adjusted departures {adjusted:.3%} -> {path}")
+    print(f"fleet seed={seed}: {len(fleet)} vehicles, adjusted departures {adjusted:.3%} -> {path}")
     return EXIT_OK
 
 
@@ -369,25 +338,27 @@ def cmd_verify(cfg: ExperimentConfig, args) -> int:
 
 
 def _add_common_flags(sub):
+    # Every destination but `config` is a _CONFIG_DEFAULTS key; flags left
+    # out stay None, and of two spellings of one key the last one given wins.
     sub.add_argument("--config", help="key=value bundle; flags override file values")
-    sub.add_argument("--policy", help="single policy name")
-    sub.add_argument("--policies", help="comma list of policy names, or 'all'")
-    sub.add_argument("--sdr", type=float, help="single supply-to-demand ratio")
-    sub.add_argument("--sdr-grid", dest="sdr_grid", help="comma list of ratios")
-    sub.add_argument("--seed", type=int, help="single workload seed")
-    sub.add_argument("--seeds", help="comma list of seeds")
+    sub.add_argument("--policy", "--policies", dest="policies",
+                     help="policy name, comma list of names, or 'all'")
+    sub.add_argument("--sdr", "--sdr-grid", dest="sdr_grid",
+                     help="supply-to-demand ratio, or comma list of ratios")
+    sub.add_argument("--seed", "--seeds", dest="seeds", help="workload seed, or comma list of seeds")
     sub.add_argument("--days", type=int, help="simulated days")
     sub.add_argument("--arrivals-per-day", dest="arrivals_per_day", type=float)
     sub.add_argument("--charger", help="charger preset name")
-    sub.add_argument("--derate-13a", dest="derate_13a", action="store_true",
+    on = dict(action="store_const", const="true")
+    sub.add_argument("--derate-13a", dest="derate_13a", **on,
                      help="limit the household circuit to 13 A continuous")
-    sub.add_argument("--exact-charger-physics", dest="exact_charger_physics",
-                     action="store_true", help="use the unrounded charge rate")
-    sub.add_argument("--simple", action="store_true",
+    sub.add_argument("--exact-charger-physics", dest="exact_charger_physics", **on,
+                     help="use the unrounded charge rate")
+    sub.add_argument("--simple", **on,
                      help="ignore driving-distance info where the policy allows it")
-    sub.add_argument("--fdfs-slack", dest="fdfs_slack", action="store_true",
+    sub.add_argument("--fdfs-slack", dest="fdfs_slack", **on,
                      help="order not-yet-late vehicles by least slack instead of earliest departure")
-    sub.add_argument("--trace", action="store_true", help="write a per-slot trace")
+    sub.add_argument("--trace", **on, help="write a per-slot trace")
     sub.add_argument("--arrival-profile", dest="arrival_profile",
                      help="24-line hourly arrival weight file")
     sub.add_argument("--load-shape", dest="load_shape",

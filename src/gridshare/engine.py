@@ -29,9 +29,9 @@ CENSUS_SLOT_OF_DAY = 4 * SLOTS_PER_HOUR
 @dataclass(frozen=True)
 class SimConfig:
     policy: Policy
-    days: int = 15
-    warmup_days: int = 4
-    last_measured_day: int = 13
+    days: int
+    warmup_days: int
+    last_measured_day: int
 
     def __post_init__(self):
         if not self.warmup_days < self.last_measured_day < self.days:

@@ -191,7 +191,7 @@ def adfd_figure(reports: Sequence[MetricsReport], path) -> None:
     _line_chart("Average delay of delayed vehicles", "minutes", series, bands, xs, path)
 
 
-def delay_distribution_figure(reports: Sequence[MetricsReport], path, sdr: float = 1.2) -> None:
+def delay_distribution_figure(reports: Sequence[MetricsReport], path, sdr: float) -> None:
     """Grouped bars: fraction of delayed vehicles per delay bin, one group per bin."""
     rows = [r for r in reports if r.seed is None and abs(r.sdr - sdr) < 1e-9 and r.delay_histogram]
     canvas = _Canvas(f"Delay distribution at supply ratio {_fmt(sdr)}", "delay (minutes)", "fraction of delayed")
@@ -246,8 +246,14 @@ def delay_distribution_figure(reports: Sequence[MetricsReport], path, sdr: float
         fh.write(canvas.finish())
 
 
-def emit_figures(reports: Sequence[MetricsReport], out_dir, dist_sdr: float = 1.2) -> list:
-    """Write the three standard charts; returns the created paths."""
+def emit_figures(reports: Sequence[MetricsReport], out_dir) -> list:
+    """Write the three standard charts; returns the created paths.
+
+    The delay distribution is drawn at supply ratio 1.2 if the table
+    has it, else at its lowest ratio.
+    """
+    ratios = {r.sdr for r in reports}
+    dist_sdr = 1.2 if any(abs(s - 1.2) < 1e-9 for s in ratios) else min(ratios)
     paths = [
         os.path.join(out_dir, "fig1-fraction-delayed.svg"),
         os.path.join(out_dir, "fig2-average-delay.svg"),

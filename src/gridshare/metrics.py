@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .engine import RunStats, SimConfig, VehicleOutcome, measurement_filter, run_simulation
@@ -32,8 +32,6 @@ from .workload import (
     generate_fleet,
 )
 
-DEFAULT_SDR_GRID = (1.00, 1.05, 1.10, 1.15, 1.20, 1.40, 1.60, 1.80, 2.00, 3.00)
-DEFAULT_SEEDS = (1, 2, 3)
 THREADS_ENV_VAR = "GRIDSHARE_THREADS"
 
 
@@ -68,7 +66,7 @@ def average_delay_of_delayed(outcomes: Sequence[VehicleOutcome]) -> float | None
     return SLOT_MINUTES * sum(delays) / len(delays)
 
 
-def delay_distribution(outcomes: Sequence[VehicleOutcome], bin_width_min: float = 30.0) -> tuple:
+def delay_distribution(outcomes: Sequence[VehicleOutcome], bin_width_min: float) -> tuple:
     """Histogram of delay minutes, normalized over delayed vehicles.
 
     Bins are [i*w, (i+1)*w); the fractions sum to 1.
@@ -97,10 +95,10 @@ class SweepBase:
     profile: ArrivalProfile
     shape: LoadShape
     charger: ChargerSpec
-    warmup_days: int = 4
-    last_measured_day: int = 13
-    peak_other_fraction: float = 0.8
-    bin_width_min: float = 30.0
+    warmup_days: int
+    last_measured_day: int
+    peak_other_fraction: float
+    bin_width_min: float
 
 
 def run_cell(
@@ -111,12 +109,11 @@ def run_cell(
     Returns the cell's report and every vehicle's outcome; trace_path,
     if given, receives the engine's per-slot trace.
     """
-    wl = replace(base.workload, seed=seed)
-    fleet = generate_fleet(wl, base.profile, base.charger)
-    tpr = total_required_energy(fleet, wl.days)
+    fleet = generate_fleet(base.workload, base.profile, base.charger, seed)
+    tpr = total_required_energy(fleet, base.workload.days)
     grid = make_grid(base.shape, tpr, sdr, base.peak_other_fraction)
     cfg = SimConfig(
-        policy=policy, days=wl.days,
+        policy=policy, days=base.workload.days,
         warmup_days=base.warmup_days, last_measured_day=base.last_measured_day,
     )
     stats = RunStats()
@@ -139,7 +136,7 @@ def build_report(
     sdr: float,
     seed: int | None,
     measured: Sequence[VehicleOutcome],
-    bin_width_min: float = 30.0,
+    bin_width_min: float,
     **diagnostics,
 ) -> MetricsReport:
     fod = fraction_delayed(measured)
@@ -177,9 +174,9 @@ def resolve_workers(max_workers: int | None = None) -> int:
 
 def sweep(
     policies: Sequence[Policy],
-    sdr_grid: Sequence[float] = DEFAULT_SDR_GRID,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    base: SweepBase | None = None,
+    sdr_grid: Sequence[float],
+    seeds: Sequence[int],
+    base: SweepBase,
     max_workers: int | None = None,
 ) -> list[MetricsReport]:
     """One report per (policy, sdr, seed) plus a seed-averaged row per curve.
@@ -188,8 +185,6 @@ def sweep(
     order is canonical regardless of completion order: policies in the
     given order, ratios ascending, seeds ascending, averaged row last.
     """
-    if base is None:
-        raise ValueError("sweep needs a base configuration")
     if not policies:
         raise ValueError("at least one policy required")
     if any(s < 1.0 for s in sdr_grid):

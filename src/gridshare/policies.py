@@ -65,6 +65,8 @@ def parse_policy(name: str, *, simple: bool = False, fdfs_least_slack: bool = Fa
 
 
 ALL_POLICY_NAMES = tuple(k.value for k in PolicyKind)
+# Names of the kinds that also run as a `-simple` variant.
+SIMPLE_VARIANT_NAMES = tuple(k.value for k in PolicyKind if k not in _DISTANCE_REQUIRED)
 
 
 @dataclass

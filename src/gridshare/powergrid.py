@@ -37,9 +37,6 @@ class LoadShape:
     def from_values(cls, values: Iterable[float]) -> "LoadShape":
         return cls(tuple(float(v) for v in values))
 
-    def at(self, slot: int) -> float:
-        return self.values[slot % SLOTS_PER_DAY]
-
 
 @dataclass(frozen=True)
 class ChargerSpec:
@@ -97,10 +94,7 @@ def charger_preset(name: str, *, derate_13a: bool = False, exact_physics: bool =
 class GridModel:
     """Calibrated grid: capacity sized so daily TPA / TPR = sdr_target."""
 
-    shape: LoadShape
-    peak_other_fraction: float
     capacity_kw: float
-    sdr_target: float
     tpa_kwh: float
     tpr_kwh: float
     # kW left for vehicles in each slot of the day: capacity minus the
@@ -149,16 +143,13 @@ def make_grid(
     shape: LoadShape,
     tpr_kwh: float,
     sdr_target: float,
-    peak_other_fraction: float = 0.8,
+    peak_other_fraction: float,
 ) -> GridModel:
     """Calibrate capacity and assemble an immutable grid model."""
     capacity = calibrate_capacity(shape, peak_other_fraction, tpr_kwh, sdr_target)
     tpa = capacity * _headroom_hours(shape, peak_other_fraction)
     grid = GridModel(
-        shape=shape,
-        peak_other_fraction=peak_other_fraction,
         capacity_kw=capacity,
-        sdr_target=sdr_target,
         tpa_kwh=tpa,
         tpr_kwh=tpr_kwh,
         available_kw=tuple(

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .defaults import default_hourly_arrival_weights
 from .policies import intervals_for_deficit
 from .powergrid import ChargerSpec
 from .units import SLOTS_PER_DAY, SLOTS_PER_HOUR, hours_to_slots
@@ -29,7 +28,7 @@ class ArrivalProfile:
     """Hourly arrival weights (already shifted to arrival time of day)."""
 
     hourly_weights: tuple[float, ...]
-    expected_daily_arrivals: float = 1500.0
+    expected_daily_arrivals: float
 
     def __post_init__(self):
         if len(self.hourly_weights) != 24:
@@ -47,15 +46,8 @@ class ArrivalProfile:
         return self.expected_daily_arrivals * self.hourly_weights[hour] / SLOTS_PER_HOUR
 
 
-def default_arrival_profile(expected_daily_arrivals: float = 1500.0) -> ArrivalProfile:
-    return ArrivalProfile(
-        hourly_weights=tuple(default_hourly_arrival_weights()),
-        expected_daily_arrivals=expected_daily_arrivals,
-    )
-
-
 def arrival_profile_from_weights(
-    weights: Sequence[float], expected_daily_arrivals: float = 1500.0
+    weights: Sequence[float], expected_daily_arrivals: float
 ) -> ArrivalProfile:
     """Build a profile from raw weights, normalizing their sum to 1."""
     total = math.fsum(weights)
@@ -69,18 +61,17 @@ def arrival_profile_from_weights(
 
 @dataclass(frozen=True)
 class WorkloadConfig:
-    seed: int = 1
-    days: int = 15
-    duration_mean_h: float = 14.0
-    duration_std_h: float = 4.0
-    duration_min_h: float = 6.0
-    duration_max_h: float = 22.0
-    one_way_commute_mean_mi: float = 14.5
-    commute_cap_mi: float = 70.0
-    extra_daily_mi: float = 20.0
-    emergency_mi: float = 10.0
-    initial_charge_max_mi: float = 30.0
-    battery_capacity_miles: float = 100.0
+    days: int
+    duration_mean_h: float
+    duration_std_h: float
+    duration_min_h: float
+    duration_max_h: float
+    one_way_commute_mean_mi: float
+    commute_cap_mi: float
+    extra_daily_mi: float
+    emergency_mi: float
+    initial_charge_max_mi: float
+    battery_capacity_miles: float
 
     def __post_init__(self):
         if not self.duration_min_h < self.duration_mean_h < self.duration_max_h:
@@ -161,7 +152,7 @@ def make_vehicle(
     required_miles: float,
     initial_miles: float,
     charger: ChargerSpec,
-    battery_capacity_miles: float = 100.0,
+    battery_capacity_miles: float,
 ) -> Vehicle:
     """Assemble a session, pushing out infeasible expected departures.
 
@@ -190,14 +181,15 @@ def generate_fleet(
     cfg: WorkloadConfig,
     profile: ArrivalProfile,
     charger: ChargerSpec,
+    seed: int,
 ) -> list[Vehicle]:
-    """Deterministic fleet for (cfg, profile, charger).
+    """Deterministic fleet for (cfg, profile, charger, seed).
 
     Arrivals and per-vehicle attributes come from separate substreams of
     the seed, consumed in arrival order, so sampled values depend only on
     a vehicle's place in the arrival sequence and never on its id.
     """
-    arrival_ss, attrs_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+    arrival_ss, attrs_ss = np.random.SeedSequence(seed).spawn(2)
     arrivals = sample_arrivals(profile, cfg.days, np.random.default_rng(arrival_ss))
     attrs_rng = np.random.default_rng(attrs_ss)
     fleet = []

@@ -1,7 +1,13 @@
 import pytest
 
+from gridshare.cli import build_config
 from gridshare.powergrid import ChargerSpec, LoadShape, charger_preset
 from gridshare.workload import Vehicle
+
+
+def scenario(**overrides):
+    """The CLI's experiment: its default table with key=value overrides."""
+    return build_config({key: str(value) for key, value in overrides.items()})
 
 
 def make_test_vehicle(vid, arrival, departure, required, current=0.0, capacity=None):

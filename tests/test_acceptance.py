@@ -1,37 +1,27 @@
 """Acceptance gate: headline quantitative claims at their stated tolerances.
 
 Each test prints one pass/fail line. The sweep cells are computed once
-per session with the default configuration (around 1500 arrivals/day,
-15 days, measurement window days 5-13, household charger) and shared
-across criteria.
+per session with the command line's default configuration (around 1500
+arrivals/day, 15 days, measurement window days 5-13, household charger,
+seeds 1-3) and shared across criteria.
 """
 
 import numpy as np
 import pytest
 
+from conftest import scenario
 from gridshare import oracle
-from gridshare.defaults import default_load_shape_values
-from gridshare.metrics import SweepBase, sweep
+from gridshare.metrics import sweep
 from gridshare.policies import parse_policy
-from gridshare.powergrid import LoadShape, charger_preset
-from gridshare.workload import WorkloadConfig, default_arrival_profile
 
-SEEDS = (1, 2, 3)
-
-
-def _base(charger_name="home-110-15"):
-    return SweepBase(
-        workload=WorkloadConfig(seed=0),
-        profile=default_arrival_profile(),
-        shape=LoadShape.from_values(default_load_shape_values()),
-        charger=charger_preset(charger_name),
-    )
+DEFAULT = scenario()
+SEEDS = DEFAULT.seeds
 
 
 @pytest.fixture(scope="module")
 def table():
     """All sweep cells the criteria need, keyed by (policy, sdr, seed)."""
-    base = _base()
+    base = DEFAULT.base
     reports = []
     reports += sweep([parse_policy("minmax-dt")], [1.05, 1.2], SEEDS, base)
     reports += sweep([parse_policy("fdfs")], [1.2, 1.4, 1.6], SEEDS, base)
@@ -43,7 +33,7 @@ def table():
 
 @pytest.fixture(scope="module")
 def dryer_table():
-    base = _base("dryer-220-30")
+    base = scenario(charger="dryer-220-30").base
     reports = sweep([parse_policy("fcfs")], [2.0], SEEDS, base)
     return {(r.policy, r.sdr, r.seed): r for r in reports}
 
@@ -162,10 +152,9 @@ def test_criterion_9_conservation_and_determinism(table):
     # Internal conservation checks run inside every cell above (the
     # engine raises on any violation); here repeatability is pinned too.
     from gridshare.metrics import run_cell, write_outcomes_csv  # noqa: F401
-    base = _base()
     policy = parse_policy("rr")
-    first = run_cell(base, policy, 1.1, 2)
-    second = run_cell(base, policy, 1.1, 2)
+    first = run_cell(DEFAULT.base, policy, 1.1, 2)
+    second = run_cell(DEFAULT.base, policy, 1.1, 2)
     ok = first == second and len(table) > 0
     assert check(
         ok,
@@ -190,7 +179,7 @@ def test_plugged_census_stable_inside_measurement_window(table):
     # Queue stability at the nightly census: no upward trend over the
     # measured days at the smallest supply margin.
     report = table[("minmax-dt", 1.05, 1)]
-    days = range(4, 13)  # zero-based days 5..13
+    days = range(DEFAULT.base.warmup_days, DEFAULT.base.last_measured_day)  # one-based days 5..13
     samples = [report.plugged_at_census[d] for d in days]
     x = np.arange(len(samples))
     slope = float(np.polyfit(x, samples, 1)[0])

@@ -248,6 +248,23 @@ def test_default_simulate_resolved_config_text(tmp_path):
 
 
 
+@pytest.mark.parametrize("single, plural, value, other", [
+    ("--policy", "--policies", "fcfs", "rr"),
+    ("--sdr", "--sdr-grid", "2", "3"),
+    ("--seed", "--seeds", "1", "5"),
+])
+def test_flag_pair_is_two_spellings_of_one_key(tmp_path, single, plural, value, other):
+    # Both spellings write the same resolved-config, and the last one given wins.
+    texts = set()
+    for i, flags in enumerate(([single, value], [plural, value],
+                               [plural, other, single, value], [single, other, plural, value])):
+        out = tmp_path / str(i)
+        argv = ["dump-fleet", *flags, "--days", "4", "--arrivals-per-day", "80", "--out", str(out)]
+        assert run(argv) == EXIT_OK
+        texts.add((out / "resolved-config").read_text().replace(str(out), "OUT"))
+    assert len(texts) == 1
+
+
 def test_resolved_config_reproduces_run(tiny_config, tmp_path):
     out1 = tmp_path / "first"
     assert run(["simulate", "--config", tiny_config, "--out", str(out1)]) == EXIT_OK

@@ -15,7 +15,7 @@ from gridshare.oracle import ORACLE_CHARGER, brute_force_min_max_delay, tiny_ins
 from gridshare.policies import parse_policy
 from gridshare.units import SLOTS_PER_DAY
 
-from conftest import make_test_vehicle
+from conftest import make_test_vehicle, scenario
 
 
 def tiny_cfg(policy_name="minmax-dt", **kw):
@@ -211,8 +211,15 @@ def outcome_stub(arrival_day, cfg):
     )
 
 
+def default_window_cfg():
+    """The command line's default horizon and measurement window."""
+    base = scenario().base
+    return SimConfig(policy=parse_policy("fcfs"), days=base.workload.days,
+                     warmup_days=base.warmup_days, last_measured_day=base.last_measured_day)
+
+
 def test_measurement_window_boundaries():
-    cfg = SimConfig(policy=parse_policy("fcfs"))
+    cfg = default_window_cfg()
     # One-based days 4, 5, 13, 14 are zero-based 3, 4, 12, 13.
     outcomes = [outcome_stub(d, cfg) for d in (3, 4, 12, 13)]
     kept = measurement_filter(outcomes)
@@ -220,7 +227,7 @@ def test_measurement_window_boundaries():
 
 
 def test_measurement_window_empty_is_an_error():
-    cfg = SimConfig(policy=parse_policy("fcfs"))
+    cfg = default_window_cfg()
     with pytest.raises(ValueError, match="measurement window empty"):
         measurement_filter([outcome_stub(0, cfg)])
 

@@ -14,7 +14,7 @@ def sample_reports():
         for sdr in (1.2, 2.0):
             per_seed = [
                 build_report(policy, sdr, seed,
-                             outcomes_from_minutes([0, base_delay + 10 * seed, 150]))
+                             outcomes_from_minutes([0, base_delay + 10 * seed, 150]), 30.0)
                 for seed in (1, 2)
             ]
             reports.extend(per_seed)
@@ -36,7 +36,7 @@ def test_figures_are_deterministic(tmp_path):
 
 
 def test_single_series_chart(tmp_path):
-    per_seed = [build_report("rr", 1.4, 1, outcomes_from_minutes([0, 20]))]
+    per_seed = [build_report("rr", 1.4, 1, outcomes_from_minutes([0, 20]), 30.0)]
     reports = per_seed + [average_reports(per_seed)]
     path = tmp_path / "one.svg"
     fod_figure(reports, path)

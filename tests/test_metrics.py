@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scenario
 from gridshare.engine import VehicleOutcome
 from gridshare.metrics import (
     MetricsReport,
-    SweepBase,
     average_delay_of_delayed,
     average_reports,
     build_report,
@@ -24,8 +24,6 @@ from gridshare.metrics import (
     write_outcomes_csv,
 )
 from gridshare.policies import parse_policy
-from gridshare.powergrid import LoadShape, charger_preset
-from gridshare.workload import WorkloadConfig, default_arrival_profile
 
 
 def outcome(delay_slots, vid=0, measured=True):
@@ -93,15 +91,15 @@ def test_distribution_mass_and_cdf_monotonicity(delays, width):
 
 
 def test_build_report_without_delays_has_empty_distribution():
-    report = build_report("fcfs", 1.5, 1, outcomes_from_minutes([0, 0]))
+    report = build_report("fcfs", 1.5, 1, outcomes_from_minutes([0, 0]), 30.0)
     assert report.fod == 0.0
     assert report.adfd_minutes is None
     assert report.delay_histogram == ()
 
 
 def test_average_reports_means_and_sums():
-    a = build_report("fcfs", 1.2, 1, outcomes_from_minutes([0, 30]))
-    b = build_report("fcfs", 1.2, 2, outcomes_from_minutes([0, 0, 60, 90]))
+    a = build_report("fcfs", 1.2, 1, outcomes_from_minutes([0, 30]), 30.0)
+    b = build_report("fcfs", 1.2, 2, outcomes_from_minutes([0, 0, 60, 90]), 30.0)
     avg = average_reports([a, b])
     assert avg.seed is None
     assert avg.n_measured == 6
@@ -112,8 +110,8 @@ def test_average_reports_means_and_sums():
 
 
 def test_average_reports_ignores_na_delay_averages():
-    a = build_report("fcfs", 1.2, 1, outcomes_from_minutes([0, 0]))
-    b = build_report("fcfs", 1.2, 2, outcomes_from_minutes([0, 40]))
+    a = build_report("fcfs", 1.2, 1, outcomes_from_minutes([0, 0]), 30.0)
+    b = build_report("fcfs", 1.2, 2, outcomes_from_minutes([0, 40]), 30.0)
     avg = average_reports([a, b])
     assert avg.adfd_minutes == pytest.approx(40.0)
     all_zero = average_reports([a, a])
@@ -125,16 +123,7 @@ def test_average_reports_ignores_na_delay_averages():
 
 @pytest.fixture(scope="module")
 def tiny_base():
-    from gridshare.defaults import default_load_shape_values
-
-    return SweepBase(
-        workload=WorkloadConfig(seed=0, days=4),
-        profile=default_arrival_profile(expected_daily_arrivals=60.0),
-        shape=LoadShape.from_values(default_load_shape_values()),
-        charger=charger_preset("home-110-15"),
-        warmup_days=1,
-        last_measured_day=2,
-    )
+    return scenario(days=4, arrivals_per_day=60, warmup_days=1, last_measured_day=2).base
 
 
 def test_single_cell_sweep_equals_direct_run(tiny_base):
@@ -181,8 +170,8 @@ def test_sweep_cell_reports_calibration_and_adjustment(tiny_base):
 
 def test_fod_and_adfd_csv_layout(tmp_path):
     reports = [
-        build_report("fcfs", 1.2, 1, outcomes_from_minutes([0, 30])),
-        average_reports([build_report("fcfs", 1.2, 1, outcomes_from_minutes([0, 0]))]),
+        build_report("fcfs", 1.2, 1, outcomes_from_minutes([0, 30]), 30.0),
+        average_reports([build_report("fcfs", 1.2, 1, outcomes_from_minutes([0, 0]), 30.0)]),
     ]
     fod_path = tmp_path / "fod.csv"
     write_fod_csv(reports, fod_path)
@@ -198,7 +187,7 @@ def test_fod_and_adfd_csv_layout(tmp_path):
 
 
 def test_delaydist_csv_uses_averaged_rows(tmp_path):
-    per_seed = build_report("rr", 1.2, 1, outcomes_from_minutes([10, 40]))
+    per_seed = build_report("rr", 1.2, 1, outcomes_from_minutes([10, 40]), 30.0)
     avg = average_reports([per_seed])
     path = tmp_path / "delaydist.csv"
     write_delaydist_csv([per_seed, avg], path)

@@ -15,9 +15,9 @@ from gridshare.policies import (
     update_membership,
 )
 from gridshare.powergrid import charger_preset
-from gridshare.workload import WorkloadConfig, default_arrival_profile, generate_fleet
+from gridshare.workload import generate_fleet
 
-from conftest import make_test_vehicle
+from conftest import make_test_vehicle, scenario
 from reference_loop import priority_key
 
 
@@ -77,7 +77,8 @@ def test_interval_counters_replay_float_charging(charger):
     # counters agree with the float step cur = min(cur + rate, cap) at
     # every step, on generated fleets at every preset's rate. NumPy
     # float64 arithmetic is the same IEEE arithmetic as Python floats.
-    fleet = generate_fleet(WorkloadConfig(seed=1, days=2), default_arrival_profile(), charger)
+    base = scenario(days=2, warmup_days=0, last_measured_day=1).base
+    fleet = generate_fleet(base.workload, base.profile, charger, 1)
     state = new_policy_state(parse_policy("fcfs"), charger, fleet)
     rate = charger.miles_per_slot
     need, room = np.array(state.need), np.array(state.room)

@@ -20,9 +20,9 @@ from gridshare.powergrid import (
     total_required_energy,
 )
 from gridshare.units import SLOTS_PER_DAY
-from gridshare.workload import WorkloadConfig, default_arrival_profile, dump_fleet_csv, generate_fleet
+from gridshare.workload import dump_fleet_csv, generate_fleet
 
-from conftest import make_test_vehicle
+from conftest import make_test_vehicle, scenario
 
 
 # --- load shape ------------------------------------------------------------
@@ -103,8 +103,9 @@ def test_empty_fleet_rejected():
 
 
 def test_fleet_energy_matches_recomputation_from_csv(tmp_path, home_charger):
-    cfg = WorkloadConfig(seed=1, days=5)
-    fleet = generate_fleet(cfg, default_arrival_profile(expected_daily_arrivals=200.0), home_charger)
+    base = scenario(days=5, arrivals_per_day=200).base
+    cfg = base.workload
+    fleet = generate_fleet(cfg, base.profile, home_charger, 1)
     tpr = total_required_energy(fleet, cfg.days)
 
     path = tmp_path / "fleet.csv"
@@ -143,7 +144,7 @@ def test_calibration_rejects_bad_inputs(flat_shape):
 
 def test_calibration_round_trip_on_default_shape():
     shape = LoadShape.from_values(default_load_shape_values())
-    grid = make_grid(shape, tpr_kwh=15000.0, sdr_target=1.2)
+    grid = make_grid(shape, tpr_kwh=15000.0, sdr_target=1.2, peak_other_fraction=0.8)
     assert realized_sdr(grid) == pytest.approx(1.2, abs=1e-6)
     assert grid.tpa_kwh / grid.tpr_kwh == pytest.approx(1.2, abs=1e-6)
 
@@ -156,7 +157,8 @@ def test_calibration_round_trip_on_default_shape():
 def test_calibration_round_trip_property(sdr, trough):
     # Two-level shape: trough at night, peak 1 in the evening.
     values = [trough] * 200 + [1.0] * 88
-    grid = make_grid(LoadShape.from_values(values), tpr_kwh=5000.0, sdr_target=sdr)
+    grid = make_grid(LoadShape.from_values(values), tpr_kwh=5000.0, sdr_target=sdr,
+                     peak_other_fraction=0.8)
     assert realized_sdr(grid) == pytest.approx(sdr, abs=1e-6)
 
 
@@ -164,20 +166,23 @@ def test_calibration_round_trip_property(sdr, trough):
 
 
 def test_available_power_at_peak_is_twenty_percent(flat_shape):
-    grid = make_grid(flat_shape, tpr_kwh=4.8 * 100.0 / 1.0, sdr_target=1.0)
+    grid = make_grid(flat_shape, tpr_kwh=4.8 * 100.0 / 1.0, sdr_target=1.0,
+                     peak_other_fraction=0.8)
     assert grid.capacity_kw == pytest.approx(100.0)
     assert grid.available_kw[0] == pytest.approx(20.0)
 
 
 def test_available_power_full_capacity_when_other_load_zero():
     values = [0.0] * 287 + [1.0]
-    grid = make_grid(LoadShape.from_values(values), tpr_kwh=100.0, sdr_target=1.0)
+    grid = make_grid(LoadShape.from_values(values), tpr_kwh=100.0, sdr_target=1.0,
+                     peak_other_fraction=0.8)
     assert grid.available_kw[0] == pytest.approx(grid.capacity_kw)
     assert all(grid.available_kw[s] >= 0.0 for s in range(SLOTS_PER_DAY))
 
 
 def test_slot_capacity_floors_whole_chargers(flat_shape):
-    grid = make_grid(flat_shape, tpr_kwh=480.0, sdr_target=1.0)  # 20 kW available
+    # 20 kW available
+    grid = make_grid(flat_shape, tpr_kwh=480.0, sdr_target=1.0, peak_other_fraction=0.8)
     assert grid.available_kw[0] == pytest.approx(20.0)
     exact_home = charger_preset("home-110-15", exact_physics=True)
     assert slot_vehicle_capacity(grid, exact_home, 0) == 12  # floor(20 / 1.65)
@@ -186,17 +191,18 @@ def test_slot_capacity_floors_whole_chargers(flat_shape):
 
 
 def test_slot_capacity_zero_when_power_below_one_charger(flat_shape):
-    grid = make_grid(flat_shape, tpr_kwh=24.0, sdr_target=1.0)  # 1 kW available
+    # 1 kW available
+    grid = make_grid(flat_shape, tpr_kwh=24.0, sdr_target=1.0, peak_other_fraction=0.8)
     assert slot_vehicle_capacity(grid, charger_preset("home-110-15"), 0) == 0
 
 
 def test_capacity_monotone_in_sdr_and_shape():
     shape = LoadShape.from_values(default_load_shape_values())
     charger = charger_preset("home-110-15")
-    low = day_capacity_profile(make_grid(shape, 15000.0, 1.0), charger)
-    high = day_capacity_profile(make_grid(shape, 15000.0, 2.0), charger)
+    low = day_capacity_profile(make_grid(shape, 15000.0, 1.0, 0.8), charger)
+    high = day_capacity_profile(make_grid(shape, 15000.0, 2.0, 0.8), charger)
     assert all(h >= l for h, l in zip(high, low))
-    grid = make_grid(shape, 15000.0, 1.5)
+    grid = make_grid(shape, 15000.0, 1.5, 0.8)
     ks = day_capacity_profile(grid, charger)
     order = sorted(range(SLOTS_PER_DAY), key=lambda s: shape.values[s])
     ks_by_shape = [ks[s] for s in order]

@@ -11,9 +11,7 @@ from gridshare.powergrid import charger_preset
 from gridshare.units import SLOTS_PER_DAY
 from gridshare.workload import (
     ArrivalProfile,
-    WorkloadConfig,
     adjusted_departure_fraction,
-    default_arrival_profile,
     dump_fleet_csv,
     generate_fleet,
     make_vehicle,
@@ -22,6 +20,8 @@ from gridshare.workload import (
     sample_initial_charge,
     sample_required_miles,
 )
+
+from conftest import scenario
 
 
 def rng(seed=1):
@@ -33,7 +33,7 @@ def rng(seed=1):
 
 def test_profile_weights_must_sum_to_one():
     with pytest.raises(ValueError):
-        ArrivalProfile(hourly_weights=(0.5,) + (0.1,) * 23)
+        ArrivalProfile(hourly_weights=(0.5,) + (0.1,) * 23, expected_daily_arrivals=100.0)
 
 
 def test_profile_rejects_negative_weights():
@@ -41,11 +41,11 @@ def test_profile_rejects_negative_weights():
     weights[3] = -1.0 / 22
     weights[4] = 3.0 / 22
     with pytest.raises(ValueError):
-        ArrivalProfile(hourly_weights=tuple(weights))
+        ArrivalProfile(hourly_weights=tuple(weights), expected_daily_arrivals=100.0)
 
 
 def test_default_profile_is_normalized_and_peaks_in_the_evening():
-    profile = default_arrival_profile()
+    profile = scenario().base.profile
     assert abs(math.fsum(profile.hourly_weights) - 1.0) < 1e-9
     peak_hour = max(range(24), key=lambda h: profile.hourly_weights[h])
     assert peak_hour == 17  # morning commute peak shifted ten hours
@@ -64,12 +64,12 @@ def test_arrivals_degenerate_single_hour():
 
 
 def test_arrivals_zero_rate_gives_empty_list():
-    profile = default_arrival_profile(expected_daily_arrivals=0.0)
+    profile = scenario(arrivals_per_day=0).base.profile
     assert sample_arrivals(profile, days=3, rng=rng(7)) == []
 
 
 def test_arrivals_sorted_and_deterministic():
-    profile = default_arrival_profile(expected_daily_arrivals=100.0)
+    profile = scenario(arrivals_per_day=100).base.profile
     a = sample_arrivals(profile, days=2, rng=rng(5))
     b = sample_arrivals(profile, days=2, rng=rng(5))
     assert a == b
@@ -77,7 +77,7 @@ def test_arrivals_sorted_and_deterministic():
 
 
 def test_arrivals_daily_mean_matches_configured_rate():
-    profile = default_arrival_profile()
+    profile = scenario().base.profile
     arrivals = sample_arrivals(profile, days=15, rng=rng(1))
     daily_mean = len(arrivals) / 15
     assert abs(daily_mean - 1500.0) / 1500.0 < 0.05
@@ -85,7 +85,7 @@ def test_arrivals_daily_mean_matches_configured_rate():
 
 def test_arrivals_rejects_zero_days():
     with pytest.raises(ValueError):
-        sample_arrivals(default_arrival_profile(), days=0, rng=rng(1))
+        sample_arrivals(scenario().base.profile, days=0, rng=rng(1))
 
 
 # --- connection duration ---------------------------------------------------
@@ -101,7 +101,7 @@ def truncated_normal_mean(mu, sigma, lo, hi):
 
 
 def test_duration_always_inside_truncation_bounds():
-    cfg = WorkloadConfig(seed=1)
+    cfg = scenario().base.workload
     r = rng(3)
     for _ in range(2000):
         s = sample_connection_duration(cfg, r)
@@ -109,13 +109,13 @@ def test_duration_always_inside_truncation_bounds():
 
 
 def test_duration_degenerate_zero_std_is_point_mass():
-    cfg = WorkloadConfig(seed=1, duration_std_h=0.0)
+    cfg = scenario(duration_std_h=0).base.workload
     r = rng(3)
     assert all(sample_connection_duration(cfg, r) == 168 for _ in range(20))
 
 
 def test_duration_mean_matches_truncated_normal_oracle():
-    cfg = WorkloadConfig(seed=1)
+    cfg = scenario().base.workload
     r = rng(11)
     n = 100_000
     mean_slots = sum(sample_connection_duration(cfg, r) for _ in range(n)) / n
@@ -128,12 +128,12 @@ def test_duration_mean_matches_truncated_normal_oracle():
 
 
 def test_required_miles_floor_when_commute_is_zero():
-    cfg = WorkloadConfig(seed=1, one_way_commute_mean_mi=0.0)
+    cfg = scenario(one_way_commute_mean_mi=0).base.workload
     assert sample_required_miles(cfg, rng(2)) == pytest.approx(30.0)
 
 
 def test_required_miles_bounded_by_cap_plus_allowances():
-    cfg = WorkloadConfig(seed=1)
+    cfg = scenario().base.workload
     # The cap plus the fixed allowances exactly fills the default battery.
     assert cfg.commute_cap_mi + cfg.extra_daily_mi + cfg.emergency_mi == pytest.approx(100.0)
     r = rng(4)
@@ -142,7 +142,7 @@ def test_required_miles_bounded_by_cap_plus_allowances():
 
 
 def test_required_miles_matches_truncated_exponential_cdf():
-    cfg = WorkloadConfig(seed=1)
+    cfg = scenario().base.workload
     scale = 2.0 * cfg.one_way_commute_mean_mi  # round-trip exponential mean
     cap = cfg.commute_cap_mi
 
@@ -162,15 +162,15 @@ def test_required_miles_matches_truncated_exponential_cdf():
 
 
 def test_initial_charge_bounds_and_degenerate_zero():
-    cfg = WorkloadConfig(seed=1)
+    cfg = scenario().base.workload
     r = rng(5)
     assert all(0.0 <= sample_initial_charge(cfg, r) <= 30.0 for _ in range(2000))
-    zero_cfg = WorkloadConfig(seed=1, initial_charge_max_mi=0.0)
+    zero_cfg = scenario(initial_charge_max_mi=0).base.workload
     assert sample_initial_charge(zero_cfg, r) == 0.0
 
 
 def test_initial_charge_mean_matches_uniform_oracle():
-    cfg = WorkloadConfig(seed=1)
+    cfg = scenario().base.workload
     r = rng(13)
     n = 100_000
     mean = sum(sample_initial_charge(cfg, r) for _ in range(n)) / n
@@ -182,12 +182,12 @@ def test_initial_charge_mean_matches_uniform_oracle():
 
 def test_make_vehicle_pushes_out_infeasible_departure(home_charger):
     # Needs 200 intervals but the stay is only 150 slots.
-    v = make_vehicle(0, 100, 150, 100.0, 0.0, home_charger)
+    v = make_vehicle(0, 100, 150, 100.0, 0.0, home_charger, battery_capacity_miles=100.0)
     assert v.expected_departure_slot == 100 + 200
 
 
 def test_make_vehicle_keeps_feasible_departure(home_charger):
-    v = make_vehicle(0, 100, 150, 10.0, 10.0, home_charger)
+    v = make_vehicle(0, 100, 150, 10.0, 10.0, home_charger, battery_capacity_miles=100.0)
     assert v.expected_departure_slot == 100 + 150
 
 
@@ -197,8 +197,8 @@ def test_make_vehicle_rejects_required_above_capacity(home_charger):
 
 
 def test_adjusted_fraction_near_five_percent(home_charger):
-    cfg = WorkloadConfig(seed=1)
-    fleet = generate_fleet(cfg, default_arrival_profile(), home_charger)
+    base = scenario().base
+    fleet = generate_fleet(base.workload, base.profile, home_charger, 1)
     assert 0.02 <= adjusted_departure_fraction(fleet) <= 0.08
 
 
@@ -207,14 +207,14 @@ def test_adjusted_fraction_near_five_percent(home_charger):
 
 @pytest.fixture(scope="module")
 def small_fleet():
-    cfg = WorkloadConfig(seed=42, days=6)
-    profile = default_arrival_profile(expected_daily_arrivals=120.0)
-    return cfg, profile, generate_fleet(cfg, profile, charger_preset("home-110-15"))
+    base = scenario(days=6, arrivals_per_day=120).base
+    cfg, profile = base.workload, base.profile
+    return cfg, profile, generate_fleet(cfg, profile, charger_preset("home-110-15"), 42)
 
 
 def test_fleet_deterministic(small_fleet):
     cfg, profile, fleet = small_fleet
-    again = generate_fleet(cfg, profile, charger_preset("home-110-15"))
+    again = generate_fleet(cfg, profile, charger_preset("home-110-15"), 42)
     assert fleet == again
 
 
@@ -223,7 +223,7 @@ def test_fleet_prefix_independent_of_horizon(small_fleet):
     # depend only on a vehicle's position in the arrival sequence.
     cfg, profile, fleet = small_fleet
     longer = generate_fleet(
-        WorkloadConfig(seed=42, days=9), profile, charger_preset("home-110-15")
+        scenario(days=9).base.workload, profile, charger_preset("home-110-15"), 42
     )
     assert longer[: len(fleet)] == fleet
 
@@ -268,9 +268,9 @@ def test_dump_fleet_csv_roundtrip(tmp_path, small_fleet):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        WorkloadConfig(seed=1, duration_min_h=15.0)  # below the mean required
-    with pytest.raises(ValueError):
-        WorkloadConfig(seed=1, emergency_mi=-1.0)
-    with pytest.raises(ValueError):
-        WorkloadConfig(seed=1, days=0)
+    with pytest.raises(ValueError, match="bracket the mean"):
+        scenario(duration_min_h=15)  # below the mean required
+    with pytest.raises(ValueError, match="emergency_mi must be non-negative"):
+        scenario(emergency_mi=-1)
+    with pytest.raises(ValueError, match="at least one simulated day"):
+        scenario(days=0)
