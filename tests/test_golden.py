@@ -6,6 +6,11 @@ ones recorded when the test was added. A change to the engine, the
 policies or the metrics that moves any output byte fails here. The
 dryer charger and the exact household rate cover charge rates that are
 not a power of two.
+
+A second set pins the digest of trace.csv for a small traced cell of
+each differential-test variant, so the order of trace rows (the
+rotation list of round robin, the join order of the top-off list) is
+held as well as the outputs.
 """
 
 import hashlib
@@ -61,3 +66,26 @@ def digests(tmp_path, flags):
 @pytest.mark.parametrize("case", list(CASES))
 def test_outputs_match_golden_digests(tmp_path, case):
     assert digests(tmp_path, CASES[case]) == GOLDEN[case]
+
+
+# variant case -> trace.csv digest of a four-day traced cell, truncated to 16 hex digits.
+TRACE_GOLDEN = {
+    "fcfs": "7a08af99f47f9d9b",
+    "fdfs": "fba616f34e91c936",
+    "rr": "df05e9087994e423",
+    "minmax-er": "95605aca7014dde2",
+    "minmax-dt": "20c2476d488f37e5",
+    "fcfs-simple": "3908ef0052c800ee",
+    "rr-simple": "5668e990156b162e",
+    "fdfs-fdfs-slack": "8c5298be1d01655c",
+    "minmax-dt-fdfs-slack": "20c2476d488f37e5",
+}
+
+
+@pytest.mark.parametrize("case", list(TRACE_GOLDEN))
+def test_trace_matches_golden_digest(tmp_path, case):
+    argv = ["simulate", *CASES[case], "--trace", "--days", "4", "--arrivals-per-day", "100",
+            "--sdr", "1.0", "--seed", "3", "--out", str(tmp_path)]
+    assert run(argv) == EXIT_OK
+    digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()[:16]
+    assert digest == TRACE_GOLDEN[case]
