@@ -281,10 +281,9 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, args) -> int:
+    workers = metrics.resolve_workers(args.workers)  # a bad count fails before any output
     write_run_context(cfg)
-    table = metrics.sweep(
-        cfg.policies, cfg.sdr_grid, cfg.seeds, cfg.base, max_workers=args.workers
-    )
+    table = metrics.sweep(cfg.policies, cfg.sdr_grid, cfg.seeds, cfg.base, max_workers=workers)
     for report in table:
         print(_cell_summary(report))
     out = cfg.out_dir
@@ -325,8 +324,6 @@ def cmd_verify(cfg: ExperimentConfig, args) -> int:
         cfg.policies, np.random.default_rng(args.oracle_seed), args.instances, n_cycling, trace_path)
     _write_atomic(os.path.join(out, "violations.csv"),
                   lambda p: oracle.write_violations_csv(violations, p))
-    if os.path.exists(trace_path):
-        os.unlink(trace_path)
     print(
         f"verified {args.instances} steady + {n_cycling} cycling random instances "
         f"x {len(cfg.policies)} policies: {len(violations)} audit violation(s), "

@@ -11,10 +11,11 @@ vehicle has departed, reusing the day-periodic capacity profile.
 
 from __future__ import annotations
 
-import csv
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 from .policies import Policy, new_policy_state, select, update_membership
 from .powergrid import ChargerSpec
@@ -63,6 +64,14 @@ class RunStats:
     plugged_at_census: list = field(default_factory=list)
 
 
+# The per-slot trace is a CSV file of integers with csv.writer's "\r\n"
+# line ending; its rows are formatted directly, one write per slot.
+_TRACE_HEADER = (
+    "slot,k,vehicle_id,tier,arrival_slot,expected_departure_slot,"
+    "intervals_needed,delay_if_continuous,selected\r\n"
+)
+
+
 class SimulationInvariantError(RuntimeError):
     """An internal conservation or ordering rule was violated."""
 
@@ -89,9 +98,8 @@ def run_simulation(
     trace_file = open(trace_path, "w", newline="", encoding="utf-8") if trace_path else None
     try:
         return _run_loop(
-            cfg, vehicles, k_profile,
-            csv.writer(trace_file) if trace_file else None,
-            stats, state=new_policy_state(cfg.policy, charger, vehicles),
+            cfg, vehicles, k_profile, trace_file, stats,
+            state=new_policy_state(cfg.policy, charger, vehicles),
         )
     finally:
         if trace_file:
@@ -100,33 +108,119 @@ def run_simulation(
 
 def _run_loop(cfg, vehicles, k_profile, trace, stats, state):
     # Vehicles are named by rank, their index in `vehicles`; ids appear
-    # only in outcomes and trace rows.
+    # only in outcomes and trace rows. Work done once per pick or per
+    # candidate is done on whole arrays; work done once per vehicle
+    # (arriving, being satisfied, leaving) is done rank by rank.
     need, room = state.need, state.room
     n = len(vehicles)
     cycle = len(k_profile)
-    plugged = 0                           # arrived and not yet departed
-    charged: list[int] = []               # ranks charged in the previous slot
-    left: list[int] = []                  # ranks departed at the last boundary
-    departure_bucket = defaultdict(list)  # boundary slot -> ranks due to leave
-    satisfied_slot = [0] * n              # meaningful once need[rank] is 0
-    outcomes: list[VehicleOutcome | None] = [None] * n
+    arrival = [v.arrival_slot for v in vehicles]
+    expected = [v.expected_departure_slot for v in vehicles]
+    # The satisfied slot stays the arrival slot unless charging brings
+    # need to 0; the slot at which the vehicle left is set when it leaves.
+    satisfied_slot = list(arrival)
+    left_at = [-1] * n
+    departure_bucket = defaultdict(list)  # boundary slot -> ranks expected to leave there
+    for rank, slot in enumerate(expected):
+        departure_bucket[slot].append(rank)
+    census = stats.plugged_at_census if stats is not None else None
     if trace:
-        trace.writerow([
-            "slot", "k", "vehicle_id", "tier", "arrival_slot",
-            "expected_departure_slot", "intervals_needed",
-            "delay_if_continuous", "selected",
-        ])
+        trace.write(_TRACE_HEADER)
+        ids = [v.id for v in vehicles]
 
-    def depart(rank: int, boundary: int) -> None:
-        nonlocal plugged
-        v = vehicles[rank]
-        sat = satisfied_slot[rank]
-        actual = max(v.expected_departure_slot, sat)
-        if need[rank]:
-            raise SimulationInvariantError(f"vehicle {v.id} departing {need[rank]} intervals short")
-        if boundary != actual:
-            raise SimulationInvariantError(f"vehicle {v.id} departing at {boundary}, not {actual}")
-        outcomes[rank] = VehicleOutcome(
+    max_slots = (cfg.days + 60) * SLOTS_PER_DAY
+    plugged = 0        # arrived and not yet departed
+    selections = 0
+    # Whether a vehicle's need, or its room, reached 0 at the last boundary.
+    satisfied = emptied = False
+    next_arrival = 0
+    t = 0
+    while next_arrival < n or plugged:
+        if not plugged and arrival[next_arrival] > t:
+            # Nothing plugged until the next arrival: skip to it.
+            skipped_to = arrival[next_arrival]
+            if census is not None:
+                first = t + (CENSUS_SLOT_OF_DAY - t) % SLOTS_PER_DAY
+                census.extend(0 for _ in range(first, skipped_to, SLOTS_PER_DAY))
+            t = skipped_to
+        if t >= max_slots:
+            raise RuntimeError(f"simulation did not drain within {max_slots} slots")
+
+        first_arrival = next_arrival
+        while next_arrival < n and arrival[next_arrival] == t:
+            next_arrival += 1
+        plugged += next_arrival - first_arrival
+
+        update_membership(state, t, range(first_arrival, next_arrival), satisfied, emptied)
+        boundary = t + 1
+        satisfied = emptied = False
+        leaving = []
+        # With both tiers empty nothing is selected, and only departures
+        # can happen at the slot's end.
+        eligible = len(state.deficit) + len(state.topoff)
+        if eligible:
+            k = k_profile[t % cycle]
+            selected = select(cfg.policy, state, t, k)
+            count = len(selected)
+            if count != min(k, eligible):
+                raise SimulationInvariantError(f"slot {t}: selected {count} of min({k}, eligible)")
+            if trace:
+                chosen = set(selected.tolist())
+                trace.write("".join([
+                    f"{t},{k},{ids[rank]},{tier},{arrival[rank]},{expected[rank]},{needed},"
+                    f"{needed - (expected[rank] - t)},{1 if rank in chosen else 0}\r\n"
+                    for tier, ranks in ((1, state.deficit), (2, state.topoff)) if len(ranks)
+                    for rank, needed in zip(ranks.tolist(), need[ranks].tolist())
+                ]))
+            if count:
+                spare = room[selected]
+                if np.count_nonzero(spare) < count:
+                    rank = int(selected[spare.argmin()])
+                    raise SimulationInvariantError(
+                        f"slot {t}: vehicle {vehicles[rank].id} selected with a full battery")
+                spare -= 1
+                room[selected] = spare
+                emptied = np.count_nonzero(spare) < count
+                needed = need[selected]
+                need[selected] = needed - needed.astype(bool)
+                for rank in selected[needed == 1].tolist():
+                    satisfied = True
+                    satisfied_slot[rank] = boundary
+                    # Past its expected departure, a vehicle leaves as
+                    # soon as it holds its required charge.
+                    if expected[rank] < boundary:
+                        leaving.append(rank)
+                selections += count
+
+        leaving += [rank for rank in departure_bucket.pop(boundary, ()) if not need[rank]]
+        for rank in leaving:
+            left_at[rank] = boundary
+            room[rank] = 0  # a vehicle that left takes no more charge
+            plugged -= 1
+            emptied = True
+
+        if census is not None and t % SLOTS_PER_DAY == CENSUS_SLOT_OF_DAY:
+            census.append(plugged)
+        t += 1
+
+    if stats is not None:
+        stats.slots_run = t
+        stats.total_selections += selections
+    return _outcomes(cfg, vehicles, need, satisfied_slot, left_at)
+
+
+def _outcomes(cfg, vehicles, need, satisfied_slot, left_at) -> list[VehicleOutcome]:
+    """One outcome per rank, after checking how every vehicle left."""
+    outcomes = []
+    for v, sat, actual, short in zip(vehicles, satisfied_slot, left_at, need.tolist()):
+        if actual < 0:
+            raise SimulationInvariantError("missing outcomes for some vehicles")
+        if short:
+            raise SimulationInvariantError(f"vehicle {v.id} departed {short} intervals short")
+        if actual != max(v.expected_departure_slot, sat):
+            raise SimulationInvariantError(
+                f"vehicle {v.id} departed at {actual}, not {max(v.expected_departure_slot, sat)}")
+        outcomes.append(VehicleOutcome(
             id=v.id,
             arrival_slot=v.arrival_slot,
             expected_departure_slot=v.expected_departure_slot,
@@ -135,71 +229,7 @@ def _run_loop(cfg, vehicles, k_profile, trace, stats, state):
             delay_slots=actual - v.expected_departure_slot,
             delayed=actual > v.expected_departure_slot,
             measured=cfg.in_measurement_window(v.arrival_slot),
-        )
-        plugged -= 1
-        left.append(rank)
-
-    max_slots = (cfg.days + 60) * SLOTS_PER_DAY
-    next_arrival = 0
-    t = 0
-    while next_arrival < n or plugged:
-        if t >= max_slots:
-            raise RuntimeError(f"simulation did not drain within {max_slots} slots")
-
-        first_arrival = next_arrival
-        while next_arrival < n and vehicles[next_arrival].arrival_slot == t:
-            if not need[next_arrival]:
-                satisfied_slot[next_arrival] = t
-            departure_bucket[vehicles[next_arrival].expected_departure_slot].append(next_arrival)
-            next_arrival += 1
-        plugged += next_arrival - first_arrival
-
-        update_membership(state, t, range(first_arrival, next_arrival), charged, left)
-        left.clear()
-        k = k_profile[t % cycle]
-        selected = select(cfg.policy, state, t, k)
-        if len(selected) != min(k, len(state.deficit) + len(state.topoff)):
-            raise SimulationInvariantError(f"slot {t}: selected {len(selected)} of min({k}, eligible)")
-
-        if trace:
-            chosen = set(selected)
-            for tier, ranks in (("1", state.deficit), ("2", state.topoff)):
-                for rank in ranks:
-                    v = vehicles[rank]
-                    needed = need[rank]
-                    trace.writerow([
-                        t, k, v.id, tier, v.arrival_slot, v.expected_departure_slot,
-                        needed, needed - (v.expected_departure_slot - t),
-                        1 if rank in chosen else 0,
-                    ])
-
-        boundary = t + 1
-        for rank in selected:
-            room[rank] -= 1
-            if room[rank] < 0:
-                raise SimulationInvariantError(f"slot {t}: vehicle {vehicles[rank].id} selected with a full battery")
-            if need[rank]:
-                need[rank] -= 1
-                if not need[rank]:
-                    satisfied_slot[rank] = boundary
-                    if boundary >= vehicles[rank].expected_departure_slot:
-                        depart(rank, boundary)
-        charged = selected
-        if stats is not None:
-            stats.total_selections += len(selected)
-
-        for rank in departure_bucket.pop(boundary, ()):
-            if not need[rank] and outcomes[rank] is None:
-                depart(rank, boundary)
-
-        if stats is not None and t % SLOTS_PER_DAY == CENSUS_SLOT_OF_DAY:
-            stats.plugged_at_census.append(plugged)
-        t += 1
-
-    if stats is not None:
-        stats.slots_run = t
-    if None in outcomes:
-        raise SimulationInvariantError("missing outcomes for some vehicles")
+        ))
     return outcomes
 
 

@@ -163,13 +163,21 @@ def _run_cell_entry(args):
 
 
 def resolve_workers(max_workers: int | None = None) -> int:
+    """The pool size: max_workers, else $GRIDSHARE_THREADS, else the CPU count.
+
+    Raises ValueError for a count below 1 or a non-integer variable.
+    """
     if max_workers is None:
         env = os.environ.get(THREADS_ENV_VAR)
-        if env is not None:
+        if env is None:
+            return os.cpu_count() or 1
+        try:
             max_workers = int(env)
-        else:
-            max_workers = os.cpu_count() or 1
-    return max(1, max_workers)
+        except ValueError:
+            raise ValueError(f"{THREADS_ENV_VAR}={env!r} is not a whole number") from None
+    if max_workers < 1:
+        raise ValueError(f"worker count must be at least 1, not {max_workers}")
+    return max_workers
 
 
 def sweep(

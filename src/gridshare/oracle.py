@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -182,7 +183,7 @@ def verify_campaign(
     against the exhaustive optimum; cycling-capacity instances only
     audit the per-slot selection rules (the optimum needs hindsight
     there, so no online policy is held to it). Each run's trace is
-    written to, and audited from, trace_path. Returns the violations,
+    written to, audited from, and removed from trace_path. Returns the violations,
     their detail prefixed with the instance and policy, and the
     (instance, achieved, optimum) mismatches.
     """
@@ -197,6 +198,10 @@ def verify_campaign(
                 for v in audit_trace(trace_path, policy):
                     violations.append(Violation(
                         v.slot, v.rule, f"{label} {index} policy {policy.name}: {v.detail}"))
+                # The next run writes a new file: rewriting this one in
+                # place costs more (on ext4, closing a file truncated
+                # from non-empty forces its writeback).
+                os.unlink(trace_path)
                 if steady and policy.kind is PolicyKind.MINMAX_DT:
                     achieved = max_delay(outcomes)
                     if achieved != optimum:
@@ -243,7 +248,7 @@ def read_trace(path) -> list[tuple[int, int, list[_TraceRow]]]:
             raise ValueError(f"{path}:1: unexpected trace header {header!r}")
         for lineno, raw in enumerate(reader, start=2):
             try:
-                slot, k, vid, tier, arr, dep, need, dt, sel = (int(x) for x in raw)
+                slot, k, vid, tier, arr, dep, need, dt, sel = map(int, raw)
             except (ValueError, TypeError):
                 raise ValueError(f"{path}:{lineno}: malformed trace row {raw!r}") from None
             row = _TraceRow(vid, tier, arr, dep, need, dt, bool(sel))

@@ -10,11 +10,11 @@ tier. Ties break by arrival slot, then id.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 if TYPE_CHECKING:
     from .powergrid import ChargerSpec
@@ -32,8 +32,6 @@ class PolicyKind(Enum):
 # Kinds whose priority key depends on the charge deficit, so the simple
 # (no driving-distance information) variant makes no sense for them.
 _DISTANCE_REQUIRED = frozenset({PolicyKind.FDFS, PolicyKind.MINMAX_ER, PolicyKind.MINMAX_DT})
-# Kinds whose key changes each time a deficit vehicle is charged.
-_NEED_KEYED = frozenset({PolicyKind.MINMAX_ER, PolicyKind.MINMAX_DT})
 
 
 @dataclass(frozen=True)
@@ -71,41 +69,52 @@ SIMPLE_VARIANT_NAMES = tuple(k.value for k in PolicyKind if k not in _DISTANCE_R
 
 @dataclass
 class PolicyState:
-    """The two tiers of one run, each in list order, and the vehicle counters.
+    """The vehicle counters of one run and this slot's two tiers.
 
     A vehicle is named by its rank, its position in `vehicles` (the
     run's fleet sorted by arrival slot, then id). need[rank] counts the
     charging intervals until it holds its required charge and
-    room[rank] those until its battery is full; the engine decrements
-    both as it charges, so no float arithmetic happens after set-up.
+    room[rank] those it can still take: until its battery is full, and
+    none once it has left. The engine decrements both as it charges, so
+    no float arithmetic happens after set-up. departure[rank] is the
+    expected departure slot. All three are int64 arrays indexed by rank.
 
-    deficit and topoff map rank -> packed priority key, and dict order
-    is list order (head = next in line for the rotation policy). A key
-    is primary * len(vehicles) + rank, so comparing two keys compares
-    (primary, arrival slot, id), the policy's tuple key, and
-    key % len(vehicles) recovers the rank. Keys are kept current by
-    update_membership, so select only sorts plain ints.
+    deficit and topoff are int64 arrays of ranks in list order (head =
+    next in line for the rotation policy), refreshed each slot by
+    update_membership. A vehicle's priority key is computed from the
+    counters when select needs it, so no key is stored.
     """
 
     policy: Policy
     vehicles: Sequence["Vehicle"]
-    need: list[int]
-    room: list[int]
-    deficit: dict = field(default_factory=dict)
-    topoff: dict = field(default_factory=dict)
-    # Least-slack FDFS only: expected departure slot -> ranks whose key
-    # switches to the late group at that slot.
-    due: dict = field(default_factory=lambda: defaultdict(list))
+    need: np.ndarray
+    room: np.ndarray
+    departure: np.ndarray
+    # The tier each rank joins when it plugs in: 1 (deficit), 2
+    # (top-off) or 0 (none, its battery is full).
+    joins: list[int]
+    deficit: np.ndarray = field(default_factory=lambda: _NO_RANKS)
+    topoff: np.ndarray = field(default_factory=lambda: _NO_RANKS)
+
+
+_NO_RANKS = np.zeros(0, dtype=np.int64)
 
 
 def new_policy_state(policy: Policy, charger: "ChargerSpec", vehicles: Sequence["Vehicle"]) -> PolicyState:
     """Empty tiers for a run over `vehicles`, sorted by (arrival slot, id)."""
     rate = charger.miles_per_slot
+    need = [intervals_for_deficit(v.required_miles, v.current_miles, rate) for v in vehicles]
+    room = [intervals_for_deficit(v.battery_capacity_miles, v.current_miles, rate) for v in vehicles]
+    departure = [v.expected_departure_slot for v in vehicles]
+    if vehicles and max(max(room), max(departure)) >= _LATE:
+        raise ValueError("charging intervals or departure slots beyond the priority-key range")
+    informed = policy.use_distance_info
     return PolicyState(
-        policy=policy,
-        vehicles=vehicles,
-        need=[intervals_for_deficit(v.required_miles, v.current_miles, rate) for v in vehicles],
-        room=[intervals_for_deficit(v.battery_capacity_miles, v.current_miles, rate) for v in vehicles],
+        policy=policy, vehicles=vehicles,
+        need=np.array(need, dtype=np.int64),
+        room=np.array(room, dtype=np.int64),
+        departure=np.array(departure, dtype=np.int64),
+        joins=[0 if not spare else 2 if informed and not short else 1 for short, spare in zip(need, room)],
     )
 
 
@@ -118,131 +127,112 @@ def intervals_for_deficit(required_miles: float, current_miles: float, rate_mile
 
 
 # Least-slack FDFS puts every late vehicle ahead of every vehicle that
-# still has slack: its primary is shifted down by far more than any
-# slack a vehicle can have.
-_LATE = 1 << 62
+# still has slack: its primary is shifted down by more than any slack
+# can fall below zero (slack >= 1 - need), and need < _LATE.
+_LATE = 1 << 31
 
 
-def _primary(state: PolicyState, rank: int, t: int) -> int:
-    """First component of a vehicle's priority key at slot t; smaller is served earlier.
+def _keys(state: PolicyState, tier: np.ndarray, t: int) -> np.ndarray:
+    """Packed priority keys of the ranks in `tier` at slot t; smaller is served earlier.
 
-    Ties break by arrival slot, then id, through the rank in the packed
-    key. Dropping the common -t from least slack keeps keys of one tier
-    comparable across the slots they were computed in.
+    A key is primary * len(vehicles) + rank, so comparing two keys
+    compares (primary, arrival slot, id), the policy's tuple key, and
+    key % len(vehicles) recovers the rank.
     """
     policy = state.policy
     kind = policy.kind
     if kind is PolicyKind.FCFS or kind is PolicyKind.RR:
-        return 0
-    t_l = state.vehicles[rank].expected_departure_slot
+        return tier
+    n = len(state.vehicles)
+    t_l = state.departure[tier]
     if kind is PolicyKind.FDFS and not policy.fdfs_least_slack:
         # Late vehicles first by how late they are; descending lateness
         # equals ascending expected departure, which also orders the
         # not-yet-late by earliest departure, so one key covers both.
-        return t_l
-    if kind is PolicyKind.FDFS and t >= t_l:
-        return t_l - _LATE
-    needed = state.need[rank]
+        return t_l * n + tier
+    needed = state.need[tier]
+    if kind is PolicyKind.FDFS:
+        # Late vehicles by expected departure, then the rest by slack
+        # (t_l - t) - need; the common -t is dropped.
+        return (t_l - np.where(t_l <= t, _LATE, needed)) * n + tier
     if kind is PolicyKind.MINMAX_ER:
-        return -needed
+        return tier - needed * n
     # minmax-dt: descending delay-if-charged-continuously is ascending
     # (departure - slots still needed); least slack orders the same way.
-    return t_l - needed
+    return (t_l - needed) * n + tier
 
 
-def update_membership(state: PolicyState, t: int, arrived: Iterable[int],
-                      charged: Iterable[int], left: Iterable[int]) -> PolicyState:
-    """Apply one slot's events to the tiers, preserving list order.
+def update_membership(state: PolicyState, t: int, arrived: range,
+                      satisfied: bool, emptied: bool) -> PolicyState:
+    """Refresh the tiers for slot t, preserving list order.
 
-    arrived holds the ranks of the vehicles plugging in at slot t;
-    charged and left hold the ranks charged in the previous slot (whose
-    counters the engine has already decremented) and departed at its end
-    boundary. Departed or full (room 0) vehicles drop out; deficit
-    vehicles whose need reached 0 move to the tail of the top-off list
-    (in deficit-list order); arrivals that are not full join the tail of
-    their tier. Without distance information there is no top-off tier:
+    arrived holds the ranks of the vehicles plugging in at slot t.
+    satisfied says whether a vehicle's need reached 0 at the last
+    boundary, and emptied whether a vehicle's room did (its battery
+    filled up or it left); only then can a vehicle leave a tier. Full or
+    departed vehicles (room 0) drop out; deficit vehicles whose need
+    reached 0 move to the tail of the top-off list (in deficit-list
+    order); arrivals that are not full join the tail of their tier, in
+    rank order. Without distance information there is no top-off tier:
     every not-full vehicle stays in the single deficit list.
     """
-    deficit, topoff, need, room = state.deficit, state.topoff, state.need, state.room
-    n = len(state.vehicles)
-    policy = state.policy
-    informed = policy.use_distance_info
-    rotating = policy.kind is PolicyKind.RR
-    least_slack = policy.kind is PolicyKind.FDFS and policy.fdfs_least_slack
-    rekey = policy.kind in _NEED_KEYED or least_slack
-
-    for rank in left:
-        if deficit.pop(rank, None) is None:
-            topoff.pop(rank, None)
-
-    movers = []
-    for rank in charged:
-        if rank in deficit:
-            if not room[rank]:
-                del deficit[rank]
-            elif informed and not need[rank]:
-                del deficit[rank]
-                movers.append(rank)
-            elif rekey and (not least_slack or t < state.vehicles[rank].expected_departure_slot):
-                # One interval less needed adds one to the primary
-                # (-need, or departure - need); a late key has no need term.
-                deficit[rank] += n
-        elif not room[rank]:
-            # A top-off key needs no charge, so only a full battery
-            # changes it; a vehicle that departed is in neither tier.
-            topoff.pop(rank, None)
-
-    # Movers keep deficit-list order: rank order for the keyed policies,
-    # whose deficit list only ever grows at the tail, and pick order for
-    # the rotation policy, which moved its picks to the tail in that order.
-    if not rotating:
-        movers.sort()
-    for rank in movers:
-        topoff[rank] = _primary(state, rank, t) * n + rank
-
-    for rank in state.due.pop(t, ()):
-        for tier in (deficit, topoff):
-            if rank in tier:
-                tier[rank] = _primary(state, rank, t) * n + rank
-
-    for rank in arrived:
-        if not room[rank]:
-            continue
-        if least_slack:
-            state.due[state.vehicles[rank].expected_departure_slot].append(rank)
-        tier = topoff if informed and not need[rank] else deficit
-        tier[rank] = _primary(state, rank, t) * n + rank
+    deficit, topoff = state.deficit, state.topoff
+    # Counters never fall below 0, so astype(bool) tests "above 0".
+    need, room = state.need, state.room
+    if not state.policy.use_distance_info:
+        if emptied and len(deficit):
+            deficit = deficit[room[deficit].astype(bool)]
+    else:
+        if emptied and len(topoff):
+            topoff = topoff[room[topoff].astype(bool)]
+        if satisfied:
+            short = need[deficit].astype(bool)
+            movers = deficit[~short]
+            deficit = deficit[short]
+            topoff = np.concatenate((topoff, movers[room[movers].astype(bool)]))
+    if arrived:
+        joins = state.joins
+        joining = [rank for rank in arrived if joins[rank] == 1]
+        if joining:
+            deficit = np.concatenate((deficit, joining))
+        joining = [rank for rank in arrived if joins[rank] == 2]
+        if joining:
+            topoff = np.concatenate((topoff, joining))
+    state.deficit, state.topoff = deficit, topoff
     return state
 
 
-def _take_top(tier: dict, k: int, n: int) -> list[int]:
-    if k == len(tier):
-        return list(tier)
+def _take_top(state: PolicyState, tier: np.ndarray, k: int, t: int) -> np.ndarray:
+    """The k ranks of a tier with the smallest keys, in key order (k below the tier size)."""
     if k == 0:
-        return []
-    return [key % n for key in sorted(tier.values())[:k]]
+        return _NO_RANKS
+    keys = _keys(state, tier, t)
+    return np.sort(np.partition(keys, k - 1)[:k]) % len(state.vehicles)
 
 
-def _rotate(tier: dict, k: int) -> list[int]:
-    picked = list(islice(tier, k))
-    for rank in picked:
-        tier[rank] = tier.pop(rank)
-    return picked
-
-
-def select(policy: Policy, state: PolicyState, t: int, K: int) -> list[int]:
+def select(policy: Policy, state: PolicyState, t: int, K: int) -> np.ndarray:
     """Ranks of the vehicles switched on this slot, highest priority first.
 
     Always returns min(K, eligible) ranks, deficit tier before top-off; a
-    tier taken whole comes in list order.
+    tier taken whole comes in list order, and keys are computed only for
+    a tier taken in part.
     The rotation policy moves what it picks to the bottom of its list;
     every other policy leaves the state untouched.
     """
     if K < 0:
         raise ValueError("negative capacity")
-    k1 = min(K, len(state.deficit))
-    k2 = min(K - k1, len(state.topoff))
+    deficit, topoff = state.deficit, state.topoff
+    k1 = min(K, len(deficit))
+    k2 = min(K - k1, len(topoff))
     if policy.kind is PolicyKind.RR:
-        return _rotate(state.deficit, k1) + _rotate(state.topoff, k2)
-    n = len(state.vehicles)
-    return _take_top(state.deficit, k1, n) + _take_top(state.topoff, k2, n)
+        first, second = deficit[:k1], topoff[:k2]
+        if 0 < k1 < len(deficit):
+            state.deficit = np.concatenate((deficit[k1:], first))
+        if 0 < k2 < len(topoff):
+            state.topoff = np.concatenate((topoff[k2:], second))
+    else:
+        first = deficit if k1 == len(deficit) else _take_top(state, deficit, k1, t)
+        if not k2:
+            return first
+        second = topoff if k2 == len(topoff) else _take_top(state, topoff, k2, t)
+    return np.concatenate((first, second)) if k2 else first

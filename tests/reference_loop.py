@@ -1,9 +1,10 @@
 """A readable reference slot loop: rescans every list every slot, tuple keys.
 
 It states the selection rules directly, with none of the production
-engine's event bookkeeping, so the differential test can hold the engine
-to it. Returns the engine's outcomes and its trace rows (as
-ints, in file order, without the header).
+engine's array bookkeeping, so the differential test can hold the engine
+to it. Returns the engine's outcomes, its trace rows (as ints, in file
+order, without the header) and the number of slots run, which ends at
+the last departure boundary.
 """
 
 from dataclasses import replace
@@ -88,4 +89,4 @@ def reference_run(cfg, fleet, k_profile, rate):
                 )
                 del plugged[vid]
         t += 1
-    return [outcomes[vid] for vid in order], rows
+    return [outcomes[vid] for vid in order], rows, t

@@ -151,7 +151,7 @@ def test_criterion_8_oracle_equivalence(tmp_path):
 def test_criterion_9_conservation_and_determinism(table):
     # Internal conservation checks run inside every cell above (the
     # engine raises on any violation); here repeatability is pinned too.
-    from gridshare.metrics import run_cell, write_outcomes_csv  # noqa: F401
+    from gridshare.metrics import run_cell
     policy = parse_policy("rr")
     first = run_cell(DEFAULT.base, policy, 1.1, 2)
     second = run_cell(DEFAULT.base, policy, 1.1, 2)

@@ -1,7 +1,6 @@
 """Command-line driver: subcommands, exit codes, atomic outputs."""
 
 import csv
-import os
 
 import pytest
 
@@ -123,6 +122,24 @@ def test_sweep_summary_one_line_per_cell(tiny_config, tmp_path, capsys):
                 "--out", str(out)]) == EXIT_OK
     lines = [l for l in capsys.readouterr().out.splitlines() if "fod=" in l]
     assert len(lines) == 2  # one seed cell plus the averaged row
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_refuses_a_worker_count_below_one(tiny_config, tmp_path, capsys, workers):
+    out = tmp_path / "out"
+    code = run(["sweep", "--config", tiny_config, "--workers", workers, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_refuses_a_non_integer_thread_variable(tiny_config, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("GRIDSHARE_THREADS", "two")
+    out = tmp_path / "out"
+    code = run(["sweep", "--config", tiny_config, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "GRIDSHARE_THREADS" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simple_variant_applies_to_uninformed_policies_only(tiny_config, tmp_path):

@@ -3,8 +3,11 @@
 Every policy variant runs with trace on; outcomes and trace rows (order
 included) must equal the reference's, the trace auditor must report
 nothing, and each vehicle must be charged exactly its initial need
-before it is satisfied. The test is parametrized by variant so that
-shrinking a failure re-runs one engine and the reference, not nine.
+before it is satisfied. The run's statistics must agree too: as many
+selections as selected trace rows, and as many slots as the reference
+runs, so that slots the engine skips are still counted. The test is
+parametrized by variant so that shrinking a failure re-runs one engine
+and the reference, not nine.
 """
 
 import csv
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridshare.engine import SimConfig, run_simulation
+from gridshare.engine import RunStats, SimConfig, run_simulation
 from gridshare.oracle import audit_trace
 from gridshare.policies import intervals_for_deficit, parse_policy
 from gridshare.powergrid import ChargerSpec
@@ -80,11 +83,14 @@ def test_engine_matches_reference_loop(policy, scenario):
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = os.path.join(tmp, "trace.csv")
         cfg = SimConfig(policy=policy, days=3, warmup_days=0, last_measured_day=1)
-        outcomes = run_simulation(cfg, fleet, k_profile, charger, trace_path=trace_path)
+        stats = RunStats()
+        outcomes = run_simulation(cfg, fleet, k_profile, charger, trace_path=trace_path, stats=stats)
         rows = read_rows(trace_path)
-        want_outcomes, want_rows = reference_run(cfg, fleet, k_profile, rate)
+        want_outcomes, want_rows, want_slots = reference_run(cfg, fleet, k_profile, rate)
         assert outcomes == want_outcomes
         assert rows == want_rows
+        assert stats.total_selections == sum(row[8] for row in rows)
+        assert stats.slots_run == want_slots
         assert audit_trace(trace_path, policy) == []
         satisfied = {o.id: o.satisfied_slot for o in outcomes}
         charges = Counter(row[2] for row in rows if row[8] and row[0] < satisfied[row[2]])

@@ -1,7 +1,5 @@
 """SVG chart generation: determinism and gap handling."""
 
-import pytest
-
 from gridshare.figures import adfd_figure, delay_distribution_figure, emit_figures, fod_figure
 from gridshare.metrics import average_reports, build_report
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import scenario
 from gridshare.engine import VehicleOutcome
 from gridshare.metrics import (
-    MetricsReport,
     average_delay_of_delayed,
     average_reports,
     build_report,

@@ -17,7 +17,7 @@ from gridshare.oracle import (
     verify_campaign,
     write_violations_csv,
 )
-from gridshare.policies import parse_policy
+from gridshare.policies import _keys, parse_policy
 
 ALL_POLICIES = [parse_policy(n) for n in ("fcfs", "fdfs", "rr", "minmax-er", "minmax-dt")]
 
@@ -106,9 +106,9 @@ def test_verify_campaign_reports_a_wrong_selection(monkeypatch, tmp_path):
 
     def lowest_priority(policy, state, t, k):
         # As many vehicles as the real select, but from the back of each tier.
-        ranks = (sorted(state.deficit, key=state.deficit.get, reverse=True)
-                 + sorted(state.topoff, key=state.topoff.get, reverse=True))
-        return ranks[:k]
+        ranks = [rank for tier in (state.deficit, state.topoff)
+                 for rank in tier[np.argsort(_keys(state, tier, t))[::-1]].tolist()]
+        return np.array(ranks[:k], dtype=np.int64)
 
     monkeypatch.setattr(engine_mod, "select", lowest_priority)
     violations, mismatches = verify_campaign(

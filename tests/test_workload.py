@@ -8,7 +8,6 @@ import pytest
 
 from gridshare.policies import intervals_for_deficit
 from gridshare.powergrid import charger_preset
-from gridshare.units import SLOTS_PER_DAY
 from gridshare.workload import (
     ArrivalProfile,
     adjusted_departure_fraction,
