@@ -1,12 +1,19 @@
 """The 5-minute slot loop: plug in, select, charge, depart, record.
 
-Each slot: arrivals plug in, list membership takes in the slot's
-events (arrivals, the previous slot's charges and departures), the
-capacity profile yields K charger slots, the policy picks that many
-vehicles, each selected vehicle gains one interval of charge, and
-vehicles that have reached both their expected departure boundary and
-their required charge leave. The loop runs past the arrival horizon until every
-vehicle has departed, reusing the day-periodic capacity profile.
+Each slot: arrivals plug in, update_membership refreshes the deficit and
+top-off tiers, the capacity profile yields K charger slots, the policy
+picks that many vehicles, each selected vehicle gains one interval of
+charge, and vehicles that have reached both their expected departure
+boundary and their required charge leave. The loop runs past the
+arrival horizon until every vehicle has departed, reusing the
+day-periodic capacity profile.
+
+The counters live in int64 arrays indexed by rank (policies.PolicyState):
+the picks of a slot are charged by index, while arrival, satisfaction
+and departure, which happen once per vehicle, are handled rank by rank.
+Slots with nothing plugged are skipped but still counted. Outcomes are
+built from the satisfied and departure slots after the loop, once the
+conservation checks on them have passed.
 """
 
 from __future__ import annotations
@@ -206,21 +213,9 @@ def _run_loop(cfg, vehicles, k_profile, trace, stats, state):
     if stats is not None:
         stats.slots_run = t
         stats.total_selections += selections
-    return _outcomes(cfg, vehicles, need, satisfied_slot, left_at)
-
-
-def _outcomes(cfg, vehicles, need, satisfied_slot, left_at) -> list[VehicleOutcome]:
-    """One outcome per rank, after checking how every vehicle left."""
-    outcomes = []
-    for v, sat, actual, short in zip(vehicles, satisfied_slot, left_at, need.tolist()):
-        if actual < 0:
-            raise SimulationInvariantError("missing outcomes for some vehicles")
-        if short:
-            raise SimulationInvariantError(f"vehicle {v.id} departed {short} intervals short")
-        if actual != max(v.expected_departure_slot, sat):
-            raise SimulationInvariantError(
-                f"vehicle {v.id} departed at {actual}, not {max(v.expected_departure_slot, sat)}")
-        outcomes.append(VehicleOutcome(
+    _check_departures(vehicles, need, state.departure, satisfied_slot, left_at)
+    return [
+        VehicleOutcome(
             id=v.id,
             arrival_slot=v.arrival_slot,
             expected_departure_slot=v.expected_departure_slot,
@@ -229,8 +224,26 @@ def _outcomes(cfg, vehicles, need, satisfied_slot, left_at) -> list[VehicleOutco
             delay_slots=actual - v.expected_departure_slot,
             delayed=actual > v.expected_departure_slot,
             measured=cfg.in_measurement_window(v.arrival_slot),
-        ))
-    return outcomes
+        )
+        for v, sat, actual in zip(vehicles, satisfied_slot, left_at)
+    ]
+
+
+def _check_departures(vehicles, need, departure, satisfied_slot, left_at) -> None:
+    """Every vehicle left, with its need met, at max(expected departure, satisfied slot)."""
+    left_at = np.array(left_at, dtype=np.int64)
+    if np.count_nonzero(left_at < 0):
+        raise SimulationInvariantError("missing outcomes for some vehicles")
+    if np.count_nonzero(need):
+        rank = need.argmax()
+        raise SimulationInvariantError(
+            f"vehicle {vehicles[rank].id} departed {need[rank]} intervals short")
+    due = np.maximum(departure, satisfied_slot)
+    wrong = left_at != due
+    if np.count_nonzero(wrong):
+        rank = wrong.argmax()
+        raise SimulationInvariantError(
+            f"vehicle {vehicles[rank].id} departed at {left_at[rank]}, not {due[rank]}")
 
 
 def measurement_filter(outcomes: Sequence[VehicleOutcome]) -> list[VehicleOutcome]:

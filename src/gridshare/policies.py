@@ -127,8 +127,10 @@ def intervals_for_deficit(required_miles: float, current_miles: float, rate_mile
 
 
 # Least-slack FDFS puts every late vehicle ahead of every vehicle that
-# still has slack: its primary is shifted down by more than any slack
-# can fall below zero (slack >= 1 - need), and need < _LATE.
+# still has slack: a late primary is shifted down by _LATE, and a slack
+# (t_l - t) - need is above -need > -_LATE. new_policy_state refuses
+# counters and slots from _LATE up, so every packed key fits in int64
+# for fleets of fewer than 2**31 vehicles.
 _LATE = 1 << 31
 
 
@@ -202,7 +204,7 @@ def update_membership(state: PolicyState, t: int, arrived: range,
     return state
 
 
-def _take_top(state: PolicyState, tier: np.ndarray, k: int, t: int) -> np.ndarray:
+def _pick_by_key(state: PolicyState, tier: np.ndarray, k: int, t: int) -> np.ndarray:
     """The k ranks of a tier with the smallest keys, in key order (k below the tier size)."""
     if k == 0:
         return _NO_RANKS
@@ -231,8 +233,8 @@ def select(policy: Policy, state: PolicyState, t: int, K: int) -> np.ndarray:
         if 0 < k2 < len(topoff):
             state.topoff = np.concatenate((topoff[k2:], second))
     else:
-        first = deficit if k1 == len(deficit) else _take_top(state, deficit, k1, t)
+        first = deficit if k1 == len(deficit) else _pick_by_key(state, deficit, k1, t)
         if not k2:
             return first
-        second = topoff if k2 == len(topoff) else _take_top(state, topoff, k2, t)
+        second = topoff if k2 == len(topoff) else _pick_by_key(state, topoff, k2, t)
     return np.concatenate((first, second)) if k2 else first
