@@ -191,7 +191,9 @@ def update_membership(state: PolicyState, t: int, arrived: range,
             short = need[deficit].astype(bool)
             movers = deficit[~short]
             deficit = deficit[short]
-            topoff = np.concatenate((topoff, movers[room[movers].astype(bool)]))
+            if emptied:
+                movers = movers[room[movers].astype(bool)]
+            topoff = np.concatenate((topoff, movers))
     if arrived:
         joins = state.joins
         joining = [rank for rank in arrived if joins[rank] == 1]
