@@ -50,7 +50,7 @@ class SimConfig:
         return self.warmup_days <= day < self.last_measured_day
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VehicleOutcome:
     id: int
     arrival_slot: int
@@ -123,19 +123,14 @@ def _run_loop(cfg, vehicles, k_profile, trace, stats, state):
     need, room = state.need, state.room
     n = len(vehicles)
     cycle = len(k_profile)
-    arrival = [v.arrival_slot for v in vehicles]
-    expected = [v.expected_departure_slot for v in vehicles]
     # The satisfied slot stays the arrival slot unless charging brings
     # need to 0; the slot at which the vehicle left is set when it leaves.
-    satisfied_slot = list(arrival)
+    satisfied_slot = [v.arrival_slot for v in vehicles]
     left_at = [-1] * n
-    departure_bucket = defaultdict(list)  # boundary slot -> ranks expected to leave there
-    for rank, slot in enumerate(expected):
-        departure_bucket[slot].append(rank)
+    departure_bucket = defaultdict(list)  # boundary slot -> ranks due to leave there
     census = stats.plugged_at_census if stats is not None else None
     if trace:
         trace.write(_TRACE_HEADER)
-        ids = [v.id for v in vehicles]
 
     max_slots = (cfg.days + 60) * SLOTS_PER_DAY
     plugged = 0        # arrived and not yet departed
@@ -145,9 +140,9 @@ def _run_loop(cfg, vehicles, k_profile, trace, stats, state):
     next_arrival = 0
     t = 0
     while next_arrival < n or plugged:
-        if not plugged and arrival[next_arrival] > t:
+        if not plugged and vehicles[next_arrival].arrival_slot > t:
             # Nothing plugged until the next arrival: skip to it.
-            skipped_to = arrival[next_arrival]
+            skipped_to = vehicles[next_arrival].arrival_slot
             if census is not None:
                 first = t + (CENSUS_SLOT_OF_DAY - t) % SLOTS_PER_DAY
                 census.extend(0 for _ in range(first, skipped_to, SLOTS_PER_DAY))
@@ -156,7 +151,8 @@ def _run_loop(cfg, vehicles, k_profile, trace, stats, state):
             raise RuntimeError(f"simulation did not drain within {max_slots} slots")
 
         first_arrival = next_arrival
-        while next_arrival < n and arrival[next_arrival] == t:
+        while next_arrival < n and vehicles[next_arrival].arrival_slot == t:
+            departure_bucket[vehicles[next_arrival].expected_departure_slot].append(next_arrival)
             next_arrival += 1
         plugged += next_arrival - first_arrival
 
@@ -176,10 +172,11 @@ def _run_loop(cfg, vehicles, k_profile, trace, stats, state):
             if trace:
                 chosen = set(selected.tolist())
                 trace.write("".join([
-                    f"{t},{k},{ids[rank]},{tier},{arrival[rank]},{expected[rank]},{needed},"
-                    f"{needed - (expected[rank] - t)},{1 if rank in chosen else 0}\r\n"
+                    f"{t},{k},{v.id},{tier},{v.arrival_slot},{v.expected_departure_slot},{needed},"
+                    f"{needed - (v.expected_departure_slot - t)},{1 if rank in chosen else 0}\r\n"
                     for tier, ranks in ((1, state.deficit), (2, state.topoff)) if len(ranks)
                     for rank, needed in zip(ranks.tolist(), need[ranks].tolist())
+                    for v in (vehicles[rank],)
                 ]))
             if count:
                 spare = room[selected]
@@ -197,7 +194,7 @@ def _run_loop(cfg, vehicles, k_profile, trace, stats, state):
                     satisfied_slot[rank] = boundary
                     # Past its expected departure, a vehicle leaves as
                     # soon as it holds its required charge.
-                    if expected[rank] < boundary:
+                    if vehicles[rank].expected_departure_slot < boundary:
                         leaving.append(rank)
                 selections += count
 
@@ -240,7 +237,8 @@ def _check_departures(vehicles, need, departure, satisfied_slot, left_at) -> Non
         rank = need.argmax()
         raise SimulationInvariantError(
             f"vehicle {vehicles[rank].id} departed {need[rank]} intervals short")
-    due = np.maximum(departure, satisfied_slot)
+    due = np.array(satisfied_slot, dtype=np.int64)
+    np.maximum(due, departure, out=due)
     wrong = left_at != due
     if np.count_nonzero(wrong):
         rank = wrong.argmax()

@@ -91,8 +91,8 @@ class PolicyState:
     room: np.ndarray
     departure: np.ndarray
     # The tier each rank joins when it plugs in: 1 (deficit), 2
-    # (top-off) or 0 (none, its battery is full).
-    joins: list[int]
+    # (top-off) or 0 (none, its battery is full); one byte per rank.
+    joins: bytes
     deficit: np.ndarray = field(default_factory=lambda: _NO_RANKS)
     topoff: np.ndarray = field(default_factory=lambda: _NO_RANKS)
 
@@ -114,7 +114,7 @@ def new_policy_state(policy: Policy, charger: "ChargerSpec", vehicles: Sequence[
         need=np.array(need, dtype=np.int64),
         room=np.array(room, dtype=np.int64),
         departure=np.array(departure, dtype=np.int64),
-        joins=[0 if not spare else 2 if informed and not short else 1 for short, spare in zip(need, room)],
+        joins=bytes(0 if not spare else 2 if informed and not short else 1 for short, spare in zip(need, room)),
     )
 
 
