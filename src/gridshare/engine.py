@@ -171,13 +171,14 @@ def _run_loop(cfg, vehicles, k_profile, trace, stats, state):
                 raise SimulationInvariantError(f"slot {t}: selected {count} of min({k}, eligible)")
             if trace:
                 chosen = set(selected.tolist())
-                trace.write("".join([
-                    f"{t},{k},{v.id},{tier},{v.arrival_slot},{v.expected_departure_slot},{needed},"
-                    f"{needed - (v.expected_departure_slot - t)},{1 if rank in chosen else 0}\r\n"
-                    for tier, ranks in ((1, state.deficit), (2, state.topoff)) if len(ranks)
-                    for rank, needed in zip(ranks.tolist(), need[ranks].tolist())
-                    for v in (vehicles[rank],)
-                ]))
+                rows = []
+                for tier, ranks in ((1, state.deficit), (2, state.topoff)):
+                    for rank, needed in zip(ranks.tolist(), need[ranks].tolist()):
+                        v = vehicles[rank]
+                        t_l = v.expected_departure_slot
+                        rows.append(f"{t},{k},{v.id},{tier},{v.arrival_slot},{t_l},{needed},"
+                                    f"{needed - (t_l - t)},{1 if rank in chosen else 0}\r\n")
+                trace.write("".join(rows))
             if count:
                 spare = room[selected]
                 if np.count_nonzero(spare) < count:
@@ -230,8 +231,7 @@ def _run_loop(cfg, vehicles, k_profile, trace, stats, state):
 
 def _check_departures(vehicles, need, departure, satisfied_slot, left_at) -> None:
     """Every vehicle left, with its need met, at max(expected departure, satisfied slot)."""
-    left_at = np.array(left_at, dtype=np.int64)
-    if np.count_nonzero(left_at < 0):
+    if min(left_at, default=0) < 0:
         raise SimulationInvariantError("missing outcomes for some vehicles")
     if np.count_nonzero(need):
         rank = need.argmax()
@@ -239,7 +239,7 @@ def _check_departures(vehicles, need, departure, satisfied_slot, left_at) -> Non
             f"vehicle {vehicles[rank].id} departed {need[rank]} intervals short")
     due = np.array(satisfied_slot, dtype=np.int64)
     np.maximum(due, departure, out=due)
-    wrong = left_at != due
+    wrong = np.array(left_at, dtype=np.int64) != due
     if np.count_nonzero(wrong):
         rank = wrong.argmax()
         raise SimulationInvariantError(

@@ -114,7 +114,7 @@ def new_policy_state(policy: Policy, charger: "ChargerSpec", vehicles: Sequence[
         need=np.array(need, dtype=np.int64),
         room=np.array(room, dtype=np.int64),
         departure=np.array(departure, dtype=np.int64),
-        joins=bytes(0 if not spare else 2 if informed and not short else 1 for short, spare in zip(need, room)),
+        joins=bytes([0 if not spare else 2 if informed and not short else 1 for short, spare in zip(need, room)]),
     )
 
 
