@@ -183,9 +183,9 @@ def verify_campaign(
     against the exhaustive optimum; cycling-capacity instances only
     audit the per-slot selection rules (the optimum needs hindsight
     there, so no online policy is held to it). Each run's trace is
-    written to, audited from, and removed from trace_path. Returns the violations,
-    their detail prefixed with the instance and policy, and the
-    (instance, achieved, optimum) mismatches.
+    written to, audited from and removed from trace_path. Returns the
+    violations, their detail prefixed with the instance and policy, and
+    the (instance, achieved, optimum) mismatches.
     """
     violations: list[Violation] = []
     mismatches: list[tuple[int, int, int]] = []
