@@ -110,6 +110,13 @@ def config_overrides(args) -> dict:
     return overrides
 
 
+def _refuse_duplicates(what: str, values: list) -> None:
+    """A repeated grid value would run its cells twice and count them twice in the mean."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ValueError(f"duplicate {what}: {', '.join(map(str, repeated))}")
+
+
 def build_config(overrides: dict) -> ExperimentConfig:
     """The experiment that the table's defaults with `overrides` describe."""
     unknown = sorted(set(overrides) - set(_CONFIG_DEFAULTS))
@@ -171,6 +178,7 @@ def build_config(overrides: dict) -> ExperimentConfig:
         policy_names = [p.strip() for p in names.split(",") if p.strip()]
     if not policy_names:
         raise ValueError("at least one policy required")
+    _refuse_duplicates("policies", policy_names)
     policies = [
         parse_policy(
             name,
@@ -190,6 +198,8 @@ def build_config(overrides: dict) -> ExperimentConfig:
     seeds = [int(x) for x in raw["seeds"].split(",") if x.strip()]
     if not seeds:
         raise ValueError("at least one seed required")
+    _refuse_duplicates("supply ratios", sdr_grid)
+    _refuse_duplicates("seeds", seeds)
 
     base = metrics.SweepBase(
         workload=workload,

@@ -142,6 +142,16 @@ def test_sweep_refuses_a_non_integer_thread_variable(tiny_config, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, values", [
+    ("--seeds", "1,2,1"), ("--sdr-grid", "1.2,1.20"), ("--policies", "fcfs,rr,fcfs")])
+def test_sweep_refuses_a_repeated_grid_value(tiny_config, tmp_path, capsys, flag, values):
+    out = tmp_path / "out"
+    code = run(["sweep", "--config", tiny_config, flag, values, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "duplicate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simple_variant_applies_to_uninformed_policies_only(tiny_config, tmp_path):
     out = tmp_path / "out"
     code = run(["sweep", "--config", tiny_config, "--policies", "fcfs,rr,minmax-dt",
