@@ -4,6 +4,16 @@ The headline quantities are the fraction of measured vehicles that left
 late and the mean lateness of just those vehicles, plus the delay
 distribution among them. A sweep runs one simulation per grid cell,
 optionally across a process pool, and appends seed-averaged rows.
+
+A cell's fleet, its required energy and its adjusted-departure share
+depend only on its fleet key (workload, arrival profile, charger,
+seed), not on the policy or the ratio. `run_cells` hands cells out
+grouped by fleet key (seed-major for a sweep's grid), and each process
+that runs them keeps the last key's fleet in a memo, so a process
+generates each fleet at most once. The memo lives for one `run_cells`
+call: a pool worker's dies with the pool, and the in-process one is
+cleared when the call returns or raises. A direct `run_cell` call keeps
+no memo and generates its fleet every time.
 """
 
 from __future__ import annotations
@@ -102,15 +112,16 @@ class SweepBase:
 
 
 def run_cell(
-    base: SweepBase, policy: Policy, sdr: float, seed: int, trace_path=None
+    base: SweepBase, policy: Policy, sdr: float, seed: int, trace_path=None, memo=None
 ) -> tuple[MetricsReport, list[VehicleOutcome]]:
     """Generate the seed's fleet, calibrate, simulate, and summarize.
 
     Returns the cell's report and every vehicle's outcome; trace_path,
-    if given, receives the engine's per-slot trace.
+    if given, receives the engine's per-slot trace. memo is the fleet
+    memo of the `run_cells` call running this cell; without one the
+    fleet is generated afresh.
     """
-    fleet = generate_fleet(base.workload, base.profile, base.charger, seed)
-    tpr = total_required_energy(fleet, base.workload.days)
+    fleet, tpr, adjusted = _seed_work(base, seed, memo)
     grid = make_grid(base.shape, tpr, sdr, base.peak_other_fraction)
     cfg = SimConfig(
         policy=policy, days=base.workload.days,
@@ -125,10 +136,33 @@ def run_cell(
     report = build_report(
         policy.name, sdr, seed, measured, base.bin_width_min,
         sdr_realized=realized_sdr(grid),
-        adjusted_fraction=adjusted_departure_fraction(fleet),
+        adjusted_fraction=adjusted,
         plugged_at_census=tuple(stats.plugged_at_census),
     )
     return report, outcomes
+
+
+def _fleet_key(base: SweepBase, seed: int) -> tuple:
+    """What a generated fleet depends on."""
+    return base.workload, base.profile, base.charger, seed
+
+
+def _seed_work(base: SweepBase, seed: int, memo: dict | None) -> tuple:
+    """The fleet, its daily required energy and its adjusted-departure share.
+
+    memo, a dict holding at most one fleet key's work, returns that work
+    again for the same key; another key replaces it.
+    """
+    key = _fleet_key(base, seed)
+    if memo is not None:
+        if key in memo:
+            return memo[key]
+        memo.clear()  # the old fleet goes before the new one is built
+    fleet = generate_fleet(base.workload, base.profile, base.charger, seed)
+    work = fleet, total_required_energy(fleet, base.workload.days), adjusted_departure_fraction(fleet)
+    if memo is not None:
+        memo[key] = work
+    return work
 
 
 def build_report(
@@ -152,10 +186,20 @@ def build_report(
     )
 
 
-def _run_cell_entry(args):
-    base, policy, sdr, seed = args
+# A sweep pool worker's fleet memo, set by _start_worker in the worker
+# process only; it dies with the pool.
+_worker_memo: dict | None = None
+
+
+def _start_worker() -> None:
+    global _worker_memo
+    _worker_memo = {}
+
+
+def _run_cell_entry(cell, memo=None):
+    base, policy, sdr, seed = cell
     try:
-        return run_cell(base, policy, sdr, seed)[0]
+        return run_cell(base, policy, sdr, seed, memo=_worker_memo if memo is None else memo)[0]
     except Exception as exc:
         raise RuntimeError(
             f"sweep cell policy={policy.name} sdr={sdr} seed={seed} failed: {exc}"
@@ -180,6 +224,39 @@ def resolve_workers(max_workers: int | None = None) -> int:
     return max_workers
 
 
+def run_cells(cells: Sequence[tuple], max_workers: int | None = None) -> list[MetricsReport]:
+    """One report per (base, policy, sdr, seed) cell, in the order given.
+
+    Cells run independently, across a process pool when more than one
+    worker is allowed. They are handed out grouped by fleet key, keys in
+    the order they first appear, and each process keeps the last key's
+    fleet in a memo, so it generates each fleet at most once. The memo
+    lives for this call only: a pool worker's dies with the pool, and
+    the in-process one is cleared when the call returns or raises.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for index, (base, _, _, seed) in enumerate(cells):
+        groups.setdefault(_fleet_key(base, seed), []).append(index)
+    order = [index for group in groups.values() for index in group]
+    dispatch = [cells[index] for index in order]
+
+    workers = min(resolve_workers(max_workers), len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker) as pool:
+            results = list(pool.map(_run_cell_entry, dispatch, chunksize=1))
+    else:
+        memo: dict = {}
+        try:
+            results = [_run_cell_entry(cell, memo) for cell in dispatch]
+        finally:
+            memo.clear()
+
+    reports: list = [None] * len(cells)
+    for index, report in zip(order, results):
+        reports[index] = report
+    return reports
+
+
 def sweep(
     policies: Sequence[Policy],
     sdr_grid: Sequence[float],
@@ -189,9 +266,11 @@ def sweep(
 ) -> list[MetricsReport]:
     """One report per (policy, sdr, seed) plus a seed-averaged row per curve.
 
-    Cells run independently (optionally across processes); the output
-    order is canonical regardless of completion order: policies in the
-    given order, ratios ascending, seeds ascending, averaged row last.
+    The grid's cells go to `run_cells`, which runs them seed-major (each
+    seed's fleet is generated at most once per process, and the fleet
+    memo lives for this call only). The output order is canonical
+    regardless of run order: policies in the given order, ratios
+    ascending, seeds ascending, averaged row last.
     """
     if not policies:
         raise ValueError("at least one policy required")
@@ -200,21 +279,13 @@ def sweep(
     sdr_grid = sorted(sdr_grid)
     seeds = sorted(seeds)
     cells = [(base, p, sdr, seed) for p in policies for sdr in sdr_grid for seed in seeds]
+    reports = run_cells(cells, max_workers)
 
-    workers = min(resolve_workers(max_workers), len(cells))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell_entry, cells, chunksize=1))
-    else:
-        results = [_run_cell_entry(c) for c in cells]
-
-    by_cell = {(r.policy, r.sdr, r.seed): r for r in results}
     table: list[MetricsReport] = []
-    for p in policies:
-        for sdr in sdr_grid:
-            group = [by_cell[(p.name, sdr, seed)] for seed in seeds]
-            table.extend(group)
-            table.append(average_reports(group))
+    for start in range(0, len(reports), len(seeds)):
+        group = reports[start:start + len(seeds)]
+        table.extend(group)
+        table.append(average_reports(group))
     return table
 
 

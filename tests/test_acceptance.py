@@ -3,7 +3,8 @@
 Each test prints one pass/fail line. The sweep cells are computed once
 per session with the command line's default configuration (around 1500
 arrivals/day, 15 days, measurement window days 5-13, household charger,
-seeds 1-3) and shared across criteria.
+seeds 1-3), in one `run_cells` call with the high-power charger's cells,
+and shared across criteria.
 """
 
 import numpy as np
@@ -11,31 +12,48 @@ import pytest
 
 from conftest import scenario
 from gridshare import oracle
-from gridshare.metrics import sweep
+from gridshare.metrics import average_reports, run_cells
 from gridshare.policies import parse_policy
 
 DEFAULT = scenario()
 SEEDS = DEFAULT.seeds
+BASES = {"home": DEFAULT.base, "dryer": scenario(charger="dryer-220-30").base}
+
+# (charger, policy, supply ratios) of every curve the criteria read.
+CURVES = [
+    ("home", "minmax-dt", [1.05, 1.2]),
+    ("home", "fdfs", [1.2, 1.4, 1.6]),
+    ("home", "fcfs", [1.2, 2.0, 3.0]),
+    ("home", "rr", [1.2, 3.0]),
+    ("home", "minmax-er", [1.2, 3.0]),
+    ("dryer", "fcfs", [2.0]),
+]
 
 
 @pytest.fixture(scope="module")
-def table():
-    """All sweep cells the criteria need, keyed by (policy, sdr, seed)."""
-    base = DEFAULT.base
-    reports = []
-    reports += sweep([parse_policy("minmax-dt")], [1.05, 1.2], SEEDS, base)
-    reports += sweep([parse_policy("fdfs")], [1.2, 1.4, 1.6], SEEDS, base)
-    reports += sweep([parse_policy("fcfs")], [1.2, 2.0, 3.0], SEEDS, base)
-    reports += sweep([parse_policy("rr")], [1.2, 3.0], SEEDS, base)
-    reports += sweep([parse_policy("minmax-er")], [1.2, 3.0], SEEDS, base)
-    return {(r.policy, r.sdr, r.seed): r for r in reports}
+def tables():
+    """Per charger, every cell the criteria need keyed by (policy, sdr,
+    seed), with each curve's seed average under seed None."""
+    cells = [(BASES[charger], parse_policy(name), sdr, seed)
+             for charger, name, ratios in CURVES for sdr in ratios for seed in SEEDS]
+    reports = iter(run_cells(cells))
+    tables = {charger: {} for charger in BASES}
+    for charger, name, ratios in CURVES:
+        for sdr in ratios:
+            group = [next(reports) for _ in SEEDS]
+            tables[charger].update({(r.policy, r.sdr, r.seed): r for r in group})
+            tables[charger][(name, sdr, None)] = average_reports(group)
+    return tables
 
 
 @pytest.fixture(scope="module")
-def dryer_table():
-    base = scenario(charger="dryer-220-30").base
-    reports = sweep([parse_policy("fcfs")], [2.0], SEEDS, base)
-    return {(r.policy, r.sdr, r.seed): r for r in reports}
+def table(tables):
+    return tables["home"]
+
+
+@pytest.fixture(scope="module")
+def dryer_table(tables):
+    return tables["dryer"]
 
 
 def mean_cell(table, policy, sdr):

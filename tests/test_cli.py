@@ -97,18 +97,19 @@ def test_trace_flag_writes_trace(tiny_config, tmp_path):
 
 
 def test_sweep_outputs_and_byte_determinism(tiny_config, tmp_path, capsys):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
+    out1, out2, in_process = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     argv = ["sweep", "--config", tiny_config, "--policies", "fcfs,minmax-dt",
-            "--sdr-grid", "1.1,1.3", "--seeds", "1,2", "--workers", "2"]
-    assert run(argv + ["--out", str(out1)]) == EXIT_OK
-    assert run(argv + ["--out", str(out2)]) == EXIT_OK
+            "--sdr-grid", "1.1,1.3", "--seeds", "1,2"]
+    assert run(argv + ["--workers", "2", "--out", str(out1)]) == EXIT_OK
+    assert run(argv + ["--workers", "2", "--out", str(out2)]) == EXIT_OK
+    assert run(argv + ["--workers", "1", "--out", str(in_process)]) == EXIT_OK
 
     for name in ("fod.csv", "adfd.csv", "delaydist.csv",
                  "fig1-fraction-delayed.svg", "fig2-average-delay.svg",
                  "fig3-delay-distribution.svg"):
         a = (out1 / name).read_bytes()
-        b = (out2 / name).read_bytes()
-        assert a == b, f"{name} differs between identical runs"
+        assert a == (out2 / name).read_bytes(), f"{name} differs between identical runs"
+        assert a == (in_process / name).read_bytes(), f"{name} differs between pool and in-process runs"
 
     rows = read_rows(out1 / "fod.csv")
     assert len(rows) == 2 * 2 * (2 + 1)  # policies x ratios x (seeds + mean)

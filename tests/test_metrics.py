@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import scenario
+from gridshare import cli, metrics
 from gridshare.engine import VehicleOutcome
 from gridshare.metrics import (
     average_delay_of_delayed,
@@ -23,6 +24,7 @@ from gridshare.metrics import (
     write_outcomes_csv,
 )
 from gridshare.policies import parse_policy
+from gridshare.workload import generate_fleet
 
 
 def outcome(delay_slots, vid=0, measured=True):
@@ -147,6 +149,40 @@ def test_sweep_canonical_ordering_and_determinism(tiny_base):
     ]
     again = sweep(policies, [1.3, 1.1], [2, 1], tiny_base, max_workers=1)
     assert table == again
+
+
+@pytest.fixture
+def fleet_seeds(monkeypatch):
+    """The seed of every fleet that metrics generates, in call order."""
+    seeds = []
+
+    def counted(workload, profile, charger, seed):
+        seeds.append(seed)
+        return generate_fleet(workload, profile, charger, seed)
+
+    monkeypatch.setattr(metrics, "generate_fleet", counted)
+    return seeds
+
+
+def test_in_process_sweep_generates_each_fleet_once(tiny_base, fleet_seeds):
+    policies = [parse_policy(name) for name in ("fcfs", "rr", "minmax-dt")]
+    table = sweep(policies, [1.3, 1.1], [2, 1], tiny_base, max_workers=1)
+    assert fleet_seeds == [1, 2]  # seed-major: every seed-1 cell runs first
+    for report in table:
+        if report.seed is not None:
+            policy = next(p for p in policies if p.name == report.policy)
+            assert report == run_cell(tiny_base, policy, report.sdr, report.seed)[0]
+
+
+def test_direct_runs_generate_their_fleet_every_time(tiny_base, fleet_seeds, tmp_path):
+    policy = parse_policy("fcfs")
+    assert run_cell(tiny_base, policy, 1.1, 1) == run_cell(tiny_base, policy, 1.1, 1)
+    assert fleet_seeds == [1, 1]
+    argv = ["simulate", "--days", "4", "--arrivals-per-day", "60",
+            "--policy", "fcfs", "--sdr", "1.1", "--seed", "3"]
+    for out in ("a", "b"):
+        assert cli.run(argv + ["--out", str(tmp_path / out)]) == cli.EXIT_OK
+    assert fleet_seeds == [1, 1, 3, 3]
 
 
 def test_sweep_rejects_bad_grid(tiny_base):
