@@ -37,23 +37,31 @@ VARIANTS = [
 ]
 
 
+# One vehicle: arrival, battery capacity, required charge, charge on
+# arrival as a kind and a level, and stay. The required charge and the
+# level are reduced modulo their ranges, which depend on the capacity and
+# the kind: most vehicles arrive short of their need (kind 0: level up to
+# the requirement), some satisfied (kind 1: up to the capacity), some
+# full (kind 2).
+VEHICLE = st.tuples(
+    st.integers(min_value=0, max_value=12), st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=12), st.integers(min_value=1, max_value=20),
+)
+
+
 @st.composite
 def scenarios(draw):
     n = draw(st.integers(min_value=1, max_value=30))
+    drawn = draw(st.lists(VEHICLE, min_size=n, max_size=n))
     ids = draw(st.permutations(range(n)))
     unit = draw(st.sampled_from([1.0, 0.5]))  # integer or half-integer miles
     fleet = []
-    for vid in ids:
-        arrival = draw(st.integers(min_value=0, max_value=12))
-        capacity = draw(st.integers(min_value=1, max_value=12))
-        required = draw(st.integers(min_value=0, max_value=capacity))
-        # Most arrive short of their need; some satisfied, some full.
-        current = draw(st.one_of(
-            st.integers(min_value=0, max_value=required), st.integers(min_value=0, max_value=capacity),
-            st.just(capacity)))
+    for vid, (arrival, capacity, required, kind, level, stay) in zip(ids, drawn):
+        required %= capacity + 1
+        current = capacity if kind == 2 else level % ((required, capacity)[kind] + 1)
         fleet.append(Vehicle(
-            id=vid, arrival_slot=arrival,
-            expected_departure_slot=arrival + draw(st.integers(min_value=1, max_value=20)),
+            id=vid, arrival_slot=arrival, expected_departure_slot=arrival + stay,
             required_miles=required * unit, current_miles=current * unit,
             battery_capacity_miles=capacity * unit,
         ))
