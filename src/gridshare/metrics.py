@@ -121,7 +121,7 @@ def run_cell(
     memo of the `run_cells` call running this cell; without one the
     fleet is generated afresh.
     """
-    fleet, tpr, adjusted = _seed_work(base, seed, memo)
+    fleet, tpr, adjusted = _seed_work(base, seed, {} if memo is None else memo)
     grid = make_grid(base.shape, tpr, sdr, base.peak_other_fraction)
     cfg = SimConfig(
         policy=policy, days=base.workload.days,
@@ -147,22 +147,18 @@ def _fleet_key(base: SweepBase, seed: int) -> tuple:
     return base.workload, base.profile, base.charger, seed
 
 
-def _seed_work(base: SweepBase, seed: int, memo: dict | None) -> tuple:
+def _seed_work(base: SweepBase, seed: int, memo: dict) -> tuple:
     """The fleet, its daily required energy and its adjusted-departure share.
 
-    memo, a dict holding at most one fleet key's work, returns that work
-    again for the same key; another key replaces it.
+    memo holds at most one fleet key's work: the same key returns it
+    again, another key replaces it.
     """
     key = _fleet_key(base, seed)
-    if memo is not None:
-        if key in memo:
-            return memo[key]
+    if key not in memo:
         memo.clear()  # the old fleet goes before the new one is built
-    fleet = generate_fleet(base.workload, base.profile, base.charger, seed)
-    work = fleet, total_required_energy(fleet, base.workload.days), adjusted_departure_fraction(fleet)
-    if memo is not None:
-        memo[key] = work
-    return work
+        fleet = generate_fleet(base.workload, base.profile, base.charger, seed)
+        memo[key] = fleet, total_required_energy(fleet, base.workload.days), adjusted_departure_fraction(fleet)
+    return memo[key]
 
 
 def build_report(
