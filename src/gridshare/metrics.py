@@ -229,7 +229,13 @@ def run_cells(cells: Sequence[tuple], max_workers: int | None = None) -> list[Me
     fleet in a memo, so it generates each fleet at most once. The memo
     lives for this call only: a pool worker's dies with the pool, and
     the in-process one is cleared when the call returns or raises.
+    Raises ValueError before any cell runs if there are no cells or a
+    supply ratio is below 1.
     """
+    if not cells:
+        raise ValueError("no cells to run: at least one policy, ratio and seed required")
+    if any(sdr < 1.0 for _, _, sdr, _ in cells):
+        raise ValueError("supply-to-demand ratios below 1 are refused: delays would grow indefinitely")
     groups: dict[tuple, list[int]] = {}
     for index, (base, _, _, seed) in enumerate(cells):
         groups.setdefault(_fleet_key(base, seed), []).append(index)
@@ -268,10 +274,6 @@ def sweep(
     regardless of run order: policies in the given order, ratios
     ascending, seeds ascending, averaged row last.
     """
-    if not policies:
-        raise ValueError("at least one policy required")
-    if any(s < 1.0 for s in sdr_grid):
-        raise ValueError("supply-to-demand ratios below 1 are refused: delays would grow indefinitely")
     sdr_grid = sorted(sdr_grid)
     seeds = sorted(seeds)
     cells = [(base, p, sdr, seed) for p in policies for sdr in sdr_grid for seed in seeds]
@@ -361,16 +363,25 @@ def write_delaydist_csv(reports: Sequence[MetricsReport], path) -> None:
                 writer.writerow([r.policy, _fmt(r.sdr), _fmt(lo), _fmt(hi), _fmt(frac)])
 
 
+# Rows of outcomes.csv formatted per write: a block is about 150 KiB.
+_ROWS_PER_WRITE = 4096
+
+
 def write_outcomes_csv(outcomes: Sequence[VehicleOutcome], path) -> None:
-    """Raw per-vehicle results, sufficient to recompute every metric."""
+    """Raw per-vehicle results, sufficient to recompute every metric.
+
+    Every field is an integer (the two flags as 0/1), so nothing needs
+    quoting: rows are formatted directly with csv.writer's "\r\n" line
+    ending, the bytes csv.writer writes, and written in blocks so the
+    file is never held as one string.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "id", "arrival_slot", "expected_departure_slot", "satisfied_slot",
-            "actual_departure_slot", "delay_slots", "delayed", "measured",
-        ])
-        for o in outcomes:
-            writer.writerow([
-                o.id, o.arrival_slot, o.expected_departure_slot, o.satisfied_slot,
-                o.actual_departure_slot, o.delay_slots, int(o.delayed), int(o.measured),
-            ])
+        fh.write("id,arrival_slot,expected_departure_slot,satisfied_slot,"
+                 "actual_departure_slot,delay_slots,delayed,measured\r\n")
+        for start in range(0, len(outcomes), _ROWS_PER_WRITE):
+            fh.write("".join([
+                "%d,%d,%d,%d,%d,%d,%d,%d\r\n" % (
+                    o.id, o.arrival_slot, o.expected_departure_slot, o.satisfied_slot,
+                    o.actual_departure_slot, o.delay_slots, o.delayed, o.measured)
+                for o in outcomes[start:start + _ROWS_PER_WRITE]
+            ]))

@@ -86,7 +86,7 @@ class WorkloadConfig:
             raise ValueError("need at least one simulated day")
 
 
-@dataclass
+@dataclass(slots=True)
 class Vehicle:
     """One charging session; current_miles is the charge on arrival.
 
@@ -124,10 +124,15 @@ def sample_arrivals(profile: ArrivalProfile, days: int, rng: np.random.Generator
     return np.repeat(np.arange(days * SLOTS_PER_DAY), counts).tolist()
 
 
+# The samplers draw standard variates and scale them as numpy's
+# rng.normal, rng.exponential and rng.uniform do (loc + scale * z,
+# scale * e, low + (high - low) * u), so they return the same doubles
+# from the same stream while skipping those methods' per-call argument
+# handling.
 def sample_connection_duration(cfg: WorkloadConfig, rng: np.random.Generator) -> int:
     """Stay length in slots: Normal(mean, std) hours, resampled into bounds."""
     while True:
-        hours = rng.normal(cfg.duration_mean_h, cfg.duration_std_h)
+        hours = cfg.duration_mean_h + cfg.duration_std_h * rng.standard_normal()
         if cfg.duration_min_h <= hours <= cfg.duration_max_h:
             return hours_to_slots(hours)
 
@@ -135,14 +140,14 @@ def sample_connection_duration(cfg: WorkloadConfig, rng: np.random.Generator) ->
 def sample_required_miles(cfg: WorkloadConfig, rng: np.random.Generator) -> float:
     """Required range at departure: capped round-trip commute plus allowances."""
     while True:
-        round_trip = 2.0 * rng.exponential(cfg.one_way_commute_mean_mi)
+        round_trip = 2.0 * (cfg.one_way_commute_mean_mi * rng.standard_exponential())
         if round_trip <= cfg.commute_cap_mi:
             return round_trip + cfg.extra_daily_mi + cfg.emergency_mi
 
 
 def sample_initial_charge(cfg: WorkloadConfig, rng: np.random.Generator) -> float:
     """Charge already in the battery on arrival, uniform from 0 to the max."""
-    return rng.uniform(0.0, cfg.initial_charge_max_mi)
+    return 0.0 + cfg.initial_charge_max_mi * rng.random()
 
 
 def make_vehicle(
@@ -167,13 +172,8 @@ def make_vehicle(
         )
     min_slots = intervals_for_deficit(required_miles, initial_miles, charger.miles_per_slot)
     return Vehicle(
-        id=vehicle_id,
-        arrival_slot=arrival_slot,
-        expected_departure_slot=arrival_slot + max(duration_slots, min_slots),
-        required_miles=required_miles,
-        current_miles=initial_miles,
-        battery_capacity_miles=battery_capacity_miles,
-        connected_slots=duration_slots,
+        vehicle_id, arrival_slot, arrival_slot + max(duration_slots, min_slots),
+        required_miles, initial_miles, battery_capacity_miles, duration_slots,
     )
 
 
@@ -191,19 +191,16 @@ def generate_fleet(
     """
     arrival_ss, attrs_ss = np.random.SeedSequence(seed).spawn(2)
     arrivals = sample_arrivals(profile, cfg.days, np.random.default_rng(arrival_ss))
-    attrs_rng = np.random.default_rng(attrs_ss)
-    fleet = []
-    for i, slot in enumerate(arrivals):
-        duration = sample_connection_duration(cfg, attrs_rng)
-        required = sample_required_miles(cfg, attrs_rng)
-        initial = sample_initial_charge(cfg, attrs_rng)
-        fleet.append(
-            make_vehicle(
-                i, int(slot), duration, required, initial, charger,
-                battery_capacity_miles=cfg.battery_capacity_miles,
-            )
+    rng = np.random.default_rng(attrs_ss)
+    # Arguments are evaluated left to right, so each vehicle draws its
+    # stay, then its requirement, then its initial charge.
+    return [
+        make_vehicle(
+            i, slot, sample_connection_duration(cfg, rng), sample_required_miles(cfg, rng),
+            sample_initial_charge(cfg, rng), charger, cfg.battery_capacity_miles,
         )
-    return fleet
+        for i, slot in enumerate(arrivals)
+    ]
 
 
 def adjusted_departure_fraction(fleet: Sequence[Vehicle]) -> float:

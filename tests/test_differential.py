@@ -5,7 +5,8 @@ included) must equal the reference's, the trace auditor must report
 nothing, and each vehicle must be charged exactly its initial need
 before it is satisfied. The run's statistics must agree too: as many
 selections as selected trace rows, and as many slots as the reference
-runs, so that slots the engine skips are still counted. The test is
+runs, so that slots the engine skips are still counted, and never more
+than the drain bound at which the engine gives up. The test is
 parametrized by variant so that shrinking a failure re-runs one engine
 and the reference, not nine.
 """
@@ -99,6 +100,10 @@ def test_engine_matches_reference_loop(policy, scenario):
         assert rows == want_rows
         assert stats.total_selections == sum(row[8] for row in rows)
         assert stats.slots_run == want_slots
+        # The engine's drain bound: the last expected departure plus one
+        # capacity cycle per interval of total need.
+        last_departure = max(v.expected_departure_slot for v in fleet)
+        assert stats.slots_run <= last_departure + len(k_profile) * sum(need.values())
         assert audit_trace(trace_path, policy) == []
         satisfied = {o.id: o.satisfied_slot for o in outcomes}
         charges = Counter(row[2] for row in rows if row[8] and row[0] < satisfied[row[2]])

@@ -137,6 +137,23 @@ def test_extension_runs_past_horizon_with_periodic_capacity():
     assert outcome.delay_slots == 26
 
 
+def test_simple_variant_drains_after_its_last_expected_departure():
+    # Without distance information the single list serves the satisfied
+    # vehicle 0 (first in line) until it leaves at 50, so vehicle 1's five
+    # intervals come after the last expected departure: the run ends at
+    # 55, past the last arrival plus the total need, and must not be
+    # taken for one that does not drain.
+    vehicles = [
+        make_test_vehicle(0, 0, 50, required=0.0, capacity=100.0),
+        make_test_vehicle(1, 0, 1, required=5.0),
+    ]
+    cfg = SimConfig(policy=parse_policy("fcfs", simple=True), days=3, warmup_days=0, last_measured_day=1)
+    stats = RunStats()
+    outcomes = run_simulation(cfg, vehicles, [1], ORACLE_CHARGER, stats=stats)
+    assert [o.actual_departure_slot for o in outcomes] == [50, 55]
+    assert stats.slots_run == 55
+
+
 # --- invariants --------------------------------------------------------------
 
 
@@ -224,6 +241,12 @@ def test_measurement_window_boundaries():
     outcomes = [outcome_stub(d, cfg) for d in (3, 4, 12, 13)]
     kept = measurement_filter(outcomes)
     assert [o.id for o in kept] == [4, 12]
+
+
+def test_measurement_window_slot_bounds():
+    cfg = default_window_cfg()  # zero-based days 4 to 12
+    assert cfg.measured_slots == range(1152, 3744)
+    assert [cfg.in_measurement_window(s) for s in (1151, 1152, 3743, 3744)] == [False, True, True, False]
 
 
 def test_measurement_window_empty_is_an_error():

@@ -10,7 +10,9 @@ not a power of two.
 A second set pins the digest of trace.csv for a small traced cell of
 each differential-test variant, so the order of trace rows (the
 rotation list of round robin, the join order of the top-off list) is
-held as well as the outputs.
+held as well as the outputs. A third pins the generated fleet itself
+(`dump-fleet`'s fleet.csv) for two chargers, so a change to the
+workload's draws shows apart from any change downstream.
 """
 
 import hashlib
@@ -89,3 +91,19 @@ def test_trace_matches_golden_digest(tmp_path, case):
     assert run(argv) == EXIT_OK
     digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()[:16]
     assert digest == TRACE_GOLDEN[case]
+
+
+# charger flags -> fleet.csv digest of `dump-fleet --seed 3 --days 6`, truncated to 16 hex digits.
+FLEET_CASES = {"default-charger": [], "charger-dryer-220-30": ["--charger", "dryer-220-30"]}
+FLEET_GOLDEN = {
+    "default-charger": "bc200c28cbf0c44d",
+    "charger-dryer-220-30": "bbbb89a1f574d324",
+}
+
+
+@pytest.mark.parametrize("case", list(FLEET_GOLDEN))
+def test_fleet_matches_golden_digest(tmp_path, case):
+    argv = ["dump-fleet", *FLEET_CASES[case], "--seed", "3", "--days", "6", "--out", str(tmp_path)]
+    assert run(argv) == EXIT_OK
+    digest = hashlib.sha256((tmp_path / "fleet.csv").read_bytes()).hexdigest()[:16]
+    assert digest == FLEET_GOLDEN[case]

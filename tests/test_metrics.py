@@ -17,6 +17,7 @@ from gridshare.metrics import (
     delay_distribution,
     fraction_delayed,
     run_cell,
+    run_cells,
     sweep,
     write_adfd_csv,
     write_delaydist_csv,
@@ -190,6 +191,15 @@ def test_sweep_rejects_bad_grid(tiny_base):
         sweep([parse_policy("fcfs")], [0.9], [1], tiny_base)
     with pytest.raises(ValueError):
         sweep([], [1.1], [1], tiny_base)
+
+
+def test_run_cells_rejects_bad_cells_before_running_any(tiny_base, fleet_seeds):
+    with pytest.raises(ValueError):
+        run_cells([])
+    cells = [(tiny_base, parse_policy("fcfs"), 1.1, 1), (tiny_base, parse_policy("fcfs"), 0.9, 2)]
+    with pytest.raises(ValueError):
+        run_cells(cells, max_workers=1)
+    assert fleet_seeds == []
 
 
 def test_sweep_cell_reports_calibration_and_adjustment(tiny_base):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gridshare.policies import intervals_for_deficit
+from gridshare import workload
 from gridshare.powergrid import charger_preset
 from gridshare.workload import (
     ArrivalProfile,
@@ -174,6 +175,35 @@ def test_initial_charge_mean_matches_uniform_oracle():
     n = 100_000
     mean = sum(sample_initial_charge(cfg, r) for _ in range(n)) / n
     assert abs(mean - 15.0) < 0.2
+
+
+# --- draws against numpy's distribution methods ----------------------------
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"duration_mean_h": 13.3, "duration_std_h": 5.7, "one_way_commute_mean_mi": 17.9,
+     "initial_charge_max_mi": 27.3},
+], ids=["default", "odd-parameters"])
+def test_samplers_draw_what_numpy_distribution_methods_draw(monkeypatch, overrides):
+    """Each sampler returns exactly the double that rng.normal, rng.exponential
+    or rng.uniform returns from the same stream, and consumes the same bits."""
+    monkeypatch.setattr(workload, "hours_to_slots", lambda hours: hours)  # keep the sampled hours
+    cfg = scenario(**overrides).base.workload
+    ours, numpys = rng(21), rng(21)
+    for _ in range(5000):
+        while True:
+            hours = numpys.normal(cfg.duration_mean_h, cfg.duration_std_h)
+            if cfg.duration_min_h <= hours <= cfg.duration_max_h:
+                break
+        assert sample_connection_duration(cfg, ours) == hours
+        while True:
+            round_trip = 2.0 * numpys.exponential(cfg.one_way_commute_mean_mi)
+            if round_trip <= cfg.commute_cap_mi:
+                break
+        assert sample_required_miles(cfg, ours) == round_trip + cfg.extra_daily_mi + cfg.emergency_mi
+        assert sample_initial_charge(cfg, ours) == numpys.uniform(0.0, cfg.initial_charge_max_mi)
+    assert ours.bit_generator.state == numpys.bit_generator.state
 
 
 # --- vehicle assembly ------------------------------------------------------
