@@ -363,25 +363,20 @@ def write_delaydist_csv(reports: Sequence[MetricsReport], path) -> None:
                 writer.writerow([r.policy, _fmt(r.sdr), _fmt(lo), _fmt(hi), _fmt(frac)])
 
 
-# Rows of outcomes.csv formatted per write: a block is about 150 KiB.
-_ROWS_PER_WRITE = 4096
-
-
 def write_outcomes_csv(outcomes: Sequence[VehicleOutcome], path) -> None:
     """Raw per-vehicle results, sufficient to recompute every metric.
 
     Every field is an integer (the two flags as 0/1), so nothing needs
-    quoting: rows are formatted directly with csv.writer's "\r\n" line
-    ending, the bytes csv.writer writes, and written in blocks so the
-    file is never held as one string.
+    quoting: each row is formatted directly, with csv.writer's "\r\n"
+    line ending, and handed to the file's own buffer. That writes the
+    bytes csv.writer wrote at about half the cost; joining rows into
+    blocks first costs no less and raised the benchmark's peak RSS.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("id,arrival_slot,expected_departure_slot,satisfied_slot,"
-                 "actual_departure_slot,delay_slots,delayed,measured\r\n")
-        for start in range(0, len(outcomes), _ROWS_PER_WRITE):
-            fh.write("".join([
-                "%d,%d,%d,%d,%d,%d,%d,%d\r\n" % (
-                    o.id, o.arrival_slot, o.expected_departure_slot, o.satisfied_slot,
-                    o.actual_departure_slot, o.delay_slots, o.delayed, o.measured)
-                for o in outcomes[start:start + _ROWS_PER_WRITE]
-            ]))
+        write = fh.write
+        write("id,arrival_slot,expected_departure_slot,satisfied_slot,"
+              "actual_departure_slot,delay_slots,delayed,measured\r\n")
+        for o in outcomes:
+            write("%d,%d,%d,%d,%d,%d,%d,%d\r\n" % (
+                o.id, o.arrival_slot, o.expected_departure_slot, o.satisfied_slot,
+                o.actual_departure_slot, o.delay_slots, o.delayed, o.measured))

@@ -93,17 +93,16 @@ def test_trace_matches_golden_digest(tmp_path, case):
     assert digest == TRACE_GOLDEN[case]
 
 
-# charger flags -> fleet.csv digest of `dump-fleet --seed 3 --days 6`, truncated to 16 hex digits.
-FLEET_CASES = {"default-charger": [], "charger-dryer-220-30": ["--charger", "dryer-220-30"]}
+# case -> (charger flags, fleet.csv digest of `dump-fleet --seed 3 --days 6`, truncated to 16 hex digits).
 FLEET_GOLDEN = {
-    "default-charger": "bc200c28cbf0c44d",
-    "charger-dryer-220-30": "bbbb89a1f574d324",
+    "default-charger": ([], "bc200c28cbf0c44d"),
+    "charger-dryer-220-30": (["--charger", "dryer-220-30"], "bbbb89a1f574d324"),
 }
 
 
 @pytest.mark.parametrize("case", list(FLEET_GOLDEN))
 def test_fleet_matches_golden_digest(tmp_path, case):
-    argv = ["dump-fleet", *FLEET_CASES[case], "--seed", "3", "--days", "6", "--out", str(tmp_path)]
+    flags, want = FLEET_GOLDEN[case]
+    argv = ["dump-fleet", *flags, "--seed", "3", "--days", "6", "--out", str(tmp_path)]
     assert run(argv) == EXIT_OK
-    digest = hashlib.sha256((tmp_path / "fleet.csv").read_bytes()).hexdigest()[:16]
-    assert digest == FLEET_GOLDEN[case]
+    assert hashlib.sha256((tmp_path / "fleet.csv").read_bytes()).hexdigest()[:16] == want

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from gridshare.policies import intervals_for_deficit
 from gridshare import workload
+from gridshare.policies import intervals_for_deficit
 from gridshare.powergrid import charger_preset
 from gridshare.workload import (
     ArrivalProfile,
