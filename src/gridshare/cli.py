@@ -306,6 +306,8 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_dump_fleet(cfg: ExperimentConfig, args) -> int:
+    if len(cfg.seeds) != 1:
+        raise ValueError("dump-fleet writes one seed's fleet; give exactly one --seed")
     write_run_context(cfg)
     seed = cfg.seeds[0]
     fleet = generate_fleet(cfg.base.workload, cfg.base.profile, cfg.base.charger, seed)
@@ -317,6 +319,8 @@ def cmd_dump_fleet(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig, args) -> int:
+    if not args.audit_trace and args.instances < 1:
+        raise ValueError(f"--instances must be at least 1, not {args.instances}")
     write_run_context(cfg)
     out = cfg.out_dir
     if args.audit_trace:

@@ -8,27 +8,28 @@ boundary and their required charge leave. The loop runs past the
 arrival horizon until every vehicle has departed, reusing the
 day-periodic capacity profile.
 
-The counters live in int64 arrays indexed by rank (policies.PolicyState):
-the picks of a slot are charged by index, while arrival, satisfaction
-and departure, which happen once per vehicle, are handled rank by rank.
-Slots with nothing plugged are skipped but still counted. Outcomes are
-built from the satisfied and departure slots after the loop, once the
-conservation checks on them have passed.
+A vehicle is named by its rank, its row in the run's `workload.Fleet`,
+whose rows come in arrival order. The counters live in int64 arrays
+indexed by rank (policies.PolicyState): the picks of a slot are charged
+by index, while arrival, satisfaction and departure, which happen once
+per vehicle, are handled rank by rank through plain lists made once per
+run. Slots with nothing plugged are skipped but still counted. The run
+returns one `Outcomes` table, built as columns from the satisfied and
+departure slots after the loop, once the conservation checks on them
+have passed.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Sequence
 
 import numpy as np
 
 from .policies import Policy, new_policy_state, select, update_membership
-from .powergrid import ChargerSpec
 from .units import SLOTS_PER_DAY, SLOTS_PER_HOUR
-from .workload import Vehicle
+from .workload import Fleet
 
 # Slot of day at which the plugged-vehicle census is sampled (4 a.m.,
 # the nightly trough, a stable point for drift detection).
@@ -55,11 +56,10 @@ class SimConfig:
         return arrival_slot in self.measured_slots
 
 
-# Not frozen: a frozen dataclass sets each field through
-# object.__setattr__, which made building a default-scale run's outcomes
-# cost about four times as much. Nothing changes an outcome once built.
 @dataclass(slots=True)
 class VehicleOutcome:
+    """One row of an `Outcomes` table, for reading a run vehicle by vehicle."""
+
     id: int
     arrival_slot: int
     expected_departure_slot: int
@@ -68,6 +68,46 @@ class VehicleOutcome:
     delay_slots: int
     delayed: bool
     measured: bool
+
+
+@dataclass(frozen=True, eq=False)
+class Outcomes:
+    """Every vehicle's outcome as columns, one row per vehicle in arrival order.
+
+    The slot and delay columns are int64; delayed (left after its
+    expected departure) and measured (arrived inside the measurement
+    window, `SimConfig.measured_slots`) are bool.
+    """
+
+    id: np.ndarray
+    arrival_slot: np.ndarray
+    expected_departure_slot: np.ndarray
+    satisfied_slot: np.ndarray
+    actual_departure_slot: np.ndarray
+    delay_slots: np.ndarray
+    delayed: np.ndarray
+    measured: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Outcomes):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in zip(self.columns(), other.columns()))
+
+    def columns(self) -> tuple:
+        """The columns in outcomes.csv order."""
+        return (self.id, self.arrival_slot, self.expected_departure_slot, self.satisfied_slot,
+                self.actual_departure_slot, self.delay_slots, self.delayed, self.measured)
+
+    def rows(self, mask: np.ndarray) -> "Outcomes":
+        """The outcomes of the rows that mask selects."""
+        return Outcomes(*(column[mask] for column in self.columns()))
+
+    def records(self) -> list[VehicleOutcome]:
+        """One record per row."""
+        return [VehicleOutcome(*row) for row in zip(*(column.tolist() for column in self.columns()))]
 
 
 @dataclass
@@ -95,58 +135,45 @@ class SimulationInvariantError(RuntimeError):
 
 def run_simulation(
     cfg: SimConfig,
-    fleet: Sequence[Vehicle],
+    fleet: Fleet,
     k_profile: Sequence[int],
-    charger: ChargerSpec,
     *,
     trace_path=None,
     stats: RunStats | None = None,
-) -> list[VehicleOutcome]:
-    """Simulate one policy over the whole fleet; one outcome per vehicle.
+) -> Outcomes:
+    """Simulate one policy over the whole fleet; one outcome row per vehicle.
 
-    The input fleet is not mutated. k_profile is K for each slot of one
+    The fleet is not changed. k_profile is K for each slot of one
     capacity period (a day for a calibrated grid); it is cycled, so
-    post-horizon slots see the same pattern.
+    post-horizon slots see the same pattern. Raises ValueError before
+    the loop if the fleet needs charge and no slot has capacity.
     """
-    vehicles = _arrival_order(fleet)
+    if not any(k_profile) and fleet.need.any():
+        raise ValueError(
+            f"the capacity profile has no charger slot (K = 0 in every slot), but the fleet "
+            f"needs {int(fleet.need.sum())} charging intervals; raise the supply ratio or the arrivals")
     trace_file = open(trace_path, "w", newline="", encoding="utf-8") if trace_path else None
     try:
-        return _run_loop(
-            cfg, vehicles, k_profile, trace_file, stats,
-            state=new_policy_state(cfg.policy, charger, vehicles),
-        )
+        return _run_loop(cfg, fleet, k_profile, trace_file, stats, new_policy_state(cfg.policy, fleet))
     finally:
         if trace_file:
             trace_file.close()
 
 
-def _arrival_order(fleet: Sequence[Vehicle]) -> list[Vehicle]:
-    """The fleet sorted by (arrival slot, id), after checking that ids are unique.
-
-    A generated fleet already comes in that order with increasing ids,
-    which one pass confirms; sorting it anyway would build a key tuple
-    per vehicle and checking its ids a set, the largest transient
-    allocations of a default-scale run.
-    """
-    if all(a.id < b.id and a.arrival_slot <= b.arrival_slot for a, b in zip(fleet, islice(fleet, 1, None))):
-        return list(fleet)
-    vehicles = sorted(fleet, key=lambda v: (v.arrival_slot, v.id))
-    if len({v.id for v in vehicles}) != len(vehicles):
-        raise ValueError("vehicle ids must be unique")
-    return vehicles
-
-
-def _run_loop(cfg, vehicles, k_profile, trace, stats, state):
-    # Vehicles are named by rank, their index in `vehicles`; ids appear
-    # only in outcomes and trace rows. Work done once per pick or per
-    # candidate is done on whole arrays; work done once per vehicle
-    # (arriving, being satisfied, leaving) is done rank by rank.
+def _run_loop(cfg, fleet, k_profile, trace, stats, state):
+    # Ids appear only in outcomes and trace rows. Work done once per pick
+    # or per candidate is done on whole arrays; work done once per
+    # vehicle (arriving, being satisfied, leaving) is done rank by rank,
+    # reading plain lists.
     need, room = state.need, state.room
-    n = len(vehicles)
+    n = len(fleet)
+    arrivals = fleet.arrival_slot.tolist()
+    departures = fleet.expected_departure_slot.tolist()
+    ids = fleet.id.tolist() if trace else None
     cycle = len(k_profile)
     # The satisfied slot stays the arrival slot unless charging brings
     # need to 0; the slot at which the vehicle left is set when it leaves.
-    satisfied_slot = [v.arrival_slot for v in vehicles]
+    satisfied_slot = arrivals.copy()
     left_at = [-1] * n
     departure_bucket = defaultdict(list)  # boundary slot -> ranks due to leave there
     census = stats.plugged_at_census if stats is not None else None
@@ -169,9 +196,9 @@ def _run_loop(cfg, vehicles, k_profile, trace, stats, state):
     next_arrival = 0
     t = 0
     while next_arrival < n or plugged:
-        if not plugged and vehicles[next_arrival].arrival_slot > t:
+        if not plugged and arrivals[next_arrival] > t:
             # Nothing plugged until the next arrival: skip to it.
-            skipped_to = vehicles[next_arrival].arrival_slot
+            skipped_to = arrivals[next_arrival]
             if census is not None:
                 first = t + (CENSUS_SLOT_OF_DAY - t) % SLOTS_PER_DAY
                 census.extend(0 for _ in range(first, skipped_to, SLOTS_PER_DAY))
@@ -180,8 +207,8 @@ def _run_loop(cfg, vehicles, k_profile, trace, stats, state):
             raise RuntimeError(f"simulation did not drain within {max_slots} slots")
 
         first_arrival = next_arrival
-        while next_arrival < n and vehicles[next_arrival].arrival_slot == t:
-            departure_bucket[vehicles[next_arrival].expected_departure_slot].append(next_arrival)
+        while next_arrival < n and arrivals[next_arrival] == t:
+            departure_bucket[departures[next_arrival]].append(next_arrival)
             next_arrival += 1
         plugged += next_arrival - first_arrival
 
@@ -203,9 +230,8 @@ def _run_loop(cfg, vehicles, k_profile, trace, stats, state):
                 rows = []
                 for tier, ranks in ((1, state.deficit), (2, state.topoff)):
                     for rank, needed in zip(ranks.tolist(), need[ranks].tolist()):
-                        v = vehicles[rank]
-                        t_l = v.expected_departure_slot
-                        rows.append(f"{t},{k},{v.id},{tier},{v.arrival_slot},{t_l},{needed},"
+                        t_l = departures[rank]
+                        rows.append(f"{t},{k},{ids[rank]},{tier},{arrivals[rank]},{t_l},{needed},"
                                     f"{needed - (t_l - t)},{1 if rank in chosen else 0}\r\n")
                 trace.write("".join(rows))
             if count:
@@ -213,7 +239,7 @@ def _run_loop(cfg, vehicles, k_profile, trace, stats, state):
                 if np.count_nonzero(spare) < count:
                     rank = int(selected[spare.argmin()])
                     raise SimulationInvariantError(
-                        f"slot {t}: vehicle {vehicles[rank].id} selected with a full battery")
+                        f"slot {t}: vehicle {fleet.id[rank]} selected with a full battery")
                 spare -= 1
                 room[selected] = spare
                 emptied = np.count_nonzero(spare) < count
@@ -224,7 +250,7 @@ def _run_loop(cfg, vehicles, k_profile, trace, stats, state):
                     satisfied_slot[rank] = boundary
                     # Past its expected departure, a vehicle leaves as
                     # soon as it holds its required charge.
-                    if vehicles[rank].expected_departure_slot < boundary:
+                    if departures[rank] < boundary:
                         leaving.append(rank)
                 selections += count
 
@@ -242,43 +268,42 @@ def _run_loop(cfg, vehicles, k_profile, trace, stats, state):
     if stats is not None:
         stats.slots_run = t
         stats.total_selections += selections
-    _check_departures(vehicles, need, state.departure, satisfied_slot, left_at)
+    satisfied_slot = np.array(satisfied_slot, dtype=np.int64)
+    left_at = np.array(left_at, dtype=np.int64)
+    departure = state.departure
+    _check_departures(fleet, need, departure, satisfied_slot, left_at)
+    delay = left_at - departure
+    arrival = fleet.arrival_slot
     window = cfg.measured_slots
-    return [
-        VehicleOutcome(
-            v.id, v.arrival_slot, v.expected_departure_slot, sat, actual,
-            actual - v.expected_departure_slot, actual > v.expected_departure_slot,
-            v.arrival_slot in window,
-        )
-        for v, sat, actual in zip(vehicles, satisfied_slot, left_at)
-    ]
+    return Outcomes(
+        fleet.id, arrival, departure, satisfied_slot, left_at, delay, delay > 0,
+        (arrival >= window.start) & (arrival < window.stop),
+    )
 
 
-def _check_departures(vehicles, need, departure, satisfied_slot, left_at) -> None:
+def _check_departures(fleet, need, departure, satisfied_slot, left_at) -> None:
     """Every vehicle left, with its need met, at max(expected departure, satisfied slot)."""
-    if min(left_at, default=0) < 0:
+    if len(left_at) and left_at.min() < 0:
         raise SimulationInvariantError("missing outcomes for some vehicles")
     if np.count_nonzero(need):
         rank = need.argmax()
         raise SimulationInvariantError(
-            f"vehicle {vehicles[rank].id} departed {need[rank]} intervals short")
-    due = np.array(satisfied_slot, dtype=np.int64)
-    np.maximum(due, departure, out=due)
-    wrong = np.array(left_at, dtype=np.int64) != due
+            f"vehicle {fleet.id[rank]} departed {need[rank]} intervals short")
+    wrong = left_at != np.maximum(satisfied_slot, departure)
     if np.count_nonzero(wrong):
         rank = wrong.argmax()
         raise SimulationInvariantError(
-            f"vehicle {vehicles[rank].id} departed at {left_at[rank]}, not {due[rank]}")
+            f"vehicle {fleet.id[rank]} departed at {left_at[rank]}, not "
+            f"{max(satisfied_slot[rank], departure[rank])}")
 
 
-def measurement_filter(outcomes: Sequence[VehicleOutcome]) -> list[VehicleOutcome]:
+def measurement_filter(outcomes: Outcomes) -> Outcomes:
     """Outcomes for vehicles arriving inside the measurement window.
 
-    The window (`SimConfig.measured_slots`, applied when each
-    outcome is built) excludes the warmup days at the start and the tail
-    days whose vehicles might still be charging at the horizon.
+    The window (`SimConfig.measured_slots`, applied when the outcomes
+    are built) excludes the warmup days at the start and the tail days
+    whose vehicles might still be charging at the horizon.
     """
-    kept = [o for o in outcomes if o.measured]
-    if not kept:
+    if not outcomes.measured.any():
         raise ValueError("measurement window empty")
-    return kept
+    return outcomes.rows(outcomes.measured)

@@ -24,7 +24,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
-from .engine import RunStats, SimConfig, VehicleOutcome, measurement_filter, run_simulation
+import numpy as np
+
+from .engine import Outcomes, RunStats, SimConfig, measurement_filter, run_simulation
 from .policies import Policy
 from .powergrid import (
     ChargerSpec,
@@ -32,7 +34,6 @@ from .powergrid import (
     day_capacity_profile,
     make_grid,
     realized_sdr,
-    total_required_energy,
 )
 from .units import SLOT_MINUTES
 from .workload import (
@@ -40,6 +41,7 @@ from .workload import (
     WorkloadConfig,
     adjusted_departure_fraction,
     generate_fleet,
+    total_required_energy,
 )
 
 THREADS_ENV_VAR = "GRIDSHARE_THREADS"
@@ -61,29 +63,37 @@ class MetricsReport:
     plugged_at_census: tuple = ()
 
 
-def fraction_delayed(outcomes: Sequence[VehicleOutcome]) -> float:
+def fraction_delayed(outcomes: Outcomes) -> float:
     """Share of vehicles that left after their expected departure."""
-    if not outcomes:
+    if not len(outcomes):
         raise ValueError("no outcomes to evaluate")
-    return sum(1 for o in outcomes if o.delayed) / len(outcomes)
+    return np.count_nonzero(outcomes.delayed) / len(outcomes)
 
 
-def average_delay_of_delayed(outcomes: Sequence[VehicleOutcome]) -> float | None:
+# The delay metrics do their arithmetic on Python ints and floats over
+# the delayed rows only, so the reported numbers do not depend on numpy's
+# summation order.
+def _delays(outcomes: Outcomes) -> list[int]:
+    """The delays in slots of the vehicles that left late."""
+    return outcomes.delay_slots[outcomes.delayed].tolist()
+
+
+def average_delay_of_delayed(outcomes: Outcomes) -> float | None:
     """Mean delay in minutes over delayed vehicles; None when none were."""
-    delays = [o.delay_slots for o in outcomes if o.delayed]
+    delays = _delays(outcomes)
     if not delays:
         return None
     return SLOT_MINUTES * sum(delays) / len(delays)
 
 
-def delay_distribution(outcomes: Sequence[VehicleOutcome], bin_width_min: float) -> tuple:
+def delay_distribution(outcomes: Outcomes, bin_width_min: float) -> tuple:
     """Histogram of delay minutes, normalized over delayed vehicles.
 
     Bins are [i*w, (i+1)*w); the fractions sum to 1.
     """
     if bin_width_min <= 0:
         raise ValueError("bin width must be positive")
-    delays = [SLOT_MINUTES * o.delay_slots for o in outcomes if o.delayed]
+    delays = [SLOT_MINUTES * d for d in _delays(outcomes)]
     if not delays:
         raise ValueError("no delayed vehicles")
     n_bins = int(max(delays) // bin_width_min) + 1
@@ -113,7 +123,7 @@ class SweepBase:
 
 def run_cell(
     base: SweepBase, policy: Policy, sdr: float, seed: int, trace_path=None, memo=None
-) -> tuple[MetricsReport, list[VehicleOutcome]]:
+) -> tuple[MetricsReport, Outcomes]:
     """Generate the seed's fleet, calibrate, simulate, and summarize.
 
     Returns the cell's report and every vehicle's outcome; trace_path,
@@ -129,8 +139,7 @@ def run_cell(
     )
     stats = RunStats()
     outcomes = run_simulation(
-        cfg, fleet, day_capacity_profile(grid, base.charger), base.charger,
-        stats=stats, trace_path=trace_path,
+        cfg, fleet, day_capacity_profile(grid, base.charger), stats=stats, trace_path=trace_path,
     )
     measured = measurement_filter(outcomes)
     report = build_report(
@@ -165,13 +174,13 @@ def build_report(
     policy_name: str,
     sdr: float,
     seed: int | None,
-    measured: Sequence[VehicleOutcome],
+    measured: Outcomes,
     bin_width_min: float,
     **diagnostics,
 ) -> MetricsReport:
     fod = fraction_delayed(measured)
     adfd = average_delay_of_delayed(measured)
-    if any(o.delayed for o in measured):
+    if measured.delayed.any():
         histogram = delay_distribution(measured, bin_width_min)
     else:
         histogram = ()
@@ -363,7 +372,7 @@ def write_delaydist_csv(reports: Sequence[MetricsReport], path) -> None:
                 writer.writerow([r.policy, _fmt(r.sdr), _fmt(lo), _fmt(hi), _fmt(frac)])
 
 
-def write_outcomes_csv(outcomes: Sequence[VehicleOutcome], path) -> None:
+def write_outcomes_csv(outcomes: Outcomes, path) -> None:
     """Raw per-vehicle results, sufficient to recompute every metric.
 
     Every field is an integer (the two flags as 0/1), so nothing needs
@@ -376,7 +385,5 @@ def write_outcomes_csv(outcomes: Sequence[VehicleOutcome], path) -> None:
         write = fh.write
         write("id,arrival_slot,expected_departure_slot,satisfied_slot,"
               "actual_departure_slot,delay_slots,delayed,measured\r\n")
-        for o in outcomes:
-            write("%d,%d,%d,%d,%d,%d,%d,%d\r\n" % (
-                o.id, o.arrival_slot, o.expected_departure_slot, o.satisfied_slot,
-                o.actual_departure_slot, o.delay_slots, o.delayed, o.measured))
+        for row in zip(*(column.tolist() for column in outcomes.columns())):
+            write("%d,%d,%d,%d,%d,%d,%d,%d\r\n" % row)

@@ -12,17 +12,17 @@ import csv
 import math
 import os
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .engine import RunStats, SimConfig, VehicleOutcome, run_simulation
+from .engine import Outcomes, RunStats, SimConfig, run_simulation
 from .policies import Policy, PolicyKind
 from .powergrid import ChargerSpec
-from .workload import Vehicle
+from .workload import Fleet, Vehicle
 
 # Rate of one mile per slot makes required_miles equal whole charging
 # intervals, the natural unit for hand-checkable instances.
@@ -34,8 +34,15 @@ MAX_TINY_HORIZON = 30
 
 @dataclass(frozen=True)
 class TinyInstance:
+    """Hand-checkable sessions and their capacity profile.
+
+    The exhaustive search reads the vehicles; every policy run on the
+    instance shares the one fleet built from them.
+    """
+
     vehicles: tuple[Vehicle, ...]
     k_profile: tuple[int, ...]
+    fleet: Fleet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= len(self.vehicles) <= MAX_TINY_VEHICLES:
@@ -44,6 +51,7 @@ class TinyInstance:
             raise ValueError(f"arrivals must fall within {MAX_TINY_HORIZON} slots")
         if not self.k_profile or any(k < 0 for k in self.k_profile):
             raise ValueError("k_profile must be non-empty and non-negative")
+        object.__setattr__(self, "fleet", Fleet.from_vehicles(self.vehicles, ORACLE_CHARGER))
 
 
 def tiny_instance(specs: Sequence[tuple[int, int, int]], k_profile: Sequence[int],
@@ -131,19 +139,14 @@ def brute_force_min_max_delay(inst: TinyInstance, branch_budget: int = 10_000_00
         best_from.cache_clear()
 
 
-def run_policy_on_instance(
-    inst: TinyInstance, policy: Policy, trace_path=None
-) -> list[VehicleOutcome]:
+def run_policy_on_instance(inst: TinyInstance, policy: Policy, trace_path=None) -> Outcomes:
     """Drive the real engine over a tiny instance with its capacity profile."""
     cfg = SimConfig(policy=policy, days=3, warmup_days=0, last_measured_day=1)
-    return run_simulation(
-        cfg, inst.vehicles, inst.k_profile, ORACLE_CHARGER,
-        trace_path=trace_path, stats=RunStats(),
-    )
+    return run_simulation(cfg, inst.fleet, inst.k_profile, trace_path=trace_path, stats=RunStats())
 
 
-def max_delay(outcomes: Sequence[VehicleOutcome]) -> int:
-    return max((o.delay_slots for o in outcomes), default=0)
+def max_delay(outcomes: Outcomes) -> int:
+    return max(outcomes.delay_slots.tolist(), default=0)
 
 
 def random_tiny_instance(rng: np.random.Generator, *, constant_k: bool = False) -> TinyInstance:

@@ -9,16 +9,14 @@ tier. Ties break by arrival slot, then id.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:
-    from .powergrid import ChargerSpec
-    from .workload import Vehicle
+    from .workload import Fleet
 
 
 class PolicyKind(Enum):
@@ -71,13 +69,14 @@ SIMPLE_VARIANT_NAMES = tuple(k.value for k in PolicyKind if k not in _DISTANCE_R
 class PolicyState:
     """The vehicle counters of one run and this slot's two tiers.
 
-    A vehicle is named by its rank, its position in `vehicles` (the
-    run's fleet sorted by arrival slot, then id). need[rank] counts the
+    A vehicle is named by its rank, its row in `fleet` (whose rows are
+    in arrival order: arrival slot, then id). need[rank] counts the
     charging intervals until it holds its required charge and
     room[rank] those it can still take: until its battery is full, and
-    none once it has left. The engine decrements both as it charges, so
-    no float arithmetic happens after set-up. departure[rank] is the
-    expected departure slot. All three are int64 arrays indexed by rank.
+    none once it has left. They start as copies of the fleet's counts,
+    and the engine decrements them as it charges, so no float arithmetic
+    happens in the loop. departure[rank] is the fleet's expected
+    departure slot. All three are int64 arrays indexed by rank.
 
     deficit and topoff are int64 arrays of ranks in list order (head =
     next in line for the rotation policy), refreshed each slot by
@@ -86,7 +85,7 @@ class PolicyState:
     """
 
     policy: Policy
-    vehicles: Sequence["Vehicle"]
+    fleet: "Fleet"
     need: np.ndarray
     room: np.ndarray
     departure: np.ndarray
@@ -100,35 +99,32 @@ class PolicyState:
 _NO_RANKS = np.zeros(0, dtype=np.int64)
 
 
-def new_policy_state(policy: Policy, charger: "ChargerSpec", vehicles: Sequence["Vehicle"]) -> PolicyState:
-    """Empty tiers for a run over `vehicles`, sorted by (arrival slot, id)."""
-    rate = charger.miles_per_slot
-    need = [intervals_for_deficit(v.required_miles, v.current_miles, rate) for v in vehicles]
-    room = [intervals_for_deficit(v.battery_capacity_miles, v.current_miles, rate) for v in vehicles]
-    departure = [v.expected_departure_slot for v in vehicles]
-    if vehicles and max(max(room), max(departure)) >= _LATE:
-        raise ValueError("charging intervals or departure slots beyond the priority-key range")
-    informed = policy.use_distance_info
+def new_policy_state(policy: Policy, fleet: "Fleet") -> PolicyState:
+    """Empty tiers and fresh counters for a run over `fleet`."""
+    need, room = fleet.need.copy(), fleet.room.copy()
+    spare = room > 0
+    joins = spare.astype(np.uint8)  # 1 (deficit) unless full
+    if policy.use_distance_info:
+        joins += spare & (need == 0)  # 2 (top-off) if satisfied
     return PolicyState(
-        policy=policy, vehicles=vehicles,
-        need=np.array(need, dtype=np.int64),
-        room=np.array(room, dtype=np.int64),
-        departure=np.array(departure, dtype=np.int64),
-        joins=bytes([0 if not spare else 2 if informed and not short else 1 for short, spare in zip(need, room)]),
+        policy=policy, fleet=fleet, need=need, room=room,
+        departure=fleet.expected_departure_slot, joins=joins.tobytes(),
     )
 
 
-def intervals_for_deficit(required_miles: float, current_miles: float, rate_miles_per_slot: float) -> int:
-    """Whole charging slots needed to close a charge deficit (0 if none)."""
-    deficit = required_miles - current_miles
-    if deficit <= 0.0:
-        return 0
-    return math.ceil(deficit / rate_miles_per_slot)
+def intervals_for_deficit(required_miles, current_miles, rate_miles_per_slot: float):
+    """Whole charging slots needed to close a charge deficit (0 if none).
+
+    Works elementwise on columns of miles as on single values, and
+    returns int64.
+    """
+    deficit = np.maximum(np.subtract(required_miles, current_miles), 0.0)
+    return np.ceil(deficit / rate_miles_per_slot).astype(np.int64)
 
 
 # Least-slack FDFS puts every late vehicle ahead of every vehicle that
 # still has slack: a late primary is shifted down by _LATE, and a slack
-# (t_l - t) - need is above -need > -_LATE. new_policy_state refuses
+# (t_l - t) - need is above -need > -_LATE. workload.Fleet refuses
 # counters and slots from _LATE up, so every packed key fits in int64
 # for fleets of fewer than 2**31 vehicles.
 _LATE = 1 << 31
@@ -137,15 +133,15 @@ _LATE = 1 << 31
 def _keys(state: PolicyState, tier: np.ndarray, t: int) -> np.ndarray:
     """Packed priority keys of the ranks in `tier` at slot t; smaller is served earlier.
 
-    A key is primary * len(vehicles) + rank, so comparing two keys
+    A key is primary * len(fleet) + rank, so comparing two keys
     compares (primary, arrival slot, id), the policy's tuple key, and
-    key % len(vehicles) recovers the rank.
+    key % len(fleet) recovers the rank.
     """
     policy = state.policy
     kind = policy.kind
     if kind is PolicyKind.FCFS or kind is PolicyKind.RR:
         return tier
-    n = len(state.vehicles)
+    n = len(state.need)
     t_l = state.departure[tier]
     if kind is PolicyKind.FDFS and not policy.fdfs_least_slack:
         # Late vehicles first by how late they are; descending lateness
@@ -211,7 +207,7 @@ def _pick_by_key(state: PolicyState, tier: np.ndarray, k: int, t: int) -> np.nda
     if k == 0:
         return _NO_RANKS
     keys = _keys(state, tier, t)
-    return np.sort(np.partition(keys, k - 1)[:k]) % len(state.vehicles)
+    return np.sort(np.partition(keys, k - 1)[:k]) % len(state.need)
 
 
 def select(policy: Policy, state: PolicyState, t: int, K: int) -> np.ndarray:

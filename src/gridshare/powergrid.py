@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .units import KWH_PER_MILE, SLOTS_PER_DAY, SLOTS_PER_HOUR
 
@@ -100,18 +100,6 @@ class GridModel:
     # kW left for vehicles in each slot of the day: capacity minus the
     # other loads, never below 0.
     available_kw: tuple[float, ...] = field(repr=False)
-
-
-def total_required_energy(vehicles: Sequence, days: int) -> float:
-    """Average daily kWh the fleet must draw to reach its required charge."""
-    if not vehicles:
-        raise ValueError("empty workload")
-    if days < 1:
-        raise ValueError("fleet must span at least one day")
-    deficit_miles = math.fsum(
-        max(v.required_miles - v.current_miles, 0.0) for v in vehicles
-    )
-    return deficit_miles * KWH_PER_MILE / days
 
 
 def _headroom_hours(shape: LoadShape, peak_other_fraction: float) -> float:

@@ -18,9 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .policies import intervals_for_deficit
+from .policies import _LATE, intervals_for_deficit
 from .powergrid import ChargerSpec
-from .units import SLOTS_PER_DAY, SLOTS_PER_HOUR, hours_to_slots
+from .units import KWH_PER_MILE, SLOTS_PER_DAY, SLOTS_PER_HOUR, hours_to_slots
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,10 @@ class WorkloadConfig:
 
 @dataclass(slots=True)
 class Vehicle:
-    """One charging session; current_miles is the charge on arrival.
+    """One charging session built by hand; current_miles is the charge on arrival.
 
-    The engine reads vehicles and never changes them: it tracks charge
-    as whole intervals in its own per-run counters.
+    A record only: it enters a run through `Fleet.from_vehicles`, which
+    checks it like every other session.
     """
 
     id: int
@@ -102,13 +102,91 @@ class Vehicle:
     battery_capacity_miles: float
     connected_slots: int = 0  # sampled stay; departure may exceed it
 
-    def __post_init__(self):
-        if not 0.0 <= self.current_miles <= self.battery_capacity_miles:
+
+class Fleet:
+    """Charging sessions as columns, rows in arrival order (arrival slot, then id).
+
+    id, arrival_slot, expected_departure_slot and connected_slots (the
+    sampled stay) are int64 columns; required_miles, initial_miles (the
+    charge on arrival) and battery_capacity_miles are float64. need and
+    room count, at the charger's rate, the charging intervals until a
+    vehicle holds its required charge and until its battery is full. A
+    run copies them and works on the copies, so a fleet never changes.
+
+    Without expected departures, each one is the arrival plus the stay,
+    pushed out where the stay is too short to charge the requirement
+    even in every slot. Without ids, rows are numbered in the order
+    given. Rows are reordered into arrival order if needed; ids must be
+    unique, and every session is checked against its battery's bounds.
+    """
+
+    __slots__ = (
+        "id", "arrival_slot", "expected_departure_slot", "connected_slots",
+        "required_miles", "initial_miles", "battery_capacity_miles", "need", "room",
+    )
+
+    def __init__(self, charger: ChargerSpec, arrival_slot, connected_slots, required_miles,
+                 initial_miles, battery_capacity_miles, *, expected_departure_slot=None, ids=None):
+        arrival = np.asarray(arrival_slot, dtype=np.int64)
+        n = len(arrival)
+        ids = np.arange(n) if ids is None else np.asarray(ids, dtype=np.int64)
+        columns = [
+            ids, arrival, np.asarray(connected_slots, dtype=np.int64),
+            np.asarray(required_miles, dtype=np.float64), np.asarray(initial_miles, dtype=np.float64),
+            np.full(n, battery_capacity_miles, dtype=np.float64),
+        ]
+        if expected_departure_slot is not None:
+            columns.append(np.asarray(expected_departure_slot, dtype=np.int64))
+        # Rows in arrival order with increasing ids need no sorting, and
+        # their ids are unique.
+        if n > 1 and not (_every(ids[1:] > ids[:-1]) and _every(arrival[1:] >= arrival[:-1])):
+            if len(set(ids.tolist())) < n:
+                raise ValueError("vehicle ids must be unique")
+            order = np.lexsort((ids, arrival))
+            columns = [column[order] for column in columns]
+        ids, arrival, stay, required, initial, capacity, *departure = columns
+
+        over = required > capacity
+        if np.count_nonzero(over):
+            i = over.argmax()
+            raise ValueError(
+                f"required range {required[i]:.1f} exceeds battery capacity "
+                f"{capacity[i]:.1f}; check commute cap and allowances")
+        if not (_every(initial >= 0.0) and _every(initial <= capacity)):
             raise ValueError("current charge outside battery bounds")
-        if not 0.0 <= self.required_miles <= self.battery_capacity_miles:
+        if not _every(required >= 0.0):
             raise ValueError("required charge outside battery bounds")
-        if self.expected_departure_slot <= self.arrival_slot:
+        need, room = intervals_for_deficit(np.array((required, capacity)), initial, charger.miles_per_slot)
+        departure = departure[0] if departure else arrival + np.maximum(stay, need)
+        if not _every(departure > arrival):
             raise ValueError("departure must come after arrival")
+        if n and max(room.max(), departure.max()) >= _LATE:
+            raise ValueError("charging intervals or departure slots beyond the priority-key range")
+        self.id, self.arrival_slot, self.expected_departure_slot, self.connected_slots = ids, arrival, departure, stay
+        self.required_miles, self.initial_miles, self.battery_capacity_miles = required, initial, capacity
+        self.need, self.room = need, room
+
+    @classmethod
+    def from_vehicles(cls, vehicles: Sequence[Vehicle], charger: ChargerSpec) -> "Fleet":
+        """The fleet of hand-built sessions, in any order, for `charger`."""
+        return cls(
+            charger,
+            [v.arrival_slot for v in vehicles],
+            [v.connected_slots for v in vehicles],
+            [v.required_miles for v in vehicles],
+            [v.current_miles for v in vehicles],
+            [v.battery_capacity_miles for v in vehicles],
+            expected_departure_slot=[v.expected_departure_slot for v in vehicles],
+            ids=[v.id for v in vehicles],
+        )
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+
+def _every(mask: np.ndarray) -> bool:
+    """Whether every entry of a boolean array is true (count_nonzero is the cheap reduction)."""
+    return np.count_nonzero(mask) == len(mask)
 
 
 def sample_arrivals(profile: ArrivalProfile, days: int, rng: np.random.Generator) -> list[int]:
@@ -150,39 +228,12 @@ def sample_initial_charge(cfg: WorkloadConfig, rng: np.random.Generator) -> floa
     return 0.0 + cfg.initial_charge_max_mi * rng.random()
 
 
-def make_vehicle(
-    vehicle_id: int,
-    arrival_slot: int,
-    duration_slots: int,
-    required_miles: float,
-    initial_miles: float,
-    charger: ChargerSpec,
-    battery_capacity_miles: float,
-) -> Vehicle:
-    """Assemble a session, pushing out infeasible expected departures.
-
-    If the stay is shorter than the minimum time to charge continuously,
-    the expected departure moves to the earliest boundary at which the
-    vehicle could be fully ready.
-    """
-    if required_miles > battery_capacity_miles:
-        raise ValueError(
-            f"required range {required_miles:.1f} exceeds battery capacity "
-            f"{battery_capacity_miles:.1f}; check commute cap and allowances"
-        )
-    min_slots = intervals_for_deficit(required_miles, initial_miles, charger.miles_per_slot)
-    return Vehicle(
-        vehicle_id, arrival_slot, arrival_slot + max(duration_slots, min_slots),
-        required_miles, initial_miles, battery_capacity_miles, duration_slots,
-    )
-
-
 def generate_fleet(
     cfg: WorkloadConfig,
     profile: ArrivalProfile,
     charger: ChargerSpec,
     seed: int,
-) -> list[Vehicle]:
+) -> Fleet:
     """Deterministic fleet for (cfg, profile, charger, seed).
 
     Arrivals and per-vehicle attributes come from separate substreams of
@@ -192,35 +243,47 @@ def generate_fleet(
     arrival_ss, attrs_ss = np.random.SeedSequence(seed).spawn(2)
     arrivals = sample_arrivals(profile, cfg.days, np.random.default_rng(arrival_ss))
     rng = np.random.default_rng(attrs_ss)
-    # Arguments are evaluated left to right, so each vehicle draws its
-    # stay, then its requirement, then its initial charge.
-    return [
-        make_vehicle(
-            i, slot, sample_connection_duration(cfg, rng), sample_required_miles(cfg, rng),
-            sample_initial_charge(cfg, rng), charger, cfg.battery_capacity_miles,
-        )
-        for i, slot in enumerate(arrivals)
+    # Each vehicle draws its stay, then its requirement, then its initial
+    # charge: a tuple's items are evaluated left to right.
+    draws = [
+        (sample_connection_duration(cfg, rng), sample_required_miles(cfg, rng),
+         sample_initial_charge(cfg, rng))
+        for _ in arrivals
     ]
+    stay, required, initial = zip(*draws) if draws else ((), (), ())
+    return Fleet(charger, arrivals, stay, required, initial, cfg.battery_capacity_miles)
 
 
-def adjusted_departure_fraction(fleet: Sequence[Vehicle]) -> float:
+def adjusted_departure_fraction(fleet: Fleet) -> float:
     """Fraction of vehicles whose expected departure had to be pushed out."""
-    if not fleet:
+    if not len(fleet):
         raise ValueError("empty workload")
-    adjusted = sum(
-        1 for v in fleet
-        if v.expected_departure_slot - v.arrival_slot > v.connected_slots
-    )
-    return adjusted / len(fleet)
+    pushed = fleet.expected_departure_slot - fleet.arrival_slot > fleet.connected_slots
+    return np.count_nonzero(pushed) / len(fleet)
 
 
-def dump_fleet_csv(fleet: Sequence[Vehicle], path) -> None:
+def total_required_energy(fleet: Fleet, days: int) -> float:
+    """Average daily kWh the fleet must draw to reach its required charge.
+
+    The per-vehicle deficits are summed exactly (math.fsum), so the
+    total does not depend on the order of the vehicles.
+    """
+    if not len(fleet):
+        raise ValueError("empty workload")
+    if days < 1:
+        raise ValueError("fleet must span at least one day")
+    deficits = np.maximum(fleet.required_miles - fleet.initial_miles, 0.0)
+    return math.fsum(deficits.tolist()) * KWH_PER_MILE / days
+
+
+def dump_fleet_csv(fleet: Fleet, path) -> None:
     """Write the generated fleet for inspection or independent recomputation."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "arrival_slot", "departure_slot", "required_miles", "initial_miles"])
-        for v in fleet:
-            writer.writerow([
-                v.id, v.arrival_slot, v.expected_departure_slot,
-                f"{v.required_miles:.10g}", f"{v.current_miles:.10g}",
-            ])
+        writer.writerows(
+            (vid, arrival, departure, f"{required:.10g}", f"{initial:.10g}")
+            for vid, arrival, departure, required, initial in zip(
+                fleet.id.tolist(), fleet.arrival_slot.tolist(), fleet.expected_departure_slot.tolist(),
+                fleet.required_miles.tolist(), fleet.initial_miles.tolist())
+        )

@@ -182,6 +182,14 @@ def test_explicit_window_beats_horizon_scaling(tmp_path, capsys):
     assert "warmup_days=4" in (out / "resolved-config").read_text()
 
 
+def test_simulate_refuses_a_grid_without_charger_slots(tmp_path, capsys):
+    # 14 vehicles calibrate to K = 0 in every slot of the day.
+    code = run(["simulate", "--policy", "fcfs", "--sdr", "1.2", "--seed", "1", "--days", "8",
+                "--arrivals-per-day", "2", "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "no charger slot" in capsys.readouterr().err
+
+
 def test_exact_charger_physics_flag(tiny_config, tmp_path):
     out = tmp_path / "out"
     code = run(["simulate", "--config", tiny_config, "--exact-charger-physics",
@@ -200,6 +208,24 @@ def test_dump_fleet_columns(tiny_config, tmp_path):
     assert rows and rows[0].keys() == {
         "id", "arrival_slot", "departure_slot", "required_miles", "initial_miles"
     }
+
+
+def test_dump_fleet_refuses_several_seeds(tiny_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["dump-fleet", "--config", tiny_config, "--seeds", "1,2", "--out", str(out)]) == EXIT_CONFIG
+    assert "exactly one --seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("instances", ["-3", "0"])
+def test_verify_refuses_fewer_than_one_instance(tiny_config, tmp_path, capsys, instances):
+    out = tmp_path / "out"
+    code = run(["verify", "--config", tiny_config, "--instances", instances, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "--instances must be at least 1" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_verify_campaign_clean(tiny_config, tmp_path, capsys):
@@ -284,10 +310,12 @@ def test_default_simulate_resolved_config_text(tmp_path):
 def test_flag_pair_is_two_spellings_of_one_key(tmp_path, single, plural, value, other):
     # Both spellings write the same resolved-config, and the last one given wins.
     texts = set()
+    one_seed = [] if single == "--seed" else ["--seed", "1"]  # dump-fleet writes one seed's fleet
     for i, flags in enumerate(([single, value], [plural, value],
                                [plural, other, single, value], [single, other, plural, value])):
         out = tmp_path / str(i)
-        argv = ["dump-fleet", *flags, "--days", "4", "--arrivals-per-day", "80", "--out", str(out)]
+        argv = ["dump-fleet", *one_seed, *flags, "--days", "4", "--arrivals-per-day", "80",
+                "--out", str(out)]
         assert run(argv) == EXIT_OK
         texts.add((out / "resolved-config").read_text().replace(str(out), "OUT"))
     assert len(texts) == 1

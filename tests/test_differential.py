@@ -24,7 +24,7 @@ from gridshare.engine import RunStats, SimConfig, run_simulation
 from gridshare.oracle import audit_trace
 from gridshare.policies import intervals_for_deficit, parse_policy
 from gridshare.powergrid import ChargerSpec
-from gridshare.workload import Vehicle
+from gridshare.workload import Fleet, Vehicle
 
 from reference_loop import reference_run
 
@@ -93,7 +93,9 @@ def test_engine_matches_reference_loop(policy, scenario):
         trace_path = os.path.join(tmp, "trace.csv")
         cfg = SimConfig(policy=policy, days=3, warmup_days=0, last_measured_day=1)
         stats = RunStats()
-        outcomes = run_simulation(cfg, fleet, k_profile, charger, trace_path=trace_path, stats=stats)
+        outcomes = run_simulation(
+            cfg, Fleet.from_vehicles(fleet, charger), k_profile, trace_path=trace_path, stats=stats,
+        ).records()
         rows = read_rows(trace_path)
         want_outcomes, want_rows, want_slots = reference_run(cfg, fleet, k_profile, rate)
         assert outcomes == want_outcomes

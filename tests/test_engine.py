@@ -1,10 +1,10 @@
 """Slot loop: charging, departures, measurement window, conservation."""
 
-from dataclasses import replace
-
+import numpy as np
 import pytest
 
 from gridshare.engine import (
+    Outcomes,
     RunStats,
     SimConfig,
     SimulationInvariantError,
@@ -14,6 +14,7 @@ from gridshare.engine import (
 from gridshare.oracle import ORACLE_CHARGER, brute_force_min_max_delay, tiny_instance
 from gridshare.policies import parse_policy
 from gridshare.units import SLOTS_PER_DAY
+from gridshare.workload import Fleet
 
 from conftest import make_test_vehicle, scenario
 
@@ -26,9 +27,13 @@ def tiny_cfg(policy_name="minmax-dt", **kw):
     )
 
 
+def simulate(cfg, vehicles, k_profile, **kw):
+    """One record per vehicle, in arrival order, of a run over hand-built vehicles."""
+    return run_simulation(cfg, Fleet.from_vehicles(vehicles, ORACLE_CHARGER), k_profile, **kw).records()
+
+
 def run_tiny(vehicles, k_profile, policy="minmax-dt", **kw):
-    cfg = tiny_cfg(policy, **kw)
-    return run_simulation(cfg, vehicles, k_profile, ORACLE_CHARGER)
+    return simulate(tiny_cfg(policy, **kw), vehicles, k_profile)
 
 
 # --- hand-traced example -----------------------------------------------------
@@ -72,11 +77,10 @@ def test_repeat_runs_identical():
 
 
 def test_input_fleet_not_mutated():
-    v = make_test_vehicle(0, 0, 5, required=3.0, current=0.0)
-    before = replace(v)
-    run_tiny([v], [1])
-    assert v == before
-    assert v.current_miles == 0.0
+    fleet = Fleet.from_vehicles([make_test_vehicle(0, 0, 5, required=3.0, current=0.0)], ORACLE_CHARGER)
+    first = run_simulation(tiny_cfg(), fleet, [1]).records()
+    assert fleet.need.tolist() == [3] and fleet.room.tolist() == [3]
+    assert run_simulation(tiny_cfg(), fleet, [1]).records() == first
 
 
 def test_duplicate_vehicle_ids_rejected():
@@ -88,6 +92,24 @@ def test_duplicate_vehicle_ids_rejected():
         run_tiny(vehicles, [1])
 
 
+def test_shuffled_fleet_runs_like_the_sorted_one(tmp_path):
+    # Ids do not follow arrival order, and several vehicles share an arrival slot.
+    ordered = sorted(
+        (make_test_vehicle(i, (i * 5) % 7, (i * 5) % 7 + 6 + i % 3, required=3.0 + i % 4,
+                           current=float(i % 2), capacity=9.0) for i in range(12)),
+        key=lambda v: (v.arrival_slot, v.id))
+    shuffled = [ordered[i] for i in np.random.default_rng(4).permutation(len(ordered))]
+    assert shuffled != ordered
+    for policy in ("fcfs", "rr", "minmax-dt"):
+        runs = []
+        for name, vehicles in (("sorted", ordered), ("shuffled", shuffled)):
+            trace = tmp_path / f"{policy}-{name}.csv"
+            outcomes = simulate(tiny_cfg(policy), vehicles, [2, 1, 0], trace_path=trace)
+            runs.append((outcomes, trace.read_bytes()))
+        assert runs[0] == runs[1]
+        assert [o.id for o in runs[0][0]] == [v.id for v in ordered]
+
+
 # --- departure semantics -----------------------------------------------------
 
 
@@ -97,6 +119,14 @@ def test_vehicle_satisfied_at_arrival_departs_on_time():
     assert outcome.satisfied_slot == 2
     assert outcome.actual_departure_slot == 9
     assert outcome.delay_slots == 0 and not outcome.delayed
+
+
+def test_fleet_that_needs_charge_without_any_capacity_is_refused(tmp_path):
+    v = make_test_vehicle(0, 2, 9, required=5.0, current=0.0, capacity=10.0)
+    trace = tmp_path / "trace.csv"
+    with pytest.raises(ValueError, match="no charger slot"):
+        simulate(tiny_cfg(), [v], [0, 0, 0], trace_path=trace)
+    assert not trace.exists()  # refused before the loop
 
 
 def test_no_departure_before_expected_slot_even_if_ready_early():
@@ -132,7 +162,7 @@ def test_extension_runs_past_horizon_with_periodic_capacity():
     cfg = tiny_cfg("fcfs", days=3, warmup_days=0, last_measured_day=1)
     late_arrival = SLOTS_PER_DAY * 3 - 2
     v = make_test_vehicle(0, late_arrival, late_arrival + 4, required=30.0, current=0.0)
-    (outcome,) = run_simulation(cfg, [v], [1], ORACLE_CHARGER)
+    (outcome,) = simulate(cfg, [v], [1])
     assert outcome.actual_departure_slot == late_arrival + 30
     assert outcome.delay_slots == 26
 
@@ -149,7 +179,7 @@ def test_simple_variant_drains_after_its_last_expected_departure():
     ]
     cfg = SimConfig(policy=parse_policy("fcfs", simple=True), days=3, warmup_days=0, last_measured_day=1)
     stats = RunStats()
-    outcomes = run_simulation(cfg, vehicles, [1], ORACLE_CHARGER, stats=stats)
+    outcomes = simulate(cfg, vehicles, [1], stats=stats)
     assert [o.actual_departure_slot for o in outcomes] == [50, 55]
     assert stats.slots_run == 55
 
@@ -207,7 +237,7 @@ def test_stats_collects_census_and_selections():
     vehicles = [make_test_vehicle(i, 0, 600, required=100.0, capacity=200.0) for i in range(3)]
     cfg = tiny_cfg("rr")
     stats = RunStats()
-    run_simulation(cfg, vehicles, [1], ORACLE_CHARGER, stats=stats)
+    simulate(cfg, vehicles, [1], stats=stats)
     assert stats.total_selections > 0
     assert stats.slots_run >= 600
     assert len(stats.plugged_at_census) >= 2
@@ -216,16 +246,13 @@ def test_stats_collects_census_and_selections():
 # --- measurement window ------------------------------------------------------
 
 
-def outcome_stub(arrival_day, cfg):
-    """An outcome flagged the way the engine flags it under cfg's window."""
-    from gridshare.engine import VehicleOutcome
-
-    slot = arrival_day * SLOTS_PER_DAY + 100  # zero-based day
-    return VehicleOutcome(
-        id=arrival_day, arrival_slot=slot, expected_departure_slot=slot + 10,
-        satisfied_slot=slot, actual_departure_slot=slot + 10,
-        delay_slots=0, delayed=False, measured=cfg.in_measurement_window(slot),
-    )
+def on_time_outcomes(arrival_days, cfg):
+    """Outcomes of on-time vehicles (id = zero-based arrival day), flagged the way the engine flags them under cfg's window."""
+    arrival = np.array([day * SLOTS_PER_DAY + 100 for day in arrival_days])
+    on_time = np.zeros(len(arrival), dtype=np.int64)
+    measured = np.array([cfg.in_measurement_window(slot) for slot in arrival.tolist()], dtype=bool)
+    return Outcomes(np.array(arrival_days), arrival, arrival + 10, arrival, arrival + 10,
+                    on_time, on_time.astype(bool), measured)
 
 
 def default_window_cfg():
@@ -238,9 +265,8 @@ def default_window_cfg():
 def test_measurement_window_boundaries():
     cfg = default_window_cfg()
     # One-based days 4, 5, 13, 14 are zero-based 3, 4, 12, 13.
-    outcomes = [outcome_stub(d, cfg) for d in (3, 4, 12, 13)]
-    kept = measurement_filter(outcomes)
-    assert [o.id for o in kept] == [4, 12]
+    kept = measurement_filter(on_time_outcomes([3, 4, 12, 13], cfg))
+    assert kept.id.tolist() == [4, 12]
 
 
 def test_measurement_window_slot_bounds():
@@ -252,7 +278,7 @@ def test_measurement_window_slot_bounds():
 def test_measurement_window_empty_is_an_error():
     cfg = default_window_cfg()
     with pytest.raises(ValueError, match="measurement window empty"):
-        measurement_filter([outcome_stub(0, cfg)])
+        measurement_filter(on_time_outcomes([0], cfg))
 
 
 def test_engine_measured_flag_agrees_with_filter():
@@ -261,9 +287,9 @@ def test_engine_measured_flag_agrees_with_filter():
         make_test_vehicle(d, d * SLOTS_PER_DAY + 8, d * SLOTS_PER_DAY + 48, required=4.0)
         for d in range(5)
     ]
-    outcomes = run_simulation(cfg, vehicles, [3], ORACLE_CHARGER)
-    flagged = {o.id for o in outcomes if o.measured}
-    filtered = {o.id for o in measurement_filter(outcomes)}
+    outcomes = run_simulation(cfg, Fleet.from_vehicles(vehicles, ORACLE_CHARGER), [3])
+    flagged = {o.id for o in outcomes.records() if o.measured}
+    filtered = set(measurement_filter(outcomes).id.tolist())
     assert flagged == filtered == {1, 2}
 
 

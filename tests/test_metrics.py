@@ -3,13 +3,14 @@
 import csv
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import scenario
 from gridshare import cli, metrics
-from gridshare.engine import VehicleOutcome
+from gridshare.engine import Outcomes
 from gridshare.metrics import (
     average_delay_of_delayed,
     average_reports,
@@ -28,16 +29,12 @@ from gridshare.policies import parse_policy
 from gridshare.workload import generate_fleet
 
 
-def outcome(delay_slots, vid=0, measured=True):
-    return VehicleOutcome(
-        id=vid, arrival_slot=0, expected_departure_slot=100,
-        satisfied_slot=100 + delay_slots, actual_departure_slot=100 + delay_slots,
-        delay_slots=delay_slots, delayed=delay_slots > 0, measured=measured,
-    )
-
-
 def outcomes_from_minutes(minutes):
-    return [outcome(m // 5, vid=i) for i, m in enumerate(minutes)]
+    """Measured vehicles that each left the given minutes after their expected departure."""
+    delay = np.array([m // 5 for m in minutes], dtype=np.int64)
+    arrival = np.zeros(len(delay), dtype=np.int64)
+    return Outcomes(np.arange(len(delay)), arrival, arrival + 100, 100 + delay, 100 + delay,
+                    delay, delay > 0, np.ones(len(delay), dtype=bool))
 
 
 # --- headline metrics --------------------------------------------------------
@@ -47,7 +44,7 @@ def test_fraction_delayed_examples():
     assert fraction_delayed(outcomes_from_minutes([0, 0, 15, 25])) == 0.5
     assert fraction_delayed(outcomes_from_minutes([0, 0, 0])) == 0.0
     with pytest.raises(ValueError):
-        fraction_delayed([])
+        fraction_delayed(outcomes_from_minutes([]))
 
 
 def test_average_delay_examples():
@@ -80,7 +77,7 @@ def test_delay_distribution_errors():
        st.sampled_from([15.0, 30.0, 60.0]))
 def test_distribution_mass_and_cdf_monotonicity(delays, width):
     sample = outcomes_from_minutes([d * 5 for d in delays])
-    if not any(o.delayed for o in sample):
+    if not sample.delayed.any():
         return
     histogram = delay_distribution(sample, width)
     assert sum(f for _, _, f in histogram) == pytest.approx(1.0)

@@ -13,27 +13,31 @@ from gridshare.policies import (
     update_membership,
 )
 from gridshare.powergrid import charger_preset
-from gridshare.workload import generate_fleet
+from gridshare.workload import Fleet, generate_fleet
 
 from conftest import make_test_vehicle, scenario
 from reference_loop import priority_key
 
 
+def in_arrival_order(vehicles):
+    """The vehicles in rank order: by arrival slot, then id."""
+    return sorted(vehicles, key=lambda v: (v.arrival_slot, v.id))
+
+
 def plugged_state(policy, charger, vehicles, t=0):
     """Tiers after `vehicles` plug in together at slot t."""
-    fleet = sorted(vehicles, key=lambda v: (v.arrival_slot, v.id))
-    state = new_policy_state(policy, charger, fleet)
-    update_membership(state, t, range(len(fleet)), satisfied=False, emptied=False)
+    state = new_policy_state(policy, Fleet.from_vehicles(vehicles, charger))
+    update_membership(state, t, range(len(vehicles)), satisfied=False, emptied=False)
     return state
 
 
 def ids(state, ranks):
     """Vehicle ids of a tier or a selection, in order."""
-    return [state.vehicles[r].id for r in ranks]
+    return [state.fleet.id[r] for r in ranks]
 
 
 def rank(state, vid):
-    return next(r for r, v in enumerate(state.vehicles) if v.id == vid)
+    return state.fleet.id.tolist().index(vid)
 
 
 @pytest.fixture
@@ -49,15 +53,24 @@ def state_for(unit_charger):
 
 def test_full_battery_from_empty_takes_200_intervals(home_charger):
     v = make_test_vehicle(0, 0, 300, required=100.0, current=0.0, capacity=100.0)
-    state = new_policy_state(parse_policy("fcfs"), home_charger, [v])
+    state = new_policy_state(parse_policy("fcfs"), Fleet.from_vehicles([v], home_charger))
     assert state.need.tolist() == state.room.tolist() == [200]
 
 
 def test_no_intervals_needed_at_required_charge(home_charger):
     v = make_test_vehicle(0, 0, 300, required=50.0, current=50.0, capacity=100.0)
-    state = new_policy_state(parse_policy("fcfs"), home_charger, [v])
+    state = new_policy_state(parse_policy("fcfs"), Fleet.from_vehicles([v], home_charger))
     assert state.need.tolist() == [0]
     assert state.room.tolist() == [100]
+
+
+def test_runs_count_down_copies_of_the_fleet_counters(home_charger):
+    v = make_test_vehicle(0, 0, 300, required=50.0, current=0.0, capacity=100.0)
+    fleet = Fleet.from_vehicles([v], home_charger)
+    state = new_policy_state(parse_policy("fcfs"), fleet)
+    state.need -= 1
+    state.room -= 1
+    assert fleet.need.tolist() == [100] and fleet.room.tolist() == [200]
 
 
 def test_partial_interval_rounds_up(home_charger):
@@ -77,12 +90,9 @@ def test_interval_counters_replay_float_charging(charger):
     # float64 arithmetic is the same IEEE arithmetic as Python floats.
     base = scenario(days=2, warmup_days=0, last_measured_day=1).base
     fleet = generate_fleet(base.workload, base.profile, charger, 1)
-    state = new_policy_state(parse_policy("fcfs"), charger, fleet)
     rate = charger.miles_per_slot
-    need, room = np.array(state.need), np.array(state.room)
-    required = np.array([v.required_miles for v in fleet])
-    capacity = np.array([v.battery_capacity_miles for v in fleet])
-    cur = np.array([v.current_miles for v in fleet])
+    need, room = fleet.need, fleet.room
+    required, capacity, cur = fleet.required_miles, fleet.battery_capacity_miles, fleet.initial_miles
     for j in range(room.max() + 1):  # cur holds the charge after j steps
         assert np.array_equal(cur >= required, j >= need)
         assert np.array_equal(cur >= capacity, j >= room)
@@ -288,7 +298,7 @@ def test_top_k_property_for_sorted_policies(scenario, name):
     vehicles, k, t = scenario
     policy = parse_policy(name)
     state = plugged_state(policy, charger, vehicles, t)
-    plugged = state.vehicles
+    plugged = in_arrival_order(vehicles)
     picked = set(select(policy, state, t, k))
 
     def key(v):
@@ -315,7 +325,7 @@ def test_minmax_dt_dominance_property(scenario):
     vehicles, k, t = scenario
     policy = parse_policy("minmax-dt")
     state = plugged_state(policy, charger, vehicles, t)
-    plugged = state.vehicles
+    plugged = in_arrival_order(vehicles)
     picked = set(select(policy, state, t, k))
     deficit = list(state.deficit)
     chosen = [r for r in deficit if r in picked]

@@ -17,10 +17,9 @@ from gridshare.powergrid import (
     make_grid,
     realized_sdr,
     slot_vehicle_capacity,
-    total_required_energy,
 )
 from gridshare.units import SLOTS_PER_DAY
-from gridshare.workload import dump_fleet_csv, generate_fleet
+from gridshare.workload import Fleet, dump_fleet_csv, generate_fleet, total_required_energy
 
 from conftest import make_test_vehicle, scenario
 
@@ -86,20 +85,21 @@ def test_charger_requires_positive_rate():
 # --- required energy -------------------------------------------------------
 
 
-def test_single_empty_vehicle_needs_28_kwh_per_day():
+def test_single_empty_vehicle_needs_28_kwh_per_day(home_charger):
     v = make_test_vehicle(0, 0, 200, required=100.0, current=0.0, capacity=100.0)
-    assert total_required_energy([v], days=1) == pytest.approx(28.0)
+    assert total_required_energy(Fleet.from_vehicles([v], home_charger), days=1) == pytest.approx(28.0)
 
 
-def test_already_charged_vehicle_contributes_nothing():
+def test_already_charged_vehicle_contributes_nothing(home_charger):
     full = make_test_vehicle(0, 0, 200, required=40.0, current=60.0, capacity=100.0)
     needy = make_test_vehicle(1, 0, 200, required=50.0, current=0.0, capacity=100.0)
-    assert total_required_energy([full, needy], days=1) == pytest.approx(50.0 * 0.28)
+    fleet = Fleet.from_vehicles([full, needy], home_charger)
+    assert total_required_energy(fleet, days=1) == pytest.approx(50.0 * 0.28)
 
 
-def test_empty_fleet_rejected():
+def test_empty_fleet_rejected(home_charger):
     with pytest.raises(ValueError, match="empty workload"):
-        total_required_energy([], days=1)
+        total_required_energy(Fleet.from_vehicles([], home_charger), days=1)
 
 
 def test_fleet_energy_matches_recomputation_from_csv(tmp_path, home_charger):

@@ -11,17 +11,18 @@ from gridshare.policies import intervals_for_deficit
 from gridshare.powergrid import charger_preset
 from gridshare.workload import (
     ArrivalProfile,
+    Fleet,
+    Vehicle,
     adjusted_departure_fraction,
     dump_fleet_csv,
     generate_fleet,
-    make_vehicle,
     sample_arrivals,
     sample_connection_duration,
     sample_initial_charge,
     sample_required_miles,
 )
 
-from conftest import scenario
+from conftest import make_test_vehicle, scenario
 
 
 def rng(seed=1):
@@ -206,23 +207,81 @@ def test_samplers_draw_what_numpy_distribution_methods_draw(monkeypatch, overrid
     assert ours.bit_generator.state == numpys.bit_generator.state
 
 
-# --- vehicle assembly ------------------------------------------------------
+# --- fleet assembly and session checks -------------------------------------
 
 
-def test_make_vehicle_pushes_out_infeasible_departure(home_charger):
+def one_session(charger, arrival, stay, required, initial, capacity=100.0, **kw):
+    return Fleet(charger, [arrival], [stay], [required], [initial], capacity, **kw)
+
+
+def test_fleet_pushes_out_infeasible_departure(home_charger):
     # Needs 200 intervals but the stay is only 150 slots.
-    v = make_vehicle(0, 100, 150, 100.0, 0.0, home_charger, battery_capacity_miles=100.0)
-    assert v.expected_departure_slot == 100 + 200
+    fleet = one_session(home_charger, 100, 150, 100.0, 0.0)
+    assert fleet.expected_departure_slot.tolist() == [100 + 200]
+    assert adjusted_departure_fraction(fleet) == 1.0
 
 
-def test_make_vehicle_keeps_feasible_departure(home_charger):
-    v = make_vehicle(0, 100, 150, 10.0, 10.0, home_charger, battery_capacity_miles=100.0)
-    assert v.expected_departure_slot == 100 + 150
+def test_fleet_keeps_feasible_departure(home_charger):
+    fleet = one_session(home_charger, 100, 150, 10.0, 10.0)
+    assert fleet.expected_departure_slot.tolist() == [100 + 150]
+    assert adjusted_departure_fraction(fleet) == 0.0
 
 
-def test_make_vehicle_rejects_required_above_capacity(home_charger):
-    with pytest.raises(ValueError):
-        make_vehicle(0, 0, 100, 120.0, 0.0, home_charger, battery_capacity_miles=100.0)
+def test_hand_built_departure_is_kept_even_if_infeasible(home_charger):
+    v = make_test_vehicle(0, 100, 150, required=100.0, current=0.0, capacity=100.0)
+    assert Fleet.from_vehicles([v], home_charger).expected_departure_slot.tolist() == [150]
+
+
+def test_fleet_rejects_required_above_capacity(home_charger):
+    with pytest.raises(ValueError, match="exceeds battery capacity"):
+        one_session(home_charger, 0, 100, 120.0, 0.0)
+
+
+@pytest.mark.parametrize("required, initial, message", [
+    (10.0, -1.0, "current charge outside battery bounds"),
+    (10.0, 101.0, "current charge outside battery bounds"),
+    (-1.0, 0.0, "required charge outside battery bounds"),
+])
+def test_fleet_rejects_charge_outside_battery_bounds(unit_charger, required, initial, message):
+    with pytest.raises(ValueError, match=message):
+        one_session(unit_charger, 0, 100, required, initial)
+    v = make_test_vehicle(0, 0, 100, required=required, current=initial, capacity=100.0)
+    with pytest.raises(ValueError, match=message):
+        Fleet.from_vehicles([v], unit_charger)
+
+
+def test_fleet_rejects_departure_not_after_arrival(unit_charger):
+    with pytest.raises(ValueError, match="departure must come after arrival"):
+        Fleet.from_vehicles([make_test_vehicle(0, 5, 5, required=1.0)], unit_charger)
+    with pytest.raises(ValueError, match="departure must come after arrival"):
+        one_session(unit_charger, 5, 0, 0.0, 0.0)  # no stay and nothing to charge
+
+
+def test_fleet_rejects_duplicate_ids(unit_charger):
+    vehicles = [make_test_vehicle(1, 0, 5, required=1.0), make_test_vehicle(1, 1, 6, required=1.0)]
+    with pytest.raises(ValueError, match="unique"):
+        Fleet.from_vehicles(vehicles, unit_charger)
+
+
+def test_fleet_rejects_counters_beyond_the_priority_key_range(unit_charger):
+    v = make_test_vehicle(0, 0, 2**31, required=1.0)
+    with pytest.raises(ValueError, match="priority-key range"):
+        Fleet.from_vehicles([v], unit_charger)
+
+
+def test_hand_built_fleet_rows_come_in_arrival_order(unit_charger):
+    vehicles = [
+        Vehicle(9, 4, 10, 3.0, 1.0, 5.0, 6), Vehicle(2, 4, 8, 2.0, 0.0, 4.0),
+        Vehicle(5, 1, 3, 1.0, 1.0, 1.0),
+    ]
+    fleet = Fleet.from_vehicles(vehicles, unit_charger)
+    assert fleet.id.tolist() == [5, 2, 9]
+    assert fleet.arrival_slot.tolist() == [1, 4, 4]
+    assert fleet.expected_departure_slot.tolist() == [3, 8, 10]
+    assert fleet.connected_slots.tolist() == [0, 0, 6]
+    assert fleet.need.tolist() == [0, 2, 2]
+    assert fleet.room.tolist() == [0, 4, 4]
+    assert len(fleet) == 3
 
 
 def test_adjusted_fraction_near_five_percent(home_charger):
@@ -241,10 +300,15 @@ def small_fleet():
     return cfg, profile, generate_fleet(cfg, profile, charger_preset("home-110-15"), 42)
 
 
+def columns(fleet, rows=None):
+    """Every column of the fleet as a list, optionally of its first rows only."""
+    return [getattr(fleet, name)[:rows].tolist() for name in Fleet.__slots__]
+
+
 def test_fleet_deterministic(small_fleet):
     cfg, profile, fleet = small_fleet
     again = generate_fleet(cfg, profile, charger_preset("home-110-15"), 42)
-    assert fleet == again
+    assert columns(fleet) == columns(again)
 
 
 def test_fleet_prefix_independent_of_horizon(small_fleet):
@@ -254,30 +318,45 @@ def test_fleet_prefix_independent_of_horizon(small_fleet):
     longer = generate_fleet(
         scenario(days=9).base.workload, profile, charger_preset("home-110-15"), 42
     )
-    assert longer[: len(fleet)] == fleet
+    assert len(longer) > len(fleet)
+    assert columns(longer, len(fleet)) == columns(fleet)
+
+
+def test_fleet_draws_each_vehicle_in_turn(small_fleet):
+    # Each vehicle draws its stay, then its requirement, then its initial
+    # charge, from the attribute substream of the seed.
+    cfg, profile, fleet = small_fleet
+    _, attrs_ss = np.random.SeedSequence(42).spawn(2)
+    r = np.random.default_rng(attrs_ss)
+    for stay, required, initial in zip(fleet.connected_slots.tolist(), fleet.required_miles.tolist(),
+                                       fleet.initial_miles.tolist()):
+        assert sample_connection_duration(cfg, r) == stay
+        assert sample_required_miles(cfg, r) == required
+        assert sample_initial_charge(cfg, r) == initial
 
 
 def test_fleet_respects_distribution_bounds(small_fleet):
     _, _, fleet = small_fleet
-    for v in fleet:
-        assert 72 <= v.connected_slots <= 264
-        assert 30.0 < v.required_miles <= 100.0
-        assert 0.0 <= v.current_miles <= 30.0
-        assert v.battery_capacity_miles == 100.0
+    assert all(72 <= s <= 264 for s in fleet.connected_slots.tolist())
+    assert all(30.0 < r <= 100.0 for r in fleet.required_miles.tolist())
+    assert all(0.0 <= c <= 30.0 for c in fleet.initial_miles.tolist())
+    assert set(fleet.battery_capacity_miles.tolist()) == {100.0}
 
 
 def test_fleet_departures_feasible_after_adjustment(small_fleet):
     _, _, fleet = small_fleet
-    charger = charger_preset("home-110-15")
-    for v in fleet:
-        needed = intervals_for_deficit(v.required_miles, v.current_miles, charger.miles_per_slot)
-        assert v.expected_departure_slot - v.arrival_slot >= needed
+    rate = charger_preset("home-110-15").miles_per_slot
+    for arrival, departure, required, initial, need in zip(
+            fleet.arrival_slot.tolist(), fleet.expected_departure_slot.tolist(),
+            fleet.required_miles.tolist(), fleet.initial_miles.tolist(), fleet.need.tolist()):
+        assert need == intervals_for_deficit(required, initial, rate)
+        assert departure - arrival >= need
 
 
 def test_fleet_ids_follow_arrival_order(small_fleet):
     _, _, fleet = small_fleet
-    assert [v.id for v in fleet] == list(range(len(fleet)))
-    arrivals = [v.arrival_slot for v in fleet]
+    assert fleet.id.tolist() == list(range(len(fleet)))
+    arrivals = fleet.arrival_slot.tolist()
     assert arrivals == sorted(arrivals)
 
 
@@ -289,11 +368,10 @@ def test_dump_fleet_csv_roundtrip(tmp_path, small_fleet):
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(fleet)
     assert rows[0].keys() == {"id", "arrival_slot", "departure_slot", "required_miles", "initial_miles"}
-    for row, v in zip(rows, fleet):
-        assert int(row["id"]) == v.id
-        assert int(row["arrival_slot"]) == v.arrival_slot
-        assert int(row["departure_slot"]) == v.expected_departure_slot
-        assert float(row["required_miles"]) == pytest.approx(v.required_miles)
+    assert [int(row["id"]) for row in rows] == fleet.id.tolist()
+    assert [int(row["arrival_slot"]) for row in rows] == fleet.arrival_slot.tolist()
+    assert [int(row["departure_slot"]) for row in rows] == fleet.expected_departure_slot.tolist()
+    assert [float(row["required_miles"]) for row in rows] == pytest.approx(fleet.required_miles.tolist())
 
 
 def test_config_validation():
