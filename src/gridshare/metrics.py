@@ -2,8 +2,9 @@
 
 The headline quantities are the fraction of measured vehicles that left
 late and the mean lateness of just those vehicles, plus the delay
-distribution among them. A sweep runs one simulation per grid cell,
-optionally across a process pool, and appends seed-averaged rows.
+distribution among them, all computed from the engine's `Outcomes`
+columns. A sweep runs one simulation per grid cell, optionally across a
+process pool, and appends seed-averaged rows.
 
 A cell's fleet, its required energy and its adjusted-departure share
 depend only on its fleet key (workload, arrival profile, charger,

@@ -7,6 +7,13 @@ plus fixed allowances, and starts with a Uniform initial charge. When
 the sampled stay is too short to finish charging even if charged every
 slot, the expected departure is pushed out to the earliest feasible
 boundary.
+
+A fleet is one `Fleet`: a column per attribute, a row per vehicle in
+arrival order, and the charging-interval counts for its charger. The
+per-vehicle draws are scalar, in a fixed order; everything derived from
+them is computed on whole columns, and every check on a session is
+made once, by the `Fleet` constructor. Sessions built by hand enter as
+`Vehicle` records through `Fleet.from_vehicles`.
 """
 
 from __future__ import annotations
@@ -134,17 +141,16 @@ class Fleet:
             ids, arrival, np.asarray(connected_slots, dtype=np.int64),
             np.asarray(required_miles, dtype=np.float64), np.asarray(initial_miles, dtype=np.float64),
             np.full(n, battery_capacity_miles, dtype=np.float64),
+            None if expected_departure_slot is None else np.asarray(expected_departure_slot, dtype=np.int64),
         ]
-        if expected_departure_slot is not None:
-            columns.append(np.asarray(expected_departure_slot, dtype=np.int64))
         # Rows in arrival order with increasing ids need no sorting, and
         # their ids are unique.
         if n > 1 and not (_every(ids[1:] > ids[:-1]) and _every(arrival[1:] >= arrival[:-1])):
             if len(set(ids.tolist())) < n:
                 raise ValueError("vehicle ids must be unique")
             order = np.lexsort((ids, arrival))
-            columns = [column[order] for column in columns]
-        ids, arrival, stay, required, initial, capacity, *departure = columns
+            columns = [None if column is None else column[order] for column in columns]
+        ids, arrival, stay, required, initial, capacity, departure = columns
 
         over = required > capacity
         if np.count_nonzero(over):
@@ -157,7 +163,8 @@ class Fleet:
         if not _every(required >= 0.0):
             raise ValueError("required charge outside battery bounds")
         need, room = intervals_for_deficit(np.array((required, capacity)), initial, charger.miles_per_slot)
-        departure = departure[0] if departure else arrival + np.maximum(stay, need)
+        if departure is None:
+            departure = arrival + np.maximum(stay, need)
         if not _every(departure > arrival):
             raise ValueError("departure must come after arrival")
         if n and max(room.max(), departure.max()) >= _LATE:
