@@ -70,7 +70,10 @@ class VehicleOutcome:
     measured: bool
 
 
-@dataclass(frozen=True, eq=False)
+# Not frozen: a frozen dataclass sets each field through
+# object.__setattr__, a cost every tiny verify run would pay. Nothing
+# changes an outcome table once built.
+@dataclass(slots=True, eq=False)
 class Outcomes:
     """Every vehicle's outcome as columns, one row per vehicle in arrival order.
 
