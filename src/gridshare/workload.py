@@ -119,6 +119,8 @@ class Fleet:
     room count, at the charger's rate, the charging intervals until a
     vehicle holds its required charge and until its battery is full. A
     run copies them and works on the copies, so a fleet never changes.
+    The columns are rows of two blocks, one per dtype: a fleet is two
+    allocations, sorted and freed whole.
 
     Without expected departures, each one is the arrival plus the stay,
     pushed out where the stay is too short to charge the requirement
@@ -128,29 +130,33 @@ class Fleet:
     """
 
     __slots__ = (
-        "id", "arrival_slot", "expected_departure_slot", "connected_slots",
-        "required_miles", "initial_miles", "battery_capacity_miles", "need", "room",
+        "id", "arrival_slot", "connected_slots", "expected_departure_slot", "need", "room",
+        "required_miles", "initial_miles", "battery_capacity_miles",
     )
 
     def __init__(self, charger: ChargerSpec, arrival_slot, connected_slots, required_miles,
                  initial_miles, battery_capacity_miles, *, expected_departure_slot=None, ids=None):
-        arrival = np.asarray(arrival_slot, dtype=np.int64)
-        n = len(arrival)
-        ids = np.arange(n) if ids is None else np.asarray(ids, dtype=np.int64)
-        columns = [
-            ids, arrival, np.asarray(connected_slots, dtype=np.int64),
-            np.asarray(required_miles, dtype=np.float64), np.asarray(initial_miles, dtype=np.float64),
-            np.full(n, battery_capacity_miles, dtype=np.float64),
-            None if expected_departure_slot is None else np.asarray(expected_departure_slot, dtype=np.int64),
-        ]
+        n = len(arrival_slot)
+        counts = np.empty((6, n), dtype=np.int64)  # the int64 columns, in __slots__ order
+        counts[0] = np.arange(n) if ids is None else ids
+        counts[1] = arrival_slot
+        counts[2] = connected_slots
+        if expected_departure_slot is not None:
+            counts[3] = expected_departure_slot
+        miles = np.empty((3, n))
+        miles[0] = required_miles
+        miles[1] = initial_miles
+        miles[2] = battery_capacity_miles
+        ids, arrival = counts[0], counts[1]
         # Rows in arrival order with increasing ids need no sorting, and
         # their ids are unique.
         if n > 1 and not (_every(ids[1:] > ids[:-1]) and _every(arrival[1:] >= arrival[:-1])):
             if len(set(ids.tolist())) < n:
                 raise ValueError("vehicle ids must be unique")
             order = np.lexsort((ids, arrival))
-            columns = [None if column is None else column[order] for column in columns]
-        ids, arrival, stay, required, initial, capacity, departure = columns
+            counts, miles = counts[:, order], miles[:, order]
+        ids, arrival, stay, departure, need, room = counts
+        required, initial, capacity = miles
 
         over = required > capacity
         if np.count_nonzero(over):
@@ -162,16 +168,16 @@ class Fleet:
             raise ValueError("current charge outside battery bounds")
         if not _every(required >= 0.0):
             raise ValueError("required charge outside battery bounds")
-        need, room = intervals_for_deficit(np.array((required, capacity)), initial, charger.miles_per_slot)
-        if departure is None:
-            departure = arrival + np.maximum(stay, need)
+        counts[4:] = intervals_for_deficit(miles[::2], initial, charger.miles_per_slot)
+        if expected_departure_slot is None:
+            np.add(arrival, np.maximum(stay, need), out=departure)
         if not _every(departure > arrival):
             raise ValueError("departure must come after arrival")
-        if n and max(room.max(), departure.max()) >= _LATE:
+        if n and counts[3:].max() >= _LATE:
             raise ValueError("charging intervals or departure slots beyond the priority-key range")
-        self.id, self.arrival_slot, self.expected_departure_slot, self.connected_slots = ids, arrival, departure, stay
-        self.required_miles, self.initial_miles, self.battery_capacity_miles = required, initial, capacity
-        self.need, self.room = need, room
+        (self.id, self.arrival_slot, self.connected_slots, self.expected_departure_slot,
+         self.need, self.room) = counts
+        self.required_miles, self.initial_miles, self.battery_capacity_miles = miles
 
     @classmethod
     def from_vehicles(cls, vehicles: Sequence[Vehicle], charger: ChargerSpec) -> "Fleet":
