@@ -257,12 +257,6 @@ def test_fleet_rejects_departure_not_after_arrival(unit_charger):
         one_session(unit_charger, 5, 0, 0.0, 0.0)  # no stay and nothing to charge
 
 
-def test_fleet_rejects_duplicate_ids(unit_charger):
-    vehicles = [make_test_vehicle(1, 0, 5, required=1.0), make_test_vehicle(1, 1, 6, required=1.0)]
-    with pytest.raises(ValueError, match="unique"):
-        Fleet.from_vehicles(vehicles, unit_charger)
-
-
 def test_fleet_rejects_counters_beyond_the_priority_key_range(unit_charger):
     v = make_test_vehicle(0, 0, 2**31, required=1.0)
     with pytest.raises(ValueError, match="priority-key range"):
