@@ -18,8 +18,8 @@ import numpy as np
 
 from . import defaults, figures, metrics, oracle
 from .engine import SimConfig
-from .policies import ALL_POLICY_NAMES, SIMPLE_VARIANT_NAMES, parse_policy
-from .powergrid import LoadShape, charger_preset
+from .policies import ALL_POLICY_NAMES, POLICY_NAMES, parse_policy
+from .powergrid import CHARGER_PRESETS, LoadShape, charger_preset
 from .workload import (
     WorkloadConfig,
     adjusted_departure_fraction,
@@ -48,15 +48,11 @@ _CONFIG_DEFAULTS = {
     "initial_charge_max_mi": "30",
     "battery_capacity_miles": "100",
     "charger": "home-110-15",
-    "derate_13a": "false",
-    "exact_charger_physics": "false",
     "peak_other_fraction": "0.8",
     "bin_width_min": "30",
     "policies": "all",
     "sdr_grid": "1,1.05,1.1,1.15,1.2,1.4,1.6,1.8,2,3",
     "seeds": "1,2,3",
-    "simple": "false",
-    "fdfs_slack": "false",
     "trace": "false",
     "arrival_profile": "",
     "load_shape": "",
@@ -137,11 +133,7 @@ def build_config(overrides: dict) -> ExperimentConfig:
             raw["last_measured_day"] = str(
                 max(warmup + 1, min(days - 1, days * full_last // full_days)))
 
-    charger = charger_preset(
-        raw["charger"],
-        derate_13a=_parse_bool(raw["derate_13a"]),
-        exact_physics=_parse_bool(raw["exact_charger_physics"]),
-    )
+    charger = charger_preset(raw["charger"])
     workload = WorkloadConfig(
         days=days,
         duration_mean_h=float(raw["duration_mean_h"]),
@@ -169,8 +161,6 @@ def build_config(overrides: dict) -> ExperimentConfig:
         shape_values = defaults.default_load_shape_values()
     shape = LoadShape.from_values(shape_values)
 
-    simple = _parse_bool(raw["simple"])
-    fdfs_slack = _parse_bool(raw["fdfs_slack"])
     names = raw["policies"].strip()
     if names == "all":
         policy_names = list(ALL_POLICY_NAMES)
@@ -179,14 +169,7 @@ def build_config(overrides: dict) -> ExperimentConfig:
     if not policy_names:
         raise ValueError("at least one policy required")
     _refuse_duplicates("policies", policy_names)
-    policies = [
-        parse_policy(
-            name,
-            simple=simple and name in SIMPLE_VARIANT_NAMES,
-            fdfs_least_slack=fdfs_slack,
-        )
-        for name in policy_names
-    ]
+    policies = [parse_policy(name) for name in policy_names]
 
     sdr_grid = [float(x) for x in raw["sdr_grid"].split(",") if x.strip()]
     if not sdr_grid:
@@ -353,23 +336,15 @@ def _add_common_flags(sub):
     # out stay None, and of two spellings of one key the last one given wins.
     sub.add_argument("--config", help="key=value bundle; flags override file values")
     sub.add_argument("--policy", "--policies", dest="policies",
-                     help="policy name, comma list of names, or 'all'")
+                     help="policy name, comma list of names, or 'all' (the first five "
+                          f"names): {', '.join(POLICY_NAMES)}")
     sub.add_argument("--sdr", "--sdr-grid", dest="sdr_grid",
                      help="supply-to-demand ratio, or comma list of ratios")
     sub.add_argument("--seed", "--seeds", dest="seeds", help="workload seed, or comma list of seeds")
     sub.add_argument("--days", type=int, help="simulated days")
     sub.add_argument("--arrivals-per-day", dest="arrivals_per_day", type=float)
-    sub.add_argument("--charger", help="charger preset name")
-    on = dict(action="store_const", const="true")
-    sub.add_argument("--derate-13a", dest="derate_13a", **on,
-                     help="limit the household circuit to 13 A continuous")
-    sub.add_argument("--exact-charger-physics", dest="exact_charger_physics", **on,
-                     help="use the unrounded charge rate")
-    sub.add_argument("--simple", **on,
-                     help="ignore driving-distance info where the policy allows it")
-    sub.add_argument("--fdfs-slack", dest="fdfs_slack", **on,
-                     help="order not-yet-late vehicles by least slack instead of earliest departure")
-    sub.add_argument("--trace", **on, help="write a per-slot trace")
+    sub.add_argument("--charger", help=f"charger preset: {', '.join(CHARGER_PRESETS)}")
+    sub.add_argument("--trace", action="store_const", const="true", help="write a per-slot trace")
     sub.add_argument("--arrival-profile", dest="arrival_profile",
                      help="24-line hourly arrival weight file")
     sub.add_argument("--load-shape", dest="load_shape",

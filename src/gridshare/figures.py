@@ -17,19 +17,17 @@ from .metrics import MetricsReport
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 150, 40, 56
 
+# One colour per policy name parse_policy accepts.
 _PALETTE = {
     "fcfs": "#1f77b4",
     "fdfs": "#2ca02c",
     "rr": "#ff7f0e",
     "minmax-er": "#d62728",
     "minmax-dt": "#9467bd",
+    "fcfs-simple": "#8c564b",
+    "rr-simple": "#e377c2",
+    "fdfs-slack": "#17becf",
 }
-_FALLBACK_COLORS = ("#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
-
-
-def _color(policy: str, index: int) -> str:
-    base = policy.removesuffix("-simple")
-    return _PALETTE.get(base, _FALLBACK_COLORS[index % len(_FALLBACK_COLORS)])
 
 
 def _fmt(x: float) -> str:
@@ -113,7 +111,7 @@ def _line_chart(
         )
 
     for idx, (policy, points) in enumerate(series.items()):
-        color = _color(policy, idx)
+        color = _PALETTE[policy]
         band = bands.get(policy, {})
         band_xs = [x for x in x_values if x in band]
         if band_xs:
@@ -233,13 +231,13 @@ def delay_distribution_figure(reports: Sequence[MetricsReport], path, sdr: float
             x = x0 + group_w * 0.1 + idx * bar_w
             canvas.add(
                 f'<rect x="{x:.1f}" y="{sy(frac):.1f}" width="{bar_w:.1f}" '
-                f'height="{sy(0) - sy(frac):.1f}" fill="{_color(r.policy, idx)}"/>'
+                f'height="{sy(0) - sy(frac):.1f}" fill="{_PALETTE[r.policy]}"/>'
             )
     for idx, r in enumerate(rows):
         ly = MARGIN_T + 16 * idx
         lx = WIDTH - MARGIN_R + 12
         canvas.add(
-            f'<rect x="{lx}" y="{ly - 8}" width="12" height="12" fill="{_color(r.policy, idx)}"/>'
+            f'<rect x="{lx}" y="{ly - 8}" width="12" height="12" fill="{_PALETTE[r.policy]}"/>'
             f'<text x="{lx + 18}" y="{ly + 2}" font-size="11">{r.policy}</text>'
         )
     with open(path, "w", encoding="utf-8") as fh:

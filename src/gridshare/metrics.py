@@ -207,9 +207,9 @@ def _run_cell_entry(cell, memo=None):
     try:
         return run_cell(base, policy, sdr, seed, memo=_worker_memo if memo is None else memo)[0]
     except Exception as exc:
-        raise RuntimeError(
-            f"sweep cell policy={policy.name} sdr={sdr} seed={seed} failed: {exc}"
-        ) from exc
+        # A refused input stays a ValueError (a config error), anything else is a runtime one.
+        error = ValueError if isinstance(exc, ValueError) else RuntimeError
+        raise error(f"sweep cell policy={policy.name} sdr={sdr} seed={seed} failed: {exc}") from exc
 
 
 def resolve_workers(max_workers: int | None = None) -> int:

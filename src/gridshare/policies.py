@@ -1,10 +1,16 @@
-"""The five selection disciplines behind one interface.
+"""The five selection disciplines and their variants behind one interface.
 
 Every policy serves the deficit list (vehicles short of their required
 charge) before the top-off list (at or above required, below full).
 Within a tier the order is policy-specific; surplus switches always go
 to top-off under the same key so the comparison isolates the deficit
 tier. Ties break by arrival slot, then id.
+
+A policy is chosen by name only. Besides the paper's five there are
+three named variants: `fcfs-simple` and `rr-simple` use no
+driving-distance information (one list, no top-off tier), and
+`fdfs-slack` orders the not-yet-late vehicles by least slack instead of
+earliest expected departure.
 """
 
 from __future__ import annotations
@@ -43,26 +49,35 @@ class Policy:
     def __post_init__(self):
         if not self.use_distance_info and self.kind in _DISTANCE_REQUIRED:
             raise ValueError(f"{self.kind.value} requires driving-distance information")
+        if self.fdfs_least_slack and self.kind is not PolicyKind.FDFS:
+            raise ValueError(f"least slack is a tie rule of fdfs, not of {self.kind.value}")
 
     @property
     def name(self) -> str:
-        suffix = "" if self.use_distance_info else "-simple"
-        return self.kind.value + suffix
+        if not self.use_distance_info:
+            return self.kind.value + "-simple"
+        return self.kind.value + ("-slack" if self.fdfs_least_slack else "")
 
 
-def parse_policy(name: str, *, simple: bool = False, fdfs_least_slack: bool = False) -> Policy:
-    """Build a policy from its CLI name."""
-    try:
-        kind = PolicyKind(name)
-    except ValueError:
-        known = ", ".join(k.value for k in PolicyKind)
-        raise ValueError(f"unknown policy {name!r} (choose from {known})") from None
-    return Policy(kind=kind, use_distance_info=not simple, fdfs_least_slack=fdfs_least_slack)
-
-
+# The paper's five policies, as `policies=all` runs them.
 ALL_POLICY_NAMES = tuple(k.value for k in PolicyKind)
-# Names of the kinds that also run as a `-simple` variant.
-SIMPLE_VARIANT_NAMES = tuple(k.value for k in PolicyKind if k not in _DISTANCE_REQUIRED)
+_POLICIES = {policy.name: policy for policy in (
+    *(Policy(kind) for kind in PolicyKind),
+    Policy(PolicyKind.FCFS, use_distance_info=False),
+    Policy(PolicyKind.RR, use_distance_info=False),
+    Policy(PolicyKind.FDFS, fdfs_least_slack=True),
+)}
+# Every name parse_policy accepts: the paper's five, then the variants.
+POLICY_NAMES = tuple(_POLICIES)
+
+
+def parse_policy(name: str) -> Policy:
+    """The policy a name stands for."""
+    try:
+        return _POLICIES[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown policy {name!r} (choose from {', '.join(POLICY_NAMES)})") from None
 
 
 @dataclass

@@ -6,6 +6,11 @@ charging and determines K, the number of vehicles that can be switched
 on simultaneously. Capacity is calibrated so that the daily energy
 available for vehicles divided by the daily energy they require equals a
 target supply-to-demand ratio.
+
+A vehicle's charger is one of four named presets: `home-110-15` (the
+default, rounded to 0.5 miles per slot), `home-110-15-exact` (the
+unrounded 1.65 kW, about 0.491 miles per slot), `home-110-13` (the same
+circuit limited to 13 A continuous) and `dryer-220-30`.
 """
 
 from __future__ import annotations
@@ -69,25 +74,22 @@ class ChargerSpec:
         return cls(volts=volts, amps=amps, miles_per_slot=rate)
 
 
-CHARGER_PRESETS = ("home-110-15", "dryer-220-30")
+_CHARGERS = {
+    "home-110-15": ChargerSpec(volts=110.0, amps=15.0, miles_per_slot=0.5),
+    "home-110-15-exact": ChargerSpec.from_electrical(110.0, 15.0),
+    "home-110-13": ChargerSpec.from_electrical(110.0, 13.0),
+    "dryer-220-30": ChargerSpec.from_electrical(220.0, 30.0),
+}
+CHARGER_PRESETS = tuple(_CHARGERS)
 
 
-def charger_preset(name: str, *, derate_13a: bool = False, exact_physics: bool = False) -> ChargerSpec:
-    """Build a charger by preset name.
-
-    home-110-15 defaults to the rounded 0.5 miles/slot rate; pass
-    exact_physics for the 1.65 kW value (~0.491 miles/slot) or
-    derate_13a for continuous-current-limited 13 A operation.
-    """
-    if name == "home-110-15":
-        if derate_13a:
-            return ChargerSpec.from_electrical(110.0, 13.0)
-        if exact_physics:
-            return ChargerSpec.from_electrical(110.0, 15.0)
-        return ChargerSpec(volts=110.0, amps=15.0, miles_per_slot=0.5)
-    if name == "dryer-220-30":
-        return ChargerSpec.from_electrical(220.0, 30.0)
-    raise ValueError(f"unknown charger preset {name!r} (choose from {', '.join(CHARGER_PRESETS)})")
+def charger_preset(name: str) -> ChargerSpec:
+    """The charger a preset name stands for."""
+    try:
+        return _CHARGERS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown charger preset {name!r} (choose from {', '.join(CHARGER_PRESETS)})") from None
 
 
 @dataclass(frozen=True)

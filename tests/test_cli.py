@@ -5,6 +5,8 @@ import csv
 import pytest
 
 from gridshare.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, run
+from gridshare.policies import POLICY_NAMES
+from gridshare.powergrid import CHARGER_PRESETS
 
 TINY_CONFIG = """
 # small, fast experiment
@@ -154,12 +156,60 @@ def test_sweep_refuses_a_repeated_grid_value(tiny_config, tmp_path, capsys, flag
 
 
 def test_simple_variant_applies_to_uninformed_policies_only(tiny_config, tmp_path):
+    # One sweep holds each variant beside its paper policy, under its own name.
+    names = ["fcfs", "fcfs-simple", "rr-simple", "fdfs", "fdfs-slack"]
     out = tmp_path / "out"
-    code = run(["sweep", "--config", tiny_config, "--policies", "fcfs,rr,minmax-dt",
-                "--simple", "--no-figures", "--out", str(out)])
+    code = run(["sweep", "--config", tiny_config, "--policies", ",".join(names),
+                "--out", str(out)])
     assert code == EXIT_OK
-    policies = {r["policy"] for r in read_rows(out / "fod.csv")}
-    assert policies == {"fcfs-simple", "rr-simple", "minmax-dt"}
+    for table in ("fod.csv", "adfd.csv"):
+        assert {r["policy"] for r in read_rows(out / table)} == set(names)
+
+
+@pytest.mark.parametrize("name", ["minmax-dt-slack", "fcfs-slack", "minmax-er-simple"])
+def test_variant_without_a_behaviour_exits_2(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    assert run(["simulate", "--policy", name, "--out", str(out)]) == EXIT_CONFIG
+    assert f"unknown policy '{name}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["simple", "fdfs_slack", "derate_13a", "exact_charger_physics"])
+def test_bundle_setting_a_removed_switch_exits_2(tiny_config, tmp_path, capsys, key):
+    conf = tmp_path / "old.conf"
+    conf.write_text(open(tiny_config).read() + f"{key}=false\n")
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(conf), "--out", str(out)]) == EXIT_CONFIG
+    assert f"unknown key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--simple", "--fdfs-slack", "--derate-13a", "--exact-charger-physics"])
+def test_removed_switch_flag_is_a_usage_error(tiny_config, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate", "--config", tiny_config, flag])
+    assert exc.value.code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "dump-fleet", "verify"])
+def test_help_lists_every_policy_and_charger_name(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "400")  # argparse would wrap a long line at a hyphen
+    with pytest.raises(SystemExit):
+        run([command, "--help"])
+    text = capsys.readouterr().out
+    for name in (*POLICY_NAMES, *CHARGER_PRESETS):
+        assert name in text
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_cell_config_error_exits_2(tmp_path, capsys, workers):
+    # 14 vehicles calibrate to K = 0 in every slot of the day.
+    code = run(["sweep", "--policies", "fcfs", "--sdr-grid", "1.2", "--seeds", "1", "--days", "8",
+                "--arrivals-per-day", "2", "--workers", workers, "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "sweep cell policy=fcfs sdr=1.2 seed=1 failed" in err
+    assert "no charger slot" in err
 
 
 def test_short_horizon_scales_measurement_window(tmp_path):
@@ -192,10 +242,10 @@ def test_simulate_refuses_a_grid_without_charger_slots(tmp_path, capsys):
 
 def test_exact_charger_physics_flag(tiny_config, tmp_path):
     out = tmp_path / "out"
-    code = run(["simulate", "--config", tiny_config, "--exact-charger-physics",
+    code = run(["simulate", "--config", tiny_config, "--charger", "home-110-15-exact",
                 "--out", str(out)])
     assert code == EXIT_OK
-    assert "exact_charger_physics=true" in (out / "resolved-config").read_text()
+    assert "charger=home-110-15-exact\n" in (out / "resolved-config").read_text()
 
 
 # --- dump-fleet / verify -------------------------------------------------
@@ -270,15 +320,12 @@ bin_width_min=30
 charger=home-110-15
 commute_cap_mi=70
 days=15
-derate_13a=false
 duration_max_h=22
 duration_mean_h=14
 duration_min_h=6
 duration_std_h=4
 emergency_mi=10
-exact_charger_physics=false
 extra_daily_mi=20
-fdfs_slack=false
 initial_charge_max_mi=30
 last_measured_day=13
 load_shape={out}/load-shape.txt
@@ -288,7 +335,6 @@ peak_other_fraction=0.8
 policies=fcfs
 sdr_grid=1.2
 seeds=1
-simple=false
 trace=false
 warmup_days=4
 """

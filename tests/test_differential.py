@@ -8,7 +8,7 @@ selections as selected trace rows, and as many slots as the reference
 runs, so that slots the engine skips are still counted, and never more
 than the drain bound at which the engine gives up. The test is
 parametrized by variant so that shrinking a failure re-runs one engine
-and the reference, not nine.
+and the reference, not eight.
 """
 
 import csv
@@ -22,20 +22,13 @@ from hypothesis import strategies as st
 
 from gridshare.engine import RunStats, SimConfig, run_simulation
 from gridshare.oracle import audit_trace
-from gridshare.policies import intervals_for_deficit, parse_policy
+from gridshare.policies import POLICY_NAMES, intervals_for_deficit, parse_policy
 from gridshare.powergrid import ChargerSpec
 from gridshare.workload import Fleet, Vehicle
 
 from reference_loop import reference_run
 
-VARIANTS = [
-    parse_policy("fcfs"), parse_policy("fdfs"), parse_policy("rr"),
-    parse_policy("minmax-er"), parse_policy("minmax-dt"),
-    parse_policy("fcfs", simple=True), parse_policy("rr", simple=True),
-    parse_policy("fdfs", fdfs_least_slack=True),
-    # The CLI passes --fdfs-slack to every policy; other kinds ignore it.
-    parse_policy("minmax-dt", fdfs_least_slack=True),
-]
+VARIANTS = [parse_policy(name) for name in POLICY_NAMES]
 
 
 # One vehicle: arrival, battery capacity, required charge, charge on
@@ -78,11 +71,7 @@ def read_rows(path):
         return [[int(x) for x in row] for row in list(csv.reader(fh))[1:]]
 
 
-def variant_id(policy):
-    return policy.name + ("-slack" if policy.fdfs_least_slack else "")
-
-
-@pytest.mark.parametrize("policy", VARIANTS, ids=variant_id)
+@pytest.mark.parametrize("policy", VARIANTS, ids=lambda policy: policy.name)
 @settings(max_examples=100, deadline=None)
 @given(scenario=scenarios())
 def test_engine_matches_reference_loop(policy, scenario):

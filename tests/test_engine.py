@@ -177,7 +177,7 @@ def test_simple_variant_drains_after_its_last_expected_departure():
         make_test_vehicle(0, 0, 50, required=0.0, capacity=100.0),
         make_test_vehicle(1, 0, 1, required=5.0),
     ]
-    cfg = SimConfig(policy=parse_policy("fcfs", simple=True), days=3, warmup_days=0, last_measured_day=1)
+    cfg = SimConfig(policy=parse_policy("fcfs-simple"), days=3, warmup_days=0, last_measured_day=1)
     stats = RunStats()
     outcomes = simulate(cfg, vehicles, [1], stats=stats)
     assert [o.actual_departure_slot for o in outcomes] == [50, 55]

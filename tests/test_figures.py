@@ -1,7 +1,8 @@
 """SVG chart generation: determinism and gap handling."""
 
-from gridshare.figures import adfd_figure, delay_distribution_figure, emit_figures, fod_figure
+from gridshare.figures import _PALETTE, adfd_figure, delay_distribution_figure, emit_figures, fod_figure
 from gridshare.metrics import average_reports, build_report
+from gridshare.policies import POLICY_NAMES
 
 from test_metrics import outcomes_from_minutes
 
@@ -56,3 +57,18 @@ def test_distribution_chart_without_matching_ratio_warns(tmp_path, capsys):
     delay_distribution_figure(reports, tmp_path / "dist.svg", sdr=9.9)
     assert "no delay distributions" in capsys.readouterr().err
     assert (tmp_path / "dist.svg").read_text().startswith("<svg")
+
+
+def test_each_policy_name_has_its_own_colour(tmp_path):
+    assert tuple(_PALETTE) == POLICY_NAMES
+    assert len(set(_PALETTE.values())) == len(POLICY_NAMES)
+    reports = []
+    for policy in ("fcfs", "fcfs-simple"):
+        for sdr in (1.2, 2.0):
+            per_seed = [build_report(policy, sdr, 1, outcomes_from_minutes([0, 20]), 30.0)]
+            reports += per_seed + [average_reports(per_seed)]
+    path = tmp_path / "fod.svg"
+    fod_figure(reports, path)
+    text = path.read_text()
+    assert f'stroke="{_PALETTE["fcfs"]}"' in text
+    assert f'stroke="{_PALETTE["fcfs-simple"]}"' in text

@@ -26,21 +26,10 @@ from test_differential import VARIANTS
 FILES = ("fod.csv", "adfd.csv", "outcomes.csv")
 
 
-def _flags(policy):
-    flags = ["--policy", policy.kind.value]
-    if not policy.use_distance_info:
-        flags.append("--simple")
-    if policy.fdfs_least_slack:
-        flags.append("--fdfs-slack")
-    return flags
-
-
 CASES = {
-    "-".join(flag.lstrip("-") for flag in flags[1:]): flags
-    for flags in [_flags(p) for p in VARIANTS] + [
-        ["--policy", "minmax-er", "--charger", "dryer-220-30"],
-        ["--policy", "minmax-dt", "--exact-charger-physics"],
-    ]
+    **{policy.name: ["--policy", policy.name] for policy in VARIANTS},
+    "minmax-er-charger-dryer-220-30": ["--policy", "minmax-er", "--charger", "dryer-220-30"],
+    "minmax-dt-exact-charger-physics": ["--policy", "minmax-dt", "--charger", "home-110-15-exact"],
 }
 
 # case -> (fod.csv, adfd.csv, outcomes.csv) digests, truncated to 16 hex digits.
@@ -52,8 +41,7 @@ GOLDEN = {
     "minmax-dt": ("a94277ccda591c30", "df4385be35ae6ca3", "a8baabd574e20092"),
     "fcfs-simple": ("8298bfea74d2c36d", "98949e65cea4b871", "e53a0ed3234cf8ba"),
     "rr-simple": ("7a9c871f34137f59", "178dceea1a6c29e2", "09ba62e0bc8499ba"),
-    "fdfs-fdfs-slack": ("2bc972ee873a1003", "f3ba7b3affce2cc1", "c4c9447d28423b77"),
-    "minmax-dt-fdfs-slack": ("a94277ccda591c30", "df4385be35ae6ca3", "a8baabd574e20092"),
+    "fdfs-slack": ("30988bf2d5820b2e", "48c6346ce8c85231", "c4c9447d28423b77"),
     "minmax-er-charger-dryer-220-30": ("232babe535369853", "a2e45f27975db8b8", "8bf03a19cc8bb738"),
     "minmax-dt-exact-charger-physics": ("c55d6857600ba29d", "2b4b8055b1cfac73", "cf63a6c537e3d75c"),
 }
@@ -79,8 +67,7 @@ TRACE_GOLDEN = {
     "minmax-dt": "20c2476d488f37e5",
     "fcfs-simple": "3908ef0052c800ee",
     "rr-simple": "5668e990156b162e",
-    "fdfs-fdfs-slack": "8c5298be1d01655c",
-    "minmax-dt-fdfs-slack": "20c2476d488f37e5",
+    "fdfs-slack": "8c5298be1d01655c",
 }
 
 

@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridshare.policies import (
+    POLICY_NAMES,
+    Policy,
+    PolicyKind,
     intervals_for_deficit,
     new_policy_state,
     parse_policy,
     select,
     update_membership,
 )
-from gridshare.powergrid import charger_preset
+from gridshare.powergrid import CHARGER_PRESETS, charger_preset
 from gridshare.workload import Fleet, generate_fleet
 
 from conftest import make_test_vehicle, scenario
@@ -77,12 +80,8 @@ def test_partial_interval_rounds_up(home_charger):
     assert intervals_for_deficit(30.2, 0.0, home_charger.miles_per_slot) == 61
 
 
-@pytest.mark.parametrize("charger", [
-    charger_preset("home-110-15"),
-    charger_preset("home-110-15", exact_physics=True),
-    charger_preset("home-110-15", derate_13a=True),
-    charger_preset("dryer-220-30"),
-], ids=lambda c: f"{c.miles_per_slot:.4f}")
+@pytest.mark.parametrize("charger", [charger_preset(name) for name in CHARGER_PRESETS],
+                         ids=lambda c: f"{c.miles_per_slot:.4f}")
 def test_interval_counters_replay_float_charging(charger):
     # Outputs stay byte-identical to float-mile charging only if the
     # counters agree with the float step cur = min(cur + rate, cap) at
@@ -162,7 +161,7 @@ def test_fdfs_prefers_most_delayed_then_earliest_departure(state_for):
 
 
 def test_fdfs_least_slack_variant_orders_by_slack(state_for):
-    policy = parse_policy("fdfs", fdfs_least_slack=True)
+    policy = parse_policy("fdfs-slack")
     # At t=0: slack(a) = 20-15 = 5, slack(b) = 30-28 = 2: b first despite later departure.
     a = make_test_vehicle(1, 0, 20, required=15.0, current=0.0)
     b = make_test_vehicle(2, 0, 30, required=28.0, current=0.0)
@@ -231,7 +230,7 @@ def test_departed_vehicle_dropped(state_for):
 
 
 def test_simple_variant_keeps_single_list(unit_charger):
-    policy = parse_policy("fcfs", simple=True)
+    policy = parse_policy("fcfs-simple")
     satisfied = make_test_vehicle(1, 0, 99, required=5.0, current=8.0, capacity=20.0)
     needy = make_test_vehicle(2, 0, 99, required=15.0, current=0.0, capacity=20.0)
     state = plugged_state(policy, unit_charger, [satisfied, needy])
@@ -240,14 +239,36 @@ def test_simple_variant_keeps_single_list(unit_charger):
 
 
 def test_simple_variant_refused_for_distance_policies():
-    for name in ("fdfs", "minmax-er", "minmax-dt"):
-        with pytest.raises(ValueError):
-            parse_policy(name, simple=True)
+    for kind in (PolicyKind.FDFS, PolicyKind.MINMAX_ER, PolicyKind.MINMAX_DT):
+        with pytest.raises(ValueError, match="driving-distance"):
+            Policy(kind, use_distance_info=False)
+
+
+def test_least_slack_refused_for_kinds_but_fdfs():
+    for kind in (PolicyKind.FCFS, PolicyKind.RR, PolicyKind.MINMAX_ER, PolicyKind.MINMAX_DT):
+        with pytest.raises(ValueError, match="tie rule of fdfs"):
+            Policy(kind, fdfs_least_slack=True)
+
+
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_policy_name_round_trips(name):
+    assert parse_policy(name).name == name
+
+
+def test_each_policy_name_is_a_distinct_policy():
+    assert len({parse_policy(name) for name in POLICY_NAMES}) == len(POLICY_NAMES) == 8
 
 
 def test_unknown_policy_name():
     with pytest.raises(ValueError, match="unknown policy"):
         parse_policy("lifo")
+
+
+@pytest.mark.parametrize("name", ["minmax-dt-slack", "fcfs-slack", "minmax-er-simple"])
+def test_variant_names_without_a_behaviour_are_refused(name):
+    # Each would be a second name of a paper policy, or a refused Policy.
+    with pytest.raises(ValueError, match="unknown policy .*fcfs-simple, rr-simple, fdfs-slack"):
+        parse_policy(name)
 
 
 # --- properties --------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gridshare.defaults import default_load_shape_values
 from gridshare.powergrid import (
+    CHARGER_PRESETS,
     ChargerSpec,
     LoadShape,
     calibrate_capacity,
@@ -50,13 +51,9 @@ def test_default_shape_has_documented_features():
 
 
 def test_charger_presets_satisfy_rate_power_identity():
-    for name, flags in [
-        ("home-110-15", {}),
-        ("home-110-15", {"exact_physics": True}),
-        ("home-110-15", {"derate_13a": True}),
-        ("dryer-220-30", {}),
-    ]:
-        c = charger_preset(name, **flags)
+    assert CHARGER_PRESETS == ("home-110-15", "home-110-15-exact", "home-110-13", "dryer-220-30")
+    for name in CHARGER_PRESETS:
+        c = charger_preset(name)
         assert c.miles_per_slot == pytest.approx(c.kw / 12.0 / 0.28, abs=1e-6)
 
 
@@ -67,13 +64,19 @@ def test_home_charger_defaults_to_six_miles_per_hour():
 
 
 def test_exact_home_charger_matches_electrical_rating():
-    c = charger_preset("home-110-15", exact_physics=True)
+    c = charger_preset("home-110-15-exact")
     assert c.kw == pytest.approx(110 * 15 / 1000)
     assert c.miles_per_slot == pytest.approx(1.65 / 12 / 0.28)
 
 
+def test_derated_home_charger_runs_at_13_amps():
+    c = charger_preset("home-110-13")
+    assert c.kw == pytest.approx(110 * 13 / 1000)
+    assert c.amps == 13.0
+
+
 def test_unknown_preset_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown charger preset.*home-110-15-exact"):
         charger_preset("rv-park-480")
 
 
@@ -184,7 +187,7 @@ def test_slot_capacity_floors_whole_chargers(flat_shape):
     # 20 kW available
     grid = make_grid(flat_shape, tpr_kwh=480.0, sdr_target=1.0, peak_other_fraction=0.8)
     assert grid.available_kw[0] == pytest.approx(20.0)
-    exact_home = charger_preset("home-110-15", exact_physics=True)
+    exact_home = charger_preset("home-110-15-exact")
     assert slot_vehicle_capacity(grid, exact_home, 0) == 12  # floor(20 / 1.65)
     dryer = charger_preset("dryer-220-30")
     assert slot_vehicle_capacity(grid, dryer, 0) == 3        # floor(20 / 6.6)
