@@ -10,8 +10,11 @@ settings, and output files are written atomically.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import os
 import sys
+import textwrap
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +116,14 @@ def _refuse_duplicates(what: str, values: list) -> None:
         raise ValueError(f"duplicate {what}: {', '.join(map(str, repeated))}")
 
 
+def _finite(key: str, text: str) -> float:
+    """text as a float; nan and inf are refused, naming the key they were given for."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, not {text.strip()!r}")
+    return value
+
+
 def build_config(overrides: dict) -> ExperimentConfig:
     """The experiment that the table's defaults with `overrides` describe."""
     unknown = sorted(set(overrides) - set(_CONFIG_DEFAULTS))
@@ -136,16 +147,16 @@ def build_config(overrides: dict) -> ExperimentConfig:
     charger = charger_preset(raw["charger"])
     workload = WorkloadConfig(
         days=days,
-        duration_mean_h=float(raw["duration_mean_h"]),
-        duration_std_h=float(raw["duration_std_h"]),
-        duration_min_h=float(raw["duration_min_h"]),
-        duration_max_h=float(raw["duration_max_h"]),
-        one_way_commute_mean_mi=float(raw["one_way_commute_mean_mi"]),
-        commute_cap_mi=float(raw["commute_cap_mi"]),
-        extra_daily_mi=float(raw["extra_daily_mi"]),
-        emergency_mi=float(raw["emergency_mi"]),
-        initial_charge_max_mi=float(raw["initial_charge_max_mi"]),
-        battery_capacity_miles=float(raw["battery_capacity_miles"]),
+        duration_mean_h=_finite("duration_mean_h", raw["duration_mean_h"]),
+        duration_std_h=_finite("duration_std_h", raw["duration_std_h"]),
+        duration_min_h=_finite("duration_min_h", raw["duration_min_h"]),
+        duration_max_h=_finite("duration_max_h", raw["duration_max_h"]),
+        one_way_commute_mean_mi=_finite("one_way_commute_mean_mi", raw["one_way_commute_mean_mi"]),
+        commute_cap_mi=_finite("commute_cap_mi", raw["commute_cap_mi"]),
+        extra_daily_mi=_finite("extra_daily_mi", raw["extra_daily_mi"]),
+        emergency_mi=_finite("emergency_mi", raw["emergency_mi"]),
+        initial_charge_max_mi=_finite("initial_charge_max_mi", raw["initial_charge_max_mi"]),
+        battery_capacity_miles=_finite("battery_capacity_miles", raw["battery_capacity_miles"]),
     )
     if raw["arrival_profile"]:
         weights = defaults.read_column_file(raw["arrival_profile"])
@@ -153,7 +164,7 @@ def build_config(overrides: dict) -> ExperimentConfig:
             raise ValueError("arrival profile file must hold 24 hourly weights")
     else:
         weights = defaults.default_hourly_arrival_weights()
-    profile = arrival_profile_from_weights(weights, float(raw["arrivals_per_day"]))
+    profile = arrival_profile_from_weights(weights, _finite("arrivals_per_day", raw["arrivals_per_day"]))
 
     if raw["load_shape"]:
         shape_values = defaults.read_column_file(raw["load_shape"])
@@ -171,7 +182,7 @@ def build_config(overrides: dict) -> ExperimentConfig:
     _refuse_duplicates("policies", policy_names)
     policies = [parse_policy(name) for name in policy_names]
 
-    sdr_grid = [float(x) for x in raw["sdr_grid"].split(",") if x.strip()]
+    sdr_grid = [_finite("sdr_grid", x) for x in raw["sdr_grid"].split(",") if x.strip()]
     if not sdr_grid:
         raise ValueError("empty supply-ratio grid")
     if any(x < 1.0 for x in sdr_grid):
@@ -191,8 +202,8 @@ def build_config(overrides: dict) -> ExperimentConfig:
         charger=charger,
         warmup_days=int(raw["warmup_days"]),
         last_measured_day=int(raw["last_measured_day"]),
-        peak_other_fraction=float(raw["peak_other_fraction"]),
-        bin_width_min=float(raw["bin_width_min"]),
+        peak_other_fraction=_finite("peak_other_fraction", raw["peak_other_fraction"]),
+        bin_width_min=_finite("bin_width_min", raw["bin_width_min"]),
     )
     # Exercise the window constraint early (config error, not runtime).
     SimConfig(
@@ -331,6 +342,14 @@ def cmd_verify(cfg: ExperimentConfig, args) -> int:
     return EXIT_OK if not violations and not mismatches else EXIT_RUNTIME
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Wraps help text at spaces only, so no policy or charger name breaks at a hyphen."""
+
+    def _split_lines(self, text, width):
+        text = self._whitespace_matcher.sub(" ", text).strip()
+        return textwrap.wrap(text, width, break_on_hyphens=False, break_long_words=False)
+
+
 def _add_common_flags(sub):
     # Every destination but `config` is a _CONFIG_DEFAULTS key; flags left
     # out stay None, and of two spellings of one key the last one given wins.
@@ -356,8 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridshare",
         description="Slot-based simulator for fair charging of electric vehicles under a constrained grid",
+        formatter_class=_HelpFormatter,
     )
-    commands = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, formatter_class=_HelpFormatter))
 
     sim = commands.add_parser("simulate", help="run one (policy, sdr, seed) cell")
     _add_common_flags(sim)

@@ -17,13 +17,19 @@ run. Slots with nothing plugged are skipped but still counted. The run
 returns one `Outcomes` table, built as columns from the satisfied and
 departure slots after the loop, once the conservation checks on them
 have passed.
+
+A traced run hands its trace to a sink, one `(slot, k, rows)` group per
+slot with a candidate: rows are `TraceRow`s, the deficit tier and then
+the top-off tier in list order, each with its need before the slot's
+charge and whether it was selected. `trace_path` writes the same groups
+as trace.csv through `csv_trace_sink`, the one trace writer.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,9 +57,6 @@ class SimConfig:
     def measured_slots(self) -> range:
         """Arrival slots of the measurement window: zero-based days warmup_days to last_measured_day - 1."""
         return range(self.warmup_days * SLOTS_PER_DAY, self.last_measured_day * SLOTS_PER_DAY)
-
-    def in_measurement_window(self, arrival_slot: int) -> bool:
-        return arrival_slot in self.measured_slots
 
 
 @dataclass(slots=True)
@@ -122,14 +125,37 @@ class RunStats:
     plugged_at_census: list = field(default_factory=list)
 
 
+class TraceRow(NamedTuple):
+    """One candidate of one traced slot: a trace.csv row after its slot and k."""
+
+    vehicle_id: int
+    tier: int  # 1 deficit, 2 top-off
+    arrival_slot: int
+    expected_departure_slot: int
+    intervals_needed: int  # before the slot's charge
+    delay_if_continuous: int  # intervals_needed - (expected_departure_slot - slot)
+    selected: bool
+
+
 # Every trace field is an integer, so no field needs quoting: the rows
-# are formatted directly, one write per slot, which costs less than
-# csv.writer on the many tiny runs of a verify campaign. The "\r\n" line
-# ending is csv.writer's, so trace.csv stays byte-identical.
-_TRACE_HEADER = (
-    "slot,k,vehicle_id,tier,arrival_slot,expected_departure_slot,"
-    "intervals_needed,delay_if_continuous,selected\r\n"
-)
+# are formatted directly, one write per slot. The "\r\n" line ending is
+# csv.writer's, so trace.csv stays byte-identical.
+_TRACE_HEADER = ",".join(("slot", "k", *TraceRow._fields)) + "\r\n"
+
+
+def csv_trace_sink(fh):
+    """A trace sink that writes each (slot, k, rows) group to fh as trace.csv rows.
+
+    The caller writes the header (`run_simulation` does for trace_path).
+    """
+    write = fh.write
+
+    def sink(group):
+        slot, k, rows = group
+        write("".join([f"{slot},{k},{v},{tier},{arrival},{departure},{needed},{delay},{selected:d}\r\n"
+                       for v, tier, arrival, departure, needed, delay, selected in rows]))
+
+    return sink
 
 
 class SimulationInvariantError(RuntimeError):
@@ -142,6 +168,7 @@ def run_simulation(
     k_profile: Sequence[int],
     *,
     trace_path=None,
+    trace_sink=None,
     stats: RunStats | None = None,
 ) -> Outcomes:
     """Simulate one policy over the whole fleet; one outcome row per vehicle.
@@ -150,17 +177,27 @@ def run_simulation(
     capacity period (a day for a calibrated grid); it is cycled, so
     post-horizon slots see the same pattern. Raises ValueError before
     the loop if the fleet needs charge and no slot has capacity.
+
+    trace_sink, if given, is called with each slot's (slot, k, rows)
+    group; trace_path, if given, receives the same groups as trace.csv.
     """
     if not any(k_profile) and fleet.need.any():
         raise ValueError(
             f"the capacity profile has no charger slot (K = 0 in every slot), but the fleet "
             f"needs {int(fleet.need.sum())} charging intervals; raise the supply ratio or the arrivals")
-    trace_file = open(trace_path, "w", newline="", encoding="utf-8") if trace_path else None
-    try:
-        return _run_loop(cfg, fleet, k_profile, trace_file, stats, new_policy_state(cfg.policy, fleet))
-    finally:
-        if trace_file:
-            trace_file.close()
+    state = new_policy_state(cfg.policy, fleet)
+    if not trace_path:
+        return _run_loop(cfg, fleet, k_profile, trace_sink, stats, state)
+    with open(trace_path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(_TRACE_HEADER)
+        write = csv_trace_sink(fh)
+        if trace_sink is None:
+            sink = write
+        else:
+            def sink(group):
+                trace_sink(group)
+                write(group)
+        return _run_loop(cfg, fleet, k_profile, sink, stats, state)
 
 
 def _run_loop(cfg, fleet, k_profile, trace, stats, state):
@@ -180,8 +217,6 @@ def _run_loop(cfg, fleet, k_profile, trace, stats, state):
     left_at = [-1] * n
     departure_bucket = defaultdict(list)  # boundary slot -> ranks due to leave there
     census = stats.plugged_at_census if stats is not None else None
-    if trace:
-        trace.write(_TRACE_HEADER)
 
     max_slots = (cfg.days + 60) * SLOTS_PER_DAY
     if n and any(k_profile):
@@ -234,9 +269,9 @@ def _run_loop(cfg, fleet, k_profile, trace, stats, state):
                 for tier, ranks in ((1, state.deficit), (2, state.topoff)):
                     for rank, needed in zip(ranks.tolist(), need[ranks].tolist()):
                         t_l = departures[rank]
-                        rows.append(f"{t},{k},{ids[rank]},{tier},{arrivals[rank]},{t_l},{needed},"
-                                    f"{needed - (t_l - t)},{1 if rank in chosen else 0}\r\n")
-                trace.write("".join(rows))
+                        rows.append(TraceRow(ids[rank], tier, arrivals[rank], t_l, needed,
+                                             needed - (t_l - t), rank in chosen))
+                trace((t, k, rows))
             if count:
                 spare = room[selected]
                 if np.count_nonzero(spare) < count:

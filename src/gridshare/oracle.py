@@ -3,7 +3,10 @@
 Two tools: an exhaustive search for the best achievable maximum delay
 on tiny instances (never touching the policy code), and an auditor that
 replays a per-slot trace and checks the selection rules slot by slot.
-`verify_campaign` runs both over random instances.
+The auditor takes a trace as (slot, k, rows) groups of `engine.TraceRow`,
+either as the engine hands them to its trace sink or as `read_trace`
+parses them from a trace.csv file. `verify_campaign` runs both tools
+over random instances and audits every run from its groups in memory.
 """
 
 from __future__ import annotations
@@ -14,12 +17,12 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, zip_longest
 from typing import Sequence
 
 import numpy as np
 
-from .engine import Outcomes, RunStats, SimConfig, run_simulation
+from .engine import Outcomes, RunStats, SimConfig, TraceRow, run_simulation
 from .policies import Policy, PolicyKind
 from .powergrid import ChargerSpec
 from .workload import Fleet, Vehicle
@@ -139,10 +142,15 @@ def brute_force_min_max_delay(inst: TinyInstance, branch_budget: int = 10_000_00
         best_from.cache_clear()
 
 
-def run_policy_on_instance(inst: TinyInstance, policy: Policy, trace_path=None) -> Outcomes:
-    """Drive the real engine over a tiny instance with its capacity profile."""
+def run_policy_on_instance(inst: TinyInstance, policy: Policy, trace_path=None,
+                           trace_sink=None) -> Outcomes:
+    """Drive the real engine over a tiny instance with its capacity profile.
+
+    trace_path and trace_sink are the engine's (see `run_simulation`).
+    """
     cfg = SimConfig(policy=policy, days=3, warmup_days=0, last_measured_day=1)
-    return run_simulation(cfg, inst.fleet, inst.k_profile, trace_path=trace_path, stats=RunStats())
+    return run_simulation(cfg, inst.fleet, inst.k_profile, trace_path=trace_path,
+                          trace_sink=trace_sink, stats=RunStats())
 
 
 def max_delay(outcomes: Outcomes) -> int:
@@ -185,10 +193,15 @@ def verify_campaign(
     Steady-capacity instances check the largest-delay-first policy
     against the exhaustive optimum; cycling-capacity instances only
     audit the per-slot selection rules (the optimum needs hindsight
-    there, so no online policy is held to it). Each run's trace is
-    written to, audited from and removed from trace_path. Returns the
-    violations, their detail prefixed with the instance and policy, and
-    the (instance, achieved, optimum) mismatches.
+    there, so no online policy is held to it). Every run is audited from
+    the (slot, k, rows) groups the engine hands its trace sink, with no
+    file in between. Each policy's run on the first steady instance also
+    writes its trace to trace_path, which is read back with `read_trace`
+    and then removed: the groups it reads must equal the engine's, or a
+    `trace-roundtrip` violation is reported, so the trace.csv format that
+    `verify --audit-trace` reads is checked too. Returns the violations,
+    their detail prefixed with the instance and policy, and the
+    (instance, achieved, optimum) mismatches.
     """
     violations: list[Violation] = []
     mismatches: list[tuple[int, int, int]] = []
@@ -196,15 +209,18 @@ def verify_campaign(
         for index in range(count):
             inst = random_tiny_instance(rng, constant_k=steady)
             optimum = brute_force_min_max_delay(inst) if steady else None
+            sample = steady and index == 0
             for policy in policies:
-                outcomes = run_policy_on_instance(inst, policy, trace_path=trace_path)
-                for v in audit_trace(trace_path, policy):
+                groups = []
+                outcomes = run_policy_on_instance(
+                    inst, policy, trace_path=trace_path if sample else None, trace_sink=groups.append)
+                found = audit_trace(groups, policy)
+                if sample:
+                    found += _roundtrip_violations(groups, trace_path)
+                    os.unlink(trace_path)
+                for v in found:
                     violations.append(Violation(
                         v.slot, v.rule, f"{label} {index} policy {policy.name}: {v.detail}"))
-                # The next run writes a new file: rewriting this one in
-                # place costs more (on ext4, closing a file truncated
-                # from non-empty forces its writeback).
-                os.unlink(trace_path)
                 if steady and policy.kind is PolicyKind.MINMAX_DT:
                     achieved = max_delay(outcomes)
                     if achieved != optimum:
@@ -223,17 +239,6 @@ class Violation:
     detail: str
 
 
-@dataclass
-class _TraceRow:
-    vehicle_id: int
-    tier: int
-    arrival_slot: int
-    expected_departure_slot: int
-    intervals_needed: int
-    delay_if_continuous: int
-    selected: bool
-
-
 _TRACE_FIELDS = [
     "slot", "k", "vehicle_id", "tier", "arrival_slot",
     "expected_departure_slot", "intervals_needed", "delay_if_continuous",
@@ -241,9 +246,13 @@ _TRACE_FIELDS = [
 ]
 
 
-def read_trace(path) -> list[tuple[int, int, list[_TraceRow]]]:
-    """Parse a trace CSV into (slot, k, rows) groups in slot order."""
-    slots: list[tuple[int, int, list[_TraceRow]]] = []
+def read_trace(path) -> list[tuple[int, int, list[TraceRow]]]:
+    """Parse a trace CSV into (slot, k, rows) groups in slot order.
+
+    The groups have the form the engine hands its trace sink, so a trace
+    read back from its file equals the trace the run produced.
+    """
+    slots: list[tuple[int, int, list[TraceRow]]] = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -254,7 +263,7 @@ def read_trace(path) -> list[tuple[int, int, list[_TraceRow]]]:
                 slot, k, vid, tier, arr, dep, need, dt, sel = map(int, raw)
             except (ValueError, TypeError):
                 raise ValueError(f"{path}:{lineno}: malformed trace row {raw!r}") from None
-            row = _TraceRow(vid, tier, arr, dep, need, dt, bool(sel))
+            row = TraceRow(vid, tier, arr, dep, need, dt, bool(sel))
             if slots and slots[-1][0] == slot:
                 if slots[-1][1] != k:
                     raise ValueError(f"{path}:{lineno}: inconsistent K within slot {slot}")
@@ -266,7 +275,21 @@ def read_trace(path) -> list[tuple[int, int, list[_TraceRow]]]:
     return slots
 
 
-def _audit_key(policy: Policy, slot: int, row: _TraceRow):
+def _roundtrip_violations(groups, path) -> list[Violation]:
+    """A violation if the trace file at path does not read back as groups."""
+    try:
+        read = read_trace(path)
+    except ValueError as exc:
+        return [Violation(-1, "trace-roundtrip", f"written trace unreadable: {exc}")]
+    for wrote, got in zip_longest(groups, read):
+        if wrote != got:
+            slot = (wrote or got)[0]
+            return [Violation(slot, "trace-roundtrip",
+                              f"written trace reads back as {got!r}, not {wrote!r}")]
+    return []
+
+
+def _audit_key(policy: Policy, slot: int, row: TraceRow):
     kind = policy.kind
     if kind is PolicyKind.FCFS or kind is PolicyKind.RR:
         return (row.arrival_slot, row.vehicle_id)
@@ -287,7 +310,8 @@ def _audit_key(policy: Policy, slot: int, row: _TraceRow):
 def audit_trace(trace, policy: Policy) -> list[Violation]:
     """Check a per-slot trace against the selection contract.
 
-    Verifies, slot by slot: row self-consistency, work conservation,
+    trace is a trace.csv path or an iterable of (slot, k, rows) groups
+    (an engine run's, or `read_trace`'s). Verifies, slot by slot: row self-consistency, work conservation,
     deficit-before-top-off ordering, the policy's top-K key order (with
     tie-breaks) for the sorted policies, list rotation for round robin,
     and the delay-dominance rule for the min-max-delay policy. The list

@@ -85,7 +85,7 @@ def reference_run(cfg, fleet, k_profile, rate):
                     satisfied_slot=satisfied[vid], actual_departure_slot=actual,
                     delay_slots=actual - v.expected_departure_slot,
                     delayed=actual > v.expected_departure_slot,
-                    measured=cfg.in_measurement_window(v.arrival_slot),
+                    measured=v.arrival_slot in cfg.measured_slots,
                 )
                 del plugged[vid]
         t += 1

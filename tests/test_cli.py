@@ -60,6 +60,33 @@ def test_simulate_rejects_sdr_below_one(tiny_config, tmp_path, capsys):
     assert "indefinitely" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_simulate_refuses_a_non_finite_ratio_before_any_output(tmp_path, capsys, value):
+    out = tmp_path / "out"
+    code = run(["simulate", "--policy", "fcfs", "--seed", "1", "--sdr", value, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert f"sdr_grid must be a finite number, not '{value}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+FLOAT_KEYS = ["arrivals_per_day", "duration_mean_h", "duration_std_h", "duration_min_h",
+              "duration_max_h", "one_way_commute_mean_mi", "commute_cap_mi", "extra_daily_mi",
+              "emergency_mi", "initial_charge_max_mi", "battery_capacity_miles",
+              "peak_other_fraction", "bin_width_min", "sdr_grid"]
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_bundle_refuses_a_non_finite_float_key(tmp_path, capsys, key, value):
+    conf = tmp_path / "experiment.conf"
+    conf.write_text(f"{key}={value}\n")
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(conf), "--policy", "fcfs", "--seed", "1",
+                "--out", str(out)]) == EXIT_CONFIG
+    assert f"{key} must be a finite number, not '{value}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_requires_single_cell(tiny_config, tmp_path):
     code = run(["simulate", "--config", tiny_config, "--seeds", "1,2",
                 "--out", str(tmp_path / "o")])
@@ -193,7 +220,7 @@ def test_removed_switch_flag_is_a_usage_error(tiny_config, flag):
 
 @pytest.mark.parametrize("command", ["simulate", "sweep", "dump-fleet", "verify"])
 def test_help_lists_every_policy_and_charger_name(monkeypatch, capsys, command):
-    monkeypatch.setenv("COLUMNS", "400")  # argparse would wrap a long line at a hyphen
+    monkeypatch.setenv("COLUMNS", "60")  # narrow enough to wrap the name lists
     with pytest.raises(SystemExit):
         run([command, "--help"])
     text = capsys.readouterr().out

@@ -250,7 +250,7 @@ def on_time_outcomes(arrival_days, cfg):
     """Outcomes of on-time vehicles (id = zero-based arrival day), flagged the way the engine flags them under cfg's window."""
     arrival = np.array([day * SLOTS_PER_DAY + 100 for day in arrival_days])
     on_time = np.zeros(len(arrival), dtype=np.int64)
-    measured = np.array([cfg.in_measurement_window(slot) for slot in arrival.tolist()], dtype=bool)
+    measured = np.array([slot in cfg.measured_slots for slot in arrival.tolist()], dtype=bool)
     return Outcomes(np.array(arrival_days), arrival, arrival + 10, arrival, arrival + 10,
                     on_time, on_time.astype(bool), measured)
 
@@ -272,7 +272,7 @@ def test_measurement_window_boundaries():
 def test_measurement_window_slot_bounds():
     cfg = default_window_cfg()  # zero-based days 4 to 12
     assert cfg.measured_slots == range(1152, 3744)
-    assert [cfg.in_measurement_window(s) for s in (1151, 1152, 3743, 3744)] == [False, True, True, False]
+    assert [s in cfg.measured_slots for s in (1151, 1152, 3743, 3744)] == [False, True, True, False]
 
 
 def test_measurement_window_empty_is_an_error():

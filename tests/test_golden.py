@@ -10,16 +10,24 @@ not a power of two.
 A second set pins the digest of trace.csv for a small traced cell of
 each differential-test variant, so the order of trace rows (the
 rotation list of round robin, the join order of the top-off list) is
-held as well as the outputs. A third pins the generated fleet itself
+held as well as the outputs. The same run's trace, as the groups the
+engine hands its trace sink, must pass the independent trace audit, so
+a digest re-recorded on purpose cannot carry a wrong selection along;
+and a smaller traced cell of each variant must read back from its
+trace.csv as exactly those groups. A third pins the generated fleet itself
 (`dump-fleet`'s fleet.csv) for two chargers, so a change to the
 workload's draws shows apart from any change downstream.
 """
 
+import functools
 import hashlib
 
 import pytest
 
+from gridshare import engine, metrics
 from gridshare.cli import EXIT_OK, run
+from gridshare.oracle import audit_trace, read_trace
+from gridshare.policies import parse_policy
 
 from test_differential import VARIANTS
 
@@ -71,13 +79,31 @@ TRACE_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("case", list(TRACE_GOLDEN))
-def test_trace_matches_golden_digest(tmp_path, case):
-    argv = ["simulate", *CASES[case], "--trace", "--days", "4", "--arrivals-per-day", "100",
-            "--sdr", "1.0", "--seed", "3", "--out", str(tmp_path)]
+def traced_cell(monkeypatch, tmp_path, case, arrivals_per_day, sdr):
+    """Run a four-day traced cell; return its trace.csv and the groups the engine handed its sink."""
+    groups = []
+    monkeypatch.setattr(metrics, "run_simulation",
+                        functools.partial(engine.run_simulation, trace_sink=groups.append))
+    argv = ["simulate", *CASES[case], "--trace", "--days", "4", "--arrivals-per-day",
+            arrivals_per_day, "--sdr", sdr, "--seed", "3", "--out", str(tmp_path)]
     assert run(argv) == EXIT_OK
-    digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()[:16]
+    assert groups
+    return tmp_path / "trace.csv", groups
+
+
+@pytest.mark.parametrize("case", list(TRACE_GOLDEN))
+def test_trace_matches_golden_digest(monkeypatch, tmp_path, case):
+    trace, groups = traced_cell(monkeypatch, tmp_path, case, "100", "1.0")
+    digest = hashlib.sha256(trace.read_bytes()).hexdigest()[:16]
     assert digest == TRACE_GOLDEN[case]
+    assert audit_trace(groups, parse_policy(case)) == []
+
+
+@pytest.mark.parametrize("case", list(TRACE_GOLDEN))
+def test_trace_reads_back_as_the_engine_groups(monkeypatch, tmp_path, case):
+    # Every row, tier, list order and selected flag survives the CSV.
+    trace, groups = traced_cell(monkeypatch, tmp_path, case, "20", "1.5")
+    assert read_trace(trace) == groups
 
 
 # case -> (charger flags, fleet.csv digest of `dump-fleet --seed 3 --days 6`, truncated to 16 hex digits).

@@ -127,6 +127,31 @@ def test_verify_campaign_reports_a_wrong_selection(monkeypatch, tmp_path):
         assert 0 <= index < 40 and achieved > optimum
 
 
+def _flipped_selection(write):
+    return lambda group: write((group[0], group[1],
+                                [row._replace(selected=not row.selected) for row in group[2]]))
+
+
+def _garbled(write):
+    return lambda group: write((group[0], group[1], [row._replace(tier="x") for row in group[2]]))
+
+
+@pytest.mark.parametrize("corrupt", [_flipped_selection, _garbled])
+def test_verify_campaign_reports_a_trace_that_reads_back_differently(monkeypatch, tmp_path, corrupt):
+    import gridshare.engine as engine_mod
+
+    writer = engine_mod.csv_trace_sink
+    monkeypatch.setattr(engine_mod, "csv_trace_sink", lambda fh: corrupt(writer(fh)))
+    trace = tmp_path / "trace.csv"
+    violations, mismatches = verify_campaign(ALL_POLICIES, np.random.default_rng(3), 4, 2, trace)
+    # Only each policy's run on the first steady instance writes a file;
+    # every run is audited from the engine's own groups, which stay clean.
+    assert [(v.rule, v.detail.split(":")[0]) for v in violations] == [
+        ("trace-roundtrip", f"instance 0 policy {policy.name}") for policy in ALL_POLICIES]
+    assert not mismatches
+    assert not trace.exists()
+
+
 def test_cycling_zero_capacity_slots_can_defeat_online_lookahead():
     # With zero-capacity gaps the charged-every-slot delay estimate is
     # optimistic, so the online policy can miss the hindsight optimum;
