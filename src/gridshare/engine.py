@@ -137,10 +137,16 @@ class TraceRow(NamedTuple):
     selected: bool
 
 
-# Every trace field is an integer, so no field needs quoting: the rows
-# are formatted directly, one write per slot. The "\r\n" line ending is
-# csv.writer's, so trace.csv stays byte-identical.
+# Builds a TraceRow from a tuple of its fields in one C call, without the
+# Python-level __new__ that TraceRow(...) runs: a default-scale traced
+# cell builds millions of rows.
+_new_row = tuple.__new__
+
+# Every trace field is an integer (selected prints as 0 or 1), so no field
+# needs quoting: the rows are formatted directly, one write per slot. The
+# "\r\n" line ending is csv.writer's, so trace.csv stays byte-identical.
 _TRACE_HEADER = ",".join(("slot", "k", *TraceRow._fields)) + "\r\n"
+_TRACE_ROW_FORMAT = ",".join(["%d"] * len(TraceRow._fields)) + "\r\n"
 
 
 def csv_trace_sink(fh):
@@ -152,8 +158,8 @@ def csv_trace_sink(fh):
 
     def sink(group):
         slot, k, rows = group
-        write("".join([f"{slot},{k},{v},{tier},{arrival},{departure},{needed},{delay},{selected:d}\r\n"
-                       for v, tier, arrival, departure, needed, delay, selected in rows]))
+        row_format = f"{slot},{k},{_TRACE_ROW_FORMAT}"
+        write("".join([row_format % row for row in rows]))
 
     return sink
 
@@ -269,8 +275,8 @@ def _run_loop(cfg, fleet, k_profile, trace, stats, state):
                 for tier, ranks in ((1, state.deficit), (2, state.topoff)):
                     for rank, needed in zip(ranks.tolist(), need[ranks].tolist()):
                         t_l = departures[rank]
-                        rows.append(TraceRow(ids[rank], tier, arrivals[rank], t_l, needed,
-                                             needed - (t_l - t), rank in chosen))
+                        rows.append(_new_row(TraceRow, (ids[rank], tier, arrivals[rank], t_l, needed,
+                                                        needed - (t_l - t), rank in chosen)))
                 trace((t, k, rows))
             if count:
                 spare = room[selected]

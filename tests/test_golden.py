@@ -14,8 +14,8 @@ held as well as the outputs. The same run's trace, as the groups the
 engine hands its trace sink, must pass the independent trace audit, so
 a digest re-recorded on purpose cannot carry a wrong selection along;
 and a smaller traced cell of each variant must read back from its
-trace.csv as exactly those groups. A third pins the generated fleet itself
-(`dump-fleet`'s fleet.csv) for two chargers, so a change to the
+trace.csv as exactly those groups. A third pins the generated fleet
+itself (`dump-fleet`'s fleet.csv) for two chargers, so a change to the
 workload's draws shows apart from any change downstream.
 """
 

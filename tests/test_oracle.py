@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from gridshare.engine import csv_trace_sink
 from gridshare.oracle import (
     Violation,
     audit_trace,
@@ -127,21 +128,21 @@ def test_verify_campaign_reports_a_wrong_selection(monkeypatch, tmp_path):
         assert 0 <= index < 40 and achieved > optimum
 
 
-def _flipped_selection(write):
+def _flipped_selection(fh):
+    write = csv_trace_sink(fh)
     return lambda group: write((group[0], group[1],
                                 [row._replace(selected=not row.selected) for row in group[2]]))
 
 
-def _garbled(write):
-    return lambda group: write((group[0], group[1], [row._replace(tier="x") for row in group[2]]))
+def _garbled(fh):
+    return lambda group: fh.write("garbled\r\n")
 
 
 @pytest.mark.parametrize("corrupt", [_flipped_selection, _garbled])
 def test_verify_campaign_reports_a_trace_that_reads_back_differently(monkeypatch, tmp_path, corrupt):
     import gridshare.engine as engine_mod
 
-    writer = engine_mod.csv_trace_sink
-    monkeypatch.setattr(engine_mod, "csv_trace_sink", lambda fh: corrupt(writer(fh)))
+    monkeypatch.setattr(engine_mod, "csv_trace_sink", corrupt)
     trace = tmp_path / "trace.csv"
     violations, mismatches = verify_campaign(ALL_POLICIES, np.random.default_rng(3), 4, 2, trace)
     # Only each policy's run on the first steady instance writes a file;
