@@ -253,3 +253,139 @@ def test_violation_csv_writer(tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == "slot,rule,detail"
     assert text[1].startswith("4,tier-ordering")
+
+
+# --- one mutation per audit rule ---------------------------------------------
+#
+# Each case runs a small instance through the engine, collects its
+# in-memory trace, changes one slot group and checks which rules the audit
+# reports. The instance has contended deficit slots, a slot where the
+# deficit tier is taken whole beside a waiting top-off vehicle, and slots
+# where every candidate charges.
+
+RULE_INSTANCE = tiny_instance(
+    [(0, 4, 3), (0, 6, 1), (1, 3, 4), (1, 8, 0), (3, 9, 2)], [2, 1, 1], topoff_extra=2.0)
+
+
+def _engine_groups(policy):
+    groups = []
+    run_policy_on_instance(RULE_INSTANCE, policy, trace_sink=groups.append)
+    assert audit_trace(groups, policy) == []
+    return groups
+
+
+def _tiers(rows):
+    return [r for r in rows if r.tier == 1], [r for r in rows if r.tier == 2]
+
+
+def _first_group(groups, fits):
+    """Index of the first group whose (k, rows) fits; the instance must have one."""
+    index = next((i for i, (_, k, rows) in enumerate(groups) if fits(k, rows)), None)
+    assert index is not None, "the rule instance has no slot of the needed shape"
+    return index
+
+
+def _flip(rows, *flipped):
+    """rows with the selected flag of each row in flipped inverted."""
+    ids = {r.vehicle_id for r in flipped}
+    return [r._replace(selected=not r.selected) if r.vehicle_id in ids else r for r in rows]
+
+
+def _contended(k, rows):
+    tier1, _ = _tiers(rows)
+    return 0 < sum(r.selected for r in tier1) < len(tier1)
+
+
+def _fcfs_order(row):
+    return (row.arrival_slot, row.vehicle_id)
+
+
+def _duplicate_row(groups):
+    i = _first_group(groups, lambda k, rows: True)
+    slot, k, rows = groups[i]
+    groups[i] = (slot, k, rows + rows[:1])
+    return slot
+
+
+def _wrong_delay_column(groups):
+    i = _first_group(groups, lambda k, rows: True)
+    slot, k, rows = groups[i]
+    groups[i] = (slot, k, [rows[0]._replace(delay_if_continuous=rows[0].delay_if_continuous + 3)]
+                 + rows[1:])
+    return slot
+
+
+def _lower_k(groups):
+    # Every candidate charges; with one charger fewer, one too many did.
+    i = _first_group(groups, lambda k, rows: len(rows) > 1 and all(r.selected for r in rows))
+    slot, _, rows = groups[i]
+    groups[i] = (slot, len(rows) - 1, rows)
+    return slot
+
+
+def _topoff_before_deficit(groups):
+    # The deficit tier is taken whole and the top-off tier waits: the last
+    # deficit vehicle (in key order) gives its charger to the first
+    # top-off vehicle, so each tier stays in key order.
+    def fits(k, rows):
+        tier1, tier2 = _tiers(rows)
+        return tier1 and tier2 and all(r.selected for r in tier1) and not any(
+            r.selected for r in tier2)
+    i = _first_group(groups, fits)
+    slot, k, rows = groups[i]
+    tier1, tier2 = _tiers(rows)
+    groups[i] = (slot, k, _flip(rows, max(tier1, key=_fcfs_order), min(tier2, key=_fcfs_order)))
+    return slot
+
+
+def _swap_in_deficit_tier(groups):
+    i = _first_group(groups, _contended)
+    slot, k, rows = groups[i]
+    tier1, _ = _tiers(rows)
+    groups[i] = (slot, k, _flip(rows, next(r for r in tier1 if r.selected),
+                                next(r for r in tier1 if not r.selected)))
+    return slot
+
+
+def _serve_a_lesser_delay(groups):
+    # A charged deficit vehicle trades places with a waiting one whose
+    # delay if charged continuously is smaller.
+    def pair(rows):
+        tier1, _ = _tiers(rows)
+        return next(((s, u) for s in tier1 if s.selected for u in tier1
+                     if not u.selected and u.delay_if_continuous < s.delay_if_continuous), None)
+    i = _first_group(groups, lambda k, rows: pair(rows) is not None)
+    slot, k, rows = groups[i]
+    groups[i] = (slot, k, _flip(rows, *pair(rows)))
+    return slot
+
+
+# rule -> (policy, mutation, rules the mutated trace must report). For
+# minmax-dt the priority key is the delay column itself, so a delay
+# served out of order is a key-ordering fault too: dt-dominance states
+# the same rule a second time, from the column alone.
+RULE_MUTATIONS = {
+    "duplicate-row": ("fcfs", _duplicate_row, {"duplicate-row"}),
+    "row-consistency": ("fcfs", _wrong_delay_column, {"row-consistency"}),
+    "work-conservation": ("fcfs", _lower_k, {"work-conservation"}),
+    "tier-ordering": ("fcfs", _topoff_before_deficit, {"tier-ordering"}),
+    "key-ordering": ("fcfs", _swap_in_deficit_tier, {"key-ordering"}),
+    "rr-rotation": ("rr", _swap_in_deficit_tier, {"rr-rotation"}),
+    "dt-dominance": ("minmax-dt", _serve_a_lesser_delay, {"key-ordering", "dt-dominance"}),
+}
+
+
+@pytest.mark.parametrize("rule", list(RULE_MUTATIONS))
+def test_each_audit_rule_catches_its_mutation(rule):
+    name, mutate, expected = RULE_MUTATIONS[rule]
+    policy = parse_policy(name)
+    groups = _engine_groups(policy)
+    slot = mutate(groups)
+    violations = audit_trace(groups, policy)
+    assert {v.rule for v in violations} == expected
+    first = [v for v in violations if v.rule == rule][0]
+    assert first.slot == slot
+    # A fault in one slot group is reported there, and the rules other
+    # than the rotation check carry no state into later slots.
+    if rule != "rr-rotation":
+        assert {v.slot for v in violations} == {slot}
