@@ -22,7 +22,7 @@ import numpy as np
 from . import defaults, figures, metrics, oracle
 from .engine import SimConfig
 from .policies import ALL_POLICY_NAMES, POLICY_NAMES, parse_policy
-from .powergrid import CHARGER_PRESETS, LoadShape, charger_preset
+from .powergrid import CHARGER_PRESETS, LoadShape, charger_preset, check_supply_ratio
 from .workload import (
     WorkloadConfig,
     adjusted_departure_fraction,
@@ -185,10 +185,8 @@ def build_config(overrides: dict) -> ExperimentConfig:
     sdr_grid = [_finite("sdr_grid", x) for x in raw["sdr_grid"].split(",") if x.strip()]
     if not sdr_grid:
         raise ValueError("empty supply-ratio grid")
-    if any(x < 1.0 for x in sdr_grid):
-        raise ValueError(
-            "supply-to-demand ratio below 1 is refused: delays would grow indefinitely"
-        )
+    for sdr in sdr_grid:
+        check_supply_ratio(sdr)
     seeds = [int(x) for x in raw["seeds"].split(",") if x.strip()]
     if not seeds:
         raise ValueError("at least one seed required")

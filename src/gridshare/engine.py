@@ -59,20 +59,6 @@ class SimConfig:
         return range(self.warmup_days * SLOTS_PER_DAY, self.last_measured_day * SLOTS_PER_DAY)
 
 
-@dataclass(slots=True)
-class VehicleOutcome:
-    """One row of an `Outcomes` table, for reading a run vehicle by vehicle."""
-
-    id: int
-    arrival_slot: int
-    expected_departure_slot: int
-    satisfied_slot: int
-    actual_departure_slot: int
-    delay_slots: int
-    delayed: bool
-    measured: bool
-
-
 # Not frozen: a frozen dataclass sets each field through
 # object.__setattr__, a cost every tiny verify run would pay. Nothing
 # changes an outcome table once built.
@@ -110,10 +96,6 @@ class Outcomes:
     def rows(self, mask: np.ndarray) -> "Outcomes":
         """The outcomes of the rows that mask selects."""
         return Outcomes(*(column[mask] for column in self.columns()))
-
-    def records(self) -> list[VehicleOutcome]:
-        """One record per row."""
-        return [VehicleOutcome(*row) for row in zip(*(column.tolist() for column in self.columns()))]
 
 
 @dataclass
@@ -273,6 +255,8 @@ def _run_loop(cfg, fleet, k_profile, trace, stats, state):
                 chosen = set(selected.tolist())
                 rows = []
                 for tier, ranks in ((1, state.deficit), (2, state.topoff)):
+                    if not len(ranks):
+                        continue
                     for rank, needed in zip(ranks.tolist(), need[ranks].tolist()):
                         t_l = departures[rank]
                         rows.append(_new_row(TraceRow, (ids[rank], tier, arrivals[rank], t_l, needed,

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,6 +31,7 @@ from .policies import Policy
 from .powergrid import (
     ChargerSpec,
     LoadShape,
+    check_supply_ratio,
     day_capacity_profile,
     make_grid,
     realized_sdr,
@@ -240,12 +240,12 @@ def run_cells(cells: Sequence[tuple], max_workers: int | None = None) -> list[Me
     lives for this call only: a pool worker's dies with the pool, and
     the in-process one is cleared when the call returns or raises.
     Raises ValueError before any cell runs if there are no cells or a
-    supply ratio is below 1.
+    supply ratio is outside [1, `powergrid.MAX_SUPPLY_RATIO`].
     """
     if not cells:
         raise ValueError("no cells to run: at least one policy, ratio and seed required")
-    if any(sdr < 1.0 for _, _, sdr, _ in cells):
-        raise ValueError("supply-to-demand ratios below 1 are refused: delays would grow indefinitely")
+    for _, _, sdr, _ in cells:
+        check_supply_ratio(sdr)
     groups: dict[tuple, list[int]] = {}
     for index, (base, _, _, seed) in enumerate(cells):
         groups.setdefault(_fleet_key(base, seed), []).append(index)
@@ -254,6 +254,9 @@ def run_cells(cells: Sequence[tuple], max_workers: int | None = None) -> list[Me
 
     workers = min(resolve_workers(max_workers), len(cells))
     if workers > 1:
+        # Imported here: simulate and verify never start a pool.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker) as pool:
             results = list(pool.map(_run_cell_entry, dispatch, chunksize=1))
     else:

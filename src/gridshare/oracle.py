@@ -100,39 +100,43 @@ def brute_force_min_max_delay(inst: TinyInstance, branch_budget: int = 10_000_00
     cycles_needed = -(-sum(needs) // max(sum(profile), 1))
     t_max = max(deadlines) + cycle * (cycles_needed + 2) + 4
 
-    budget = [branch_budget]
+    budget = branch_budget
 
     @lru_cache(maxsize=None)
     def best_from(t: int, remaining: tuple) -> int:
-        budget[0] -= 1
-        if budget[0] < 0:
+        nonlocal budget
+        budget -= 1
+        if budget < 0:
             raise RuntimeError("instance too large for exhaustive search")
-        if all(r == 0 for r in remaining):
+        if not any(remaining):  # needs are never negative
             return 0
         if t > t_max:
             raise RuntimeError("search ran past the feasibility horizon")
-        eligible = [i for i in range(len(remaining)) if remaining[i] > 0 and arrivals[i] <= t]
+        eligible = [i for i, (r, a) in enumerate(zip(remaining, arrivals)) if r and a <= t]
         if not eligible:
             # Nothing plugged and unfinished: jump to the next arrival.
-            t_next = min(arrivals[i] for i in range(len(remaining)) if remaining[i] > 0)
+            t_next = min(a for r, a in zip(remaining, arrivals) if r)
             return best_from(t_next, remaining)
         k = profile[t % cycle]
         m = min(k, len(eligible))
         if m == 0:
             return best_from(t + 1, remaining)
+        boundary = t + 1
         best = None
         for subset in combinations(eligible, m):
             rem = list(remaining)
             finish_delay = 0
             for i in subset:
                 rem[i] -= 1
-                if rem[i] == 0:
-                    finish_delay = max(finish_delay, max(0, (t + 1) - deadlines[i]))
-            value = max(finish_delay, best_from(t + 1, tuple(rem)))
+                if not rem[i] and boundary - deadlines[i] > finish_delay:
+                    finish_delay = boundary - deadlines[i]
+            value = best_from(boundary, tuple(rem))
+            if finish_delay > value:
+                value = finish_delay
             if best is None or value < best:
                 best = value
-                if best == 0 and finish_delay == 0:
-                    # Can't do better than zero future delay.
+                if best == 0:
+                    # Can't do better than zero delay.
                     break
         return best
 
@@ -317,85 +321,104 @@ def audit_trace(trace, policy: Policy) -> list[Violation]:
     and the delay-dominance rule for the min-max-delay policy. The list
     reconstruction is done from scratch here; the policy module is never
     consulted.
+
+    Each group's rows are read in one pass that checks the delay column,
+    counts the selected rows and splits the two tiers; a tier is put in
+    key order only when it is taken in part.
     """
     if isinstance(trace, (str, bytes)) or hasattr(trace, "__fspath__"):
         trace = read_trace(trace)
     violations: list[Violation] = []
+    rotating = policy.kind is PolicyKind.RR
+    delay_first = policy.kind is PolicyKind.MINMAX_DT
     # Reconstructed list orders for the rotation check.
     list_order = {1: deque(), 2: deque()}
     seen: set[int] = set()
 
     for slot, k, rows in trace:
-        by_id = {r.vehicle_id: r for r in rows}
-        if len(by_id) != len(rows):
+        ids = set()
+        tier1 = []
+        tier2 = []
+        inconsistent = []
+        chosen = []  # ids of the selected rows, in row order
+        n_sel1 = n_sel2 = 0
+        for row in rows:
+            vid, tier, _, departure, needed, delay, selected = row
+            ids.add(vid)
+            if delay != needed - (departure - slot):
+                inconsistent.append(Violation(
+                    slot, "row-consistency",
+                    f"vehicle {vid}: delay column {delay} != {needed - (departure - slot)}",
+                ))
+            if tier == 1:
+                tier1.append(row)
+            elif tier == 2:
+                tier2.append(row)
+            if selected:
+                chosen.append(vid)
+                if tier == 1:
+                    n_sel1 += 1
+                elif tier == 2:
+                    n_sel2 += 1
+        if len(ids) != len(rows):
             violations.append(Violation(slot, "duplicate-row", "vehicle listed twice"))
             continue
+        if inconsistent:
+            violations += inconsistent
 
-        for r in rows:
-            implied = r.intervals_needed - (r.expected_departure_slot - slot)
-            if r.delay_if_continuous != implied:
-                violations.append(Violation(
-                    slot, "row-consistency",
-                    f"vehicle {r.vehicle_id}: delay column {r.delay_if_continuous} != {implied}",
-                ))
-
-        selected = [r for r in rows if r.selected]
         expected_count = min(k, len(rows))
-        if len(selected) != expected_count:
+        if len(chosen) != expected_count:
             violations.append(Violation(
                 slot, "work-conservation",
-                f"selected {len(selected)}, expected min({k}, {len(rows)}) = {expected_count}",
+                f"selected {len(chosen)}, expected min({k}, {len(rows)}) = {expected_count}",
             ))
 
-        tier1 = [r for r in rows if r.tier == 1]
-        tier2 = [r for r in rows if r.tier == 2]
-        if any(r.selected for r in tier2) and not all(r.selected for r in tier1):
+        if n_sel2 and n_sel1 < len(tier1):
             violations.append(Violation(
                 slot, "tier-ordering", "top-off vehicle charged while a deficit vehicle waited"))
 
-        if policy.kind is PolicyKind.RR:
+        if rotating:
             _update_reconstructed_lists(list_order, seen, tier1, tier2)
             expected = _rr_expected(list_order, k)
-            actual = [r.vehicle_id for r in selected]
-            if set(actual) != set(expected):
+            actual = set(chosen)
+            if actual != set(expected):
                 violations.append(Violation(
                     slot, "rr-rotation",
                     f"selected {sorted(actual)}, rotation order expects {sorted(expected)}",
                 ))
                 # Re-sync so one fault is reported once, not echoed forever.
-                _rr_rotate(list_order, set(actual))
+                _rr_rotate(list_order, actual)
             else:
                 _rr_rotate(list_order, set(expected))
-        else:
-            for tier_rows in (tier1, tier2):
-                n_sel = sum(1 for r in tier_rows if r.selected)
-                if 0 < n_sel < len(tier_rows):
-                    ordered = sorted(tier_rows, key=lambda r: _audit_key(policy, slot, r))
-                    should = {r.vehicle_id for r in ordered[:n_sel]}
-                    actual = {r.vehicle_id for r in tier_rows if r.selected}
-                    if should != actual:
-                        violations.append(Violation(
-                            slot, "key-ordering",
-                            f"tier {tier_rows[0].tier}: selected {sorted(actual)}, "
-                            f"priority order expects {sorted(should)}",
-                        ))
-            if policy.kind is PolicyKind.MINMAX_DT:
-                unsel = [r for r in tier1 if not r.selected]
-                sel = [r for r in tier1 if r.selected]
-                if sel and unsel:
-                    worst_unselected = max(r.delay_if_continuous for r in unsel)
-                    least_selected = min(r.delay_if_continuous for r in sel)
-                    if worst_unselected > least_selected:
-                        violations.append(Violation(
-                            slot, "dt-dominance",
-                            f"unselected delay {worst_unselected} exceeds selected {least_selected}",
-                        ))
+            continue
+        for tier_rows, n_sel in ((tier1, n_sel1), (tier2, n_sel2)):
+            if 0 < n_sel < len(tier_rows):
+                ordered = sorted(tier_rows, key=lambda r: _audit_key(policy, slot, r))
+                should = {r.vehicle_id for r in ordered[:n_sel]}
+                actual = {r.vehicle_id for r in tier_rows if r.selected}
+                if should != actual:
+                    violations.append(Violation(
+                        slot, "key-ordering",
+                        f"tier {tier_rows[0].tier}: selected {sorted(actual)}, "
+                        f"priority order expects {sorted(should)}",
+                    ))
+        # The deficit tier has a selected and a waiting vehicle only when
+        # it is taken in part.
+        if delay_first and 0 < n_sel1 < len(tier1):
+            worst_unselected = max(r.delay_if_continuous for r in tier1 if not r.selected)
+            least_selected = min(r.delay_if_continuous for r in tier1 if r.selected)
+            if worst_unselected > least_selected:
+                violations.append(Violation(
+                    slot, "dt-dominance",
+                    f"unselected delay {worst_unselected} exceeds selected {least_selected}",
+                ))
     return violations
 
 
 def _update_reconstructed_lists(list_order, seen, tier1, tier2):
     """Mirror the documented list maintenance from trace membership diffs."""
-    present = {r.vehicle_id: r.tier for r in tier1 + tier2}
+    present = dict.fromkeys([r.vehicle_id for r in tier1], 1)
+    present.update(dict.fromkeys([r.vehicle_id for r in tier2], 2))
     for tier in (1, 2):
         kept = deque()
         movers = []
@@ -411,11 +434,13 @@ def _update_reconstructed_lists(list_order, seen, tier1, tier2):
         # Crossers join the tail of the other tier (only 1 -> 2 occurs in
         # engine traces; the other direction is tolerated for robustness).
         list_order[2 if tier == 1 else 1].extend(movers)
-    for rows in (tier1, tier2):
-        for r in sorted(rows, key=lambda r: r.vehicle_id):
+    # Newcomers join in id order; ids are unique within a slot, so rows
+    # sort by id.
+    for rows, q in ((tier1, list_order[1]), (tier2, list_order[2])):
+        for r in sorted(rows):
             if r.vehicle_id not in seen:
                 seen.add(r.vehicle_id)
-                list_order[r.tier].append(r.vehicle_id)
+                q.append(r.vehicle_id)
 
 
 def _rr_expected(list_order, k: int) -> list[int]:

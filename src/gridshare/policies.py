@@ -150,29 +150,39 @@ def _keys(state: PolicyState, tier: np.ndarray, t: int) -> np.ndarray:
 
     A key is primary * len(fleet) + rank, so comparing two keys
     compares (primary, arrival slot, id), the policy's tuple key, and
-    key % len(fleet) recovers the rank.
+    key % len(fleet) recovers the rank. For fcfs and rr the key is the
+    rank, and `tier` itself is returned; otherwise the keys are a new
+    array, computed in place on the counters gathered for the tier.
     """
     policy = state.policy
     kind = policy.kind
     if kind is PolicyKind.FCFS or kind is PolicyKind.RR:
         return tier
     n = len(state.need)
-    t_l = state.departure[tier]
+    if kind is PolicyKind.MINMAX_ER:
+        keys = state.need[tier]
+        keys *= -n
+        keys += tier
+        return keys
+    keys = state.departure[tier]
     if kind is PolicyKind.FDFS and not policy.fdfs_least_slack:
         # Late vehicles first by how late they are; descending lateness
         # equals ascending expected departure, which also orders the
         # not-yet-late by earliest departure, so one key covers both.
-        return t_l * n + tier
+        keys *= n
+        keys += tier
+        return keys
     needed = state.need[tier]
     if kind is PolicyKind.FDFS:
         # Late vehicles by expected departure, then the rest by slack
         # (t_l - t) - need; the common -t is dropped.
-        return (t_l - np.where(t_l <= t, _LATE, needed)) * n + tier
-    if kind is PolicyKind.MINMAX_ER:
-        return tier - needed * n
+        needed[keys <= t] = _LATE
     # minmax-dt: descending delay-if-charged-continuously is ascending
     # (departure - slots still needed); least slack orders the same way.
-    return (t_l - needed) * n + tier
+    keys -= needed
+    keys *= n
+    keys += tier
+    return keys
 
 
 def update_membership(state: PolicyState, t: int, arrived: range,
@@ -222,7 +232,13 @@ def _pick_by_key(state: PolicyState, tier: np.ndarray, k: int, t: int) -> np.nda
     if k == 0:
         return _NO_RANKS
     keys = _keys(state, tier, t)
-    return np.sort(np.partition(keys, k - 1)[:k]) % len(state.need)
+    if keys is tier:
+        keys = tier.copy()
+    keys.partition(k - 1)
+    keys = keys[:k]
+    keys.sort()
+    keys %= len(state.need)
+    return keys
 
 
 def select(policy: Policy, state: PolicyState, t: int, K: int) -> np.ndarray:

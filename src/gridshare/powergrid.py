@@ -104,6 +104,23 @@ class GridModel:
     available_kw: tuple[float, ...] = field(repr=False)
 
 
+# make_grid holds TPA / TPR to the target ratio within 1e-6. A double
+# carries about 16 significant digits, so past about 1e9 rounding alone
+# can break that check; ratios above 1e6 are refused, three digits short
+# of it.
+MAX_SUPPLY_RATIO = 1e6
+
+
+def check_supply_ratio(sdr: float) -> None:
+    """Refuse a supply-to-demand ratio outside [1, MAX_SUPPLY_RATIO]."""
+    if sdr < 1.0:
+        raise ValueError("supply-to-demand ratio below 1 is refused: delays would grow indefinitely")
+    if sdr > MAX_SUPPLY_RATIO:
+        raise ValueError(
+            f"supply-to-demand ratio {sdr:g} is refused: calibration holds the ratio to 1e-6 "
+            f"only up to {MAX_SUPPLY_RATIO:.0f}")
+
+
 def _headroom_hours(shape: LoadShape, peak_other_fraction: float) -> float:
     """Integral over a day of (1 - peak_other_fraction * shape), in hours."""
     return SLOT_HOURS * math.fsum(1.0 - peak_other_fraction * v for v in shape.values)
@@ -117,8 +134,7 @@ def calibrate_capacity(
     TPA is linear in capacity: TPA(c) = c * integral(1 - p*shape), so the
     closed form is exact.
     """
-    if sdr_target < 1.0:
-        raise ValueError("supply-to-demand ratio below 1 is refused: delays would grow indefinitely")
+    check_supply_ratio(sdr_target)
     if tpr_kwh <= 0.0:
         raise ValueError("daily requirement must be positive")
     if not 0.0 < peak_other_fraction < 1.0:

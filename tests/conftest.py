@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import pytest
 
 from gridshare.cli import build_config
@@ -8,6 +10,25 @@ from gridshare.workload import Vehicle
 def scenario(**overrides):
     """The CLI's experiment: its default table with key=value overrides."""
     return build_config({key: str(value) for key, value in overrides.items()})
+
+
+@dataclass(slots=True)
+class VehicleOutcome:
+    """One row of an `engine.Outcomes` table, for reading a run vehicle by vehicle."""
+
+    id: int
+    arrival_slot: int
+    expected_departure_slot: int
+    satisfied_slot: int
+    actual_departure_slot: int
+    delay_slots: int
+    delayed: bool
+    measured: bool
+
+
+def records(outcomes) -> list[VehicleOutcome]:
+    """One record per row of an `engine.Outcomes` table, in its row order."""
+    return [VehicleOutcome(*row) for row in zip(*(column.tolist() for column in outcomes.columns()))]
 
 
 def make_test_vehicle(vid, arrival, departure, required, current=0.0, capacity=None):

@@ -2,14 +2,17 @@
 
 It states the selection rules directly, with none of the production
 engine's array bookkeeping, so the differential test can hold the engine
-to it. Returns the engine's outcomes, its trace rows (as ints, in file
-order, without the header) and the number of slots run, which ends at
-the last departure boundary.
+to it. Returns the run's outcomes as an `engine.Outcomes` table (one row
+per vehicle in arrival order), its trace rows (as ints, in file order,
+without the header) and the number of slots run, which ends at the last
+departure boundary.
 """
 
 from dataclasses import replace
 
-from gridshare.engine import VehicleOutcome
+import numpy as np
+
+from gridshare.engine import Outcomes
 from gridshare.policies import PolicyKind, intervals_for_deficit
 
 
@@ -79,14 +82,14 @@ def reference_run(cfg, fleet, k_profile, rate):
         for vid, v in list(plugged.items()):
             if vid in satisfied and t + 1 >= max(v.expected_departure_slot, satisfied[vid]):
                 actual = t + 1
-                outcomes[vid] = VehicleOutcome(
-                    id=vid, arrival_slot=v.arrival_slot,
-                    expected_departure_slot=v.expected_departure_slot,
-                    satisfied_slot=satisfied[vid], actual_departure_slot=actual,
-                    delay_slots=actual - v.expected_departure_slot,
-                    delayed=actual > v.expected_departure_slot,
-                    measured=v.arrival_slot in cfg.measured_slots,
+                # One row in outcomes.csv column order.
+                outcomes[vid] = (
+                    vid, v.arrival_slot, v.expected_departure_slot, satisfied[vid], actual,
+                    actual - v.expected_departure_slot, actual > v.expected_departure_slot,
+                    v.arrival_slot in cfg.measured_slots,
                 )
                 del plugged[vid]
         t += 1
-    return [outcomes[vid] for vid in order], rows, t
+    columns = zip(*(outcomes[vid] for vid in order))
+    dtypes = [np.int64] * 6 + [bool] * 2
+    return Outcomes(*(np.array(column, dtype=dtype) for column, dtype in zip(columns, dtypes))), rows, t

@@ -69,6 +69,15 @@ def test_simulate_refuses_a_non_finite_ratio_before_any_output(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_simulate_refuses_a_ratio_calibration_cannot_hold_before_any_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run(["simulate", "--policy", "fcfs", "--seed", "1", "--days", "5", "--sdr", "1e308",
+                "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "supply-to-demand ratio 1e+308 is refused" in capsys.readouterr().err
+    assert not out.exists()
+
+
 FLOAT_KEYS = ["arrivals_per_day", "duration_mean_h", "duration_std_h", "duration_min_h",
               "duration_max_h", "one_way_commute_mean_mi", "commute_cap_mi", "extra_daily_mi",
               "emergency_mi", "initial_charge_max_mi", "battery_capacity_miles",

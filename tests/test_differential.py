@@ -84,7 +84,7 @@ def test_engine_matches_reference_loop(policy, scenario):
         stats = RunStats()
         outcomes = run_simulation(
             cfg, Fleet.from_vehicles(fleet, charger), k_profile, trace_path=trace_path, stats=stats,
-        ).records()
+        )
         rows = read_rows(trace_path)
         want_outcomes, want_rows, want_slots = reference_run(cfg, fleet, k_profile, rate)
         assert outcomes == want_outcomes
@@ -96,6 +96,6 @@ def test_engine_matches_reference_loop(policy, scenario):
         last_departure = max(v.expected_departure_slot for v in fleet)
         assert stats.slots_run <= last_departure + len(k_profile) * sum(need.values())
         assert audit_trace(trace_path, policy) == []
-        satisfied = {o.id: o.satisfied_slot for o in outcomes}
+        satisfied = dict(zip(outcomes.id.tolist(), outcomes.satisfied_slot.tolist()))
         charges = Counter(row[2] for row in rows if row[8] and row[0] < satisfied[row[2]])
         assert {vid: charges[vid] for vid in need} == need

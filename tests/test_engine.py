@@ -16,7 +16,7 @@ from gridshare.policies import parse_policy
 from gridshare.units import SLOTS_PER_DAY
 from gridshare.workload import Fleet
 
-from conftest import make_test_vehicle, scenario
+from conftest import make_test_vehicle, records, scenario
 
 
 def tiny_cfg(policy_name="minmax-dt", **kw):
@@ -29,7 +29,7 @@ def tiny_cfg(policy_name="minmax-dt", **kw):
 
 def simulate(cfg, vehicles, k_profile, **kw):
     """One record per vehicle, in arrival order, of a run over hand-built vehicles."""
-    return run_simulation(cfg, Fleet.from_vehicles(vehicles, ORACLE_CHARGER), k_profile, **kw).records()
+    return records(run_simulation(cfg, Fleet.from_vehicles(vehicles, ORACLE_CHARGER), k_profile, **kw))
 
 
 def run_tiny(vehicles, k_profile, policy="minmax-dt", **kw):
@@ -78,9 +78,9 @@ def test_repeat_runs_identical():
 
 def test_input_fleet_not_mutated():
     fleet = Fleet.from_vehicles([make_test_vehicle(0, 0, 5, required=3.0, current=0.0)], ORACLE_CHARGER)
-    first = run_simulation(tiny_cfg(), fleet, [1]).records()
+    first = records(run_simulation(tiny_cfg(), fleet, [1]))
     assert fleet.need.tolist() == [3] and fleet.room.tolist() == [3]
-    assert run_simulation(tiny_cfg(), fleet, [1]).records() == first
+    assert records(run_simulation(tiny_cfg(), fleet, [1])) == first
 
 
 def test_duplicate_vehicle_ids_rejected():
@@ -288,7 +288,7 @@ def test_engine_measured_flag_agrees_with_filter():
         for d in range(5)
     ]
     outcomes = run_simulation(cfg, Fleet.from_vehicles(vehicles, ORACLE_CHARGER), [3])
-    flagged = {o.id for o in outcomes.records() if o.measured}
+    flagged = {o.id for o in records(outcomes) if o.measured}
     filtered = set(measurement_filter(outcomes).id.tolist())
     assert flagged == filtered == {1, 2}
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gridshare.defaults import default_load_shape_values
 from gridshare.powergrid import (
     CHARGER_PRESETS,
+    MAX_SUPPLY_RATIO,
     ChargerSpec,
     LoadShape,
     calibrate_capacity,
@@ -143,6 +144,23 @@ def test_calibration_rejects_bad_inputs(flat_shape):
         calibrate_capacity(flat_shape, 1.0, 100.0, 1.5)  # no headroom left
     with pytest.raises(ValueError):
         calibrate_capacity(flat_shape, 0.8, 0.0, 1.5)
+
+
+def test_calibration_refuses_a_ratio_above_the_limit(flat_shape):
+    with pytest.raises(ValueError, match="only up to 1000000"):
+        calibrate_capacity(flat_shape, 0.8, 100.0, MAX_SUPPLY_RATIO * 1.01)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sdr=st.floats(min_value=1.0, max_value=MAX_SUPPLY_RATIO),
+       tpr=st.floats(min_value=1e-3, max_value=1e8),
+       peak=st.floats(min_value=0.01, max_value=0.99),
+       flat=st.booleans())
+def test_every_accepted_ratio_survives_the_round_trip(sdr, tpr, peak, flat):
+    # The limit leaves room for rounding: make_grid's 1e-6 check holds.
+    values = [1.0] * 288 if flat else default_load_shape_values()
+    grid = make_grid(LoadShape.from_values(values), tpr, sdr, peak)
+    assert grid.tpa_kwh / grid.tpr_kwh == pytest.approx(sdr, abs=1e-6)
 
 
 def test_calibration_round_trip_on_default_shape():
