@@ -144,9 +144,6 @@ def test_calibration_rejects_bad_inputs(flat_shape):
         calibrate_capacity(flat_shape, 1.0, 100.0, 1.5)  # no headroom left
     with pytest.raises(ValueError):
         calibrate_capacity(flat_shape, 0.8, 0.0, 1.5)
-
-
-def test_calibration_refuses_a_ratio_above_the_limit(flat_shape):
     with pytest.raises(ValueError, match="only up to 1000000"):
         calibrate_capacity(flat_shape, 0.8, 100.0, MAX_SUPPLY_RATIO * 1.01)
 
