@@ -21,8 +21,15 @@ import numpy as np
 
 from . import defaults, figures, metrics, oracle
 from .engine import SimConfig
-from .policies import ALL_POLICY_NAMES, POLICY_NAMES, parse_policy
-from .powergrid import CHARGER_PRESETS, LoadShape, charger_preset, check_supply_ratio
+from .policies import _LATE, ALL_POLICY_NAMES, POLICY_NAMES, parse_policy
+from .powergrid import (
+    CHARGER_PRESETS,
+    LoadShape,
+    charger_preset,
+    check_peak_other_fraction,
+    check_supply_ratio,
+)
+from .units import SLOTS_PER_DAY
 from .workload import (
     WorkloadConfig,
     adjusted_departure_fraction,
@@ -165,6 +172,13 @@ def build_config(overrides: dict) -> ExperimentConfig:
     else:
         weights = defaults.default_hourly_arrival_weights()
     profile = arrival_profile_from_weights(weights, _finite("arrivals_per_day", raw["arrivals_per_day"]))
+    # Slots and vehicles must fit the priority keys' range (2**31); sizes
+    # inside it that do not fit in memory still fail at run time.
+    if days * SLOTS_PER_DAY >= _LATE:
+        raise ValueError(f"a horizon of {days} days is refused: it must stay below 2**31 slots")
+    if days * profile.expected_daily_arrivals >= _LATE:
+        raise ValueError(f"an expected fleet of {days} days x {profile.expected_daily_arrivals:g} "
+                         "arrivals is refused: it must stay below 2**31 vehicles")
 
     if raw["load_shape"]:
         shape_values = defaults.read_column_file(raw["load_shape"])
@@ -193,6 +207,11 @@ def build_config(overrides: dict) -> ExperimentConfig:
     _refuse_duplicates("supply ratios", sdr_grid)
     _refuse_duplicates("seeds", seeds)
 
+    peak_other_fraction = _finite("peak_other_fraction", raw["peak_other_fraction"])
+    check_peak_other_fraction(peak_other_fraction)
+    bin_width_min = _finite("bin_width_min", raw["bin_width_min"])
+    if bin_width_min <= 0.0:
+        raise ValueError(f"bin_width_min must be positive, not {bin_width_min:g}")
     base = metrics.SweepBase(
         workload=workload,
         profile=profile,
@@ -200,8 +219,8 @@ def build_config(overrides: dict) -> ExperimentConfig:
         charger=charger,
         warmup_days=int(raw["warmup_days"]),
         last_measured_day=int(raw["last_measured_day"]),
-        peak_other_fraction=_finite("peak_other_fraction", raw["peak_other_fraction"]),
-        bin_width_min=_finite("bin_width_min", raw["bin_width_min"]),
+        peak_other_fraction=peak_other_fraction,
+        bin_width_min=bin_width_min,
     )
     # Exercise the window constraint early (config error, not runtime).
     SimConfig(
@@ -311,14 +330,16 @@ def cmd_dump_fleet(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig, args) -> int:
-    if not args.audit_trace and args.instances < 1:
+    if args.audit_trace:
+        if len(cfg.policies) != 1:
+            raise ValueError("auditing a trace needs exactly one --policy")
+        trace = oracle.read_trace(args.audit_trace)  # an unreadable trace fails before any output
+    elif args.instances < 1:
         raise ValueError(f"--instances must be at least 1, not {args.instances}")
     write_run_context(cfg)
     out = cfg.out_dir
     if args.audit_trace:
-        if len(cfg.policies) != 1:
-            raise ValueError("auditing a trace needs exactly one --policy")
-        violations = oracle.audit_trace(args.audit_trace, cfg.policies[0])
+        violations = oracle.audit_trace(trace, cfg.policies[0])
         _write_atomic(os.path.join(out, "violations.csv"),
                       lambda p: oracle.write_violations_csv(violations, p))
         print(f"audited {args.audit_trace}: {len(violations)} violation(s)")

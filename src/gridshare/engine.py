@@ -28,18 +28,14 @@ as trace.csv through `csv_trace_sink`, the one trace writer.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .policies import Policy, new_policy_state, select, update_membership
-from .units import SLOTS_PER_DAY, SLOTS_PER_HOUR
+from .units import SLOTS_PER_DAY
 from .workload import Fleet
-
-# Slot of day at which the plugged-vehicle census is sampled (4 a.m.,
-# the nightly trough, a stable point for drift detection).
-CENSUS_SLOT_OF_DAY = 4 * SLOTS_PER_HOUR
 
 
 @dataclass(frozen=True)
@@ -100,11 +96,10 @@ class Outcomes:
 
 @dataclass
 class RunStats:
-    """Cheap diagnostics accumulated during a run."""
+    """Slots run and vehicles selected in a run."""
 
     slots_run: int = 0
     total_selections: int = 0
-    plugged_at_census: list = field(default_factory=list)
 
 
 class TraceRow(NamedTuple):
@@ -204,7 +199,6 @@ def _run_loop(cfg, fleet, k_profile, trace, stats, state):
     satisfied_slot = arrivals.copy()
     left_at = [-1] * n
     departure_bucket = defaultdict(list)  # boundary slot -> ranks due to leave there
-    census = stats.plugged_at_census if stats is not None else None
 
     max_slots = (cfg.days + 60) * SLOTS_PER_DAY
     if n and any(k_profile):
@@ -223,12 +217,7 @@ def _run_loop(cfg, fleet, k_profile, trace, stats, state):
     t = 0
     while next_arrival < n or plugged:
         if not plugged and arrivals[next_arrival] > t:
-            # Nothing plugged until the next arrival: skip to it.
-            skipped_to = arrivals[next_arrival]
-            if census is not None:
-                first = t + (CENSUS_SLOT_OF_DAY - t) % SLOTS_PER_DAY
-                census.extend(0 for _ in range(first, skipped_to, SLOTS_PER_DAY))
-            t = skipped_to
+            t = arrivals[next_arrival]  # nothing plugged until the next arrival: skip to it
         if t >= max_slots:
             raise RuntimeError(f"simulation did not drain within {max_slots} slots")
 
@@ -288,9 +277,6 @@ def _run_loop(cfg, fleet, k_profile, trace, stats, state):
             room[rank] = 0  # a vehicle that left takes no more charge
             plugged -= 1
             emptied = True
-
-        if census is not None and t % SLOTS_PER_DAY == CENSUS_SLOT_OF_DAY:
-            census.append(plugged)
         t += 1
 
     if stats is not None:

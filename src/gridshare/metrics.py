@@ -6,12 +6,11 @@ distribution among them, all computed from the engine's `Outcomes`
 columns. A sweep runs one simulation per grid cell, optionally across a
 process pool, and appends seed-averaged rows.
 
-A cell's fleet, its required energy and its adjusted-departure share
-depend only on its fleet key (workload, arrival profile, charger,
-seed), not on the policy or the ratio. `run_cells` hands cells out
-grouped by fleet key (seed-major for a sweep's grid), and each process
-that runs them keeps the last key's fleet in a memo, so a process
-generates each fleet at most once. The memo lives for one `run_cells`
+A cell's fleet and its required energy depend only on its fleet key
+(workload, arrival profile, charger, seed), not on the policy or the
+ratio. `run_cells` hands cells out grouped by fleet key (seed-major for
+a sweep's grid), and each process that runs them keeps the last key's
+fleet in a memo, so a process generates each fleet at most once. The memo lives for one `run_cells`
 call: a pool worker's dies with the pool, and the in-process one is
 cleared when the call returns or raises. A direct `run_cell` call keeps
 no memo and generates its fleet every time.
@@ -34,16 +33,9 @@ from .powergrid import (
     check_supply_ratio,
     day_capacity_profile,
     make_grid,
-    realized_sdr,
 )
 from .units import SLOT_MINUTES
-from .workload import (
-    ArrivalProfile,
-    WorkloadConfig,
-    adjusted_departure_fraction,
-    generate_fleet,
-    total_required_energy,
-)
+from .workload import ArrivalProfile, WorkloadConfig, generate_fleet, total_required_energy
 
 THREADS_ENV_VAR = "GRIDSHARE_THREADS"
 
@@ -59,9 +51,6 @@ class MetricsReport:
     fod: float
     adfd_minutes: float | None
     delay_histogram: tuple  # (lo_min, hi_min, fraction-of-delayed) triples
-    sdr_realized: float | None = None
-    adjusted_fraction: float | None = None
-    plugged_at_census: tuple = ()
 
 
 def fraction_delayed(outcomes: Outcomes) -> float:
@@ -132,23 +121,18 @@ def run_cell(
     memo of the `run_cells` call running this cell; without one the
     fleet is generated afresh.
     """
-    fleet, tpr, adjusted = _seed_work(base, seed, {} if memo is None else memo)
+    fleet, tpr = _seed_work(base, seed, {} if memo is None else memo)
     grid = make_grid(base.shape, tpr, sdr, base.peak_other_fraction)
     cfg = SimConfig(
         policy=policy, days=base.workload.days,
         warmup_days=base.warmup_days, last_measured_day=base.last_measured_day,
     )
-    stats = RunStats()
+    # Nothing here reads the stats; the benchmark's engine span hooks read
+    # them from the `stats` keyword.
     outcomes = run_simulation(
-        cfg, fleet, day_capacity_profile(grid, base.charger), stats=stats, trace_path=trace_path,
+        cfg, fleet, day_capacity_profile(grid, base.charger), stats=RunStats(), trace_path=trace_path,
     )
-    measured = measurement_filter(outcomes)
-    report = build_report(
-        policy.name, sdr, seed, measured, base.bin_width_min,
-        sdr_realized=realized_sdr(grid),
-        adjusted_fraction=adjusted,
-        plugged_at_census=tuple(stats.plugged_at_census),
-    )
+    report = build_report(policy.name, sdr, seed, measurement_filter(outcomes), base.bin_width_min)
     return report, outcomes
 
 
@@ -158,7 +142,7 @@ def _fleet_key(base: SweepBase, seed: int) -> tuple:
 
 
 def _seed_work(base: SweepBase, seed: int, memo: dict) -> tuple:
-    """The fleet, its daily required energy and its adjusted-departure share.
+    """The fleet and its daily required energy.
 
     memo holds at most one fleet key's work: the same key returns it
     again, another key replaces it.
@@ -167,7 +151,7 @@ def _seed_work(base: SweepBase, seed: int, memo: dict) -> tuple:
     if key not in memo:
         memo.clear()  # the old fleet goes before the new one is built
         fleet = generate_fleet(base.workload, base.profile, base.charger, seed)
-        memo[key] = fleet, total_required_energy(fleet, base.workload.days), adjusted_departure_fraction(fleet)
+        memo[key] = fleet, total_required_energy(fleet, base.workload.days)
     return memo[key]
 
 
@@ -177,7 +161,6 @@ def build_report(
     seed: int | None,
     measured: Outcomes,
     bin_width_min: float,
-    **diagnostics,
 ) -> MetricsReport:
     fod = fraction_delayed(measured)
     adfd = average_delay_of_delayed(measured)
@@ -188,7 +171,6 @@ def build_report(
     return MetricsReport(
         policy=policy_name, sdr=sdr, seed=seed, n_measured=len(measured),
         fod=fod, adfd_minutes=adfd, delay_histogram=histogram,
-        **diagnostics,
     )
 
 
@@ -307,16 +289,11 @@ def average_reports(group: Sequence[MetricsReport]) -> MetricsReport:
     fod = sum(r.fod for r in group) / len(group)
     adfds = [r.adfd_minutes for r in group if r.adfd_minutes is not None]
     adfd = sum(adfds) / len(adfds) if adfds else None
-    histogram = _average_histograms(group)
-    realized = [r.sdr_realized for r in group if r.sdr_realized is not None]
-    adjusted = [r.adjusted_fraction for r in group if r.adjusted_fraction is not None]
     return MetricsReport(
         policy=group[0].policy, sdr=group[0].sdr, seed=None,
         n_measured=sum(r.n_measured for r in group),
         fod=fod, adfd_minutes=adfd,
-        delay_histogram=histogram,
-        sdr_realized=sum(realized) / len(realized) if realized else None,
-        adjusted_fraction=sum(adjusted) / len(adjusted) if adjusted else None,
+        delay_histogram=_average_histograms(group),
     )
 
 

@@ -153,6 +153,8 @@ def run_policy_on_instance(inst: TinyInstance, policy: Policy, trace_path=None,
     trace_path and trace_sink are the engine's (see `run_simulation`).
     """
     cfg = SimConfig(policy=policy, days=3, warmup_days=0, last_measured_day=1)
+    # Nothing here reads the stats; the benchmark's engine span hooks read
+    # them from the `stats` keyword.
     return run_simulation(cfg, inst.fleet, inst.k_profile, trace_path=trace_path,
                           trace_sink=trace_sink, stats=RunStats())
 
@@ -254,7 +256,9 @@ def read_trace(path) -> list[tuple[int, int, list[TraceRow]]]:
     """Parse a trace CSV into (slot, k, rows) groups in slot order.
 
     The groups have the form the engine hands its trace sink, so a trace
-    read back from its file equals the trace the run produced.
+    read back from its file equals the trace the run produced. A row
+    whose tier is not 1 or 2, or whose selected flag is not 0 or 1, is
+    refused: the audit would file it in neither tier.
     """
     slots: list[tuple[int, int, list[TraceRow]]] = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -267,6 +271,8 @@ def read_trace(path) -> list[tuple[int, int, list[TraceRow]]]:
                 slot, k, vid, tier, arr, dep, need, dt, sel = map(int, raw)
             except (ValueError, TypeError):
                 raise ValueError(f"{path}:{lineno}: malformed trace row {raw!r}") from None
+            if tier not in (1, 2) or sel not in (0, 1):
+                raise ValueError(f"{path}:{lineno}: tier must be 1 or 2 and selected 0 or 1 in {raw!r}")
             row = TraceRow(vid, tier, arr, dep, need, dt, bool(sel))
             if slots and slots[-1][0] == slot:
                 if slots[-1][1] != k:
@@ -314,8 +320,8 @@ def _audit_key(policy: Policy, slot: int, row: TraceRow):
 def audit_trace(trace, policy: Policy) -> list[Violation]:
     """Check a per-slot trace against the selection contract.
 
-    trace is a trace.csv path or an iterable of (slot, k, rows) groups
-    (an engine run's, or `read_trace`'s). Verifies, slot by slot: row self-consistency, work conservation,
+    trace is an iterable of (slot, k, rows) groups, an engine run's or
+    `read_trace`'s. Verifies, slot by slot: row self-consistency, work conservation,
     deficit-before-top-off ordering, the policy's top-K key order (with
     tie-breaks) for the sorted policies, list rotation for round robin,
     and the delay-dominance rule for the min-max-delay policy. The list
@@ -326,8 +332,6 @@ def audit_trace(trace, policy: Policy) -> list[Violation]:
     counts the selected rows and splits the two tiers; a tier is put in
     key order only when it is taken in part.
     """
-    if isinstance(trace, (str, bytes)) or hasattr(trace, "__fspath__"):
-        trace = read_trace(trace)
     violations: list[Violation] = []
     rotating = policy.kind is PolicyKind.RR
     delay_first = policy.kind is PolicyKind.MINMAX_DT

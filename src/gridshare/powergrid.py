@@ -121,6 +121,12 @@ def check_supply_ratio(sdr: float) -> None:
             f"only up to {MAX_SUPPLY_RATIO:.0f}")
 
 
+def check_peak_other_fraction(peak_other_fraction: float) -> None:
+    """Refuse a peak share of other loads outside (0, 1)."""
+    if not 0.0 < peak_other_fraction < 1.0:
+        raise ValueError(f"peak_other_fraction must be in (0, 1), not {peak_other_fraction:g}")
+
+
 def _headroom_hours(shape: LoadShape, peak_other_fraction: float) -> float:
     """Integral over a day of (1 - peak_other_fraction * shape), in hours."""
     return SLOT_HOURS * math.fsum(1.0 - peak_other_fraction * v for v in shape.values)
@@ -137,8 +143,7 @@ def calibrate_capacity(
     check_supply_ratio(sdr_target)
     if tpr_kwh <= 0.0:
         raise ValueError("daily requirement must be positive")
-    if not 0.0 < peak_other_fraction < 1.0:
-        raise ValueError("peak_other_fraction must be in (0, 1)")
+    check_peak_other_fraction(peak_other_fraction)
     headroom = _headroom_hours(shape, peak_other_fraction)
     if headroom <= 0.0:
         raise ValueError("profile leaves no headroom")
@@ -165,11 +170,6 @@ def make_grid(
     if abs(grid.tpa_kwh / grid.tpr_kwh - sdr_target) > 1e-6:
         raise AssertionError("calibration round-trip failed")
     return grid
-
-
-def realized_sdr(grid: GridModel) -> float:
-    """Re-integrate TPA from the per-slot available power and divide by TPR."""
-    return SLOT_HOURS * math.fsum(grid.available_kw) / grid.tpr_kwh
 
 
 def slot_vehicle_capacity(grid: GridModel, charger: ChargerSpec, slot: int) -> int:

@@ -84,11 +84,15 @@ class WorkloadConfig:
         if not self.duration_min_h < self.duration_mean_h < self.duration_max_h:
             raise ValueError("duration bounds must bracket the mean")
         for name in (
-            "one_way_commute_mean_mi", "commute_cap_mi", "extra_daily_mi",
+            "duration_std_h", "one_way_commute_mean_mi", "commute_cap_mi", "extra_daily_mi",
             "emergency_mi", "initial_charge_max_mi", "battery_capacity_miles",
         ):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative")
+        # sample_required_miles redraws until a round trip fits under the
+        # cap: with a positive mean only an exact 0 fits a cap of 0.
+        if self.commute_cap_mi == 0.0 and self.one_way_commute_mean_mi > 0.0:
+            raise ValueError("commute_cap_mi must be positive while one_way_commute_mean_mi is")
         if self.days < 1:
             raise ValueError("need at least one simulated day")
 

@@ -1,9 +1,10 @@
+import math
 from dataclasses import dataclass
 
 import pytest
 
 from gridshare.cli import build_config
-from gridshare.powergrid import ChargerSpec, LoadShape, charger_preset
+from gridshare.powergrid import SLOT_HOURS, ChargerSpec, LoadShape, charger_preset
 from gridshare.workload import Vehicle
 
 
@@ -24,6 +25,12 @@ class VehicleOutcome:
     delay_slots: int
     delayed: bool
     measured: bool
+
+
+def realized_sdr(grid) -> float:
+    """The supply ratio a calibrated grid delivers: TPA re-integrated from
+    its per-slot available power, divided by TPR."""
+    return SLOT_HOURS * math.fsum(grid.available_kw) / grid.tpr_kwh
 
 
 def records(outcomes) -> list[VehicleOutcome]:

@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from gridshare.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, run
+from gridshare.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, build_config, run
 from gridshare.policies import POLICY_NAMES
 from gridshare.powergrid import CHARGER_PRESETS
 
@@ -93,6 +93,48 @@ def test_bundle_refuses_a_non_finite_float_key(tmp_path, capsys, key, value):
     assert run(["simulate", "--config", str(conf), "--policy", "fcfs", "--seed", "1",
                 "--out", str(out)]) == EXIT_CONFIG
     assert f"{key} must be a finite number, not '{value}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    pytest.param("duration_std_h", "-4", "duration_std_h must be non-negative", id="duration_std_h"),
+    pytest.param("bin_width_min", "0", "bin_width_min must be positive, not 0", id="bin_width_min"),
+    pytest.param("peak_other_fraction", "1.5", "peak_other_fraction must be in (0, 1), not 1.5",
+                 id="peak_other_fraction"),
+])
+def test_bundle_refuses_an_out_of_range_key_before_any_output(tmp_path, capsys, key, value, message):
+    conf = tmp_path / "experiment.conf"
+    conf.write_text(f"{key}={value}\n")
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(conf), "--policy", "fcfs", "--seed", "1", "--days", "4",
+                "--arrivals-per-day", "200", "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_build_config_refuses_a_commute_cap_no_draw_can_meet():
+    # Only build_config runs here: a cap that slipped through would hang
+    # the fleet's sampler, not fail.
+    with pytest.raises(ValueError, match="commute_cap_mi must be positive"):
+        build_config({"commute_cap_mi": "0"})
+    # A tiny cap is slow to sample but finishes, and without a commute
+    # every round trip is 0, which a cap of 0 holds.
+    assert build_config({"commute_cap_mi": "0.01"}).base.workload.commute_cap_mi == 0.01
+    build_config({"commute_cap_mi": "0", "one_way_commute_mean_mi": "0"})
+
+
+# These sizes would ask numpy for hundreds of GiB; they are refused first.
+@pytest.mark.parametrize("flag, value, message", [
+    pytest.param("--days", "100000000", "a horizon of 100000000 days is refused", id="days"),
+    pytest.param("--arrivals-per-day", "1e9",
+                 "an expected fleet of 15 days x 1e+09 arrivals is refused", id="arrivals"),
+])
+def test_simulate_refuses_a_size_beyond_the_key_range_before_any_output(
+        tmp_path, capsys, flag, value, message):
+    out = tmp_path / "out"
+    assert run(["simulate", "--policy", "fcfs", "--seed", "1", flag, value,
+                "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -342,6 +384,23 @@ def test_verify_audit_mode_flags_corruption(tiny_config, tmp_path):
                     "--audit-trace", str(bad), "--out", str(out)])
     assert bad_code == EXIT_RUNTIME
     assert read_rows(out / "violations.csv")
+
+
+def test_verify_audit_mode_refuses_a_row_outside_both_tiers(tiny_config, tmp_path, capsys):
+    trace_dir = tmp_path / "run"
+    assert run(["simulate", "--config", tiny_config, "--trace", "--out", str(trace_dir)]) == EXIT_OK
+    lines = (trace_dir / "trace.csv").read_text().splitlines()
+    fields = lines[1].split(",")
+    fields[3] = "7"
+    lines[1] = ",".join(fields)
+    bad = tmp_path / "bad-trace.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    code = run(["verify", "--config", tiny_config, "--policy", "fcfs",
+                "--audit-trace", str(bad), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "bad-trace.csv:2: tier must be 1 or 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- resolved config round trip -------------------------------------------

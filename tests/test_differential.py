@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridshare.engine import RunStats, SimConfig, run_simulation
-from gridshare.oracle import audit_trace
+from gridshare.oracle import audit_trace, read_trace
 from gridshare.policies import POLICY_NAMES, intervals_for_deficit, parse_policy
 from gridshare.powergrid import ChargerSpec
 from gridshare.workload import Fleet, Vehicle
@@ -95,7 +95,7 @@ def test_engine_matches_reference_loop(policy, scenario):
         # capacity cycle per interval of total need.
         last_departure = max(v.expected_departure_slot for v in fleet)
         assert stats.slots_run <= last_departure + len(k_profile) * sum(need.values())
-        assert audit_trace(trace_path, policy) == []
+        assert audit_trace(read_trace(trace_path), policy) == []
         satisfied = dict(zip(outcomes.id.tolist(), outcomes.satisfied_slot.tolist()))
         charges = Counter(row[2] for row in rows if row[8] and row[0] < satisfied[row[2]])
         assert {vid: charges[vid] for vid in need} == need

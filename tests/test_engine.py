@@ -233,14 +233,13 @@ def test_outcome_invariants_on_random_scenario():
             assert o.delayed == (o.delay_slots > 0)
 
 
-def test_stats_collects_census_and_selections():
+def test_stats_collect_slots_and_selections():
     vehicles = [make_test_vehicle(i, 0, 600, required=100.0, capacity=200.0) for i in range(3)]
     cfg = tiny_cfg("rr")
     stats = RunStats()
     simulate(cfg, vehicles, [1], stats=stats)
     assert stats.total_selections > 0
     assert stats.slots_run >= 600
-    assert len(stats.plugged_at_census) >= 2
 
 
 # --- measurement window ------------------------------------------------------

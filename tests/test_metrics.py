@@ -199,12 +199,9 @@ def test_run_cells_rejects_bad_cells_before_running_any(tiny_base, fleet_seeds):
     assert fleet_seeds == []
 
 
-def test_sweep_cell_reports_calibration_and_adjustment(tiny_base):
+def test_sweep_cell_measures_part_of_its_outcomes(tiny_base):
     report, outcomes = run_cell(tiny_base, parse_policy("rr"), 1.4, 3)
-    assert report.sdr_realized == pytest.approx(1.4, abs=1e-6)
-    assert 0.0 <= report.adjusted_fraction <= 0.2
     assert 0 < report.n_measured < len(outcomes)
-    assert report.plugged_at_census
 
 
 # --- CSV contracts -----------------------------------------------------------

@@ -94,7 +94,7 @@ def test_randomized_campaign_smoke(tmp_path):
         for policy in ALL_POLICIES:
             trace = tmp_path / "trace.csv"
             outcomes = run_policy_on_instance(inst, policy, trace_path=trace)
-            violations = audit_trace(trace, policy)
+            violations = audit_trace(read_trace(trace), policy)
             assert violations == [], f"instance {i} {policy.name}: {violations[:3]}"
             achieved = max_delay(outcomes)
             assert achieved >= optimum  # nobody beats the exhaustive optimum
@@ -177,7 +177,7 @@ def clean_trace(tmp_path):
 
 
 def test_audit_accepts_clean_trace(clean_trace):
-    assert audit_trace(clean_trace, parse_policy("fcfs")) == []
+    assert audit_trace(read_trace(clean_trace), parse_policy("fcfs")) == []
 
 
 def test_audit_flags_swapped_selection(clean_trace, tmp_path):
@@ -203,7 +203,7 @@ def test_audit_flags_swapped_selection(clean_trace, tmp_path):
     assert corrupted is not None, "trace has no contended slot"
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join([header] + body) + "\n")
-    violations = audit_trace(bad, parse_policy("fcfs"))
+    violations = audit_trace(read_trace(bad), parse_policy("fcfs"))
     assert len(violations) == 1
     assert violations[0].rule == "key-ordering"
     assert violations[0].slot == int(corrupted)
@@ -216,7 +216,7 @@ def test_audit_flags_wrong_counts(clean_trace, tmp_path):
     rows[1] = ",".join(fields)
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(rows) + "\n")
-    rules = {v.rule for v in audit_trace(bad, parse_policy("fcfs"))}
+    rules = {v.rule for v in audit_trace(read_trace(bad), parse_policy("fcfs"))}
     assert "work-conservation" in rules
 
 
@@ -227,7 +227,7 @@ def test_audit_flags_inconsistent_delay_column(clean_trace, tmp_path):
     rows[1] = ",".join(fields)
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(rows) + "\n")
-    rules = [v.rule for v in audit_trace(bad, parse_policy("fcfs"))]
+    rules = [v.rule for v in audit_trace(read_trace(bad), parse_policy("fcfs"))]
     assert "row-consistency" in rules
 
 
@@ -238,7 +238,7 @@ def test_malformed_trace_reports_line_number(tmp_path):
         "intervals_needed,delay_if_continuous,selected\n0,1,7,1,0,5,3,-2,one\n"
     )
     with pytest.raises(ValueError, match=":2"):
-        audit_trace(str(path), parse_policy("fcfs"))
+        audit_trace(read_trace(str(path)), parse_policy("fcfs"))
 
 
 def test_trace_reader_groups_slots(clean_trace):
@@ -389,3 +389,27 @@ def test_each_audit_rule_catches_its_mutation(rule):
     # than the rotation check carry no state into later slots.
     if rule != "rr-rotation":
         assert {v.slot for v in violations} == {slot}
+
+
+@pytest.mark.parametrize("column, value", [(3, "7"), (8, "2")], ids=["tier", "selected"])
+def test_trace_reader_refuses_a_row_outside_both_tiers(tmp_path, column, value):
+    # Relabelled tier 7, the waiting deficit row of a contended fcfs slot
+    # would be filed in neither tier and escape every ordering rule; the
+    # reader refuses it, or a selected flag other than 0 or 1, naming the
+    # line.
+    path = tmp_path / "trace.csv"
+    groups = []
+    run_policy_on_instance(RULE_INSTANCE, parse_policy("fcfs"), trace_path=path,
+                           trace_sink=groups.append)
+    slot, _, rows = groups[_first_group(groups, _contended)]
+    waiting = next(r for r in _tiers(rows)[0] if not r.selected)
+    lines = path.read_text().splitlines()
+    lineno = 1 + next(i for i, line in enumerate(lines)
+                      if line.startswith(f"{slot},") and line.split(",")[2] == str(waiting.vehicle_id))
+    fields = lines[lineno - 1].split(",")
+    fields[column] = value
+    lines[lineno - 1] = ",".join(fields)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"bad.csv:{lineno}: tier must be 1 or 2"):
+        read_trace(bad)

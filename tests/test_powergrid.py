@@ -17,13 +17,12 @@ from gridshare.powergrid import (
     charger_preset,
     day_capacity_profile,
     make_grid,
-    realized_sdr,
     slot_vehicle_capacity,
 )
 from gridshare.units import SLOTS_PER_DAY
 from gridshare.workload import Fleet, dump_fleet_csv, generate_fleet, total_required_energy
 
-from conftest import make_test_vehicle, scenario
+from conftest import make_test_vehicle, realized_sdr, scenario
 
 
 # --- load shape ------------------------------------------------------------
