@@ -5,7 +5,9 @@ and compares the digests of fod.csv, adfd.csv and outcomes.csv with the
 ones recorded when the test was added. A change to the engine, the
 policies or the metrics that moves any output byte fails here. The
 dryer charger and the exact household rate cover charge rates that are
-not a power of two.
+not a power of two. Three cases (`rr`, `minmax-er`, `fcfs-simple`) are
+pinned again at a supply ratio of 2.0, cells and traces, where much of
+the charging is top-off and batteries fill up.
 
 A second set pins the digest of trace.csv for a small traced cell of
 each differential-test variant, so the order of trace rows (the
@@ -55,8 +57,17 @@ GOLDEN = {
 }
 
 
-def digests(tmp_path, flags):
-    argv = ["simulate", *flags, "--sdr", "1.0", "--seed", "3", "--days", "6", "--out", str(tmp_path)]
+# policy -> (fod.csv, adfd.csv, outcomes.csv) digests of the same cell at
+# supply ratio 2.0, truncated to 16 hex digits.
+TOPOFF_GOLDEN = {
+    "rr": ("5cba752aa9084c8d", "1d59e5fdb09fe016", "0cc183cfaac8919a"),
+    "minmax-er": ("2981a8876c9db454", "3b9dd4c3ca313fb9", "3523531800ae7ce6"),
+    "fcfs-simple": ("f6b0e0ed9632b5e9", "92c05722cbae9eea", "9bbb13cc34dd17df"),
+}
+
+
+def digests(tmp_path, flags, sdr="1.0"):
+    argv = ["simulate", *flags, "--sdr", sdr, "--seed", "3", "--days", "6", "--out", str(tmp_path)]
     assert run(argv) == EXIT_OK
     return tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16] for name in FILES)
 
@@ -64,6 +75,11 @@ def digests(tmp_path, flags):
 @pytest.mark.parametrize("case", list(CASES))
 def test_outputs_match_golden_digests(tmp_path, case):
     assert digests(tmp_path, CASES[case]) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", list(TOPOFF_GOLDEN))
+def test_topoff_outputs_match_golden_digests(tmp_path, case):
+    assert digests(tmp_path, CASES[case], sdr="2.0") == TOPOFF_GOLDEN[case]
 
 
 # variant case -> trace.csv digest of a four-day traced cell, truncated to 16 hex digits.
@@ -76,6 +92,14 @@ TRACE_GOLDEN = {
     "fcfs-simple": "3908ef0052c800ee",
     "rr-simple": "5668e990156b162e",
     "fdfs-slack": "8c5298be1d01655c",
+}
+
+
+# policy -> trace.csv digest of the same traced cell at supply ratio 2.0.
+TOPOFF_TRACE_GOLDEN = {
+    "rr": "70c5889b45cec38b",
+    "minmax-er": "dbf4e8e439c47896",
+    "fcfs-simple": "b24dcae3108ed675",
 }
 
 
@@ -96,6 +120,14 @@ def test_trace_matches_golden_digest(monkeypatch, tmp_path, case):
     trace, groups = traced_cell(monkeypatch, tmp_path, case, "100", "1.0")
     digest = hashlib.sha256(trace.read_bytes()).hexdigest()[:16]
     assert digest == TRACE_GOLDEN[case]
+    assert audit_trace(groups, parse_policy(case)) == []
+
+
+@pytest.mark.parametrize("case", list(TOPOFF_TRACE_GOLDEN))
+def test_topoff_trace_matches_golden_digest(monkeypatch, tmp_path, case):
+    trace, groups = traced_cell(monkeypatch, tmp_path, case, "100", "2.0")
+    digest = hashlib.sha256(trace.read_bytes()).hexdigest()[:16]
+    assert digest == TOPOFF_TRACE_GOLDEN[case]
     assert audit_trace(groups, parse_policy(case)) == []
 
 
