@@ -171,7 +171,11 @@ def build_config(overrides: dict) -> ExperimentConfig:
             raise ValueError("arrival profile file must hold 24 hourly weights")
     else:
         weights = defaults.default_hourly_arrival_weights()
-    profile = arrival_profile_from_weights(weights, _finite("arrivals_per_day", raw["arrivals_per_day"]))
+    arrivals_per_day = _finite("arrivals_per_day", raw["arrivals_per_day"])
+    if arrivals_per_day <= 0.0:
+        raise ValueError(f"arrivals_per_day must be positive, not {arrivals_per_day:g}: "
+                         "a workload without arrivals has no vehicles")
+    profile = arrival_profile_from_weights(weights, arrivals_per_day)
     # Slots and vehicles must fit the priority keys' range (2**31); sizes
     # inside it that do not fit in memory still fail at run time.
     if days * SLOTS_PER_DAY >= _LATE:

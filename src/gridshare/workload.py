@@ -95,6 +95,12 @@ class WorkloadConfig:
             raise ValueError("commute_cap_mi must be positive while one_way_commute_mean_mi is")
         if self.days < 1:
             raise ValueError("need at least one simulated day")
+        # Every drawn requirement is a round trip of 0 or more plus both
+        # allowances, so these alone already decide whether any fits.
+        if self.extra_daily_mi + self.emergency_mi > self.battery_capacity_miles:
+            raise ValueError(
+                f"extra_daily_mi + emergency_mi ({self.extra_daily_mi:g} + {self.emergency_mi:g}) "
+                f"exceeds battery_capacity_miles ({self.battery_capacity_miles:g}): no requirement would fit")
 
 
 @dataclass(slots=True)

@@ -106,9 +106,31 @@ def test_bundle_refuses_an_out_of_range_key_before_any_output(tmp_path, capsys, 
     conf = tmp_path / "experiment.conf"
     conf.write_text(f"{key}={value}\n")
     out = tmp_path / "out"
-    assert run(["simulate", "--config", str(conf), "--policy", "fcfs", "--seed", "1", "--days", "4",
+    assert run(["simulate", "--config", str(conf), "--policy", "fcfs", "--sdr", "1.2", "--seed", "1", "--days", "4",
                 "--arrivals-per-day", "200", "--out", str(out)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+# These two would fail on every drawn fleet, so they are refused before
+# the run context is written.
+def test_simulate_refuses_zero_arrivals_per_day_before_any_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["simulate", "--policy", "fcfs", "--sdr", "1.2", "--seed", "1", "--days", "4",
+                "--arrivals-per-day", "0", "--out", str(out)]) == EXIT_CONFIG
+    assert "arrivals_per_day must be positive, not 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_refuses_allowances_above_the_battery_capacity_before_any_output(tmp_path, capsys):
+    conf = tmp_path / "experiment.conf"
+    # The initial charge stays under the battery, so only the requirement fails.
+    conf.write_text("battery_capacity_miles=25\ninitial_charge_max_mi=20\n")
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(conf), "--policy", "fcfs", "--sdr", "1.2", "--seed", "1",
+                "--days", "4", "--out", str(out)]) == EXIT_CONFIG
+    assert ("extra_daily_mi + emergency_mi (20 + 10) exceeds battery_capacity_miles (25)"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Workload sampler distributions, determinism, and fleet assembly."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -65,7 +66,8 @@ def test_arrivals_degenerate_single_hour():
 
 
 def test_arrivals_zero_rate_gives_empty_list():
-    profile = scenario(arrivals_per_day=0).base.profile
+    # build_config refuses a zero rate, so the default profile is set to one here.
+    profile = dataclasses.replace(scenario().base.profile, expected_daily_arrivals=0.0)
     assert sample_arrivals(profile, days=3, rng=rng(7)) == []
 
 
