@@ -11,9 +11,10 @@ day-periodic capacity profile.
 A vehicle is named by its rank, its row in the run's `workload.Fleet`,
 whose rows come in arrival order. The counters live in int64 arrays
 indexed by rank (policies.PolicyState): the picks of a slot are charged
-by index, while arrival, satisfaction and departure, which happen once
-per vehicle, are handled rank by rank through plain lists made once per
-run. Slots with nothing plugged are skipped but still counted. The run
+by index, each part on one counter (the deficit share on need, the
+top-off share on spare), while arrival, satisfaction and departure,
+which happen once per vehicle, are handled rank by rank through plain
+lists made once per run. Slots with nothing plugged are skipped but still counted. The run
 returns one `Outcomes` table, built as columns from the satisfied and
 departure slots after the loop, once the conservation checks on them
 have passed.
@@ -188,7 +189,10 @@ def _run_loop(cfg, fleet, k_profile, trace, stats, state):
     # or per candidate is done on whole arrays; work done once per
     # vehicle (arriving, being satisfied, leaving) is done rank by rank,
     # reading plain lists.
-    need, room = state.need, state.room
+    need, spare = state.need, state.spare
+    # Without distance information one list holds every not-full
+    # vehicle, so its picks are split by need instead of by tier.
+    split_by_need = not cfg.policy.use_distance_info
     n = len(fleet)
     arrivals = fleet.arrival_slot.tolist()
     departures = fleet.expected_departure_slot.tolist()
@@ -211,7 +215,8 @@ def _run_loop(cfg, fleet, k_profile, trace, stats, state):
         max_slots = min(max_slots, int(state.departure.max()) + cycle * int(need.sum()))
     plugged = 0        # arrived and not yet departed
     selections = 0
-    # Whether a vehicle's need, or its room, reached 0 at the last boundary.
+    # Whether a vehicle's need, or a satisfied vehicle's spare, reached 0
+    # at the last boundary.
     satisfied = emptied = False
     next_arrival = 0
     t = 0
@@ -236,6 +241,7 @@ def _run_loop(cfg, fleet, k_profile, trace, stats, state):
         eligible = len(state.deficit) + len(state.topoff)
         if eligible:
             k = k_profile[t % cycle]
+            k1 = min(k, len(state.deficit))  # select's deficit share comes first
             selected = select(cfg.policy, state, t, k)
             count = len(selected)
             if count != min(k, eligible):
@@ -251,30 +257,47 @@ def _run_loop(cfg, fleet, k_profile, trace, stats, state):
                         rows.append(_new_row(TraceRow, (ids[rank], tier, arrivals[rank], t_l, needed,
                                                         needed - (t_l - t), rank in chosen)))
                 trace((t, k, rows))
-            if count:
-                spare = room[selected]
-                if np.count_nonzero(spare) < count:
-                    rank = int(selected[spare.argmin()])
-                    raise SimulationInvariantError(
-                        f"slot {t}: vehicle {fleet.id[rank]} selected with a full battery")
-                spare -= 1
-                room[selected] = spare
-                emptied = np.count_nonzero(spare) < count
-                needed = need[selected]
-                need[selected] = needed - needed.astype(bool)
-                for rank in selected[needed == 1].tolist():
+            # A pick short of its need spends need, any other spends spare.
+            if split_by_need:
+                short = need[selected].astype(bool)
+                first, second = selected[short], selected[~short]
+            elif k1 == count:
+                first, second = selected, ()
+            else:
+                first, second = selected[:k1], selected[k1:]
+            if len(first):
+                needed = need[first]
+                if np.count_nonzero(needed) < len(first):
+                    rank = int(first[needed.argmin()])
+                    why = "with a full battery" if not spare[rank] else "from the deficit tier with no need"
+                    raise SimulationInvariantError(f"slot {t}: vehicle {fleet.id[rank]} selected {why}")
+                needed -= 1
+                need[first] = needed
+                for rank in first[needed == 0].tolist():
                     satisfied = True
                     satisfied_slot[rank] = boundary
+                    if not spare[rank]:
+                        emptied = True  # its battery is full at its requirement
                     # Past its expected departure, a vehicle leaves as
                     # soon as it holds its required charge.
                     if departures[rank] < boundary:
                         leaving.append(rank)
-                selections += count
+            if len(second):
+                left = spare[second]
+                if np.count_nonzero(left) < len(second):
+                    rank = int(second[left.argmin()])
+                    raise SimulationInvariantError(
+                        f"slot {t}: vehicle {fleet.id[rank]} selected with a full battery")
+                left -= 1
+                spare[second] = left
+                if np.count_nonzero(left) < len(second):
+                    emptied = True
+            selections += count
 
         leaving += [rank for rank in departure_bucket.pop(boundary, ()) if not need[rank]]
         for rank in leaving:
             left_at[rank] = boundary
-            room[rank] = 0  # a vehicle that left takes no more charge
+            spare[rank] = 0  # a vehicle that left takes no more charge
             plugged -= 1
             emptied = True
         t += 1

@@ -87,11 +87,13 @@ class PolicyState:
     A vehicle is named by its rank, its row in `fleet` (whose rows are
     in arrival order: arrival slot, then id). need[rank] counts the
     charging intervals until it holds its required charge and
-    room[rank] those it can still take: until its battery is full, and
-    none once it has left. They start as copies of the fleet's counts,
-    and the engine decrements them as it charges, so no float arithmetic
-    happens in the loop. departure[rank] is the fleet's expected
-    departure slot. All three are int64 arrays indexed by rank.
+    spare[rank] those it can take above that: until its battery is
+    full, and none once it has left. They start from the fleet's counts
+    (spare = room - need), and the engine decrements them as it charges,
+    so no float arithmetic happens in the loop: a charge decrements need
+    while it is above 0, and spare after that. departure[rank] is the
+    fleet's expected departure slot. All three are int64 arrays indexed
+    by rank.
 
     deficit and topoff are int64 arrays of ranks in list order (head =
     next in line for the rotation policy), refreshed each slot by
@@ -102,7 +104,7 @@ class PolicyState:
     policy: Policy
     fleet: "Fleet"
     need: np.ndarray
-    room: np.ndarray
+    spare: np.ndarray
     departure: np.ndarray
     # The tier each rank joins when it plugs in: 1 (deficit), 2
     # (top-off) or 0 (none, its battery is full); one byte per rank.
@@ -116,13 +118,13 @@ _NO_RANKS = np.zeros(0, dtype=np.int64)
 
 def new_policy_state(policy: Policy, fleet: "Fleet") -> PolicyState:
     """Empty tiers and fresh counters for a run over `fleet`."""
-    need, room = fleet.need.copy(), fleet.room.copy()
-    spare = room > 0
-    joins = spare.astype(np.uint8)  # 1 (deficit) unless full
+    need, room = fleet.need.copy(), fleet.room
+    not_full = room > 0
+    joins = not_full.astype(np.uint8)  # 1 (deficit) unless full
     if policy.use_distance_info:
-        joins += spare & (need == 0)  # 2 (top-off) if satisfied
+        joins += not_full & (need == 0)  # 2 (top-off) if satisfied
     return PolicyState(
-        policy=policy, fleet=fleet, need=need, room=room,
+        policy=policy, fleet=fleet, need=need, spare=room - need,
         departure=fleet.expected_departure_slot, joins=joins.tobytes(),
     )
 
@@ -191,29 +193,32 @@ def update_membership(state: PolicyState, t: int, arrived: range,
 
     arrived holds the ranks of the vehicles plugging in at slot t.
     satisfied says whether a vehicle's need reached 0 at the last
-    boundary, and emptied whether a vehicle's room did (its battery
-    filled up or it left); only then can a vehicle leave a tier. Full or
-    departed vehicles (room 0) drop out; deficit vehicles whose need
-    reached 0 move to the tail of the top-off list (in deficit-list
-    order); arrivals that are not full join the tail of their tier, in
-    rank order. Without distance information there is no top-off tier:
-    every not-full vehicle stays in the single deficit list.
+    boundary, and emptied whether a satisfied vehicle's spare did (its
+    battery filled up or it left); only then can a vehicle leave a tier.
+    Full or departed vehicles (need and spare 0) drop out; deficit
+    vehicles whose need reached 0 move to the tail of the top-off list
+    (in deficit-list order); arrivals that are not full join the tail of
+    their tier, in rank order. Without distance information there is no
+    top-off tier: every not-full vehicle stays in the single deficit
+    list. Either way only arrivals join the deficit list, so it stays in
+    rank order.
     """
     deficit, topoff = state.deficit, state.topoff
     # Counters never fall below 0, so astype(bool) tests "above 0".
-    need, room = state.need, state.room
+    need, spare = state.need, state.spare
     if not state.policy.use_distance_info:
         if emptied and len(deficit):
-            deficit = deficit[room[deficit].astype(bool)]
+            deficit = deficit[(need[deficit] | spare[deficit]).astype(bool)]
     else:
+        # Every top-off vehicle has need 0, so spare alone tells if it is full.
         if emptied and len(topoff):
-            topoff = topoff[room[topoff].astype(bool)]
+            topoff = topoff[spare[topoff].astype(bool)]
         if satisfied:
             short = need[deficit].astype(bool)
             movers = deficit[~short]
             deficit = deficit[short]
             if emptied:
-                movers = movers[room[movers].astype(bool)]
+                movers = movers[spare[movers].astype(bool)]
             topoff = np.concatenate((topoff, movers))
     if arrived:
         joins = state.joins
@@ -244,9 +249,11 @@ def _pick_by_key(state: PolicyState, tier: np.ndarray, k: int, t: int) -> np.nda
 def select(policy: Policy, state: PolicyState, t: int, K: int) -> np.ndarray:
     """Ranks of the vehicles switched on this slot, highest priority first.
 
-    Always returns min(K, eligible) ranks, deficit tier before top-off; a
+    Always returns min(K, eligible) ranks, deficit tier before top-off,
+    so the first min(K, len(state.deficit)) are the deficit tier's. A
     tier taken whole comes in list order, and keys are computed only for
-    a tier taken in part.
+    a tier taken in part. fcfs takes the head of its deficit list, which
+    is in rank order (key order) because only arrivals join it.
     The rotation policy moves what it picks to the bottom of its list;
     every other policy leaves the state untouched.
     """
@@ -262,7 +269,12 @@ def select(policy: Policy, state: PolicyState, t: int, K: int) -> np.ndarray:
         if 0 < k2 < len(topoff):
             state.topoff = np.concatenate((topoff[k2:], second))
     else:
-        first = deficit if k1 == len(deficit) else _pick_by_key(state, deficit, k1, t)
+        if k1 == len(deficit):
+            first = deficit
+        elif policy.kind is PolicyKind.FCFS:
+            first = deficit[:k1]
+        else:
+            first = _pick_by_key(state, deficit, k1, t)
         if not k2:
             return first
         second = topoff if k2 == len(topoff) else _pick_by_key(state, topoff, k2, t)

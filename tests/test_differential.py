@@ -3,10 +3,11 @@
 Every policy variant runs with trace on; outcomes and trace rows (order
 included) must equal the reference's, the trace auditor must report
 nothing, and each vehicle must be charged exactly its initial need
-before it is satisfied. The run's statistics must agree too: as many
-selections as selected trace rows, and as many slots as the reference
-runs, so that slots the engine skips are still counted, and never more
-than the drain bound at which the engine gives up. The test is
+before it is satisfied, and never more often than its battery has room
+for. The run's statistics must agree too: as many selections as
+selected trace rows, and as many slots as the reference runs, so that
+slots the engine skips are still counted, and never more than the drain
+bound at which the engine gives up. The test is
 parametrized by variant so that shrinking a failure re-runs one engine
 and the reference, not eight.
 """
@@ -82,9 +83,8 @@ def test_engine_matches_reference_loop(policy, scenario):
         trace_path = os.path.join(tmp, "trace.csv")
         cfg = SimConfig(policy=policy, days=3, warmup_days=0, last_measured_day=1)
         stats = RunStats()
-        outcomes = run_simulation(
-            cfg, Fleet.from_vehicles(fleet, charger), k_profile, trace_path=trace_path, stats=stats,
-        )
+        hand_built = Fleet.from_vehicles(fleet, charger)
+        outcomes = run_simulation(cfg, hand_built, k_profile, trace_path=trace_path, stats=stats)
         rows = read_rows(trace_path)
         want_outcomes, want_rows, want_slots = reference_run(cfg, fleet, k_profile, rate)
         assert outcomes == want_outcomes
@@ -99,3 +99,8 @@ def test_engine_matches_reference_loop(policy, scenario):
         satisfied = dict(zip(outcomes.id.tolist(), outcomes.satisfied_slot.tolist()))
         charges = Counter(row[2] for row in rows if row[8] and row[0] < satisfied[row[2]])
         assert {vid: charges[vid] for vid in need} == need
+        # No overfill: a vehicle is selected at most as often as its
+        # battery has room, counted from the fleet, not the engine's state.
+        picks = Counter(row[2] for row in rows if row[8])
+        room = dict(zip(hand_built.id.tolist(), hand_built.room.tolist()))
+        assert all(picks[vid] <= room[vid] for vid in picks)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from gridshare.engine import (
     Outcomes,
@@ -13,10 +14,12 @@ from gridshare.engine import (
 )
 from gridshare.oracle import ORACLE_CHARGER, brute_force_min_max_delay, tiny_instance
 from gridshare.policies import parse_policy
+from gridshare.powergrid import ChargerSpec
 from gridshare.units import SLOTS_PER_DAY
 from gridshare.workload import Fleet
 
 from conftest import make_test_vehicle, records, scenario
+from test_differential import scenarios
 
 
 def tiny_cfg(policy_name="minmax-dt", **kw):
@@ -215,6 +218,49 @@ def test_invariant_checks_catch_charging_a_full_battery(monkeypatch):
     ]
     with pytest.raises(SimulationInvariantError, match="full battery"):
         run_tiny(vehicles, [1], policy="fcfs")
+
+
+def test_invariant_checks_catch_a_satisfied_vehicle_left_in_the_deficit_tier(monkeypatch):
+    import gridshare.engine as engine_mod
+
+    real_update = engine_mod.update_membership
+
+    def forgetful_update(state, t, arrived, satisfied, emptied):
+        # Never told that a need reached 0, so no vehicle moves to top-off.
+        return real_update(state, t, arrived, False, emptied)
+
+    monkeypatch.setattr(engine_mod, "update_membership", forgetful_update)
+    # Satisfied after one slot, with room to spare: picked again from the
+    # deficit tier at slot 1.
+    vehicles = [make_test_vehicle(1, 0, 30, required=1.0, capacity=10.0)]
+    with pytest.raises(SimulationInvariantError, match="deficit tier with no need"):
+        run_tiny(vehicles, [1], policy="fcfs")
+
+
+@pytest.mark.parametrize("name", ["fcfs", "fcfs-simple"])
+@settings(max_examples=50, deadline=None)
+@given(scenario=scenarios())
+def test_fcfs_deficit_list_stays_in_rank_order(name, scenario):
+    # fcfs takes the head of its deficit list as its picks, which holds
+    # only while the list is in rank order after every refresh.
+    import gridshare.engine as engine_mod
+
+    real_update = engine_mod.update_membership
+    refreshes = []
+
+    def checked_update(state, *args):
+        real_update(state, *args)
+        deficit = state.deficit
+        assert np.all(deficit[1:] > deficit[:-1]), deficit
+        refreshes.append(len(deficit))
+        return state
+
+    fleet, k_profile, rate = scenario
+    charger = ChargerSpec(volts=120.0, amps=28.0, miles_per_slot=rate)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_mod, "update_membership", checked_update)
+        run_simulation(tiny_cfg(name), Fleet.from_vehicles(fleet, charger), k_profile)
+    assert refreshes
 
 
 def test_outcome_invariants_on_random_scenario():

@@ -57,14 +57,15 @@ def state_for(unit_charger):
 def test_full_battery_from_empty_takes_200_intervals(home_charger):
     v = make_test_vehicle(0, 0, 300, required=100.0, current=0.0, capacity=100.0)
     state = new_policy_state(parse_policy("fcfs"), Fleet.from_vehicles([v], home_charger))
-    assert state.need.tolist() == state.room.tolist() == [200]
+    assert state.need.tolist() == [200]
+    assert state.spare.tolist() == [0]
 
 
 def test_no_intervals_needed_at_required_charge(home_charger):
     v = make_test_vehicle(0, 0, 300, required=50.0, current=50.0, capacity=100.0)
     state = new_policy_state(parse_policy("fcfs"), Fleet.from_vehicles([v], home_charger))
     assert state.need.tolist() == [0]
-    assert state.room.tolist() == [100]
+    assert state.spare.tolist() == [100]
 
 
 def test_runs_count_down_copies_of_the_fleet_counters(home_charger):
@@ -72,7 +73,7 @@ def test_runs_count_down_copies_of_the_fleet_counters(home_charger):
     fleet = Fleet.from_vehicles([v], home_charger)
     state = new_policy_state(parse_policy("fcfs"), fleet)
     state.need -= 1
-    state.room -= 1
+    state.spare -= 1
     assert fleet.need.tolist() == [100] and fleet.room.tolist() == [200]
 
 
@@ -204,7 +205,7 @@ def test_vehicle_crossing_required_moves_to_topoff_tail(state_for):
     assert ids(state, state.deficit) == [1, 2]
     assert ids(state, state.topoff) == [3]
     ra = rank(state, 1)
-    state.need[ra], state.room[ra] = 0, 8  # charged to 12 miles: crossed its requirement
+    state.need[ra], state.spare[ra] = 0, 8  # charged to 12 miles: crossed its requirement
     update_membership(state, 1, arrived=(), satisfied=True, emptied=False)
     assert ids(state, state.deficit) == [2]
     assert ids(state, state.topoff) == [3, 1]
@@ -215,7 +216,7 @@ def test_full_battery_vehicle_leaves_both_lists(state_for):
     v = make_test_vehicle(1, 0, 99, required=10.0, current=0.0, capacity=12.0)
     state = state_for(policy, [v])
     assert ids(state, state.deficit) == [1]
-    state.need[0], state.room[0] = 0, 0  # charged to its 12-mile capacity
+    state.need[0], state.spare[0] = 0, 0  # charged to its 12-mile capacity
     update_membership(state, 1, arrived=(), satisfied=True, emptied=True)
     assert not len(state.deficit) and not len(state.topoff)
 
@@ -223,8 +224,8 @@ def test_full_battery_vehicle_leaves_both_lists(state_for):
 def test_departed_vehicle_dropped(state_for):
     policy = parse_policy("rr")
     state = state_for(policy, [make_test_vehicle(i, 0, 99, required=10.0, current=0.0) for i in (1, 2)])
-    # It left as its last interval came in; the engine empties a leaver's room.
-    state.need[rank(state, 1)] = state.room[rank(state, 1)] = 0
+    # It left as its last interval came in; the engine empties a leaver's spare.
+    state.need[rank(state, 1)] = state.spare[rank(state, 1)] = 0
     update_membership(state, 1, arrived=(), satisfied=True, emptied=True)
     assert ids(state, state.deficit) == [2]
 
