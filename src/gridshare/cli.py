@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import defaults, figures, metrics, oracle
-from .engine import SimConfig
 from .policies import _LATE, ALL_POLICY_NAMES, POLICY_NAMES, parse_policy
 from .powergrid import (
     CHARGER_PRESETS,
@@ -208,6 +207,8 @@ def build_config(overrides: dict) -> ExperimentConfig:
     seeds = [int(x) for x in raw["seeds"].split(",") if x.strip()]
     if not seeds:
         raise ValueError("at least one seed required")
+    if min(seeds) < 0:
+        raise ValueError(f"seeds must be 0 or more, not {min(seeds)}")
     _refuse_duplicates("supply ratios", sdr_grid)
     _refuse_duplicates("seeds", seeds)
 
@@ -225,11 +226,6 @@ def build_config(overrides: dict) -> ExperimentConfig:
         last_measured_day=int(raw["last_measured_day"]),
         peak_other_fraction=peak_other_fraction,
         bin_width_min=bin_width_min,
-    )
-    # Exercise the window constraint early (config error, not runtime).
-    SimConfig(
-        policy=policies[0], days=workload.days, warmup_days=base.warmup_days,
-        last_measured_day=base.last_measured_day,
     )
     return ExperimentConfig(
         raw=raw,
@@ -300,7 +296,9 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     table = [report]
     _write_atomic(os.path.join(cfg.out_dir, "fod.csv"), lambda p: metrics.write_fod_csv(table, p))
     _write_atomic(os.path.join(cfg.out_dir, "adfd.csv"), lambda p: metrics.write_adfd_csv(table, p))
-    _write_atomic(os.path.join(cfg.out_dir, "outcomes.csv"), lambda p: metrics.write_outcomes_csv(outcomes, p))
+    measured = cfg.base.measured(outcomes.arrival_slot)
+    _write_atomic(os.path.join(cfg.out_dir, "outcomes.csv"),
+                  lambda p: metrics.write_outcomes_csv(outcomes, measured, p))
     print(_cell_summary(report))
     return EXIT_OK
 
@@ -340,6 +338,8 @@ def cmd_verify(cfg: ExperimentConfig, args) -> int:
         trace = oracle.read_trace(args.audit_trace)  # an unreadable trace fails before any output
     elif args.instances < 1:
         raise ValueError(f"--instances must be at least 1, not {args.instances}")
+    elif args.oracle_seed < 0:
+        raise ValueError(f"--oracle-seed must be 0 or more, not {args.oracle_seed}")
     write_run_context(cfg)
     out = cfg.out_dir
     if args.audit_trace:

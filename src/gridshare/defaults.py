@@ -89,7 +89,10 @@ def read_column_file(path) -> list[float]:
             if not text or text.startswith("#"):
                 continue
             try:
-                values.append(float(text))
+                value = float(text)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: not a finite number: {text!r}")
+            values.append(value)
     return values

@@ -17,7 +17,9 @@ which happen once per vehicle, are handled rank by rank through plain
 lists made once per run. Slots with nothing plugged are skipped but still counted. The run
 returns one `Outcomes` table, built as columns from the satisfied and
 departure slots after the loop, once the conservation checks on them
-have passed.
+have passed. It holds what the run decided, for every vehicle: which
+vehicles a metric counts, and whether a delay makes a vehicle late, is
+for `metrics` to say.
 
 A traced run hands its trace to a sink, one `(slot, k, rows)` group per
 slot with a candidate: rows are `TraceRow`s, the deficit tier and then
@@ -39,33 +41,15 @@ from .units import SLOTS_PER_DAY
 from .workload import Fleet
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    policy: Policy
-    days: int
-    warmup_days: int
-    last_measured_day: int
-
-    def __post_init__(self):
-        if not self.warmup_days < self.last_measured_day < self.days:
-            raise ValueError("need warmup_days < last_measured_day < days")
-
-    @property
-    def measured_slots(self) -> range:
-        """Arrival slots of the measurement window: zero-based days warmup_days to last_measured_day - 1."""
-        return range(self.warmup_days * SLOTS_PER_DAY, self.last_measured_day * SLOTS_PER_DAY)
-
-
 # Not frozen: a frozen dataclass sets each field through
 # object.__setattr__, a cost every tiny verify run would pay. Nothing
 # changes an outcome table once built.
 @dataclass(slots=True, eq=False)
 class Outcomes:
-    """Every vehicle's outcome as columns, one row per vehicle in arrival order.
+    """Every vehicle's outcome as int64 columns, one row per vehicle in arrival order.
 
-    The slot and delay columns are int64; delayed (left after its
-    expected departure) and measured (arrived inside the measurement
-    window, `SimConfig.measured_slots`) are bool.
+    delay_slots is how long after its expected departure the vehicle
+    left (0 when on time).
     """
 
     id: np.ndarray
@@ -74,8 +58,6 @@ class Outcomes:
     satisfied_slot: np.ndarray
     actual_departure_slot: np.ndarray
     delay_slots: np.ndarray
-    delayed: np.ndarray
-    measured: np.ndarray
 
     def __len__(self) -> int:
         return len(self.id)
@@ -86,13 +68,9 @@ class Outcomes:
         return all(np.array_equal(a, b) for a, b in zip(self.columns(), other.columns()))
 
     def columns(self) -> tuple:
-        """The columns in outcomes.csv order."""
+        """The columns in field order."""
         return (self.id, self.arrival_slot, self.expected_departure_slot, self.satisfied_slot,
-                self.actual_departure_slot, self.delay_slots, self.delayed, self.measured)
-
-    def rows(self, mask: np.ndarray) -> "Outcomes":
-        """The outcomes of the rows that mask selects."""
-        return Outcomes(*(column[mask] for column in self.columns()))
+                self.actual_departure_slot, self.delay_slots)
 
 
 @dataclass
@@ -147,7 +125,7 @@ class SimulationInvariantError(RuntimeError):
 
 
 def run_simulation(
-    cfg: SimConfig,
+    policy: Policy,
     fleet: Fleet,
     k_profile: Sequence[int],
     *,
@@ -160,7 +138,9 @@ def run_simulation(
     The fleet is not changed. k_profile is K for each slot of one
     capacity period (a day for a calibrated grid); it is cycled, so
     post-horizon slots see the same pattern. Raises ValueError before
-    the loop if the fleet needs charge and no slot has capacity.
+    the loop if the fleet needs charge and no slot has capacity, and
+    RuntimeError if the run has not drained 60 days after the day of
+    the last arrival, or by the drain bound if that comes first.
 
     trace_sink, if given, is called with each slot's (slot, k, rows)
     group; trace_path, if given, receives the same groups as trace.csv.
@@ -169,9 +149,9 @@ def run_simulation(
         raise ValueError(
             f"the capacity profile has no charger slot (K = 0 in every slot), but the fleet "
             f"needs {int(fleet.need.sum())} charging intervals; raise the supply ratio or the arrivals")
-    state = new_policy_state(cfg.policy, fleet)
+    state = new_policy_state(policy, fleet)
     if not trace_path:
-        return _run_loop(cfg, fleet, k_profile, trace_sink, stats, state)
+        return _run_loop(policy, fleet, k_profile, trace_sink, stats, state)
     with open(trace_path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_TRACE_HEADER)
         write = csv_trace_sink(fh)
@@ -181,10 +161,10 @@ def run_simulation(
             def sink(group):
                 trace_sink(group)
                 write(group)
-        return _run_loop(cfg, fleet, k_profile, sink, stats, state)
+        return _run_loop(policy, fleet, k_profile, sink, stats, state)
 
 
-def _run_loop(cfg, fleet, k_profile, trace, stats, state):
+def _run_loop(policy, fleet, k_profile, trace, stats, state):
     # Ids appear only in outcomes and trace rows. Work done once per pick
     # or per candidate is done on whole arrays; work done once per
     # vehicle (arriving, being satisfied, leaving) is done rank by rank,
@@ -192,7 +172,7 @@ def _run_loop(cfg, fleet, k_profile, trace, stats, state):
     need, spare = state.need, state.spare
     # Without distance information one list holds every not-full
     # vehicle, so its picks are split by need instead of by tier.
-    split_by_need = not cfg.policy.use_distance_info
+    split_by_need = not policy.use_distance_info
     n = len(fleet)
     arrivals = fleet.arrival_slot.tolist()
     departures = fleet.expected_departure_slot.tolist()
@@ -204,7 +184,8 @@ def _run_loop(cfg, fleet, k_profile, trace, stats, state):
     left_at = [-1] * n
     departure_bucket = defaultdict(list)  # boundary slot -> ranks due to leave there
 
-    max_slots = (cfg.days + 60) * SLOTS_PER_DAY
+    # Give up 60 days after the day of the last arrival, or sooner at the drain bound.
+    max_slots = (arrivals[-1] // SLOTS_PER_DAY + 61) * SLOTS_PER_DAY if n else 0
     if n and any(k_profile):
         # Once every expected departure has passed (every vehicle has
         # arrived by then), only vehicles short of their need stay
@@ -232,7 +213,7 @@ def _run_loop(cfg, fleet, k_profile, trace, stats, state):
             next_arrival += 1
         plugged += next_arrival - first_arrival
 
-        update_membership(state, t, range(first_arrival, next_arrival), satisfied, emptied)
+        update_membership(state, range(first_arrival, next_arrival), satisfied, emptied)
         boundary = t + 1
         satisfied = emptied = False
         leaving = []
@@ -242,7 +223,7 @@ def _run_loop(cfg, fleet, k_profile, trace, stats, state):
         if eligible:
             k = k_profile[t % cycle]
             k1 = min(k, len(state.deficit))  # select's deficit share comes first
-            selected = select(cfg.policy, state, t, k)
+            selected = select(policy, state, t, k)
             count = len(selected)
             if count != min(k, eligible):
                 raise SimulationInvariantError(f"slot {t}: selected {count} of min({k}, eligible)")
@@ -309,13 +290,7 @@ def _run_loop(cfg, fleet, k_profile, trace, stats, state):
     left_at = np.array(left_at, dtype=np.int64)
     departure = state.departure
     _check_departures(fleet, need, departure, satisfied_slot, left_at)
-    delay = left_at - departure
-    arrival = fleet.arrival_slot
-    window = cfg.measured_slots
-    return Outcomes(
-        fleet.id, arrival, departure, satisfied_slot, left_at, delay, delay > 0,
-        (arrival >= window.start) & (arrival < window.stop),
-    )
+    return Outcomes(fleet.id, fleet.arrival_slot, departure, satisfied_slot, left_at, left_at - departure)
 
 
 def _check_departures(fleet, need, departure, satisfied_slot, left_at) -> None:
@@ -333,14 +308,3 @@ def _check_departures(fleet, need, departure, satisfied_slot, left_at) -> None:
             f"vehicle {fleet.id[rank]} departed at {left_at[rank]}, not "
             f"{max(satisfied_slot[rank], departure[rank])}")
 
-
-def measurement_filter(outcomes: Outcomes) -> Outcomes:
-    """Outcomes for vehicles arriving inside the measurement window.
-
-    The window (`SimConfig.measured_slots`, applied when the outcomes
-    are built) excludes the warmup days at the start and the tail days
-    whose vehicles might still be charging at the horizon.
-    """
-    if not outcomes.measured.any():
-        raise ValueError("measurement window empty")
-    return outcomes.rows(outcomes.measured)

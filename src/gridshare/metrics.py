@@ -2,9 +2,12 @@
 
 The headline quantities are the fraction of measured vehicles that left
 late and the mean lateness of just those vehicles, plus the delay
-distribution among them, all computed from the engine's `Outcomes`
-columns. A sweep runs one simulation per grid cell, optionally across a
-process pool, and appends seed-averaged rows.
+distribution among them. Which vehicles are measured is decided here,
+not in the engine: `SweepBase` holds the measurement window (the
+arrival days between the warm-up and the tail) and checks it when it
+is built, and a cell reads the delays of the engine's `Outcomes` rows
+whose arrival falls inside it. A sweep runs one simulation per grid
+cell, optionally across a process pool, and appends seed-averaged rows.
 
 A cell's fleet and its required energy depend only on its fleet key
 (workload, arrival profile, charger, seed), not on the policy or the
@@ -25,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import Outcomes, RunStats, SimConfig, measurement_filter, run_simulation
+from .engine import Outcomes, RunStats, run_simulation
 from .policies import Policy
 from .powergrid import (
     ChargerSpec,
@@ -34,7 +37,7 @@ from .powergrid import (
     day_capacity_profile,
     make_grid,
 )
-from .units import SLOT_MINUTES
+from .units import SLOT_MINUTES, SLOTS_PER_DAY
 from .workload import ArrivalProfile, WorkloadConfig, generate_fleet, total_required_energy
 
 THREADS_ENV_VAR = "GRIDSHARE_THREADS"
@@ -53,50 +56,6 @@ class MetricsReport:
     delay_histogram: tuple  # (lo_min, hi_min, fraction-of-delayed) triples
 
 
-def fraction_delayed(outcomes: Outcomes) -> float:
-    """Share of vehicles that left after their expected departure."""
-    if not len(outcomes):
-        raise ValueError("no outcomes to evaluate")
-    return np.count_nonzero(outcomes.delayed) / len(outcomes)
-
-
-# The delay metrics do their arithmetic on Python ints and floats over
-# the delayed rows only, so the reported numbers do not depend on numpy's
-# summation order.
-def _delays(outcomes: Outcomes) -> list[int]:
-    """The delays in slots of the vehicles that left late."""
-    return outcomes.delay_slots[outcomes.delayed].tolist()
-
-
-def average_delay_of_delayed(outcomes: Outcomes) -> float | None:
-    """Mean delay in minutes over delayed vehicles; None when none were."""
-    delays = _delays(outcomes)
-    if not delays:
-        return None
-    return SLOT_MINUTES * sum(delays) / len(delays)
-
-
-def delay_distribution(outcomes: Outcomes, bin_width_min: float) -> tuple:
-    """Histogram of delay minutes, normalized over delayed vehicles.
-
-    Bins are [i*w, (i+1)*w); the fractions sum to 1.
-    """
-    if bin_width_min <= 0:
-        raise ValueError("bin width must be positive")
-    delays = [SLOT_MINUTES * d for d in _delays(outcomes)]
-    if not delays:
-        raise ValueError("no delayed vehicles")
-    n_bins = int(max(delays) // bin_width_min) + 1
-    counts = [0] * n_bins
-    for d in delays:
-        counts[int(d // bin_width_min)] += 1
-    total = len(delays)
-    return tuple(
-        (i * bin_width_min, (i + 1) * bin_width_min, c / total)
-        for i, c in enumerate(counts)
-    )
-
-
 @dataclass(frozen=True)
 class SweepBase:
     """Everything a sweep cell needs besides (policy, sdr, seed)."""
@@ -109,6 +68,17 @@ class SweepBase:
     last_measured_day: int
     peak_other_fraction: float
     bin_width_min: float
+
+    def __post_init__(self):
+        if self.warmup_days < 0:
+            raise ValueError(f"warmup_days must be 0 or more, not {self.warmup_days}")
+        if not self.warmup_days < self.last_measured_day < self.workload.days:
+            raise ValueError("need warmup_days < last_measured_day < days")
+
+    def measured(self, arrival_slot: np.ndarray) -> np.ndarray:
+        """Which arrivals fall in the measurement window: zero-based days warmup_days to last_measured_day - 1."""
+        return ((arrival_slot >= self.warmup_days * SLOTS_PER_DAY)
+                & (arrival_slot < self.last_measured_day * SLOTS_PER_DAY))
 
 
 def run_cell(
@@ -123,17 +93,13 @@ def run_cell(
     """
     fleet, tpr = _seed_work(base, seed, {} if memo is None else memo)
     grid = make_grid(base.shape, tpr, sdr, base.peak_other_fraction)
-    cfg = SimConfig(
-        policy=policy, days=base.workload.days,
-        warmup_days=base.warmup_days, last_measured_day=base.last_measured_day,
-    )
     # Nothing here reads the stats; the benchmark's engine span hooks read
     # them from the `stats` keyword.
     outcomes = run_simulation(
-        cfg, fleet, day_capacity_profile(grid, base.charger), stats=RunStats(), trace_path=trace_path,
+        policy, fleet, day_capacity_profile(grid, base.charger), stats=RunStats(), trace_path=trace_path,
     )
-    report = build_report(policy.name, sdr, seed, measurement_filter(outcomes), base.bin_width_min)
-    return report, outcomes
+    delays = outcomes.delay_slots[base.measured(outcomes.arrival_slot)].tolist()
+    return build_report(policy.name, sdr, seed, delays, base.bin_width_min), outcomes
 
 
 def _fleet_key(base: SweepBase, seed: int) -> tuple:
@@ -159,18 +125,35 @@ def build_report(
     policy_name: str,
     sdr: float,
     seed: int | None,
-    measured: Outcomes,
+    delays: Sequence[int],
     bin_width_min: float,
 ) -> MetricsReport:
-    fod = fraction_delayed(measured)
-    adfd = average_delay_of_delayed(measured)
-    if measured.delayed.any():
-        histogram = delay_distribution(measured, bin_width_min)
-    else:
-        histogram = ()
+    """A cell's report from the delays in slots of its measured vehicles (0 for on time).
+
+    fod is the share of delays above 0, adfd their mean in minutes (None
+    when no vehicle was late), and the histogram bins their minutes into
+    [i*w, (i+1)*w) as fractions of the late vehicles that sum to 1
+    (empty when none was late). The arithmetic is on Python ints and
+    floats, so the numbers do not depend on numpy's summation order.
+    """
+    if not delays:
+        raise ValueError("measurement window empty")
+    if bin_width_min <= 0:
+        raise ValueError("bin width must be positive")
+    late = [SLOT_MINUTES * d for d in delays if d > 0]
+    adfd, histogram = None, ()
+    if late:
+        adfd = sum(late) / len(late)
+        counts = [0] * (int(max(late) // bin_width_min) + 1)
+        for d in late:
+            counts[int(d // bin_width_min)] += 1
+        histogram = tuple(
+            (i * bin_width_min, (i + 1) * bin_width_min, c / len(late))
+            for i, c in enumerate(counts)
+        )
     return MetricsReport(
-        policy=policy_name, sdr=sdr, seed=seed, n_measured=len(measured),
-        fod=fod, adfd_minutes=adfd, delay_histogram=histogram,
+        policy=policy_name, sdr=sdr, seed=seed, n_measured=len(delays),
+        fod=len(late) / len(delays), adfd_minutes=adfd, delay_histogram=histogram,
     )
 
 
@@ -353,18 +336,21 @@ def write_delaydist_csv(reports: Sequence[MetricsReport], path) -> None:
                 writer.writerow([r.policy, _fmt(r.sdr), _fmt(lo), _fmt(hi), _fmt(frac)])
 
 
-def write_outcomes_csv(outcomes: Outcomes, path) -> None:
+def write_outcomes_csv(outcomes: Outcomes, measured: np.ndarray, path) -> None:
     """Raw per-vehicle results, sufficient to recompute every metric.
 
-    Every field is an integer (the two flags as 0/1), so nothing needs
-    quoting: each row is formatted directly, with csv.writer's "\r\n"
-    line ending, and handed to the file's own buffer. That writes the
-    bytes csv.writer wrote at about half the cost; joining rows into
+    The engine's columns are followed by two 0/1 flags: delayed (delay
+    above 0) and measured (the row's entry in measured, the mask that
+    `SweepBase.measured` gives for the arrival slots). Every field is an integer, so nothing
+    needs quoting: each row is formatted directly, with csv.writer's
+    "\r\n" line ending, and handed to the file's own buffer. That writes
+    the bytes csv.writer wrote at about half the cost; joining rows into
     blocks first costs no less and raised the benchmark's peak RSS.
     """
+    columns = (*outcomes.columns(), outcomes.delay_slots > 0, measured)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         write = fh.write
         write("id,arrival_slot,expected_departure_slot,satisfied_slot,"
               "actual_departure_slot,delay_slots,delayed,measured\r\n")
-        for row in zip(*(column.tolist() for column in outcomes.columns())):
+        for row in zip(*(column.tolist() for column in columns)):
             write("%d,%d,%d,%d,%d,%d,%d,%d\r\n" % row)

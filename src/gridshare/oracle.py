@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import Outcomes, RunStats, SimConfig, TraceRow, run_simulation
+from .engine import Outcomes, RunStats, TraceRow, run_simulation
 from .policies import Policy, PolicyKind
 from .powergrid import ChargerSpec
 from .workload import Fleet, Vehicle
@@ -152,10 +152,9 @@ def run_policy_on_instance(inst: TinyInstance, policy: Policy, trace_path=None,
 
     trace_path and trace_sink are the engine's (see `run_simulation`).
     """
-    cfg = SimConfig(policy=policy, days=3, warmup_days=0, last_measured_day=1)
     # Nothing here reads the stats; the benchmark's engine span hooks read
     # them from the `stats` keyword.
-    return run_simulation(cfg, inst.fleet, inst.k_profile, trace_path=trace_path,
+    return run_simulation(policy, inst.fleet, inst.k_profile, trace_path=trace_path,
                           trace_sink=trace_sink, stats=RunStats())
 
 

@@ -187,11 +187,11 @@ def _keys(state: PolicyState, tier: np.ndarray, t: int) -> np.ndarray:
     return keys
 
 
-def update_membership(state: PolicyState, t: int, arrived: range,
+def update_membership(state: PolicyState, arrived: range,
                       satisfied: bool, emptied: bool) -> PolicyState:
-    """Refresh the tiers for slot t, preserving list order.
+    """Refresh the tiers at the start of a slot, preserving list order.
 
-    arrived holds the ranks of the vehicles plugging in at slot t.
+    arrived holds the ranks of the vehicles plugging in at that slot.
     satisfied says whether a vehicle's need reached 0 at the last
     boundary, and emptied whether a satisfied vehicle's spare did (its
     battery filled up or it left); only then can a vehicle leave a tier.

@@ -101,6 +101,9 @@ class WorkloadConfig:
             raise ValueError(
                 f"extra_daily_mi + emergency_mi ({self.extra_daily_mi:g} + {self.emergency_mi:g}) "
                 f"exceeds battery_capacity_miles ({self.battery_capacity_miles:g}): no requirement would fit")
+        if not (self.one_way_commute_mean_mi or self.extra_daily_mi or self.emergency_mi):
+            raise ValueError("one_way_commute_mean_mi, extra_daily_mi and emergency_mi are all 0: "
+                             "no vehicle would need charge")
 
 
 @dataclass(slots=True)

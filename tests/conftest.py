@@ -23,8 +23,6 @@ class VehicleOutcome:
     satisfied_slot: int
     actual_departure_slot: int
     delay_slots: int
-    delayed: bool
-    measured: bool
 
 
 def realized_sdr(grid) -> float:

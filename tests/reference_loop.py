@@ -32,8 +32,8 @@ def priority_key(policy, t, v, rate):
     return (t_l - needed, v.arrival_slot, v.id)
 
 
-def reference_run(cfg, fleet, k_profile, rate):
-    policy, informed = cfg.policy, cfg.policy.use_distance_info
+def reference_run(policy, fleet, k_profile, rate):
+    informed = policy.use_distance_info
     waiting = sorted((replace(v) for v in fleet), key=lambda v: (v.arrival_slot, v.id))
     order = [v.id for v in waiting]
     plugged, deficit, topoff = {}, [], []
@@ -82,14 +82,12 @@ def reference_run(cfg, fleet, k_profile, rate):
         for vid, v in list(plugged.items()):
             if vid in satisfied and t + 1 >= max(v.expected_departure_slot, satisfied[vid]):
                 actual = t + 1
-                # One row in outcomes.csv column order.
+                # One row in Outcomes column order.
                 outcomes[vid] = (
                     vid, v.arrival_slot, v.expected_departure_slot, satisfied[vid], actual,
-                    actual - v.expected_departure_slot, actual > v.expected_departure_slot,
-                    v.arrival_slot in cfg.measured_slots,
+                    actual - v.expected_departure_slot,
                 )
                 del plugged[vid]
         t += 1
     columns = zip(*(outcomes[vid] for vid in order))
-    dtypes = [np.int64] * 6 + [bool] * 2
-    return Outcomes(*(np.array(column, dtype=dtype) for column, dtype in zip(columns, dtypes))), rows, t
+    return Outcomes(*(np.array(column, dtype=np.int64) for column in columns)), rows, t

@@ -101,6 +101,7 @@ def test_bundle_refuses_a_non_finite_float_key(tmp_path, capsys, key, value):
     pytest.param("bin_width_min", "0", "bin_width_min must be positive, not 0", id="bin_width_min"),
     pytest.param("peak_other_fraction", "1.5", "peak_other_fraction must be in (0, 1), not 1.5",
                  id="peak_other_fraction"),
+    pytest.param("warmup_days", "-1", "warmup_days must be 0 or more, not -1", id="warmup_days"),
 ])
 def test_bundle_refuses_an_out_of_range_key_before_any_output(tmp_path, capsys, key, value, message):
     conf = tmp_path / "experiment.conf"
@@ -112,7 +113,7 @@ def test_bundle_refuses_an_out_of_range_key_before_any_output(tmp_path, capsys, 
     assert not out.exists()
 
 
-# These two would fail on every drawn fleet, so they are refused before
+# These would fail on every drawn fleet, so they are refused before
 # the run context is written.
 def test_simulate_refuses_zero_arrivals_per_day_before_any_output(tmp_path, capsys):
     out = tmp_path / "out"
@@ -131,6 +132,27 @@ def test_simulate_refuses_allowances_above_the_battery_capacity_before_any_outpu
                 "--days", "4", "--out", str(out)]) == EXIT_CONFIG
     assert ("extra_daily_mi + emergency_mi (20 + 10) exceeds battery_capacity_miles (25)"
             in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_simulate_refuses_a_workload_that_needs_no_charge_before_any_output(tmp_path, capsys):
+    conf = tmp_path / "experiment.conf"
+    conf.write_text("one_way_commute_mean_mi=0\nextra_daily_mi=0\nemergency_mi=0\n")
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(conf), "--policy", "fcfs", "--sdr", "1.2", "--seed", "1",
+                "--days", "4", "--out", str(out)]) == EXIT_CONFIG
+    assert "are all 0: no vehicle would need charge" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, lines", [("--arrival-profile", 24), ("--load-shape", 288)])
+def test_simulate_refuses_a_non_finite_curve_value_before_any_output(tmp_path, capsys, flag, lines):
+    curve = tmp_path / "curve.txt"
+    curve.write_text("1\n" * (lines - 1) + "nan\n")
+    out = tmp_path / "out"
+    assert run(["simulate", "--policy", "fcfs", "--sdr", "1.2", "--seed", "1", "--days", "4",
+                flag, str(curve), "--out", str(out)]) == EXIT_CONFIG
+    assert f"curve.txt:{lines}: not a finite number: 'nan'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -157,6 +179,13 @@ def test_simulate_refuses_a_size_beyond_the_key_range_before_any_output(
     assert run(["simulate", "--policy", "fcfs", "--seed", "1", flag, value,
                 "--out", str(out)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_refuses_a_negative_seed_before_any_output(tiny_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", tiny_config, "--seed", "-1", "--out", str(out)]) == EXIT_CONFIG
+    assert "seeds must be 0 or more, not -1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -375,6 +404,15 @@ def test_verify_refuses_fewer_than_one_instance(tiny_config, tmp_path, capsys, i
     captured = capsys.readouterr()
     assert "--instances must be at least 1" in captured.err
     assert captured.out == ""
+    assert not out.exists()
+
+
+def test_verify_refuses_a_negative_oracle_seed(tiny_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run(["verify", "--config", tiny_config, "--instances", "5", "--oracle-seed", "-1",
+                "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "--oracle-seed must be 0 or more, not -1" in capsys.readouterr().err
     assert not out.exists()
 
 

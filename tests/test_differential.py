@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridshare.engine import RunStats, SimConfig, run_simulation
+from gridshare.engine import RunStats, run_simulation
 from gridshare.oracle import audit_trace, read_trace
 from gridshare.policies import POLICY_NAMES, intervals_for_deficit, parse_policy
 from gridshare.powergrid import ChargerSpec
@@ -81,12 +81,11 @@ def test_engine_matches_reference_loop(policy, scenario):
     need = {v.id: intervals_for_deficit(v.required_miles, v.current_miles, rate) for v in fleet}
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = os.path.join(tmp, "trace.csv")
-        cfg = SimConfig(policy=policy, days=3, warmup_days=0, last_measured_day=1)
         stats = RunStats()
         hand_built = Fleet.from_vehicles(fleet, charger)
-        outcomes = run_simulation(cfg, hand_built, k_profile, trace_path=trace_path, stats=stats)
+        outcomes = run_simulation(policy, hand_built, k_profile, trace_path=trace_path, stats=stats)
         rows = read_rows(trace_path)
-        want_outcomes, want_rows, want_slots = reference_run(cfg, fleet, k_profile, rate)
+        want_outcomes, want_rows, want_slots = reference_run(policy, fleet, k_profile, rate)
         assert outcomes == want_outcomes
         assert rows == want_rows
         assert stats.total_selections == sum(row[8] for row in rows)

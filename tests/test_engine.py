@@ -1,17 +1,13 @@
-"""Slot loop: charging, departures, measurement window, conservation."""
+"""Slot loop: charging, departures, giving up, conservation; the window over its outcomes."""
+
+import csv
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from gridshare.engine import (
-    Outcomes,
-    RunStats,
-    SimConfig,
-    SimulationInvariantError,
-    measurement_filter,
-    run_simulation,
-)
+from gridshare import metrics
+from gridshare.engine import RunStats, SimulationInvariantError, run_simulation
 from gridshare.oracle import ORACLE_CHARGER, brute_force_min_max_delay, tiny_instance
 from gridshare.policies import parse_policy
 from gridshare.powergrid import ChargerSpec
@@ -22,21 +18,14 @@ from conftest import make_test_vehicle, records, scenario
 from test_differential import scenarios
 
 
-def tiny_cfg(policy_name="minmax-dt", **kw):
-    return SimConfig(
-        policy=parse_policy(policy_name),
-        days=kw.pop("days", 3), warmup_days=kw.pop("warmup_days", 0),
-        last_measured_day=kw.pop("last_measured_day", 1), **kw,
-    )
-
-
-def simulate(cfg, vehicles, k_profile, **kw):
+def simulate(policy_name, vehicles, k_profile, **kw):
     """One record per vehicle, in arrival order, of a run over hand-built vehicles."""
-    return records(run_simulation(cfg, Fleet.from_vehicles(vehicles, ORACLE_CHARGER), k_profile, **kw))
+    fleet = Fleet.from_vehicles(vehicles, ORACLE_CHARGER)
+    return records(run_simulation(parse_policy(policy_name), fleet, k_profile, **kw))
 
 
-def run_tiny(vehicles, k_profile, policy="minmax-dt", **kw):
-    return simulate(tiny_cfg(policy, **kw), vehicles, k_profile)
+def run_tiny(vehicles, k_profile, policy="minmax-dt"):
+    return simulate(policy, vehicles, k_profile)
 
 
 # --- hand-traced example -----------------------------------------------------
@@ -67,7 +56,6 @@ def test_unconstrained_capacity_leaves_no_delays():
     ]
     outcomes = run_tiny(vehicles, [50], policy="rr")
     assert all(o.delay_slots == 0 for o in outcomes)
-    assert all(not o.delayed for o in outcomes)
 
 
 def test_repeat_runs_identical():
@@ -81,9 +69,10 @@ def test_repeat_runs_identical():
 
 def test_input_fleet_not_mutated():
     fleet = Fleet.from_vehicles([make_test_vehicle(0, 0, 5, required=3.0, current=0.0)], ORACLE_CHARGER)
-    first = records(run_simulation(tiny_cfg(), fleet, [1]))
+    policy = parse_policy("minmax-dt")
+    first = records(run_simulation(policy, fleet, [1]))
     assert fleet.need.tolist() == [3] and fleet.room.tolist() == [3]
-    assert records(run_simulation(tiny_cfg(), fleet, [1])) == first
+    assert records(run_simulation(policy, fleet, [1])) == first
 
 
 def test_duplicate_vehicle_ids_rejected():
@@ -107,7 +96,7 @@ def test_shuffled_fleet_runs_like_the_sorted_one(tmp_path):
         runs = []
         for name, vehicles in (("sorted", ordered), ("shuffled", shuffled)):
             trace = tmp_path / f"{policy}-{name}.csv"
-            outcomes = simulate(tiny_cfg(policy), vehicles, [2, 1, 0], trace_path=trace)
+            outcomes = simulate(policy, vehicles, [2, 1, 0], trace_path=trace)
             runs.append((outcomes, trace.read_bytes()))
         assert runs[0] == runs[1]
         assert [o.id for o in runs[0][0]] == [v.id for v in ordered]
@@ -121,14 +110,14 @@ def test_vehicle_satisfied_at_arrival_departs_on_time():
     (outcome,) = run_tiny([v], [0])  # no capacity at all
     assert outcome.satisfied_slot == 2
     assert outcome.actual_departure_slot == 9
-    assert outcome.delay_slots == 0 and not outcome.delayed
+    assert outcome.delay_slots == 0
 
 
 def test_fleet_that_needs_charge_without_any_capacity_is_refused(tmp_path):
     v = make_test_vehicle(0, 2, 9, required=5.0, current=0.0, capacity=10.0)
     trace = tmp_path / "trace.csv"
     with pytest.raises(ValueError, match="no charger slot"):
-        simulate(tiny_cfg(), [v], [0, 0, 0], trace_path=trace)
+        simulate("minmax-dt", [v], [0, 0, 0], trace_path=trace)
     assert not trace.exists()  # refused before the loop
 
 
@@ -158,14 +147,13 @@ def test_full_battery_vehicle_stops_charging_but_waits_for_departure():
     assert by_id[1].satisfied_slot == 2
     assert by_id[1].actual_departure_slot == 30
     assert by_id[2].satisfied_slot == 25
-    assert by_id[2].delayed is False
+    assert by_id[2].delay_slots == 0
 
 
 def test_extension_runs_past_horizon_with_periodic_capacity():
-    cfg = tiny_cfg("fcfs", days=3, warmup_days=0, last_measured_day=1)
     late_arrival = SLOTS_PER_DAY * 3 - 2
     v = make_test_vehicle(0, late_arrival, late_arrival + 4, required=30.0, current=0.0)
-    (outcome,) = simulate(cfg, [v], [1])
+    (outcome,) = simulate("fcfs", [v], [1])
     assert outcome.actual_departure_slot == late_arrival + 30
     assert outcome.delay_slots == 26
 
@@ -180,11 +168,35 @@ def test_simple_variant_drains_after_its_last_expected_departure():
         make_test_vehicle(0, 0, 50, required=0.0, capacity=100.0),
         make_test_vehicle(1, 0, 1, required=5.0),
     ]
-    cfg = SimConfig(policy=parse_policy("fcfs-simple"), days=3, warmup_days=0, last_measured_day=1)
     stats = RunStats()
-    outcomes = simulate(cfg, vehicles, [1], stats=stats)
+    outcomes = simulate("fcfs-simple", vehicles, [1], stats=stats)
     assert [o.actual_departure_slot for o in outcomes] == [50, 55]
     assert stats.slots_run == 55
+
+
+@pytest.mark.parametrize("stay, max_slots", [
+    # The later vehicle's stay ends past the day cap: 60 days after day
+    # 1, the day of the last arrival, whatever the first vehicle's day.
+    pytest.param(70 * SLOTS_PER_DAY, (1 + 61) * SLOTS_PER_DAY, id="day-cap"),
+    # Otherwise the drain bound comes first: the last expected departure
+    # plus one 3-slot cycle per interval of total need.
+    pytest.param(10, 300 + 10 + 3 * (4 + 5), id="drain-bound"),
+])
+def test_run_that_cannot_drain_gives_up(monkeypatch, stay, max_slots):
+    import gridshare.engine as engine_mod
+
+    real_update = engine_mod.update_membership
+
+    def closed_door(state, arrived, satisfied, emptied):
+        return real_update(state, (), satisfied, emptied)  # admits no arrival
+
+    monkeypatch.setattr(engine_mod, "update_membership", closed_door)
+    vehicles = [
+        make_test_vehicle(0, 5, 9, required=4.0),
+        make_test_vehicle(1, 300, 300 + stay, required=5.0),
+    ]
+    with pytest.raises(RuntimeError, match=f"simulation did not drain within {max_slots} slots$"):
+        run_tiny(vehicles, [1, 0, 1])
 
 
 # --- invariants --------------------------------------------------------------
@@ -225,9 +237,9 @@ def test_invariant_checks_catch_a_satisfied_vehicle_left_in_the_deficit_tier(mon
 
     real_update = engine_mod.update_membership
 
-    def forgetful_update(state, t, arrived, satisfied, emptied):
+    def forgetful_update(state, arrived, satisfied, emptied):
         # Never told that a need reached 0, so no vehicle moves to top-off.
-        return real_update(state, t, arrived, False, emptied)
+        return real_update(state, arrived, False, emptied)
 
     monkeypatch.setattr(engine_mod, "update_membership", forgetful_update)
     # Satisfied after one slot, with room to spare: picked again from the
@@ -259,7 +271,7 @@ def test_fcfs_deficit_list_stays_in_rank_order(name, scenario):
     charger = ChargerSpec(volts=120.0, amps=28.0, miles_per_slot=rate)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine_mod, "update_membership", checked_update)
-        run_simulation(tiny_cfg(name), Fleet.from_vehicles(fleet, charger), k_profile)
+        run_simulation(parse_policy(name), Fleet.from_vehicles(fleet, charger), k_profile)
     assert refreshes
 
 
@@ -276,68 +288,51 @@ def test_outcome_invariants_on_random_scenario():
             assert o.delay_slots >= 0
             assert o.actual_departure_slot == max(o.expected_departure_slot, o.satisfied_slot)
             assert o.satisfied_slot >= o.arrival_slot
-            assert o.delayed == (o.delay_slots > 0)
 
 
 def test_stats_collect_slots_and_selections():
     vehicles = [make_test_vehicle(i, 0, 600, required=100.0, capacity=200.0) for i in range(3)]
-    cfg = tiny_cfg("rr")
     stats = RunStats()
-    simulate(cfg, vehicles, [1], stats=stats)
+    simulate("rr", vehicles, [1], stats=stats)
     assert stats.total_selections > 0
     assert stats.slots_run >= 600
 
 
-# --- measurement window ------------------------------------------------------
-
-
-def on_time_outcomes(arrival_days, cfg):
-    """Outcomes of on-time vehicles (id = zero-based arrival day), flagged the way the engine flags them under cfg's window."""
-    arrival = np.array([day * SLOTS_PER_DAY + 100 for day in arrival_days])
-    on_time = np.zeros(len(arrival), dtype=np.int64)
-    measured = np.array([slot in cfg.measured_slots for slot in arrival.tolist()], dtype=bool)
-    return Outcomes(np.array(arrival_days), arrival, arrival + 10, arrival, arrival + 10,
-                    on_time, on_time.astype(bool), measured)
-
-
-def default_window_cfg():
-    """The command line's default horizon and measurement window."""
-    base = scenario().base
-    return SimConfig(policy=parse_policy("fcfs"), days=base.workload.days,
-                     warmup_days=base.warmup_days, last_measured_day=base.last_measured_day)
+# --- the measurement window over the outcome table ---------------------------
+# The window is metrics.SweepBase's; the engine's outcomes know nothing of it.
 
 
 def test_measurement_window_boundaries():
-    cfg = default_window_cfg()
+    base = scenario().base  # the command line's default window
     # One-based days 4, 5, 13, 14 are zero-based 3, 4, 12, 13.
-    kept = measurement_filter(on_time_outcomes([3, 4, 12, 13], cfg))
-    assert kept.id.tolist() == [4, 12]
+    arrival = np.array([day * SLOTS_PER_DAY + 100 for day in (3, 4, 12, 13)])
+    assert base.measured(arrival).tolist() == [False, True, True, False]
 
 
 def test_measurement_window_slot_bounds():
-    cfg = default_window_cfg()  # zero-based days 4 to 12
-    assert cfg.measured_slots == range(1152, 3744)
-    assert [s in cfg.measured_slots for s in (1151, 1152, 3743, 3744)] == [False, True, True, False]
+    base = scenario().base  # zero-based days 4 to 12: slots 1152 to 3743
+    assert base.measured(np.array([1151, 1152, 3743, 3744])).tolist() == [False, True, True, False]
 
 
-def test_measurement_window_empty_is_an_error():
-    cfg = default_window_cfg()
+def test_measurement_window_empty_is_an_error(monkeypatch):
+    base = scenario().base
+    # Every vehicle arrives on day 0, before the window opens.
+    fleet = Fleet.from_vehicles([make_test_vehicle(0, 100, 200, required=20.0)], base.charger)
+    monkeypatch.setattr(metrics, "generate_fleet", lambda *args: fleet)
     with pytest.raises(ValueError, match="measurement window empty"):
-        measurement_filter(on_time_outcomes([0], cfg))
+        metrics.run_cell(base, parse_policy("fcfs"), 300.0, 1)
 
 
-def test_engine_measured_flag_agrees_with_filter():
-    cfg = SimConfig(policy=parse_policy("fcfs"), days=6, warmup_days=1, last_measured_day=3)
+def test_engine_measured_flag_agrees_with_filter(tmp_path):
+    base = scenario(days=6, warmup_days=1, last_measured_day=3).base
     vehicles = [
         make_test_vehicle(d, d * SLOTS_PER_DAY + 8, d * SLOTS_PER_DAY + 48, required=4.0)
         for d in range(5)
     ]
-    outcomes = run_simulation(cfg, Fleet.from_vehicles(vehicles, ORACLE_CHARGER), [3])
-    flagged = {o.id for o in records(outcomes) if o.measured}
-    filtered = set(measurement_filter(outcomes).id.tolist())
-    assert flagged == filtered == {1, 2}
-
-
-def test_sim_config_window_validation():
-    with pytest.raises(ValueError):
-        SimConfig(policy=parse_policy("fcfs"), days=10, warmup_days=9, last_measured_day=9)
+    outcomes = run_simulation(parse_policy("fcfs"), Fleet.from_vehicles(vehicles, ORACLE_CHARGER), [3])
+    measured = base.measured(outcomes.arrival_slot)
+    path = tmp_path / "outcomes.csv"
+    metrics.write_outcomes_csv(outcomes, measured, path)
+    with open(path, newline="") as fh:
+        flagged = {int(row["id"]) for row in csv.DictReader(fh) if row["measured"] == "1"}
+    assert flagged == set(outcomes.id[measured].tolist()) == {1, 2}

@@ -4,7 +4,7 @@ from gridshare.figures import _PALETTE, adfd_figure, delay_distribution_figure, 
 from gridshare.metrics import average_reports, build_report
 from gridshare.policies import POLICY_NAMES
 
-from test_metrics import outcomes_from_minutes
+from test_metrics import delays_from_minutes
 
 
 def sample_reports():
@@ -13,7 +13,7 @@ def sample_reports():
         for sdr in (1.2, 2.0):
             per_seed = [
                 build_report(policy, sdr, seed,
-                             outcomes_from_minutes([0, base_delay + 10 * seed, 150]), 30.0)
+                             delays_from_minutes([0, base_delay + 10 * seed, 150]), 30.0)
                 for seed in (1, 2)
             ]
             reports.extend(per_seed)
@@ -35,7 +35,7 @@ def test_figures_are_deterministic(tmp_path):
 
 
 def test_single_series_chart(tmp_path):
-    per_seed = [build_report("rr", 1.4, 1, outcomes_from_minutes([0, 20]), 30.0)]
+    per_seed = [build_report("rr", 1.4, 1, delays_from_minutes([0, 20]), 30.0)]
     reports = per_seed + [average_reports(per_seed)]
     path = tmp_path / "one.svg"
     fod_figure(reports, path)
@@ -65,7 +65,7 @@ def test_each_policy_name_has_its_own_colour(tmp_path):
     reports = []
     for policy in ("fcfs", "fcfs-simple"):
         for sdr in (1.2, 2.0):
-            per_seed = [build_report(policy, sdr, 1, outcomes_from_minutes([0, 20]), 30.0)]
+            per_seed = [build_report(policy, sdr, 1, delays_from_minutes([0, 20]), 30.0)]
             reports += per_seed + [average_reports(per_seed)]
     path = tmp_path / "fod.svg"
     fod_figure(reports, path)

@@ -1,6 +1,7 @@
 """Evaluation metrics, report building, sweep harness, CSV contracts."""
 
 import csv
+import dataclasses
 import itertools
 
 import numpy as np
@@ -12,11 +13,8 @@ from conftest import scenario
 from gridshare import cli, metrics
 from gridshare.engine import Outcomes
 from gridshare.metrics import (
-    average_delay_of_delayed,
     average_reports,
     build_report,
-    delay_distribution,
-    fraction_delayed,
     run_cell,
     run_cells,
     sweep,
@@ -29,57 +27,57 @@ from gridshare.policies import parse_policy
 from gridshare.workload import generate_fleet
 
 
-def outcomes_from_minutes(minutes):
-    """Measured vehicles that each left the given minutes after their expected departure."""
-    delay = np.array([m // 5 for m in minutes], dtype=np.int64)
-    arrival = np.zeros(len(delay), dtype=np.int64)
-    return Outcomes(np.arange(len(delay)), arrival, arrival + 100, 100 + delay, 100 + delay,
-                    delay, delay > 0, np.ones(len(delay), dtype=bool))
+def delays_from_minutes(minutes):
+    """The delays in slots of measured vehicles that each left the given minutes after their expected departure."""
+    return [m // 5 for m in minutes]
+
+
+def report_from_minutes(minutes, bin_width_min=30.0):
+    return build_report("fcfs", 1.2, 1, delays_from_minutes(minutes), bin_width_min)
 
 
 # --- headline metrics --------------------------------------------------------
 
 
 def test_fraction_delayed_examples():
-    assert fraction_delayed(outcomes_from_minutes([0, 0, 15, 25])) == 0.5
-    assert fraction_delayed(outcomes_from_minutes([0, 0, 0])) == 0.0
-    with pytest.raises(ValueError):
-        fraction_delayed(outcomes_from_minutes([]))
+    assert report_from_minutes([0, 0, 15, 25]).fod == 0.5
+    assert report_from_minutes([0, 0, 0]).fod == 0.0
+    with pytest.raises(ValueError, match="measurement window empty"):
+        report_from_minutes([])
 
 
 def test_average_delay_examples():
-    assert average_delay_of_delayed(outcomes_from_minutes([0, 0, 15, 25])) == 20.0
-    assert average_delay_of_delayed(outcomes_from_minutes([125])) == 125.0
-    assert average_delay_of_delayed(outcomes_from_minutes([0, 0])) is None
+    assert report_from_minutes([0, 0, 15, 25]).adfd_minutes == 20.0
+    assert report_from_minutes([125]).adfd_minutes == 125.0
+    assert report_from_minutes([0, 0]).adfd_minutes is None
 
 
 def test_delay_distribution_examples():
-    histogram = delay_distribution(outcomes_from_minutes([10, 10, 130]), 60.0)
+    histogram = report_from_minutes([10, 10, 130], 60.0).delay_histogram
     assert histogram[0] == (0.0, 60.0, pytest.approx(2 / 3))
     assert histogram[1][2] == 0.0
     assert histogram[2] == (120.0, 180.0, pytest.approx(1 / 3))
 
 
 def test_delay_distribution_point_mass():
-    histogram = delay_distribution(outcomes_from_minutes([45]), 30.0)
+    histogram = report_from_minutes([45], 30.0).delay_histogram
     assert histogram == ((0.0, 30.0, 0.0), (30.0, 60.0, 1.0))
 
 
 def test_delay_distribution_errors():
-    with pytest.raises(ValueError):
-        delay_distribution(outcomes_from_minutes([10]), 0.0)
-    with pytest.raises(ValueError, match="no delayed"):
-        delay_distribution(outcomes_from_minutes([0]), 30.0)
+    with pytest.raises(ValueError, match="bin width must be positive"):
+        report_from_minutes([10], 0.0)
+    # Without a late vehicle there is nothing to bin.
+    assert report_from_minutes([0]).delay_histogram == ()
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=400), min_size=1, max_size=60),
        st.sampled_from([15.0, 30.0, 60.0]))
 def test_distribution_mass_and_cdf_monotonicity(delays, width):
-    sample = outcomes_from_minutes([d * 5 for d in delays])
-    if not sample.delayed.any():
+    if not any(delays):
         return
-    histogram = delay_distribution(sample, width)
+    histogram = build_report("fcfs", 1.2, 1, delays, width).delay_histogram
     assert sum(f for _, _, f in histogram) == pytest.approx(1.0)
     values = list(itertools.accumulate(f for _, _, f in histogram))
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
@@ -90,15 +88,15 @@ def test_distribution_mass_and_cdf_monotonicity(delays, width):
 
 
 def test_build_report_without_delays_has_empty_distribution():
-    report = build_report("fcfs", 1.5, 1, outcomes_from_minutes([0, 0]), 30.0)
+    report = build_report("fcfs", 1.5, 1, delays_from_minutes([0, 0]), 30.0)
     assert report.fod == 0.0
     assert report.adfd_minutes is None
     assert report.delay_histogram == ()
 
 
 def test_average_reports_means_and_sums():
-    a = build_report("fcfs", 1.2, 1, outcomes_from_minutes([0, 30]), 30.0)
-    b = build_report("fcfs", 1.2, 2, outcomes_from_minutes([0, 0, 60, 90]), 30.0)
+    a = build_report("fcfs", 1.2, 1, delays_from_minutes([0, 30]), 30.0)
+    b = build_report("fcfs", 1.2, 2, delays_from_minutes([0, 0, 60, 90]), 30.0)
     avg = average_reports([a, b])
     assert avg.seed is None
     assert avg.n_measured == 6
@@ -109,8 +107,8 @@ def test_average_reports_means_and_sums():
 
 
 def test_average_reports_ignores_na_delay_averages():
-    a = build_report("fcfs", 1.2, 1, outcomes_from_minutes([0, 0]), 30.0)
-    b = build_report("fcfs", 1.2, 2, outcomes_from_minutes([0, 40]), 30.0)
+    a = build_report("fcfs", 1.2, 1, delays_from_minutes([0, 0]), 30.0)
+    b = build_report("fcfs", 1.2, 2, delays_from_minutes([0, 40]), 30.0)
     avg = average_reports([a, b])
     assert avg.adfd_minutes == pytest.approx(40.0)
     all_zero = average_reports([a, a])
@@ -199,6 +197,17 @@ def test_run_cells_rejects_bad_cells_before_running_any(tiny_base, fleet_seeds):
     assert fleet_seeds == []
 
 
+def test_sweep_base_window_validation():
+    with pytest.raises(ValueError, match="need warmup_days < last_measured_day < days"):
+        scenario(days=10, warmup_days=9, last_measured_day=9)
+    base = scenario().base
+    with pytest.raises(ValueError, match="warmup_days must be 0 or more, not -1"):
+        dataclasses.replace(base, warmup_days=-1)
+    # A window may open on the first day.
+    assert dataclasses.replace(base, warmup_days=0).measured(np.array([0, 3743, 3744])).tolist() == [
+        True, True, False]
+
+
 def test_sweep_cell_measures_part_of_its_outcomes(tiny_base):
     report, outcomes = run_cell(tiny_base, parse_policy("rr"), 1.4, 3)
     assert 0 < report.n_measured < len(outcomes)
@@ -209,8 +218,8 @@ def test_sweep_cell_measures_part_of_its_outcomes(tiny_base):
 
 def test_fod_and_adfd_csv_layout(tmp_path):
     reports = [
-        build_report("fcfs", 1.2, 1, outcomes_from_minutes([0, 30]), 30.0),
-        average_reports([build_report("fcfs", 1.2, 1, outcomes_from_minutes([0, 0]), 30.0)]),
+        build_report("fcfs", 1.2, 1, delays_from_minutes([0, 30]), 30.0),
+        average_reports([build_report("fcfs", 1.2, 1, delays_from_minutes([0, 0]), 30.0)]),
     ]
     fod_path = tmp_path / "fod.csv"
     write_fod_csv(reports, fod_path)
@@ -226,7 +235,7 @@ def test_fod_and_adfd_csv_layout(tmp_path):
 
 
 def test_delaydist_csv_uses_averaged_rows(tmp_path):
-    per_seed = build_report("rr", 1.2, 1, outcomes_from_minutes([10, 40]), 30.0)
+    per_seed = build_report("rr", 1.2, 1, delays_from_minutes([10, 40]), 30.0)
     avg = average_reports([per_seed])
     path = tmp_path / "delaydist.csv"
     write_delaydist_csv([per_seed, avg], path)
@@ -237,19 +246,26 @@ def test_delaydist_csv_uses_averaged_rows(tmp_path):
 
 
 def test_outcomes_csv_supports_independent_recomputation(tmp_path):
-    sample = outcomes_from_minutes([0, 15, 0, 45, 125])
+    delay = np.array(delays_from_minutes([0, 15, 0, 45, 125, 30]), dtype=np.int64)
+    arrival = np.arange(len(delay), dtype=np.int64) * 100
+    sample = Outcomes(np.arange(len(delay)), arrival, arrival + 50, arrival + 50 + delay,
+                      arrival + 50 + delay, delay)
+    in_window = np.array([True] * 5 + [False])
     path = tmp_path / "outcomes.csv"
-    write_outcomes_csv(sample, path)
+    write_outcomes_csv(sample, in_window, path)
 
     # One-line oracle: recompute the headline numbers from the raw CSV.
     rows = list(csv.DictReader(open(path, newline="")))
+    assert [r["delayed"] for r in rows] == ["0", "1", "0", "1", "1", "1"]  # delay above 0
+    assert [r["measured"] for r in rows] == ["1"] * 5 + ["0"]
     measured = [r for r in rows if r["measured"] == "1"]
     delayed = [int(r["delay_slots"]) for r in measured if r["delayed"] == "1"]
     fod = len(delayed) / len(measured)
     adfd = 5.0 * sum(delayed) / len(delayed)
 
-    assert abs(fod - fraction_delayed(sample)) < 1e-9
-    assert abs(adfd - average_delay_of_delayed(sample)) < 1e-9
+    report = build_report("fcfs", 1.2, 1, delay[in_window].tolist(), 30.0)
+    assert abs(fod - report.fod) < 1e-9
+    assert abs(adfd - report.adfd_minutes) < 1e-9
     recomputed_delay = [
         int(r["actual_departure_slot"]) - int(r["expected_departure_slot"]) for r in rows
     ]

@@ -27,10 +27,10 @@ def in_arrival_order(vehicles):
     return sorted(vehicles, key=lambda v: (v.arrival_slot, v.id))
 
 
-def plugged_state(policy, charger, vehicles, t=0):
-    """Tiers after `vehicles` plug in together at slot t."""
+def plugged_state(policy, charger, vehicles):
+    """Tiers after `vehicles` plug in together."""
     state = new_policy_state(policy, Fleet.from_vehicles(vehicles, charger))
-    update_membership(state, t, range(len(vehicles)), satisfied=False, emptied=False)
+    update_membership(state, range(len(vehicles)), satisfied=False, emptied=False)
     return state
 
 
@@ -45,8 +45,8 @@ def rank(state, vid):
 
 @pytest.fixture
 def state_for(unit_charger):
-    def make(policy, vehicles, t=0):
-        return plugged_state(policy, unit_charger, vehicles, t)
+    def make(policy, vehicles):
+        return plugged_state(policy, unit_charger, vehicles)
 
     return make
 
@@ -206,7 +206,7 @@ def test_vehicle_crossing_required_moves_to_topoff_tail(state_for):
     assert ids(state, state.topoff) == [3]
     ra = rank(state, 1)
     state.need[ra], state.spare[ra] = 0, 8  # charged to 12 miles: crossed its requirement
-    update_membership(state, 1, arrived=(), satisfied=True, emptied=False)
+    update_membership(state, arrived=(), satisfied=True, emptied=False)
     assert ids(state, state.deficit) == [2]
     assert ids(state, state.topoff) == [3, 1]
 
@@ -217,7 +217,7 @@ def test_full_battery_vehicle_leaves_both_lists(state_for):
     state = state_for(policy, [v])
     assert ids(state, state.deficit) == [1]
     state.need[0], state.spare[0] = 0, 0  # charged to its 12-mile capacity
-    update_membership(state, 1, arrived=(), satisfied=True, emptied=True)
+    update_membership(state, arrived=(), satisfied=True, emptied=True)
     assert not len(state.deficit) and not len(state.topoff)
 
 
@@ -226,7 +226,7 @@ def test_departed_vehicle_dropped(state_for):
     state = state_for(policy, [make_test_vehicle(i, 0, 99, required=10.0, current=0.0) for i in (1, 2)])
     # It left as its last interval came in; the engine empties a leaver's spare.
     state.need[rank(state, 1)] = state.spare[rank(state, 1)] = 0
-    update_membership(state, 1, arrived=(), satisfied=True, emptied=True)
+    update_membership(state, arrived=(), satisfied=True, emptied=True)
     assert ids(state, state.deficit) == [2]
 
 
@@ -304,7 +304,7 @@ def test_selection_cardinality_property(scenario, name):
     charger = ChargerSpec(volts=120.0, amps=28.0, miles_per_slot=1.0)
     vehicles, k, t = scenario
     policy = parse_policy(name)
-    state = plugged_state(policy, charger, vehicles, t)
+    state = plugged_state(policy, charger, vehicles)
     eligible = len(state.deficit) + len(state.topoff)
     picked = select(policy, state, t, k)
     assert len(picked) == min(k, eligible)
@@ -319,7 +319,7 @@ def test_top_k_property_for_sorted_policies(scenario, name):
     charger = ChargerSpec(volts=120.0, amps=28.0, miles_per_slot=1.0)
     vehicles, k, t = scenario
     policy = parse_policy(name)
-    state = plugged_state(policy, charger, vehicles, t)
+    state = plugged_state(policy, charger, vehicles)
     plugged = in_arrival_order(vehicles)
     picked = set(select(policy, state, t, k))
 
@@ -346,7 +346,7 @@ def test_minmax_dt_dominance_property(scenario):
     charger = ChargerSpec(volts=120.0, amps=28.0, miles_per_slot=1.0)
     vehicles, k, t = scenario
     policy = parse_policy("minmax-dt")
-    state = plugged_state(policy, charger, vehicles, t)
+    state = plugged_state(policy, charger, vehicles)
     plugged = in_arrival_order(vehicles)
     picked = set(select(policy, state, t, k))
     deficit = list(state.deficit)
@@ -370,7 +370,7 @@ def test_rr_fairness_over_static_window(unit_charger):
     k = 3
     picked = []
     for t in range(70):
-        update_membership(state, t, arrived=(), satisfied=False, emptied=False)
+        update_membership(state, arrived=(), satisfied=False, emptied=False)
         picked = select(policy, state, t, k)
         for vid in ids(state, picked):
             counts[vid] += 1
