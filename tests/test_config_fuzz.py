@@ -75,6 +75,9 @@ VALUES = {
                                           "@shape-nan"]),
 }
 
+# One valid value for every key, the base of the explicit examples.
+VALID = {key: valid[-1] for key, (valid, _, _) in VALUES.items() if valid[-1] is not None}
+
 CURVE_FILES = {
     "@profile": ["1"] * 24,
     "@profile-23": ["1"] * 23,
@@ -113,9 +116,6 @@ def run_quietly(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = run(argv)
     return code, err.getvalue()
-
-
-VALID = {key: valid[-1] for key, (valid, _, _) in VALUES.items() if valid[-1] is not None}
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
