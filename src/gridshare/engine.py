@@ -14,10 +14,14 @@ indexed by rank (policies.PolicyState): the picks of a slot are charged
 by index, each part on one counter (the deficit share on need, the
 top-off share on spare), while arrival, satisfaction and departure,
 which happen once per vehicle, are handled rank by rank through plain
-lists made once per run. Slots with nothing plugged are skipped but still counted. The run
-returns one `Outcomes` table, built as columns from the satisfied and
-departure slots after the loop, once the conservation checks on them
-have passed. It holds what the run decided, for every vehicle: which
+lists made once per fleet (`RunConstants`). Once no vehicle is a
+candidate (nothing is plugged, or every plugged vehicle is full and
+waits for its expected departure), the loop skips ahead to the next
+arrival or departure boundary; skipped slots still count. The tiers
+are refreshed only in a slot where one can change. The run returns one
+`Outcomes` table, built as columns from the satisfied and departure
+slots after the loop, once the conservation checks on them have
+passed. It holds what the run decided, for every vehicle: which
 vehicles a metric counts, and whether a delay makes a vehicle late, is
 for `metrics` to say.
 
@@ -36,7 +40,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .policies import Policy, new_policy_state, select, update_membership
+from .policies import Policy, joining_tiers, new_policy_state, select, update_membership
 from .units import SLOTS_PER_DAY
 from .workload import Fleet
 
@@ -124,11 +128,33 @@ class SimulationInvariantError(RuntimeError):
     """An internal conservation or ordering rule was violated."""
 
 
+class RunConstants:
+    """What every run over one fleet starts from, whatever the policy.
+
+    The arrival and expected departure slots as lists (the loop reads
+    them vehicle by vehicle), the last expected departure and the total
+    need (they bound the run) and each rank's joining tier. A caller
+    that runs several policies over one fleet builds this once and
+    passes it to each `run_simulation`; a run without one builds its own.
+    """
+
+    __slots__ = ("fleet", "arrivals", "departures", "last_departure", "total_need", "joins")
+
+    def __init__(self, fleet: Fleet):
+        self.fleet = fleet
+        self.arrivals = fleet.arrival_slot.tolist()
+        self.departures = fleet.expected_departure_slot.tolist()
+        self.last_departure = max(self.departures, default=0)
+        self.total_need = int(fleet.need.sum())
+        self.joins = joining_tiers(fleet)
+
+
 def run_simulation(
     policy: Policy,
     fleet: Fleet,
     k_profile: Sequence[int],
     *,
+    constants: RunConstants | None = None,
     trace_path=None,
     trace_sink=None,
     stats: RunStats | None = None,
@@ -137,21 +163,26 @@ def run_simulation(
 
     The fleet is not changed. k_profile is K for each slot of one
     capacity period (a day for a calibrated grid); it is cycled, so
-    post-horizon slots see the same pattern. Raises ValueError before
-    the loop if the fleet needs charge and no slot has capacity, and
-    RuntimeError if the run has not drained 60 days after the day of
-    the last arrival, or by the drain bound if that comes first.
+    post-horizon slots see the same pattern. constants, if given, is
+    `RunConstants(fleet)`. Raises ValueError before the loop if the
+    fleet needs charge and no slot has capacity, and RuntimeError if the
+    run has not drained 60 days after the day of the last expected
+    departure, or by the drain bound if that comes first.
 
     trace_sink, if given, is called with each slot's (slot, k, rows)
     group; trace_path, if given, receives the same groups as trace.csv.
     """
-    if not any(k_profile) and fleet.need.any():
+    if constants is None:
+        constants = RunConstants(fleet)
+    elif constants.fleet is not fleet:
+        raise ValueError("the run constants were built for another fleet")
+    if not any(k_profile) and constants.total_need:
         raise ValueError(
             f"the capacity profile has no charger slot (K = 0 in every slot), but the fleet "
-            f"needs {int(fleet.need.sum())} charging intervals; raise the supply ratio or the arrivals")
-    state = new_policy_state(policy, fleet)
+            f"needs {constants.total_need} charging intervals; raise the supply ratio or the arrivals")
+    state = new_policy_state(policy, fleet, constants.joins)
     if not trace_path:
-        return _run_loop(policy, fleet, k_profile, trace_sink, stats, state)
+        return _run_loop(policy, constants, k_profile, trace_sink, stats, state)
     with open(trace_path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_TRACE_HEADER)
         write = csv_trace_sink(fh)
@@ -161,21 +192,21 @@ def run_simulation(
             def sink(group):
                 trace_sink(group)
                 write(group)
-        return _run_loop(policy, fleet, k_profile, sink, stats, state)
+        return _run_loop(policy, constants, k_profile, sink, stats, state)
 
 
-def _run_loop(policy, fleet, k_profile, trace, stats, state):
+def _run_loop(policy, constants, k_profile, trace, stats, state):
     # Ids appear only in outcomes and trace rows. Work done once per pick
     # or per candidate is done on whole arrays; work done once per
     # vehicle (arriving, being satisfied, leaving) is done rank by rank,
     # reading plain lists.
+    fleet = constants.fleet
     need, spare = state.need, state.spare
     # Without distance information one list holds every not-full
     # vehicle, so its picks are split by need instead of by tier.
     split_by_need = not policy.use_distance_info
     n = len(fleet)
-    arrivals = fleet.arrival_slot.tolist()
-    departures = fleet.expected_departure_slot.tolist()
+    arrivals, departures = constants.arrivals, constants.departures
     ids = fleet.id.tolist() if trace else None
     cycle = len(k_profile)
     # The satisfied slot stays the arrival slot unless charging brings
@@ -184,26 +215,35 @@ def _run_loop(policy, fleet, k_profile, trace, stats, state):
     left_at = [-1] * n
     departure_bucket = defaultdict(list)  # boundary slot -> ranks due to leave there
 
-    # Give up 60 days after the day of the last arrival, or sooner at the drain bound.
-    max_slots = (arrivals[-1] // SLOTS_PER_DAY + 61) * SLOTS_PER_DAY if n else 0
-    if n and any(k_profile):
+    # Give up 60 days after the day of the last expected departure, or
+    # sooner at the drain bound.
+    max_slots = (constants.last_departure // SLOTS_PER_DAY + 61) * SLOTS_PER_DAY
+    if any(k_profile):
         # Once every expected departure has passed (every vehicle has
         # arrived by then), only vehicles short of their need stay
         # plugged, and every capacity cycle has a slot that charges one of
         # them: the simple variants' single list holds nothing else by
         # then either. A run that drains ends within one cycle per
         # interval of total need after the last expected departure.
-        max_slots = min(max_slots, int(state.departure.max()) + cycle * int(need.sum()))
+        max_slots = min(max_slots, constants.last_departure + cycle * constants.total_need)
     plugged = 0        # arrived and not yet departed
     selections = 0
     # Whether a vehicle's need, or a satisfied vehicle's spare, reached 0
     # at the last boundary.
     satisfied = emptied = False
+    # Whether the last slot had no candidate, or left nothing plugged.
+    idle = True
     next_arrival = 0
     t = 0
     while next_arrival < n or plugged:
-        if not plugged and arrivals[next_arrival] > t:
-            t = arrivals[next_arrival]  # nothing plugged until the next arrival: skip to it
+        if idle:
+            # Both tiers are empty and only an arrival fills them, so the
+            # slots before the next arrival select nothing and change
+            # nothing but at a departure boundary: skip to whichever
+            # comes first. A run with neither left cannot drain.
+            t = arrivals[next_arrival] if next_arrival < n else max_slots
+            if departure_bucket:
+                t = min(t, min(departure_bucket) - 1)
         if t >= max_slots:
             raise RuntimeError(f"simulation did not drain within {max_slots} slots")
 
@@ -213,9 +253,11 @@ def _run_loop(policy, fleet, k_profile, trace, stats, state):
             next_arrival += 1
         plugged += next_arrival - first_arrival
 
-        update_membership(state, range(first_arrival, next_arrival), satisfied, emptied)
+        # Only an arrival, a met need or a counter at 0 changes a tier.
+        if first_arrival < next_arrival or satisfied or emptied:
+            update_membership(state, range(first_arrival, next_arrival), satisfied, emptied)
+            satisfied = emptied = False
         boundary = t + 1
-        satisfied = emptied = False
         leaving = []
         # With both tiers empty nothing is selected, and only departures
         # can happen at the slot's end.
@@ -281,7 +323,8 @@ def _run_loop(policy, fleet, k_profile, trace, stats, state):
             spare[rank] = 0  # a vehicle that left takes no more charge
             plugged -= 1
             emptied = True
-        t += 1
+        idle = not (eligible and plugged)
+        t = boundary
 
     if stats is not None:
         stats.slots_run = t

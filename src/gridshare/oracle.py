@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, zip_longest
@@ -22,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import Outcomes, RunStats, TraceRow, run_simulation
+from .engine import Outcomes, RunConstants, RunStats, TraceRow, run_simulation
 from .policies import Policy, PolicyKind
 from .powergrid import ChargerSpec
 from .workload import Fleet, Vehicle
@@ -40,12 +39,13 @@ class TinyInstance:
     """Hand-checkable sessions and their capacity profile.
 
     The exhaustive search reads the vehicles; every policy run on the
-    instance shares the one fleet built from them.
+    instance shares the one fleet built from them and its run constants.
     """
 
     vehicles: tuple[Vehicle, ...]
     k_profile: tuple[int, ...]
     fleet: Fleet = field(init=False, repr=False, compare=False)
+    constants: RunConstants = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= len(self.vehicles) <= MAX_TINY_VEHICLES:
@@ -54,7 +54,9 @@ class TinyInstance:
             raise ValueError(f"arrivals must fall within {MAX_TINY_HORIZON} slots")
         if not self.k_profile or any(k < 0 for k in self.k_profile):
             raise ValueError("k_profile must be non-empty and non-negative")
-        object.__setattr__(self, "fleet", Fleet.from_vehicles(self.vehicles, ORACLE_CHARGER))
+        fleet = Fleet.from_vehicles(self.vehicles, ORACLE_CHARGER)
+        object.__setattr__(self, "fleet", fleet)
+        object.__setattr__(self, "constants", RunConstants(fleet))
 
 
 def tiny_instance(specs: Sequence[tuple[int, int, int]], k_profile: Sequence[int],
@@ -75,12 +77,19 @@ def tiny_instance(specs: Sequence[tuple[int, int, int]], k_profile: Sequence[int
     return TinyInstance(vehicles=vehicles, k_profile=tuple(int(k) for k in k_profile))
 
 
-def brute_force_min_max_delay(inst: TinyInstance, branch_budget: int = 10_000_000) -> int:
-    """Exact minimum over all on/off schedules of the largest delay.
+def brute_force_min_max_delay(inst: TinyInstance, branch_budget: int = 10_000_000,
+                              bound: int | None = None) -> int:
+    """Exact minimum over all on/off schedules of the largest delay, or bound if lower.
 
     Exhaustive search over per-slot charging subsets with memoization on
     (slot, remaining needs). Charging a larger subset never hurts, so
-    only maximal subsets are enumerated. Raises if the search would
+    only maximal subsets are enumerated. The search returns
+    min(optimum, bound): it drops a branch once the delay of a vehicle
+    it finishes reaches the best value found so far (at first the
+    bound), and a state once its lower bound reaches the bound. A
+    state's lower bound is the largest max(t, arrival) + remaining -
+    departure over its unfinished vehicles, the delay each has if
+    charged in every slot from now on. Raises if the search would
     exceed the branch budget.
     """
     vehicles = inst.vehicles
@@ -92,6 +101,7 @@ def brute_force_min_max_delay(inst: TinyInstance, branch_budget: int = 10_000_00
     )
     profile = inst.k_profile
     cycle = len(profile)
+    limit = math.inf if bound is None else bound
 
     if sum(profile) == 0 and sum(needs) > 0:
         raise ValueError("k_profile provides no capacity")
@@ -112,6 +122,10 @@ def brute_force_min_max_delay(inst: TinyInstance, branch_budget: int = 10_000_00
             return 0
         if t > t_max:
             raise RuntimeError("search ran past the feasibility horizon")
+        floor = max([(a if a > t else t) + r - d
+                     for r, a, d in zip(remaining, arrivals, deadlines) if r])
+        if floor >= limit:
+            return limit
         eligible = [i for i, (r, a) in enumerate(zip(remaining, arrivals)) if r and a <= t]
         if not eligible:
             # Nothing plugged and unfinished: jump to the next arrival.
@@ -122,7 +136,7 @@ def brute_force_min_max_delay(inst: TinyInstance, branch_budget: int = 10_000_00
         if m == 0:
             return best_from(t + 1, remaining)
         boundary = t + 1
-        best = None
+        best = limit
         for subset in combinations(eligible, m):
             rem = list(remaining)
             finish_delay = 0
@@ -130,14 +144,15 @@ def brute_force_min_max_delay(inst: TinyInstance, branch_budget: int = 10_000_00
                 rem[i] -= 1
                 if not rem[i] and boundary - deadlines[i] > finish_delay:
                     finish_delay = boundary - deadlines[i]
+            if finish_delay >= best:
+                continue  # this branch cannot do better
             value = best_from(boundary, tuple(rem))
             if finish_delay > value:
                 value = finish_delay
-            if best is None or value < best:
+            if value < best:
                 best = value
-                if best == 0:
-                    # Can't do better than zero delay.
-                    break
+                if best <= floor or not best:
+                    break  # no schedule from this state does better
         return best
 
     try:
@@ -154,8 +169,8 @@ def run_policy_on_instance(inst: TinyInstance, policy: Policy, trace_path=None,
     """
     # Nothing here reads the stats; the benchmark's engine span hooks read
     # them from the `stats` keyword.
-    return run_simulation(policy, inst.fleet, inst.k_profile, trace_path=trace_path,
-                          trace_sink=trace_sink, stats=RunStats())
+    return run_simulation(policy, inst.fleet, inst.k_profile, constants=inst.constants,
+                          trace_path=trace_path, trace_sink=trace_sink, stats=RunStats())
 
 
 def max_delay(outcomes: Outcomes) -> int:
@@ -198,8 +213,11 @@ def verify_campaign(
     Steady-capacity instances check the largest-delay-first policy
     against the exhaustive optimum; cycling-capacity instances only
     audit the per-slot selection rules (the optimum needs hindsight
-    there, so no online policy is held to it). Every run is audited from
-    the (slot, k, rows) groups the engine hands its trace sink, with no
+    there, so no online policy is held to it). The search runs only
+    after a minmax-dt run, bounded at its achieved delay + 1, which
+    tells whether the two are equal; a search that reaches the bound
+    runs again unbounded, so a mismatch reports the exact optimum.
+    Every run is audited from the (slot, k, rows) groups the engine hands its trace sink, with no
     file in between. Each policy's run on the first steady instance also
     writes its trace to trace_path, which is read back with `read_trace`
     and then removed: the groups it reads must equal the engine's, or a
@@ -213,7 +231,6 @@ def verify_campaign(
     for label, count, steady in (("instance", n_steady, True), ("varying instance", n_cycling, False)):
         for index in range(count):
             inst = random_tiny_instance(rng, constant_k=steady)
-            optimum = brute_force_min_max_delay(inst) if steady else None
             sample = steady and index == 0
             for policy in policies:
                 groups = []
@@ -228,7 +245,12 @@ def verify_campaign(
                         v.slot, v.rule, f"{label} {index} policy {policy.name}: {v.detail}"))
                 if steady and policy.kind is PolicyKind.MINMAX_DT:
                     achieved = max_delay(outcomes)
-                    if achieved != optimum:
+                    # min(optimum, achieved + 1) equals achieved exactly
+                    # when the optimum does.
+                    optimum = brute_force_min_max_delay(inst, bound=achieved + 1)
+                    if optimum > achieved:
+                        optimum = brute_force_min_max_delay(inst)  # the bound hid it
+                    if optimum != achieved:
                         mismatches.append((index, achieved, optimum))
     return violations, mismatches
 
@@ -334,9 +356,9 @@ def audit_trace(trace, policy: Policy) -> list[Violation]:
     violations: list[Violation] = []
     rotating = policy.kind is PolicyKind.RR
     delay_first = policy.kind is PolicyKind.MINMAX_DT
-    # Reconstructed list orders for the rotation check.
-    list_order = {1: deque(), 2: deque()}
-    seen: set[int] = set()
+    # Reconstructed list orders for the rotation check: ids, head first.
+    order1: list[int] = []
+    order2: list[int] = []
 
     for slot, k, rows in trace:
         ids = set()
@@ -381,18 +403,28 @@ def audit_trace(trace, policy: Policy) -> list[Violation]:
                 slot, "tier-ordering", "top-off vehicle charged while a deficit vehicle waited"))
 
         if rotating:
-            _update_reconstructed_lists(list_order, seen, tier1, tier2)
-            expected = _rr_expected(list_order, k)
+            ids1 = [row[0] for row in tier1]
+            ids2 = [row[0] for row in tier2]
+            # Rows listed in the lists' own order mean the lists are unchanged.
+            if ids1 != order1 or ids2 != order2:
+                order1, order2 = _follow_lists(order1, order2, ids1, ids2)
+            k1 = min(k, len(order1))
+            k2 = k - k1
+            expected = order1[:k1] + order2[:k2]
             actual = set(chosen)
-            if actual != set(expected):
-                violations.append(Violation(
-                    slot, "rr-rotation",
-                    f"selected {sorted(actual)}, rotation order expects {sorted(expected)}",
-                ))
-                # Re-sync so one fault is reported once, not echoed forever.
-                _rr_rotate(list_order, actual)
-            else:
-                _rr_rotate(list_order, set(expected))
+            if actual == set(expected):
+                # The heads were selected: they go to the tails.
+                order1 = order1[k1:] + order1[:k1]
+                order2 = order2[k2:] + order2[:k2]
+                continue
+            violations.append(Violation(
+                slot, "rr-rotation",
+                f"selected {sorted(actual)}, rotation order expects {sorted(expected)}",
+            ))
+            # What was selected goes to the tail of its list, which
+            # re-syncs, so one fault is reported once, not echoed forever.
+            order1 = _rotate(order1, actual)
+            order2 = _rotate(order2, actual)
             continue
         for tier_rows, n_sel in ((tier1, n_sel1), (tier2, n_sel2)):
             if 0 < n_sel < len(tier_rows):
@@ -418,48 +450,30 @@ def audit_trace(trace, policy: Policy) -> list[Violation]:
     return violations
 
 
-def _update_reconstructed_lists(list_order, seen, tier1, tier2):
-    """Mirror the documented list maintenance from trace membership diffs."""
-    present = dict.fromkeys([r.vehicle_id for r in tier1], 1)
-    present.update(dict.fromkeys([r.vehicle_id for r in tier2], 2))
-    for tier in (1, 2):
-        kept = deque()
-        movers = []
-        for vid in list_order[tier]:
-            now = present.get(vid)
-            if now is None:
-                seen.discard(vid)
-            elif now == tier:
-                kept.append(vid)
-            else:
-                movers.append(vid)
-        list_order[tier] = kept
-        # Crossers join the tail of the other tier (only 1 -> 2 occurs in
-        # engine traces; the other direction is tolerated for robustness).
-        list_order[2 if tier == 1 else 1].extend(movers)
-    # Newcomers join in id order; ids are unique within a slot, so rows
-    # sort by id.
-    for rows, q in ((tier1, list_order[1]), (tier2, list_order[2])):
-        for r in sorted(rows):
-            if r.vehicle_id not in seen:
-                seen.add(r.vehicle_id)
-                q.append(r.vehicle_id)
+def _follow_lists(order1, order2, ids1, ids2):
+    """Mirror the documented list maintenance from the slot's tier membership.
+
+    ids1 and ids2 are the ids the slot lists in each tier. Ids no longer
+    listed drop out, crossers join the tail of the other list (only
+    1 -> 2 occurs in engine traces; the other direction is tolerated for
+    robustness) and newcomers join the tail of theirs in id order.
+    Returns the two new lists.
+    """
+    in1, in2 = set(ids1), set(ids2)
+    known = set(order1)
+    known.update(order2)
+    return ([vid for vid in order1 if vid in in1] + [vid for vid in order2 if vid in in1]
+            + sorted(in1.difference(known)),
+            [vid for vid in order2 if vid in in2] + [vid for vid in order1 if vid in in2]
+            + sorted(in2.difference(known)))
 
 
-def _rr_expected(list_order, k: int) -> list[int]:
-    n1 = len(list_order[1])
-    k1 = min(k, n1)
-    k2 = min(max(k - n1, 0), len(list_order[2]))
-    return list(list_order[1])[:k1] + list(list_order[2])[:k2]
-
-
-def _rr_rotate(list_order, selected_ids) -> None:
-    for tier in (1, 2):
-        q = list_order[tier]
-        chosen = [vid for vid in q if vid in selected_ids]
-        for vid in chosen:
-            q.remove(vid)
-            q.append(vid)
+def _rotate(order, selected_ids):
+    """The list with its selected ids moved to the tail, in list order."""
+    moved = [vid for vid in order if vid in selected_ids]
+    if not moved:
+        return order
+    return [vid for vid in order if vid not in selected_ids] + moved
 
 
 def write_violations_csv(violations: Sequence[Violation], path) -> None:

@@ -116,16 +116,31 @@ class PolicyState:
 _NO_RANKS = np.zeros(0, dtype=np.int64)
 
 
-def new_policy_state(policy: Policy, fleet: "Fleet") -> PolicyState:
-    """Empty tiers and fresh counters for a run over `fleet`."""
-    need, room = fleet.need.copy(), fleet.room
-    not_full = room > 0
-    joins = not_full.astype(np.uint8)  # 1 (deficit) unless full
-    if policy.use_distance_info:
-        joins += not_full & (need == 0)  # 2 (top-off) if satisfied
+def joining_tiers(fleet: "Fleet") -> dict[bool, bytes]:
+    """The tier each rank joins when it plugs in, keyed by use_distance_info.
+
+    1 (deficit), 2 (top-off) or 0 (none, its battery is full), one byte
+    per rank; without distance information there is no top-off tier. It
+    depends on the fleet alone, so a caller that runs several policies
+    over one fleet builds it once.
+    """
+    not_full = fleet.room > 0
+    single = not_full.astype(np.uint8)  # 1 (deficit) unless full
+    tiered = single + (not_full & (fleet.need == 0))  # 2 (top-off) if satisfied
+    return {False: single.tobytes(), True: tiered.tobytes()}
+
+
+def new_policy_state(policy: Policy, fleet: "Fleet", joins: dict | None = None) -> PolicyState:
+    """Empty tiers and fresh counters for a run over `fleet`.
+
+    joins is `joining_tiers(fleet)`, built here if not given.
+    """
+    if joins is None:
+        joins = joining_tiers(fleet)
+    need = fleet.need.copy()
     return PolicyState(
-        policy=policy, fleet=fleet, need=need, spare=room - need,
-        departure=fleet.expected_departure_slot, joins=joins.tobytes(),
+        policy=policy, fleet=fleet, need=need, spare=fleet.room - need,
+        departure=fleet.expected_departure_slot, joins=joins[policy.use_distance_info],
     )
 
 

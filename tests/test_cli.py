@@ -5,7 +5,7 @@ import csv
 import pytest
 
 from gridshare.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, build_config, run
-from gridshare.policies import POLICY_NAMES
+from gridshare.policies import POLICY_NAMES, parse_policy
 from gridshare.powergrid import CHARGER_PRESETS
 
 TINY_CONFIG = """
@@ -58,6 +58,22 @@ def test_simulate_rejects_sdr_below_one(tiny_config, tmp_path, capsys):
                 "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert "indefinitely" in capsys.readouterr().err
+
+
+def test_simulate_drains_stays_longer_than_sixty_days(tmp_path, capsys):
+    # Stays of 1500-1520 hours (about 63 days): the give-up cap counts 60
+    # days from the day of the last expected departure, so a run that
+    # drains is not stopped 60 days after the day of the last arrival.
+    conf = tmp_path / "experiment.conf"
+    conf.write_text("days=4\narrivals_per_day=20\n"
+                    "duration_min_h=1500\nduration_mean_h=1510\nduration_max_h=1520\n")
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(conf), "--policy", "fcfs", "--sdr", "1.2", "--seed", "1",
+                "--out", str(out)]) == EXIT_OK
+    assert "fcfs sdr=1.2 seed=1" in capsys.readouterr().out
+    rows = read_rows(out / "outcomes.csv")
+    last_arrival_day = max(int(row["arrival_slot"]) for row in rows) // 288
+    assert max(int(row["actual_departure_slot"]) for row in rows) > (last_arrival_day + 61) * 288
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -423,6 +439,51 @@ def test_verify_campaign_clean(tiny_config, tmp_path, capsys):
     assert code == EXIT_OK
     assert "0 audit violation(s), 0 optimum mismatch(es)" in capsys.readouterr().out
     assert read_rows(out / "violations.csv") == []
+
+
+def test_verify_without_minmax_dt_runs_no_search(tiny_config, tmp_path, capsys, monkeypatch):
+    import gridshare.oracle as oracle_mod
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("exhaustive search run without minmax-dt")
+
+    monkeypatch.setattr(oracle_mod, "brute_force_min_max_delay", no_search)
+    out = tmp_path / "out"
+    code = run(["verify", "--config", tiny_config, "--policies", "fcfs,rr",
+                "--instances", "40", "--oracle-seed", "1", "--out", str(out)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == (
+        "verified 40 steady + 20 cycling random instances x 2 policies: "
+        "0 audit violation(s), 0 optimum mismatch(es)\n")
+
+
+@pytest.mark.parametrize("offset", [-1, 1])
+def test_verify_prints_each_optimum_mismatch_exactly(tiny_config, tmp_path, capsys, monkeypatch, offset):
+    # minmax-dt's achieved delay, moved below or above the optimum, must
+    # be reported against the exact optimum, as an unbounded search on
+    # every steady instance reports it.
+    import numpy as np
+
+    import gridshare.oracle as oracle_mod
+
+    real_max_delay = oracle_mod.max_delay
+    monkeypatch.setattr(oracle_mod, "max_delay", lambda outcomes: real_max_delay(outcomes) + offset)
+    rng = np.random.default_rng(2)
+    expected = []
+    for index in range(12):
+        inst = oracle_mod.random_tiny_instance(rng, constant_k=True)
+        achieved = real_max_delay(oracle_mod.run_policy_on_instance(inst, parse_policy("minmax-dt"))) + offset
+        expected.append((index, achieved, oracle_mod.brute_force_min_max_delay(inst)))
+    out = tmp_path / "out"
+    code = run(["verify", "--config", tiny_config, "--policies", "all",
+                "--instances", "12", "--oracle-seed", "2", "--out", str(out)])
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().out.splitlines() == [
+        "verified 12 steady + 6 cycling random instances x 5 policies: "
+        "0 audit violation(s), 12 optimum mismatch(es)",
+        *(f"  instance {index}: achieved max delay {achieved}, optimum {optimum}"
+          for index, achieved, optimum in expected[:10]),
+    ]
 
 
 def test_verify_audit_mode_flags_corruption(tiny_config, tmp_path):

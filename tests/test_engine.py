@@ -15,7 +15,8 @@ from gridshare.units import SLOTS_PER_DAY
 from gridshare.workload import Fleet
 
 from conftest import make_test_vehicle, records, scenario
-from test_differential import scenarios
+from reference_loop import reference_run
+from test_differential import VARIANTS, read_rows, scenarios
 
 
 def simulate(policy_name, vehicles, k_profile, **kw):
@@ -174,26 +175,71 @@ def test_simple_variant_drains_after_its_last_expected_departure():
     assert stats.slots_run == 55
 
 
-@pytest.mark.parametrize("stay, max_slots", [
-    # The later vehicle's stay ends past the day cap: 60 days after day
-    # 1, the day of the last arrival, whatever the first vehicle's day.
-    pytest.param(70 * SLOTS_PER_DAY, (1 + 61) * SLOTS_PER_DAY, id="day-cap"),
+def waiting_fleets(count, seed):
+    """Fleets whose vehicles wait full for many slots: stays far beyond
+    their need, and no room above it."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        vehicles = []
+        for vid in range(int(rng.integers(1, 9))):
+            arrival, need = int(rng.integers(0, 60)), int(rng.integers(0, 4))
+            departure = arrival + need + int(rng.integers(10, 80))
+            vehicles.append(make_test_vehicle(vid, arrival, departure, required=need))
+        yield vehicles, rng.integers(1, 3, size=int(rng.integers(1, 4))).tolist()
+
+
+@pytest.mark.parametrize("policy", VARIANTS, ids=lambda policy: policy.name)
+def test_slots_with_every_plugged_vehicle_waiting_full_are_skipped(policy, monkeypatch, tmp_path):
+    import gridshare.engine as engine_mod
+
+    real_update = engine_mod.update_membership
+    refreshes = []
+
+    def counted_update(*args):
+        refreshes.append(args)
+        return real_update(*args)
+
+    monkeypatch.setattr(engine_mod, "update_membership", counted_update)
+    trace = tmp_path / "trace.csv"
+    for vehicles, k_profile in waiting_fleets(25, seed=16):
+        refreshes.clear()
+        stats = RunStats()
+        outcomes = run_simulation(policy, Fleet.from_vehicles(vehicles, ORACLE_CHARGER), k_profile,
+                                  trace_path=trace, stats=stats)
+        want_outcomes, want_rows, want_slots = reference_run(policy, vehicles, k_profile, 1.0)
+        assert outcomes == want_outcomes
+        # Trace rows carry their slot, so equal rows are equal groups: a
+        # skipped slot sends none, as the reference's empty tiers do not.
+        assert read_rows(trace) == want_rows
+        assert stats.slots_run == want_slots
+        assert len(refreshes) < stats.slots_run
+
+
+@pytest.mark.parametrize("stay, required, max_slots", [
+    # The later vehicle's expected departure, 300 + 70 days, falls on day
+    # 71: the day cap is 60 days after it, whatever the first vehicle's
+    # day, and comes before the drain bound (one 3-slot cycle per
+    # interval of a total need of 6004 intervals).
+    pytest.param(70 * SLOTS_PER_DAY, 6000.0, (71 + 61) * SLOTS_PER_DAY, id="day-cap"),
     # Otherwise the drain bound comes first: the last expected departure
     # plus one 3-slot cycle per interval of total need.
-    pytest.param(10, 300 + 10 + 3 * (4 + 5), id="drain-bound"),
+    pytest.param(10, 5.0, 300 + 10 + 3 * (4 + 5), id="drain-bound"),
 ])
-def test_run_that_cannot_drain_gives_up(monkeypatch, stay, max_slots):
+def test_run_that_cannot_drain_gives_up(monkeypatch, stay, required, max_slots):
     import gridshare.engine as engine_mod
 
     real_update = engine_mod.update_membership
 
+    # A plugged vehicle in no tier, whose departure boundary passes while
+    # it is short of its need: with neither an arrival nor a departure
+    # boundary to skip to, the idle skip stops at the give-up cap.
     def closed_door(state, arrived, satisfied, emptied):
         return real_update(state, (), satisfied, emptied)  # admits no arrival
 
     monkeypatch.setattr(engine_mod, "update_membership", closed_door)
     vehicles = [
         make_test_vehicle(0, 5, 9, required=4.0),
-        make_test_vehicle(1, 300, 300 + stay, required=5.0),
+        make_test_vehicle(1, 300, 300 + stay, required=required),
     ]
     with pytest.raises(RuntimeError, match=f"simulation did not drain within {max_slots} slots$"):
         run_tiny(vehicles, [1, 0, 1])
