@@ -470,10 +470,8 @@ def _follow_lists(order1, order2, ids1, ids2):
 
 def _rotate(order, selected_ids):
     """The list with its selected ids moved to the tail, in list order."""
-    moved = [vid for vid in order if vid in selected_ids]
-    if not moved:
-        return order
-    return [vid for vid in order if vid not in selected_ids] + moved
+    return ([vid for vid in order if vid not in selected_ids]
+            + [vid for vid in order if vid in selected_ids])
 
 
 def write_violations_csv(violations: Sequence[Violation], path) -> None:

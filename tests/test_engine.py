@@ -209,7 +209,8 @@ def test_slots_with_every_plugged_vehicle_waiting_full_are_skipped(policy, monke
         want_outcomes, want_rows, want_slots = reference_run(policy, vehicles, k_profile, 1.0)
         assert outcomes == want_outcomes
         # Trace rows carry their slot, so equal rows are equal groups: a
-        # skipped slot sends none, as the reference's empty tiers do not.
+        # skipped slot sends none, and the reference writes no row for a
+        # slot whose tiers are empty.
         assert read_rows(trace) == want_rows
         assert stats.slots_run == want_slots
         assert len(refreshes) < stats.slots_run

@@ -73,14 +73,11 @@ def test_bounded_search_returns_the_optimum_capped_at_the_bound():
     # Pruning at the bound must never change a result below it, on
     # steady and cycling instances alike.
     rng = np.random.default_rng(16)
-    checked = 0
     for i in range(1000):
         inst = random_tiny_instance(rng, constant_k=i % 2 == 0)
         optimum = brute_force_min_max_delay(inst)
         for bound in (optimum, optimum + 1, int(rng.integers(0, 12))):
             assert brute_force_min_max_delay(inst, bound=bound) == min(optimum, bound), (i, bound)
-            checked += 1
-    assert checked == 3000
 
 
 # --- engine-vs-oracle --------------------------------------------------------
