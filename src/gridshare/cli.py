@@ -355,6 +355,8 @@ def cmd_verify(cfg: ExperimentConfig, args) -> int:
         cfg.policies, np.random.default_rng(args.oracle_seed), args.instances, n_cycling, trace_path)
     _write_atomic(os.path.join(out, "violations.csv"),
                   lambda p: oracle.write_violations_csv(violations, p))
+    _write_atomic(os.path.join(out, "mismatches.csv"),
+                  lambda p: oracle.write_mismatches_csv(mismatches, p))
     print(
         f"verified {args.instances} steady + {n_cycling} cycling random instances "
         f"x {len(cfg.policies)} policies: {len(violations)} audit violation(s), "

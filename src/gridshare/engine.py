@@ -40,7 +40,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .policies import Policy, joining_tiers, new_policy_state, select, update_membership
+from .policies import Policy, departure_keys, joining_tiers, new_policy_state, select, update_membership
 from .units import SLOTS_PER_DAY
 from .workload import Fleet
 
@@ -133,12 +133,15 @@ class RunConstants:
 
     The arrival and expected departure slots as lists (the loop reads
     them vehicle by vehicle), the last expected departure and the total
-    need (they bound the run) and each rank's joining tier. A caller
-    that runs several policies over one fleet builds this once and
-    passes it to each `run_simulation`; a run without one builds its own.
+    need (they bound the run), each rank's joining tier and the packed
+    priority key of each expected departure (`policies.departure_keys`).
+    A caller that runs several policies over one fleet builds this once
+    and passes it to each `run_simulation`; a run without one builds its
+    own.
     """
 
-    __slots__ = ("fleet", "arrivals", "departures", "last_departure", "total_need", "joins")
+    __slots__ = ("fleet", "arrivals", "departures", "last_departure", "total_need", "joins",
+                 "departure_keys")
 
     def __init__(self, fleet: Fleet):
         self.fleet = fleet
@@ -147,6 +150,7 @@ class RunConstants:
         self.last_departure = max(self.departures, default=0)
         self.total_need = int(fleet.need.sum())
         self.joins = joining_tiers(fleet)
+        self.departure_keys = departure_keys(fleet)
 
 
 def run_simulation(
@@ -180,7 +184,7 @@ def run_simulation(
         raise ValueError(
             f"the capacity profile has no charger slot (K = 0 in every slot), but the fleet "
             f"needs {constants.total_need} charging intervals; raise the supply ratio or the arrivals")
-    state = new_policy_state(policy, fleet, constants.joins)
+    state = new_policy_state(policy, fleet, constants)
     if not trace_path:
         return _run_loop(policy, constants, k_profile, trace_sink, stats, state)
     with open(trace_path, "w", newline="", encoding="utf-8") as fh:
@@ -331,7 +335,7 @@ def _run_loop(policy, constants, k_profile, trace, stats, state):
         stats.total_selections += selections
     satisfied_slot = np.array(satisfied_slot, dtype=np.int64)
     left_at = np.array(left_at, dtype=np.int64)
-    departure = state.departure
+    departure = fleet.expected_departure_slot
     _check_departures(fleet, need, departure, satisfied_slot, left_at)
     return Outcomes(fleet.id, fleet.arrival_slot, departure, satisfied_slot, left_at, left_at - departure)
 

@@ -279,7 +279,9 @@ def read_trace(path) -> list[tuple[int, int, list[TraceRow]]]:
     The groups have the form the engine hands its trace sink, so a trace
     read back from its file equals the trace the run produced. A row
     whose tier is not 1 or 2, or whose selected flag is not 0 or 1, is
-    refused: the audit would file it in neither tier.
+    refused: the audit would file it in neither tier. So is a K below 0,
+    which no run has and the audit would take as a count from the end
+    of a list.
     """
     slots: list[tuple[int, int, list[TraceRow]]] = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -294,6 +296,8 @@ def read_trace(path) -> list[tuple[int, int, list[TraceRow]]]:
                 raise ValueError(f"{path}:{lineno}: malformed trace row {raw!r}") from None
             if tier not in (1, 2) or sel not in (0, 1):
                 raise ValueError(f"{path}:{lineno}: tier must be 1 or 2 and selected 0 or 1 in {raw!r}")
+            if k < 0:
+                raise ValueError(f"{path}:{lineno}: k must be 0 or more in {raw!r}")
             row = TraceRow(vid, tier, arr, dep, need, dt, bool(sel))
             if slots and slots[-1][0] == slot:
                 if slots[-1][1] != k:
@@ -480,3 +484,11 @@ def write_violations_csv(violations: Sequence[Violation], path) -> None:
         writer.writerow(["slot", "rule", "detail"])
         for v in violations:
             writer.writerow([v.slot, v.rule, v.detail])
+
+
+def write_mismatches_csv(mismatches: Sequence[tuple[int, int, int]], path) -> None:
+    """One row per optimum mismatch of `verify_campaign`: instance, achieved, optimum."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["instance", "achieved", "optimum"])
+        writer.writerows(mismatches)

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
+    from .engine import RunConstants
     from .workload import Fleet
 
 
@@ -91,29 +92,49 @@ class PolicyState:
     full, and none once it has left. They start from the fleet's counts
     (spare = room - need), and the engine decrements them as it charges,
     so no float arithmetic happens in the loop: a charge decrements need
-    while it is above 0, and spare after that. departure[rank] is the
-    fleet's expected departure slot. All three are int64 arrays indexed
-    by rank.
+    while it is above 0, and spare after that. Both are int64 arrays
+    indexed by rank.
+
+    A priority key packs a primary value above rank_bits bits of rank,
+    which rank_mask recovers (see `_keys`); departure_keys[rank] is the
+    key of the fleet's expected departure slot, `departure_keys(fleet)`.
 
     deficit and topoff are int64 arrays of ranks in list order (head =
     next in line for the rotation policy), refreshed each slot by
     update_membership. A vehicle's priority key is computed from the
-    counters when select needs it, so no key is stored.
+    departure keys and the counters when select needs it, so no priority
+    key is stored.
     """
 
     policy: Policy
     fleet: "Fleet"
     need: np.ndarray
     spare: np.ndarray
-    departure: np.ndarray
     # The tier each rank joins when it plugs in: 1 (deficit), 2
     # (top-off) or 0 (none, its battery is full); one byte per rank.
     joins: bytes
+    departure_keys: np.ndarray
+    rank_bits: int
+    rank_mask: int  # (1 << rank_bits) - 1
     deficit: np.ndarray = field(default_factory=lambda: _NO_RANKS)
     topoff: np.ndarray = field(default_factory=lambda: _NO_RANKS)
 
 
 _NO_RANKS = np.zeros(0, dtype=np.int64)
+
+
+def rank_bits(n: int) -> int:
+    """Bits that hold every rank of a fleet of n vehicles (at least 1)."""
+    return max(1, (n - 1).bit_length())
+
+
+def departure_keys(fleet: "Fleet") -> np.ndarray:
+    """departure << rank_bits | rank for every rank: the packed key of each expected departure.
+
+    It depends on the fleet alone, so a caller that runs several
+    policies over one fleet builds it once.
+    """
+    return np.arange(len(fleet)) | fleet.expected_departure_slot << rank_bits(len(fleet))
 
 
 def joining_tiers(fleet: "Fleet") -> dict[bool, bytes]:
@@ -130,17 +151,22 @@ def joining_tiers(fleet: "Fleet") -> dict[bool, bytes]:
     return {False: single.tobytes(), True: tiered.tobytes()}
 
 
-def new_policy_state(policy: Policy, fleet: "Fleet", joins: dict | None = None) -> PolicyState:
+def new_policy_state(policy: Policy, fleet: "Fleet", constants: "RunConstants | None" = None) -> PolicyState:
     """Empty tiers and fresh counters for a run over `fleet`.
 
-    joins is `joining_tiers(fleet)`, built here if not given.
+    constants is `engine.RunConstants(fleet)`, whose joining tiers and
+    departure keys are used; without it they are built here.
     """
-    if joins is None:
-        joins = joining_tiers(fleet)
+    if constants is None:
+        joins, keys = joining_tiers(fleet), departure_keys(fleet)
+    else:
+        joins, keys = constants.joins, constants.departure_keys
     need = fleet.need.copy()
+    bits = rank_bits(len(fleet))
     return PolicyState(
         policy=policy, fleet=fleet, need=need, spare=fleet.room - need,
-        departure=fleet.expected_departure_slot, joins=joins[policy.use_distance_info],
+        joins=joins[policy.use_distance_info], departure_keys=keys, rank_bits=bits,
+        rank_mask=(1 << bits) - 1,
     )
 
 
@@ -157,48 +183,46 @@ def intervals_for_deficit(required_miles, current_miles, rate_miles_per_slot: fl
 # Least-slack FDFS puts every late vehicle ahead of every vehicle that
 # still has slack: a late primary is shifted down by _LATE, and a slack
 # (t_l - t) - need is above -need > -_LATE. workload.Fleet refuses
-# counters and slots from _LATE up, so every packed key fits in int64
-# for fleets of fewer than 2**31 vehicles.
+# counters and slots from _LATE up, so every primary is below 2**32 in
+# magnitude; a fleet of fewer than 2**31 vehicles packs its ranks in
+# at most 31 bits, so every packed key fits in int64.
 _LATE = 1 << 31
 
 
 def _keys(state: PolicyState, tier: np.ndarray, t: int) -> np.ndarray:
     """Packed priority keys of the ranks in `tier` at slot t; smaller is served earlier.
 
-    A key is primary * len(fleet) + rank, so comparing two keys
-    compares (primary, arrival slot, id), the policy's tuple key, and
-    key % len(fleet) recovers the rank. For fcfs and rr the key is the
+    A key is primary << rank_bits | rank, so comparing two keys compares
+    (primary, arrival slot, id), the policy's tuple key, and the low
+    rank_bits bits recover the rank. For fcfs and rr the key is the
     rank, and `tier` itself is returned; otherwise the keys are a new
-    array, computed in place on the counters gathered for the tier.
+    array, built from the departure keys and the counters gathered for
+    the tier.
     """
     policy = state.policy
     kind = policy.kind
     if kind is PolicyKind.FCFS or kind is PolicyKind.RR:
         return tier
-    n = len(state.need)
     if kind is PolicyKind.MINMAX_ER:
         keys = state.need[tier]
-        keys *= -n
-        keys += tier
-        return keys
-    keys = state.departure[tier]
+        keys <<= state.rank_bits
+        return np.subtract(tier, keys, out=keys)
+    keys = state.departure_keys[tier]
     if kind is PolicyKind.FDFS and not policy.fdfs_least_slack:
         # Late vehicles first by how late they are; descending lateness
         # equals ascending expected departure, which also orders the
         # not-yet-late by earliest departure, so one key covers both.
-        keys *= n
-        keys += tier
         return keys
     needed = state.need[tier]
     if kind is PolicyKind.FDFS:
         # Late vehicles by expected departure, then the rest by slack
-        # (t_l - t) - need; the common -t is dropped.
-        needed[keys <= t] = _LATE
+        # (t_l - t) - need; the common -t is dropped. A vehicle is late
+        # once its expected departure is at most t.
+        needed[keys < (t + 1) << state.rank_bits] = _LATE
     # minmax-dt: descending delay-if-charged-continuously is ascending
     # (departure - slots still needed); least slack orders the same way.
+    needed <<= state.rank_bits
     keys -= needed
-    keys *= n
-    keys += tier
     return keys
 
 
@@ -225,16 +249,15 @@ def update_membership(state: PolicyState, arrived: range,
         if emptied and len(deficit):
             deficit = deficit[(need[deficit] | spare[deficit]).astype(bool)]
     else:
-        # Every top-off vehicle has need 0, so spare alone tells if it is full.
-        if emptied and len(topoff):
-            topoff = topoff[spare[topoff].astype(bool)]
         if satisfied:
             short = need[deficit].astype(bool)
-            movers = deficit[~short]
+            topoff = np.concatenate((topoff, deficit[~short]))
             deficit = deficit[short]
-            if emptied:
-                movers = movers[spare[movers].astype(bool)]
-            topoff = np.concatenate((topoff, movers))
+        # Every top-off vehicle has need 0, so spare alone tells if it is
+        # full; a mover whose spare is 0 filled up as it was satisfied,
+        # which set emptied.
+        if emptied and len(topoff):
+            topoff = topoff[spare[topoff].astype(bool)]
     if arrived:
         joins = state.joins
         joining = [rank for rank in arrived if joins[rank] == 1]
@@ -248,7 +271,7 @@ def update_membership(state: PolicyState, arrived: range,
 
 
 def _pick_by_key(state: PolicyState, tier: np.ndarray, k: int, t: int) -> np.ndarray:
-    """The k ranks of a tier with the smallest keys, in key order (k below the tier size)."""
+    """The k ranks of a tier with the smallest keys, in no particular order (k below the tier size)."""
     if k == 0:
         return _NO_RANKS
     keys = _keys(state, tier, t)
@@ -256,19 +279,18 @@ def _pick_by_key(state: PolicyState, tier: np.ndarray, k: int, t: int) -> np.nda
         keys = tier.copy()
     keys.partition(k - 1)
     keys = keys[:k]
-    keys.sort()
-    keys %= len(state.need)
+    keys &= state.rank_mask
     return keys
 
 
 def select(policy: Policy, state: PolicyState, t: int, K: int) -> np.ndarray:
-    """Ranks of the vehicles switched on this slot, highest priority first.
+    """Ranks of the vehicles switched on this slot: the deficit share, then the top-off share.
 
-    Always returns min(K, eligible) ranks, deficit tier before top-off,
-    so the first min(K, len(state.deficit)) are the deficit tier's. A
-    tier taken whole comes in list order, and keys are computed only for
-    a tier taken in part. fcfs takes the head of its deficit list, which
-    is in rank order (key order) because only arrivals join it.
+    Always returns min(K, eligible) ranks, so the first
+    min(K, len(state.deficit)) are the deficit tier's; within each share
+    the order is unspecified. Keys are computed only for a tier taken in
+    part. fcfs takes the head of its deficit list, which is in rank
+    order (key order) because only arrivals join it.
     The rotation policy moves what it picks to the bottom of its list;
     every other policy leaves the state untouched.
     """

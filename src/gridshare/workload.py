@@ -89,7 +89,7 @@ class WorkloadConfig:
         ):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative")
-        # sample_required_miles redraws until a round trip fits under the
+        # draw_sessions redraws until a round trip fits under the
         # cap: with a positive mean only an exact 0 fits a cap of 0.
         if self.commute_cap_mi == 0.0 and self.one_way_commute_mean_mi > 0.0:
             raise ValueError("commute_cap_mi must be positive while one_way_commute_mean_mi is")
@@ -228,30 +228,39 @@ def sample_arrivals(profile: ArrivalProfile, days: int, rng: np.random.Generator
     return np.repeat(np.arange(days * SLOTS_PER_DAY), counts).tolist()
 
 
-# The samplers draw standard variates and scale them as numpy's
-# rng.normal, rng.exponential and rng.uniform do (loc + scale * z,
-# scale * e, low + (high - low) * u), so they return the same doubles
-# from the same stream while skipping those methods' per-call argument
-# handling.
-def sample_connection_duration(cfg: WorkloadConfig, rng: np.random.Generator) -> int:
-    """Stay length in slots: Normal(mean, std) hours, resampled into bounds."""
-    while True:
-        hours = cfg.duration_mean_h + cfg.duration_std_h * rng.standard_normal()
-        if cfg.duration_min_h <= hours <= cfg.duration_max_h:
-            return hours_to_slots(hours)
+def draw_sessions(cfg: WorkloadConfig, rng: np.random.Generator,
+                  count: int) -> tuple[list[float], list[float], list[float]]:
+    """Stay hours, required miles and initial charge of `count` vehicles, in three lists.
 
-
-def sample_required_miles(cfg: WorkloadConfig, rng: np.random.Generator) -> float:
-    """Required range at departure: capped round-trip commute plus allowances."""
-    while True:
-        round_trip = 2.0 * (cfg.one_way_commute_mean_mi * rng.standard_exponential())
-        if round_trip <= cfg.commute_cap_mi:
-            return round_trip + cfg.extra_daily_mi + cfg.emergency_mi
-
-
-def sample_initial_charge(cfg: WorkloadConfig, rng: np.random.Generator) -> float:
-    """Charge already in the battery on arrival, uniform from 0 to the max."""
-    return 0.0 + cfg.initial_charge_max_mi * rng.random()
+    Each vehicle draws in turn: its stay, Normal(mean, std) hours
+    redrawn until within bounds; then its requirement, a round-trip
+    commute of twice an Exponential(mean) one-way trip, redrawn until
+    within the cap, plus the daily and emergency allowances; then its
+    initial charge, Uniform from 0 to the max. Standard variates are
+    scaled as numpy's rng.normal, rng.exponential and rng.uniform scale
+    them (loc + scale * z, scale * e, low + (high - low) * u), so the
+    draws are those methods' doubles from the same stream, without
+    their per-call argument handling.
+    """
+    normal, exponential, uniform = rng.standard_normal, rng.standard_exponential, rng.random
+    mean, std, low, high = cfg.duration_mean_h, cfg.duration_std_h, cfg.duration_min_h, cfg.duration_max_h
+    commute, cap = cfg.one_way_commute_mean_mi, cfg.commute_cap_mi
+    extra, emergency, top = cfg.extra_daily_mi, cfg.emergency_mi, cfg.initial_charge_max_mi
+    hours, required, initial = [], [], []
+    add_hours, add_required, add_initial = hours.append, required.append, initial.append
+    for _ in range(count):
+        stay = mean + std * normal()
+        while not low <= stay <= high:
+            stay = mean + std * normal()
+        add_hours(stay)
+        round_trip = 2.0 * (commute * exponential())
+        while not round_trip <= cap:
+            round_trip = 2.0 * (commute * exponential())
+        add_required(round_trip + extra + emergency)
+        # numpy's low + (high - low) * u with low = 0: the product is
+        # never -0.0, so adding 0.0 would change nothing.
+        add_initial(top * uniform())
+    return hours, required, initial
 
 
 def generate_fleet(
@@ -263,21 +272,15 @@ def generate_fleet(
     """Deterministic fleet for (cfg, profile, charger, seed).
 
     Arrivals and per-vehicle attributes come from separate substreams of
-    the seed, consumed in arrival order, so sampled values depend only on
-    a vehicle's place in the arrival sequence and never on its id.
+    the seed; the attributes are drawn by `draw_sessions` in arrival
+    order, so sampled values depend only on a vehicle's place in the
+    arrival sequence and never on its id. Stays are rounded to whole
+    slots as one column.
     """
     arrival_ss, attrs_ss = np.random.SeedSequence(seed).spawn(2)
     arrivals = sample_arrivals(profile, cfg.days, np.random.default_rng(arrival_ss))
-    rng = np.random.default_rng(attrs_ss)
-    # Each vehicle draws its stay, then its requirement, then its initial
-    # charge: a tuple's items are evaluated left to right.
-    draws = [
-        (sample_connection_duration(cfg, rng), sample_required_miles(cfg, rng),
-         sample_initial_charge(cfg, rng))
-        for _ in arrivals
-    ]
-    stay, required, initial = zip(*draws) if draws else ((), (), ())
-    return Fleet(charger, arrivals, stay, required, initial, cfg.battery_capacity_miles)
+    hours, required, initial = draw_sessions(cfg, np.random.default_rng(attrs_ss), len(arrivals))
+    return Fleet(charger, arrivals, hours_to_slots(hours), required, initial, cfg.battery_capacity_miles)
 
 
 def adjusted_departure_fraction(fleet: Fleet) -> float:

@@ -439,6 +439,7 @@ def test_verify_campaign_clean(tiny_config, tmp_path, capsys):
     assert code == EXIT_OK
     assert "0 audit violation(s), 0 optimum mismatch(es)" in capsys.readouterr().out
     assert read_rows(out / "violations.csv") == []
+    assert read_rows(out / "mismatches.csv") == []
 
 
 def test_verify_without_minmax_dt_runs_no_search(tiny_config, tmp_path, capsys, monkeypatch):
@@ -487,6 +488,27 @@ def test_verify_prints_each_optimum_mismatch_exactly(tiny_config, tmp_path, caps
     ]
 
 
+def test_verify_writes_every_optimum_mismatch(tiny_config, tmp_path, capsys, monkeypatch):
+    # Stdout lists the first 10; mismatches.csv keeps them all.
+    import gridshare.oracle as oracle_mod
+
+    real_max_delay = oracle_mod.max_delay
+    monkeypatch.setattr(oracle_mod, "max_delay", lambda outcomes: real_max_delay(outcomes) + 1)
+    out = tmp_path / "out"
+    code = run(["verify", "--config", tiny_config, "--policies", "minmax-dt",
+                "--instances", "500", "--oracle-seed", "1", "--out", str(out)])
+    assert code == EXIT_RUNTIME
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("0 audit violation(s), 500 optimum mismatch(es)")
+    rows = read_rows(out / "mismatches.csv")
+    assert [int(row["instance"]) for row in rows] == list(range(500))
+    # minmax-dt meets the optimum on steady instances, so each is one above.
+    assert all(int(row["achieved"]) == int(row["optimum"]) + 1 for row in rows)
+    assert lines[1:] == [f"  instance {row['instance']}: achieved max delay {row['achieved']}, "
+                         f"optimum {row['optimum']}" for row in rows[:10]]
+    assert read_rows(out / "violations.csv") == []
+
+
 def test_verify_audit_mode_flags_corruption(tiny_config, tmp_path):
     out = tmp_path / "out"
     assert run(["simulate", "--config", tiny_config, "--trace", "--out", str(out)]) == EXIT_OK
@@ -522,6 +544,30 @@ def test_verify_audit_mode_refuses_a_row_outside_both_tiers(tiny_config, tmp_pat
                 "--audit-trace", str(bad), "--out", str(out)])
     assert code == EXIT_CONFIG
     assert "bad-trace.csv:2: tier must be 1 or 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_audit_mode_refuses_a_negative_k(tiny_config, tmp_path, capsys):
+    trace_dir = tmp_path / "run"
+    assert run(["simulate", "--config", tiny_config, "--policy", "rr", "--trace",
+                "--out", str(trace_dir)]) == EXIT_OK
+    capsys.readouterr()
+    lines = (trace_dir / "trace.csv").read_text().splitlines()
+    slot = lines[1].split(",")[0]
+    for i, line in enumerate(lines[1:], start=1):  # every row of the first slot
+        fields = line.split(",")
+        if fields[0] == slot:
+            fields[1] = "-1"
+            lines[i] = ",".join(fields)
+    bad = tmp_path / "bad-trace.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    code = run(["verify", "--config", tiny_config, "--policy", "rr",
+                "--audit-trace", str(bad), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "bad-trace.csv:2: k must be 0 or more" in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 

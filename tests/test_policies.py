@@ -43,6 +43,16 @@ def rank(state, vid):
     return state.fleet.id.tolist().index(vid)
 
 
+def assert_served_in_order(policy, state, t, order):
+    """For every k, select at slot t takes the first k of `order` (ids).
+
+    select's picks come in no particular order, so the order is pinned
+    one k at a time, each by the set it picks.
+    """
+    for k in range(1, len(order) + 1):
+        assert set(ids(state, select(policy, state, t, k))) == set(order[:k]), f"k={k}"
+
+
 @pytest.fixture
 def state_for(unit_charger):
     def make(policy, vehicles):
@@ -112,7 +122,7 @@ def test_minmax_dt_takes_largest_delays(state_for, unit_charger):
     b = make_test_vehicle(2, 0, 20, required=10.0, current=0.0)
     c = make_test_vehicle(3, 0, 22, required=10.0, current=0.0)
     state = state_for(policy, [a, b, c])
-    assert set(ids(state, select(policy, state, 10, 2))) == {1, 2}
+    assert_served_in_order(policy, state, 10, [1, 2, 3])
 
 
 def test_all_eligible_selected_when_capacity_suffices(state_for):
@@ -148,7 +158,7 @@ def test_fcfs_orders_by_arrival(state_for):
         make_test_vehicle(2, 20, 300, required=10.0, current=0.0),
     ]
     state = state_for(policy, vehicles)
-    assert ids(state, select(policy, state, 40, 2)) == [7, 2]
+    assert_served_in_order(policy, state, 40, [7, 2, 5])
 
 
 def test_fdfs_prefers_most_delayed_then_earliest_departure(state_for):
@@ -158,7 +168,7 @@ def test_fdfs_prefers_most_delayed_then_earliest_departure(state_for):
     soon = make_test_vehicle(3, 0, 30, required=30.0, current=0.0)
     later = make_test_vehicle(4, 0, 40, required=30.0, current=0.0)
     state = state_for(policy, [late_big, late_small, soon, later])
-    assert ids(state, select(policy, state, 10, 3)) == [1, 2, 3]
+    assert_served_in_order(policy, state, 10, [1, 2, 3, 4])
 
 
 def test_fdfs_least_slack_variant_orders_by_slack(state_for):
@@ -167,11 +177,11 @@ def test_fdfs_least_slack_variant_orders_by_slack(state_for):
     a = make_test_vehicle(1, 0, 20, required=15.0, current=0.0)
     b = make_test_vehicle(2, 0, 30, required=28.0, current=0.0)
     state = state_for(policy, [a, b])
-    assert ids(state, select(policy, state, 0, 1)) == [2]
+    assert_served_in_order(policy, state, 0, [2, 1])
     # Default reading picks the earlier departure instead.
     default = parse_policy("fdfs")
     state2 = state_for(default, [a, b])
-    assert ids(state2, select(default, state2, 0, 1)) == [1]
+    assert_served_in_order(default, state2, 0, [1, 2])
 
 
 def test_minmax_er_takes_largest_remaining_need(state_for):
@@ -179,7 +189,7 @@ def test_minmax_er_takes_largest_remaining_need(state_for):
     small = make_test_vehicle(1, 0, 99, required=5.0, current=0.0)
     big = make_test_vehicle(2, 5, 99, required=50.0, current=0.0)
     state = state_for(policy, [small, big])
-    assert ids(state, select(policy, state, 10, 1)) == [2]
+    assert_served_in_order(policy, state, 10, [2, 1])
 
 
 def test_ties_break_by_arrival_then_id(state_for):
@@ -190,7 +200,7 @@ def test_ties_break_by_arrival_then_id(state_for):
         make_test_vehicle(5, 2, 99, required=10.0, current=0.0),
     ]
     state = state_for(policy, vehicles)
-    assert ids(state, select(policy, state, 5, 2)) == [5, 3]
+    assert_served_in_order(policy, state, 5, [5, 3, 9])
 
 
 # --- membership maintenance -------------------------------------------------
@@ -336,6 +346,59 @@ def test_top_k_property_for_sorted_policies(scenario, name):
     # Tier ordering: top-off charged only when every deficit vehicle was.
     if any(v in picked for v in state.topoff):
         assert all(v in picked for v in state.deficit)
+
+
+def keyed_vehicles(rng, n, satisfied_share):
+    """n plugged vehicles with few distinct counters, so many keys tie
+    on their primary; about satisfied_share of them start in the top-off
+    tier, and none is full. Ids are unique and not in arrival order."""
+    vehicles = []
+    for vid in rng.permutation(3 * n)[:n].tolist():
+        arrival = int(rng.integers(0, 6))
+        current = int(rng.integers(0, 5))
+        need = 0 if rng.random() < satisfied_share else int(rng.integers(1, 8))
+        capacity = current + need + int(rng.integers(1, 4))
+        departure = arrival + int(rng.integers(1, 30))
+        vehicles.append(make_test_vehicle(vid, arrival, departure, required=current + need,
+                                          current=current, capacity=capacity))
+    return vehicles
+
+
+# Up to 256 rows this numpy build's partition returns the first k sorted,
+# and above that unsorted; the sizes also straddle powers of two, where
+# the number of rank bits in a packed key changes.
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 255, 256, 257, 511, 512, 513])
+@pytest.mark.parametrize("name", ["fdfs", "fdfs-slack", "minmax-er", "minmax-dt"])
+def test_select_takes_the_top_k_set_of_each_tier(name, n, unit_charger):
+    policy = parse_policy(name)
+    rng = np.random.default_rng(n)
+    t = 15  # departures fall in slots 1..35, so some vehicles are late
+    largest_tier = late = 0
+    for satisfied_share in (0.0, 0.1, 0.5, 0.9, 1.0):
+        vehicles = keyed_vehicles(rng, n, satisfied_share)
+        state = plugged_state(policy, unit_charger, vehicles)
+        plugged = in_arrival_order(vehicles)
+        tiers = [state.deficit.tolist(), state.topoff.tolist()]
+        keys = {r: priority_key(policy, t, v, 1.0) for r, v in enumerate(plugged)}
+        ranked = [sorted(tier, key=keys.get) for tier in tiers]
+        largest_tier = max(largest_tier, *map(len, tiers))
+        # Cuts at the late vehicles of each tier: fdfs-slack serves them first.
+        late_counts = [sum(plugged[r].expected_departure_slot <= t for r in tier) for tier in tiers]
+        late += sum(late_counts)
+        cuts = {1, 2, len(tiers[0]) - 1, len(tiers[0]), len(tiers[0]) + 1,
+                len(tiers[0]) + len(tiers[1]) // 2, n - 1, n, int(rng.integers(0, n + 1))}
+        for late_count in (late_counts[0], len(tiers[0]) + late_counts[1]):
+            cuts.update((late_count - 1, late_count, late_count + 1))
+        for K in sorted(cuts):
+            if K < 0:
+                continue
+            picked = select(policy, state, t, K).tolist()
+            k1 = min(K, len(tiers[0]))
+            k2 = min(K - k1, len(tiers[1]))
+            assert len(picked) == k1 + k2
+            assert set(picked[:k1]) == set(ranked[0][:k1]), f"deficit tier, K={K}"
+            assert set(picked[k1:]) == set(ranked[1][:k2]), f"top-off tier, K={K}"
+    assert largest_tier == n and (late or n < 5)
 
 
 @settings(max_examples=60, deadline=None)

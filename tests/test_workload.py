@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from gridshare import workload
 from gridshare.policies import intervals_for_deficit
 from gridshare.powergrid import charger_preset
 from gridshare.workload import (
@@ -15,19 +14,38 @@ from gridshare.workload import (
     Fleet,
     Vehicle,
     adjusted_departure_fraction,
+    draw_sessions,
     dump_fleet_csv,
     generate_fleet,
     sample_arrivals,
-    sample_connection_duration,
-    sample_initial_charge,
-    sample_required_miles,
 )
+from gridshare.units import hours_to_slots
 
 from conftest import make_test_vehicle, scenario
 
 
 def rng(seed=1):
     return np.random.default_rng(seed)
+
+
+def stays(cfg, seed, count):
+    """Stays in slots of `count` vehicles drawn from a generator seeded with seed."""
+    return hours_to_slots(draw_sessions(cfg, rng(seed), count)[0]).tolist()
+
+
+def numpy_session(cfg, r):
+    """One vehicle's stay hours, requirement and initial charge, drawn in turn
+    with numpy's distribution methods."""
+    while True:
+        hours = r.normal(cfg.duration_mean_h, cfg.duration_std_h)
+        if cfg.duration_min_h <= hours <= cfg.duration_max_h:
+            break
+    while True:
+        round_trip = 2.0 * r.exponential(cfg.one_way_commute_mean_mi)
+        if round_trip <= cfg.commute_cap_mi:
+            break
+    required = round_trip + cfg.extra_daily_mi + cfg.emergency_mi
+    return hours, required, r.uniform(0.0, cfg.initial_charge_max_mi)
 
 
 # --- arrival profile -------------------------------------------------------
@@ -105,26 +123,29 @@ def truncated_normal_mean(mu, sigma, lo, hi):
 
 def test_duration_always_inside_truncation_bounds():
     cfg = scenario().base.workload
-    r = rng(3)
-    for _ in range(2000):
-        s = sample_connection_duration(cfg, r)
-        assert 72 <= s <= 264
+    assert all(72 <= s <= 264 for s in stays(cfg, 3, 2000))
 
 
 def test_duration_degenerate_zero_std_is_point_mass():
     cfg = scenario(duration_std_h=0).base.workload
-    r = rng(3)
-    assert all(sample_connection_duration(cfg, r) == 168 for _ in range(20))
+    assert stays(cfg, 3, 20) == [168] * 20
 
 
 def test_duration_mean_matches_truncated_normal_oracle():
     cfg = scenario().base.workload
-    r = rng(11)
     n = 100_000
-    mean_slots = sum(sample_connection_duration(cfg, r) for _ in range(n)) / n
+    mean_slots = sum(stays(cfg, 11, n)) / n
     expected_h = truncated_normal_mean(14.0, 4.0, 6.0, 22.0)
     assert expected_h == pytest.approx(14.0)  # symmetric bounds
     assert abs(mean_slots / 12.0 - expected_h) < 0.2
+
+
+def test_stays_round_to_slots_as_round_does():
+    # Ties go to even: k / 24 hours is k / 2 slots, so every odd k is a
+    # tie (6.125 h is 73.5 slots, rounded to 74).
+    hours = draw_sessions(scenario().base.workload, rng(6), 5000)[0]
+    hours += [k / 24 for k in range(0, 540)]
+    assert hours_to_slots(hours).tolist() == [round(h * 12) for h in hours]
 
 
 # --- required miles --------------------------------------------------------
@@ -132,15 +153,14 @@ def test_duration_mean_matches_truncated_normal_oracle():
 
 def test_required_miles_floor_when_commute_is_zero():
     cfg = scenario(one_way_commute_mean_mi=0).base.workload
-    assert sample_required_miles(cfg, rng(2)) == pytest.approx(30.0)
+    assert draw_sessions(cfg, rng(2), 1)[1] == [pytest.approx(30.0)]
 
 
 def test_required_miles_bounded_by_cap_plus_allowances():
     cfg = scenario().base.workload
     # The cap plus the fixed allowances exactly fills the default battery.
     assert cfg.commute_cap_mi + cfg.extra_daily_mi + cfg.emergency_mi == pytest.approx(100.0)
-    r = rng(4)
-    samples = [sample_required_miles(cfg, r) for _ in range(20_000)]
+    samples = draw_sessions(cfg, rng(4), 20_000)[1]
     assert all(30.0 < s <= 100.0 for s in samples)
 
 
@@ -152,9 +172,8 @@ def test_required_miles_matches_truncated_exponential_cdf():
     def oracle_cdf(x):
         return (1.0 - math.exp(-x / scale)) / (1.0 - math.exp(-cap / scale))
 
-    r = rng(12)
     n = 100_000
-    round_trips = np.sort([sample_required_miles(cfg, r) - 30.0 for _ in range(n)])
+    round_trips = np.sort([s - 30.0 for s in draw_sessions(cfg, rng(12), n)[1]])
     grid = np.arange(1, n + 1) / n
     theo = np.array([oracle_cdf(x) for x in round_trips])
     ks = max(np.max(np.abs(theo - grid)), np.max(np.abs(theo - (grid - 1.0 / n))))
@@ -166,17 +185,15 @@ def test_required_miles_matches_truncated_exponential_cdf():
 
 def test_initial_charge_bounds_and_degenerate_zero():
     cfg = scenario().base.workload
-    r = rng(5)
-    assert all(0.0 <= sample_initial_charge(cfg, r) <= 30.0 for _ in range(2000))
+    assert all(0.0 <= c <= 30.0 for c in draw_sessions(cfg, rng(5), 2000)[2])
     zero_cfg = scenario(initial_charge_max_mi=0).base.workload
-    assert sample_initial_charge(zero_cfg, r) == 0.0
+    assert draw_sessions(zero_cfg, rng(5), 1)[2] == [0.0]
 
 
 def test_initial_charge_mean_matches_uniform_oracle():
     cfg = scenario().base.workload
-    r = rng(13)
     n = 100_000
-    mean = sum(sample_initial_charge(cfg, r) for _ in range(n)) / n
+    mean = sum(draw_sessions(cfg, rng(13), n)[2]) / n
     assert abs(mean - 15.0) < 0.2
 
 
@@ -188,25 +205,23 @@ def test_initial_charge_mean_matches_uniform_oracle():
     {"duration_mean_h": 13.3, "duration_std_h": 5.7, "one_way_commute_mean_mi": 17.9,
      "initial_charge_max_mi": 27.3},
 ], ids=["default", "odd-parameters"])
-def test_samplers_draw_what_numpy_distribution_methods_draw(monkeypatch, overrides):
-    """Each sampler returns exactly the double that rng.normal, rng.exponential
-    or rng.uniform returns from the same stream, and consumes the same bits."""
-    monkeypatch.setattr(workload, "hours_to_slots", lambda hours: hours)  # keep the sampled hours
+def test_samplers_draw_what_numpy_distribution_methods_draw(overrides):
+    """Each draw is exactly the double that rng.normal, rng.exponential or
+    rng.uniform returns from the same stream, and the draws consume the same bits."""
     cfg = scenario(**overrides).base.workload
     ours, numpys = rng(21), rng(21)
-    for _ in range(5000):
-        while True:
-            hours = numpys.normal(cfg.duration_mean_h, cfg.duration_std_h)
-            if cfg.duration_min_h <= hours <= cfg.duration_max_h:
-                break
-        assert sample_connection_duration(cfg, ours) == hours
-        while True:
-            round_trip = 2.0 * numpys.exponential(cfg.one_way_commute_mean_mi)
-            if round_trip <= cfg.commute_cap_mi:
-                break
-        assert sample_required_miles(cfg, ours) == round_trip + cfg.extra_daily_mi + cfg.emergency_mi
-        assert sample_initial_charge(cfg, ours) == numpys.uniform(0.0, cfg.initial_charge_max_mi)
+    drawn = draw_sessions(cfg, ours, 5000)
+    assert [len(column) for column in drawn] == [5000] * 3
+    for session in zip(*drawn):
+        assert session == numpy_session(cfg, numpys)
     assert ours.bit_generator.state == numpys.bit_generator.state
+
+
+def test_no_sessions_draw_nothing():
+    r = rng(21)
+    before = r.bit_generator.state
+    assert draw_sessions(scenario().base.workload, r, 0) == ([], [], [])
+    assert r.bit_generator.state == before
 
 
 # --- fleet assembly and session checks -------------------------------------
@@ -326,9 +341,8 @@ def test_fleet_draws_each_vehicle_in_turn(small_fleet):
     r = np.random.default_rng(attrs_ss)
     for stay, required, initial in zip(fleet.connected_slots.tolist(), fleet.required_miles.tolist(),
                                        fleet.initial_miles.tolist()):
-        assert sample_connection_duration(cfg, r) == stay
-        assert sample_required_miles(cfg, r) == required
-        assert sample_initial_charge(cfg, r) == initial
+        hours, want_required, want_initial = numpy_session(cfg, r)
+        assert (stay, required, initial) == (round(hours * 12), want_required, want_initial)
 
 
 def test_fleet_respects_distribution_bounds(small_fleet):
