@@ -364,9 +364,9 @@ def keyed_vehicles(rng, n, satisfied_share):
     return vehicles
 
 
-# Up to 256 rows this numpy build's partition returns the first k sorted,
-# and above that unsorted; the sizes also straddle powers of two, where
-# the number of rank bits in a packed key changes.
+# For up to 256 int64 rows numpy 2.4's partition returns the first k
+# sorted, and above that in general unsorted; the sizes also straddle
+# powers of two, where the number of rank bits in a packed key changes.
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 255, 256, 257, 511, 512, 513])
 @pytest.mark.parametrize("name", ["fdfs", "fdfs-slack", "minmax-er", "minmax-dt"])
 def test_select_takes_the_top_k_set_of_each_tier(name, n, unit_charger):
