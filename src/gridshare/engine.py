@@ -5,8 +5,12 @@ top-off tiers, the capacity profile yields K charger slots, the policy
 picks that many vehicles, each selected vehicle gains one interval of
 charge, and vehicles that have reached both their expected departure
 boundary and their required charge leave. The loop runs past the
-arrival horizon until every vehicle has departed, reusing the
-day-periodic capacity profile.
+arrival horizon, reusing the day-periodic capacity profile, until every
+vehicle whose outcome the caller reads has departed: by default every
+vehicle, or the contiguous ranks the caller names. The engine is
+causal, so a vehicle's outcome does not depend on the slots after it
+left, and a run stopped at a range gives that range the rows of the
+full run.
 
 A vehicle is named by its rank, its row in the run's `workload.Fleet`,
 whose rows come in arrival order. The counters live in int64 arrays
@@ -21,9 +25,9 @@ arrival or departure boundary; skipped slots still count. The tiers
 are refreshed only in a slot where one can change. The run returns one
 `Outcomes` table, built as columns from the satisfied and departure
 slots after the loop, once the conservation checks on them have
-passed. It holds what the run decided, for every vehicle: which
-vehicles a metric counts, and whether a delay makes a vehicle late, is
-for `metrics` to say.
+passed. It holds what the run decided, for every vehicle of the range:
+which vehicles a metric counts, and whether a delay makes a vehicle
+late, is for `metrics` to say.
 
 A traced run hands its trace to a sink, one `(slot, k, rows)` group per
 slot with a candidate: rows are `TraceRow`s, the deficit tier and then
@@ -158,20 +162,25 @@ def run_simulation(
     fleet: Fleet,
     k_profile: Sequence[int],
     *,
+    ranks: range | None = None,
     constants: RunConstants | None = None,
     trace_path=None,
     trace_sink=None,
     stats: RunStats | None = None,
 ) -> Outcomes:
-    """Simulate one policy over the whole fleet; one outcome row per vehicle.
+    """Simulate one policy over the fleet; one outcome row per vehicle of ranks.
 
     The fleet is not changed. k_profile is K for each slot of one
     capacity period (a day for a calibrated grid); it is cycled, so
-    post-horizon slots see the same pattern. constants, if given, is
-    `RunConstants(fleet)`. Raises ValueError before the loop if the
-    fleet needs charge and no slot has capacity, and RuntimeError if the
-    run has not drained 60 days after the day of the last expected
-    departure, or by the drain bound if that comes first.
+    post-horizon slots see the same pattern. ranks (default: every
+    rank) are the contiguous fleet rows whose outcomes the caller reads:
+    the loop ends at the boundary where the last of them leaves, and
+    only their rows are returned. constants, if given, is
+    `RunConstants(fleet)`. Raises ValueError before the loop if ranks is
+    not a step-1 range inside the fleet, or if the fleet needs charge
+    and no slot has capacity, and RuntimeError if the run has not ended
+    60 days after the day of the last expected departure, or by the
+    drain bound if that comes first.
 
     trace_sink, if given, is called with each slot's (slot, k, rows)
     group; trace_path, if given, receives the same groups as trace.csv.
@@ -184,9 +193,13 @@ def run_simulation(
         raise ValueError(
             f"the capacity profile has no charger slot (K = 0 in every slot), but the fleet "
             f"needs {constants.total_need} charging intervals; raise the supply ratio or the arrivals")
+    if ranks is None:
+        ranks = range(len(fleet))
+    elif not (ranks.step == 1 and 0 <= ranks.start <= ranks.stop <= len(fleet)):
+        raise ValueError(f"{ranks} is not a step-1 range of the fleet's {len(fleet)} ranks")
     state = new_policy_state(policy, fleet, constants)
     if not trace_path:
-        return _run_loop(policy, constants, k_profile, trace_sink, stats, state)
+        return _run_loop(policy, constants, k_profile, ranks, trace_sink, stats, state)
     with open(trace_path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_TRACE_HEADER)
         write = csv_trace_sink(fh)
@@ -196,10 +209,10 @@ def run_simulation(
             def sink(group):
                 trace_sink(group)
                 write(group)
-        return _run_loop(policy, constants, k_profile, sink, stats, state)
+        return _run_loop(policy, constants, k_profile, ranks, sink, stats, state)
 
 
-def _run_loop(policy, constants, k_profile, trace, stats, state):
+def _run_loop(policy, constants, k_profile, ranks, trace, stats, state):
     # Ids appear only in outcomes and trace rows. Work done once per pick
     # or per candidate is done on whole arrays; work done once per
     # vehicle (arriving, being satisfied, leaving) is done rank by rank,
@@ -231,6 +244,8 @@ def _run_loop(policy, constants, k_profile, trace, stats, state):
         # interval of total need after the last expected departure.
         max_slots = min(max_slots, constants.last_departure + cycle * constants.total_need)
     plugged = 0        # arrived and not yet departed
+    first_read, stop = ranks.start, ranks.stop
+    remaining = stop - first_read  # vehicles of ranks yet to depart
     selections = 0
     # Whether a vehicle's need, or a satisfied vehicle's spare, reached 0
     # at the last boundary.
@@ -239,7 +254,7 @@ def _run_loop(policy, constants, k_profile, trace, stats, state):
     idle = True
     next_arrival = 0
     t = 0
-    while next_arrival < n or plugged:
+    while remaining:
         if idle:
             # Both tiers are empty and only an arrival fills them, so the
             # slots before the next arrival select nothing and change
@@ -326,6 +341,8 @@ def _run_loop(policy, constants, k_profile, trace, stats, state):
             left_at[rank] = boundary
             spare[rank] = 0  # a vehicle that left takes no more charge
             plugged -= 1
+            if first_read <= rank < stop:
+                remaining -= 1
             emptied = True
         idle = not (eligible and plugged)
         t = boundary
@@ -336,19 +353,25 @@ def _run_loop(policy, constants, k_profile, trace, stats, state):
     satisfied_slot = np.array(satisfied_slot, dtype=np.int64)
     left_at = np.array(left_at, dtype=np.int64)
     departure = fleet.expected_departure_slot
-    _check_departures(fleet, need, departure, satisfied_slot, left_at)
-    return Outcomes(fleet.id, fleet.arrival_slot, departure, satisfied_slot, left_at, left_at - departure)
+    read = slice(first_read, stop)
+    _check_departures(fleet, need, departure, satisfied_slot, left_at, read)
+    left_at = left_at[read]
+    return Outcomes(fleet.id[read], fleet.arrival_slot[read], departure[read], satisfied_slot[read],
+                    left_at, left_at - departure[read])
 
 
-def _check_departures(fleet, need, departure, satisfied_slot, left_at) -> None:
-    """Every vehicle left, with its need met, at max(expected departure, satisfied slot)."""
-    if len(left_at) and left_at.min() < 0:
+def _check_departures(fleet, need, departure, satisfied_slot, left_at, read) -> None:
+    """Every vehicle of the read slice left; every vehicle that left had its need met
+    and left at max(expected departure, satisfied slot)."""
+    if read.stop > read.start and left_at[read].min() < 0:
         raise SimulationInvariantError("missing outcomes for some vehicles")
-    if np.count_nonzero(need):
-        rank = need.argmax()
+    left = left_at >= 0
+    short = need * left
+    if np.count_nonzero(short):
+        rank = short.argmax()
         raise SimulationInvariantError(
             f"vehicle {fleet.id[rank]} departed {need[rank]} intervals short")
-    wrong = left_at != np.maximum(satisfied_slot, departure)
+    wrong = (left_at != np.maximum(satisfied_slot, departure)) & left
     if np.count_nonzero(wrong):
         rank = wrong.argmax()
         raise SimulationInvariantError(

@@ -8,6 +8,11 @@ arrival days between the warm-up and the tail) and checks it when it
 is built, and a cell reads the delays of the engine's `Outcomes` rows
 whose arrival falls inside it. A sweep runs one simulation per grid
 cell, optionally across a process pool, and appends seed-averaged rows.
+Fleet rows come in arrival order, so the measured vehicles are one run
+of ranks (`SweepBase.measured_ranks`): a sweep cell asks the engine for
+those ranks only, and its run ends once the last of them has left. A
+direct `run_cell` (what `simulate` runs) still simulates every vehicle,
+since `outcomes.csv` lists them all.
 
 A cell's fleet and its required energy depend only on its fleet key
 (workload, arrival profile, charger, seed), not on the policy or the
@@ -73,30 +78,44 @@ class SweepBase:
         if self.warmup_days < 0:
             raise ValueError(f"warmup_days must be 0 or more, not {self.warmup_days}")
         if not self.warmup_days < self.last_measured_day < self.workload.days:
-            raise ValueError("need warmup_days < last_measured_day < days")
+            raise ValueError(
+                f"need warmup_days < last_measured_day < days, but warmup_days={self.warmup_days}, "
+                f"last_measured_day={self.last_measured_day} and days={self.workload.days}: "
+                "set warmup_days and last_measured_day, or raise days (--days)")
 
     def measured(self, arrival_slot: np.ndarray) -> np.ndarray:
         """Which arrivals fall in the measurement window: zero-based days warmup_days to last_measured_day - 1."""
         return ((arrival_slot >= self.warmup_days * SLOTS_PER_DAY)
                 & (arrival_slot < self.last_measured_day * SLOTS_PER_DAY))
 
+    def measured_ranks(self, arrival_slot: np.ndarray) -> range:
+        """The ranks `measured` selects, for arrival slots in ascending order (a fleet's)."""
+        first, stop = np.searchsorted(
+            arrival_slot, (self.warmup_days * SLOTS_PER_DAY, self.last_measured_day * SLOTS_PER_DAY))
+        return range(int(first), int(stop))
+
 
 def run_cell(
-    base: SweepBase, policy: Policy, sdr: float, seed: int, trace_path=None, memo=None
+    base: SweepBase, policy: Policy, sdr: float, seed: int, trace_path=None, memo=None,
+    measured_only: bool = False,
 ) -> tuple[MetricsReport, Outcomes]:
     """Generate the seed's fleet, calibrate, simulate, and summarize.
 
-    Returns the cell's report and every vehicle's outcome; trace_path,
-    if given, receives the engine's per-slot trace. memo is the fleet
-    memo of the `run_cells` call running this cell; without one the
-    fleet is generated afresh.
+    Returns the cell's report and every vehicle's outcome, or with
+    measured_only the measured vehicles' outcomes from a run that ends
+    once the last of them has left; the report is the same either way.
+    trace_path, if given, receives the engine's per-slot trace. memo is
+    the fleet memo of the `run_cells` call running this cell; without
+    one the fleet is generated afresh.
     """
     fleet, tpr = _seed_work(base, seed, {} if memo is None else memo)
     grid = make_grid(base.shape, tpr, sdr, base.peak_other_fraction)
+    ranks = base.measured_ranks(fleet.arrival_slot) if measured_only else None
     # Nothing here reads the stats; the benchmark's engine span hooks read
     # them from the `stats` keyword.
     outcomes = run_simulation(
-        policy, fleet, day_capacity_profile(grid, base.charger), stats=RunStats(), trace_path=trace_path,
+        policy, fleet, day_capacity_profile(grid, base.charger), ranks=ranks, stats=RunStats(),
+        trace_path=trace_path,
     )
     delays = outcomes.delay_slots[base.measured(outcomes.arrival_slot)].tolist()
     return build_report(policy.name, sdr, seed, delays, base.bin_width_min), outcomes
@@ -170,7 +189,8 @@ def _start_worker() -> None:
 def _run_cell_entry(cell, memo=None):
     base, policy, sdr, seed = cell
     try:
-        return run_cell(base, policy, sdr, seed, memo=_worker_memo if memo is None else memo)[0]
+        return run_cell(base, policy, sdr, seed, memo=_worker_memo if memo is None else memo,
+                        measured_only=True)[0]
     except Exception as exc:
         # A refused input stays a ValueError (a config error), anything else is a runtime one.
         error = ValueError if isinstance(exc, ValueError) else RuntimeError

@@ -4,9 +4,12 @@ import csv
 
 import pytest
 
+from conftest import make_test_vehicle
+from gridshare import metrics
 from gridshare.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, build_config, run
 from gridshare.policies import POLICY_NAMES, parse_policy
 from gridshare.powergrid import CHARGER_PRESETS
+from gridshare.workload import Fleet
 
 TINY_CONFIG = """
 # small, fast experiment
@@ -366,6 +369,30 @@ def test_short_horizon_scales_measurement_window(tmp_path):
     assert "days=5" in text
     assert "warmup_days=1" in text
     assert "last_measured_day=4" in text
+
+
+def test_sweep_refuses_a_horizon_too_short_for_its_window(tmp_path, capsys):
+    # Two days rescale the window to warmup_days=1, last_measured_day=2.
+    code = run(["sweep", "--policies", "fcfs", "--sdr-grid", "1.2", "--seeds", "1", "--days", "2",
+                "--workers", "1", "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert ("need warmup_days < last_measured_day < days, but warmup_days=1, last_measured_day=2 "
+            "and days=2: set warmup_days and last_measured_day, or raise days (--days)") in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_with_an_empty_measurement_window_exits_2(tiny_config, tmp_path, capsys, monkeypatch):
+    # The one vehicle arrives on day 0, before the window opens on day 1.
+    def one_early_vehicle(workload, profile, charger, seed):
+        return Fleet.from_vehicles([make_test_vehicle(0, 100, 200, required=20.0)], charger)
+
+    monkeypatch.setattr(metrics, "generate_fleet", one_early_vehicle)
+    # A ratio high enough that one vehicle's need calibrates to a charger slot.
+    code = run(["sweep", "--config", tiny_config, "--sdr-grid", "300", "--workers", "1", "--no-figures",
+                "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "measurement window empty" in capsys.readouterr().err
 
 
 def test_explicit_window_beats_horizon_scaling(tmp_path, capsys):

@@ -7,7 +7,10 @@ before it is satisfied, and never more often than its battery has room
 for. The run's statistics must agree too: as many selections as
 selected trace rows, and as many slots as the reference runs, so that
 slots the engine skips are still counted, and never more than the drain
-bound at which the engine gives up. The test is
+bound at which the engine gives up. A second run of each example is
+stopped at a drawn range of ranks: it must return the reference's rows
+of that range and end at the boundary where the last of them leaves.
+The test is
 parametrized by variant so that shrinking a failure re-runs one engine
 and the reference, not eight.
 """
@@ -21,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridshare.engine import RunStats, run_simulation
+from gridshare.engine import Outcomes, RunStats, run_simulation
 from gridshare.oracle import audit_trace, read_trace
 from gridshare.policies import POLICY_NAMES, intervals_for_deficit, parse_policy
 from gridshare.powergrid import ChargerSpec
@@ -74,8 +77,8 @@ def read_rows(path):
 
 @pytest.mark.parametrize("policy", VARIANTS, ids=lambda policy: policy.name)
 @settings(max_examples=100, deadline=None)
-@given(scenario=scenarios())
-def test_engine_matches_reference_loop(policy, scenario):
+@given(scenario=scenarios(), data=st.data())
+def test_engine_matches_reference_loop(policy, scenario, data):
     fleet, k_profile, rate = scenario
     charger = ChargerSpec(volts=120.0, amps=28.0, miles_per_slot=rate)
     need = {v.id: intervals_for_deficit(v.required_miles, v.current_miles, rate) for v in fleet}
@@ -103,3 +106,11 @@ def test_engine_matches_reference_loop(policy, scenario):
         picks = Counter(row[2] for row in rows if row[8])
         room = dict(zip(hand_built.id.tolist(), hand_built.room.tolist()))
         assert all(picks[vid] <= room[vid] for vid in picks)
+
+    # Stopped once the last vehicle of a range has left: the same rows for that range.
+    first = data.draw(st.integers(min_value=0, max_value=len(fleet)), label="first rank")
+    stop = data.draw(st.integers(min_value=first, max_value=len(fleet)), label="stop rank")
+    stopped_stats = RunStats()
+    stopped = run_simulation(policy, hand_built, k_profile, ranks=range(first, stop), stats=stopped_stats)
+    assert stopped == Outcomes(*(column[first:stop] for column in want_outcomes.columns()))
+    assert stopped_stats.slots_run == max(want_outcomes.actual_departure_slot[first:stop], default=0)

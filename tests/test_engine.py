@@ -249,6 +249,10 @@ def test_run_that_cannot_drain_gives_up(monkeypatch, stay, required, max_slots):
 # --- invariants --------------------------------------------------------------
 
 
+# Each check holds in a full run and in one stopped once rank 0 has left.
+FULL_AND_STOPPED = (None, range(0, 1))
+
+
 def test_invariant_checks_catch_corrupted_policy(monkeypatch, unit_charger):
     import gridshare.engine as engine_mod
 
@@ -260,8 +264,9 @@ def test_invariant_checks_catch_corrupted_policy(monkeypatch, unit_charger):
 
     monkeypatch.setattr(engine_mod, "select", lazy_select)
     vehicles = [make_test_vehicle(i, 0, 30, required=10.0) for i in range(3)]
-    with pytest.raises(SimulationInvariantError, match="selected"):
-        run_tiny(vehicles, [2], policy="fcfs")
+    for ranks in FULL_AND_STOPPED:
+        with pytest.raises(SimulationInvariantError, match="selected"):
+            simulate("fcfs", vehicles, [2], ranks=ranks)
 
 
 def test_invariant_checks_catch_charging_a_full_battery(monkeypatch):
@@ -275,8 +280,9 @@ def test_invariant_checks_catch_charging_a_full_battery(monkeypatch):
         make_test_vehicle(1, 0, 30, required=2.0, current=4.0, capacity=4.0),
         make_test_vehicle(2, 0, 30, required=10.0),
     ]
-    with pytest.raises(SimulationInvariantError, match="full battery"):
-        run_tiny(vehicles, [1], policy="fcfs")
+    for ranks in FULL_AND_STOPPED:
+        with pytest.raises(SimulationInvariantError, match="full battery"):
+            simulate("fcfs", vehicles, [1], ranks=ranks)
 
 
 def test_invariant_checks_catch_a_satisfied_vehicle_left_in_the_deficit_tier(monkeypatch):
@@ -290,10 +296,33 @@ def test_invariant_checks_catch_a_satisfied_vehicle_left_in_the_deficit_tier(mon
 
     monkeypatch.setattr(engine_mod, "update_membership", forgetful_update)
     # Satisfied after one slot, with room to spare: picked again from the
-    # deficit tier at slot 1.
-    vehicles = [make_test_vehicle(1, 0, 30, required=1.0, capacity=10.0)]
-    with pytest.raises(SimulationInvariantError, match="deficit tier with no need"):
-        run_tiny(vehicles, [1], policy="fcfs")
+    # deficit tier at slot 1. The second vehicle arrives after the first
+    # has left, so a stopped run never sees it.
+    vehicles = [make_test_vehicle(1, 0, 30, required=1.0, capacity=10.0),
+                make_test_vehicle(2, 40, 70, required=1.0)]
+    for ranks in FULL_AND_STOPPED:
+        with pytest.raises(SimulationInvariantError, match="deficit tier with no need"):
+            simulate("fcfs", vehicles, [1], ranks=ranks)
+
+
+@pytest.mark.parametrize("ranks", [range(0, 3), range(-1, 1), range(2, 1), range(0, 2, 2)])
+def test_ranks_outside_the_fleet_are_refused(ranks):
+    vehicles = [make_test_vehicle(i, 0, 30, required=1.0) for i in range(2)]
+    with pytest.raises(ValueError, match="is not a step-1 range of the fleet's 2 ranks"):
+        simulate("fcfs", vehicles, [1], ranks=ranks)
+
+
+def test_stopped_run_ends_when_its_last_vehicle_leaves():
+    # Vehicle 1 is the one still plugged when vehicle 0 leaves at slot 10,
+    # its need unmet: no row of it escapes, and no check reads it.
+    vehicles = [make_test_vehicle(0, 0, 10, required=4.0), make_test_vehicle(1, 2, 500, required=300.0),
+                make_test_vehicle(2, 600, 700, required=4.0)]
+    stats = RunStats()
+    stopped = simulate("fcfs", vehicles, [1], ranks=range(0, 1), stats=stats)
+    assert stopped == simulate("fcfs", vehicles, [1])[:1]
+    assert stats.slots_run == 10
+    assert simulate("fcfs", vehicles, [1], ranks=range(1, 1), stats=stats) == []
+    assert stats.slots_run == 0
 
 
 @pytest.mark.parametrize("name", ["fcfs", "fcfs-simple"])
@@ -359,6 +388,14 @@ def test_measurement_window_boundaries():
 def test_measurement_window_slot_bounds():
     base = scenario().base  # zero-based days 4 to 12: slots 1152 to 3743
     assert base.measured(np.array([1151, 1152, 3743, 3744])).tolist() == [False, True, True, False]
+
+
+def test_measured_ranks_are_the_rows_of_the_measured_mask():
+    base = scenario().base  # zero-based days 4 to 12: slots 1152 to 3743
+    rng = np.random.default_rng(5)
+    for arrival in (np.array([1151, 1152, 3743, 3744]), np.array([1152, 3743]), np.array([0, 4000]),
+                    np.array([], dtype=np.int64), np.sort(rng.integers(0, 15 * SLOTS_PER_DAY, 400))):
+        assert list(base.measured_ranks(arrival)) == np.flatnonzero(base.measured(arrival)).tolist()
 
 
 def test_measurement_window_empty_is_an_error(monkeypatch):

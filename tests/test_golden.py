@@ -18,7 +18,10 @@ a digest re-recorded on purpose cannot carry a wrong selection along;
 and a smaller traced cell of each variant must read back from its
 trace.csv as exactly those groups. A third pins the generated fleet
 itself (`dump-fleet`'s fleet.csv) for two chargers, so a change to the
-workload's draws shows apart from any change downstream.
+workload's draws shows apart from any change downstream. A fourth pins
+a short sweep of every variant (fod.csv, adfd.csv and delaydist.csv),
+whose cells stop once their last measured vehicle has left; most of
+its cells have measured vehicles that leave late.
 """
 
 import functools
@@ -144,3 +147,17 @@ def test_fleet_matches_golden_digest(tmp_path, case):
     argv = ["dump-fleet", *flags, "--seed", "3", "--days", "6", "--out", str(tmp_path)]
     assert run(argv) == EXIT_OK
     assert hashlib.sha256((tmp_path / "fleet.csv").read_bytes()).hexdigest()[:16] == want
+
+
+# The sweep's argv and its (fod.csv, adfd.csv, delaydist.csv) digests, truncated to 16 hex digits.
+SWEEP_ARGV = ["sweep", "--policies", "fcfs,fdfs,rr,minmax-er,minmax-dt,fcfs-simple,rr-simple,fdfs-slack",
+              "--sdr-grid", "1.0,1.05,2.0", "--seeds", "1", "--days", "4", "--arrivals-per-day", "200",
+              "--workers", "1", "--no-figures"]
+SWEEP_FILES = ("fod.csv", "adfd.csv", "delaydist.csv")
+SWEEP_GOLDEN = ("0318c19df8470aba", "5a85c6b04891dddc", "162b1fcb69fb55af")
+
+
+def test_sweep_outputs_match_golden_digests(tmp_path, capsys):
+    assert run([*SWEEP_ARGV, "--out", str(tmp_path)]) == EXIT_OK
+    got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16] for name in SWEEP_FILES)
+    assert got == SWEEP_GOLDEN

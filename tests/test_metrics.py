@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import scenario
-from gridshare import cli, metrics
+from gridshare import cli, engine, metrics
 from gridshare.engine import Outcomes
 from gridshare.metrics import (
     average_reports,
@@ -211,6 +211,25 @@ def test_sweep_base_window_validation():
 def test_sweep_cell_measures_part_of_its_outcomes(tiny_base):
     report, outcomes = run_cell(tiny_base, parse_policy("rr"), 1.4, 3)
     assert 0 < report.n_measured < len(outcomes)
+
+
+@pytest.mark.parametrize("name", ["minmax-dt", "rr-simple"])
+def test_measured_only_cell_stops_once_its_last_measured_vehicle_has_left(tiny_base, monkeypatch, name):
+    runs = []
+
+    def recorded_run(*args, **kwargs):
+        runs.append(kwargs["stats"])
+        return engine.run_simulation(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "run_simulation", recorded_run)
+    policy = parse_policy(name)
+    full_report, full = run_cell(tiny_base, policy, 1.05, 3)
+    report, measured = run_cell(tiny_base, policy, 1.05, 3, measured_only=True)
+    assert report == full_report
+    window = tiny_base.measured(full.arrival_slot)
+    assert measured == Outcomes(*(column[window] for column in full.columns()))
+    assert list(tiny_base.measured_ranks(full.arrival_slot)) == np.flatnonzero(window).tolist()
+    assert runs[1].slots_run == measured.actual_departure_slot.max() < runs[0].slots_run
 
 
 # --- CSV contracts -----------------------------------------------------------
