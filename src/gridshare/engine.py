@@ -352,29 +352,33 @@ def _run_loop(policy, constants, k_profile, ranks, trace, stats, state):
         stats.total_selections += selections
     satisfied_slot = np.array(satisfied_slot, dtype=np.int64)
     left_at = np.array(left_at, dtype=np.int64)
-    departure = fleet.expected_departure_slot
-    read = slice(first_read, stop)
-    _check_departures(fleet, need, departure, satisfied_slot, left_at, read)
-    left_at = left_at[read]
-    return Outcomes(fleet.id[read], fleet.arrival_slot[read], departure[read], satisfied_slot[read],
-                    left_at, left_at - departure[read])
-
-
-def _check_departures(fleet, need, departure, satisfied_slot, left_at, read) -> None:
-    """Every vehicle of the read slice left; every vehicle that left had its need met
-    and left at max(expected departure, satisfied slot)."""
-    if read.stop > read.start and left_at[read].min() < 0:
+    if stop > first_read and left_at[first_read:stop].min() < 0:
         raise SimulationInvariantError("missing outcomes for some vehicles")
-    left = left_at >= 0
-    short = need * left
-    if np.count_nonzero(short):
-        rank = short.argmax()
+    ids, arrival, departure = fleet.id, fleet.arrival_slot, fleet.expected_departure_slot
+    if stop - first_read < n:
+        # Part of the fleet: the checks read every vehicle that left, and
+        # only the range's rows are returned. A whole-fleet run skips the
+        # masks, a cost every tiny verify run would pay.
+        done = left_at >= 0
+        _check_departures(ids[done], need[done], departure[done], satisfied_slot[done], left_at[done])
+        read = slice(first_read, stop)
+        ids, arrival, departure, satisfied_slot, left_at = (
+            ids[read], arrival[read], departure[read], satisfied_slot[read], left_at[read])
+    else:
+        _check_departures(ids, need, departure, satisfied_slot, left_at)
+    return Outcomes(ids, arrival, departure, satisfied_slot, left_at, left_at - departure)
+
+
+def _check_departures(ids, need, departure, satisfied_slot, left_at) -> None:
+    """Each vehicle given, all of which left, had its need met and left at
+    max(expected departure, satisfied slot)."""
+    if np.count_nonzero(need):
+        rank = need.argmax()
         raise SimulationInvariantError(
-            f"vehicle {fleet.id[rank]} departed {need[rank]} intervals short")
-    wrong = (left_at != np.maximum(satisfied_slot, departure)) & left
+            f"vehicle {ids[rank]} departed {need[rank]} intervals short")
+    wrong = left_at != np.maximum(satisfied_slot, departure)
     if np.count_nonzero(wrong):
         rank = wrong.argmax()
         raise SimulationInvariantError(
-            f"vehicle {fleet.id[rank]} departed at {left_at[rank]}, not "
+            f"vehicle {ids[rank]} departed at {left_at[rank]}, not "
             f"{max(satisfied_slot[rank], departure[rank])}")
-
