@@ -10,9 +10,9 @@ whose arrival falls inside it. A sweep runs one simulation per grid
 cell, optionally across a process pool, and appends seed-averaged rows.
 Fleet rows come in arrival order, so the measured vehicles are one run
 of ranks (`SweepBase.measured_ranks`): a sweep cell asks the engine for
-those ranks only, and its run ends once the last of them has left. A
-direct `run_cell` (what `simulate` runs) still simulates every vehicle,
-since `outcomes.csv` lists them all.
+those ranks only, and its run ends once the last of them has left.
+`run_cell` without `measured_only` (what `simulate` runs) still
+simulates every vehicle, since `outcomes.csv` lists them all.
 
 A cell's fleet and its required energy depend only on its fleet key
 (workload, arrival profile, charger, seed), not on the policy or the

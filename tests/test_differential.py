@@ -10,9 +10,8 @@ slots the engine skips are still counted, and never more than the drain
 bound at which the engine gives up. A second run of each example is
 stopped at a drawn range of ranks: it must return the reference's rows
 of that range and end at the boundary where the last of them leaves.
-The test is
-parametrized by variant so that shrinking a failure re-runs one engine
-and the reference, not eight.
+The test is parametrized by variant so that shrinking a failure re-runs
+one engine and the reference, not eight.
 """
 
 import csv
