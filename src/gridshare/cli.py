@@ -4,7 +4,9 @@ Configuration is a flat key=value bundle plus two plain-text column
 files (arrival profile, load shape); command-line flags override file
 values, and `_CONFIG_DEFAULTS` holds the only default of every key.
 Every run directory receives a resolved-config capturing all effective
-settings, and output files are written atomically.
+settings, and output files but trace.csv (which the engine writes as
+the run goes) are written atomically (`metrics.write_atomic`). Only
+`simulate` takes `--trace` and reads the `trace` key.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import defaults, figures, metrics, oracle
+from .metrics import write_atomic
 from .policies import _LATE, ALL_POLICY_NAMES, POLICY_NAMES, parse_policy
 from .powergrid import (
     CHARGER_PRESETS,
@@ -243,25 +246,14 @@ def resolve_config(args) -> ExperimentConfig:
     return build_config(config_overrides(args))
 
 
-def _write_atomic(path, writer) -> None:
-    tmp = f"{path}.tmp"
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_run_context(cfg: ExperimentConfig) -> None:
     """Materialize resolved-config and the two input curves in out_dir."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     profile_path = os.path.join(cfg.out_dir, "arrival-profile.txt")
     shape_path = os.path.join(cfg.out_dir, "load-shape.txt")
-    _write_atomic(profile_path, lambda p: defaults.write_column_file(
+    write_atomic(profile_path, lambda p: defaults.write_column_file(
         p, cfg.base.profile.hourly_weights, header="hourly arrival weights (normalized)"))
-    _write_atomic(shape_path, lambda p: defaults.write_column_file(
+    write_atomic(shape_path, lambda p: defaults.write_column_file(
         p, cfg.base.shape.values, header="per-slot non-vehicle load shape (peak 1)"))
 
     resolved = dict(cfg.raw)
@@ -274,7 +266,7 @@ def write_run_context(cfg: ExperimentConfig) -> None:
             for key in sorted(resolved):
                 fh.write(f"{key}={resolved[key]}\n")
 
-    _write_atomic(os.path.join(cfg.out_dir, "resolved-config"), write)
+    write_atomic(os.path.join(cfg.out_dir, "resolved-config"), write)
 
 
 def _cell_summary(report: metrics.MetricsReport) -> str:
@@ -294,11 +286,11 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     trace_path = os.path.join(cfg.out_dir, "trace.csv") if cfg.trace else None
     report, outcomes = metrics.run_cell(cfg.base, policy, sdr, seed, trace_path=trace_path)
     table = [report]
-    _write_atomic(os.path.join(cfg.out_dir, "fod.csv"), lambda p: metrics.write_fod_csv(table, p))
-    _write_atomic(os.path.join(cfg.out_dir, "adfd.csv"), lambda p: metrics.write_adfd_csv(table, p))
-    measured = cfg.base.measured(outcomes.arrival_slot)
-    _write_atomic(os.path.join(cfg.out_dir, "outcomes.csv"),
-                  lambda p: metrics.write_outcomes_csv(outcomes, measured, p))
+    write_atomic(os.path.join(cfg.out_dir, "fod.csv"), lambda p: metrics.write_fod_csv(table, p))
+    write_atomic(os.path.join(cfg.out_dir, "adfd.csv"), lambda p: metrics.write_adfd_csv(table, p))
+    measured = cfg.base.measured_ranks(outcomes.arrival_slot)
+    write_atomic(os.path.join(cfg.out_dir, "outcomes.csv"),
+                 lambda p: metrics.write_outcomes_csv(outcomes, measured, p))
     print(_cell_summary(report))
     return EXIT_OK
 
@@ -310,9 +302,9 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
     for report in table:
         print(_cell_summary(report))
     out = cfg.out_dir
-    _write_atomic(os.path.join(out, "fod.csv"), lambda p: metrics.write_fod_csv(table, p))
-    _write_atomic(os.path.join(out, "adfd.csv"), lambda p: metrics.write_adfd_csv(table, p))
-    _write_atomic(os.path.join(out, "delaydist.csv"), lambda p: metrics.write_delaydist_csv(table, p))
+    write_atomic(os.path.join(out, "fod.csv"), lambda p: metrics.write_fod_csv(table, p))
+    write_atomic(os.path.join(out, "adfd.csv"), lambda p: metrics.write_adfd_csv(table, p))
+    write_atomic(os.path.join(out, "delaydist.csv"), lambda p: metrics.write_delaydist_csv(table, p))
     if not args.no_figures:
         figures.emit_figures(table, out)
     return EXIT_OK
@@ -325,7 +317,7 @@ def cmd_dump_fleet(cfg: ExperimentConfig, args) -> int:
     seed = cfg.seeds[0]
     fleet = generate_fleet(cfg.base.workload, cfg.base.profile, cfg.base.charger, seed)
     path = os.path.join(cfg.out_dir, "fleet.csv")
-    _write_atomic(path, lambda p: dump_fleet_csv(fleet, p))
+    write_atomic(path, lambda p: dump_fleet_csv(fleet, p))
     adjusted = adjusted_departure_fraction(fleet)
     print(f"fleet seed={seed}: {len(fleet)} vehicles, adjusted departures {adjusted:.3%} -> {path}")
     return EXIT_OK
@@ -344,8 +336,8 @@ def cmd_verify(cfg: ExperimentConfig, args) -> int:
     out = cfg.out_dir
     if args.audit_trace:
         violations = oracle.audit_trace(trace, cfg.policies[0])
-        _write_atomic(os.path.join(out, "violations.csv"),
-                      lambda p: oracle.write_violations_csv(violations, p))
+        write_atomic(os.path.join(out, "violations.csv"),
+                     lambda p: oracle.write_violations_csv(violations, p))
         print(f"audited {args.audit_trace}: {len(violations)} violation(s)")
         return EXIT_OK if not violations else EXIT_RUNTIME
 
@@ -353,10 +345,10 @@ def cmd_verify(cfg: ExperimentConfig, args) -> int:
     trace_path = os.path.join(out, "verify-trace.csv")
     violations, mismatches = oracle.verify_campaign(
         cfg.policies, np.random.default_rng(args.oracle_seed), args.instances, n_cycling, trace_path)
-    _write_atomic(os.path.join(out, "violations.csv"),
-                  lambda p: oracle.write_violations_csv(violations, p))
-    _write_atomic(os.path.join(out, "mismatches.csv"),
-                  lambda p: oracle.write_mismatches_csv(mismatches, p))
+    write_atomic(os.path.join(out, "violations.csv"),
+                 lambda p: oracle.write_violations_csv(violations, p))
+    write_atomic(os.path.join(out, "mismatches.csv"),
+                 lambda p: oracle.write_mismatches_csv(mismatches, p))
     print(
         f"verified {args.instances} steady + {n_cycling} cycling random instances "
         f"x {len(cfg.policies)} policies: {len(violations)} audit violation(s), "
@@ -388,7 +380,6 @@ def _add_common_flags(sub):
     sub.add_argument("--days", type=int, help="simulated days")
     sub.add_argument("--arrivals-per-day", dest="arrivals_per_day", type=float)
     sub.add_argument("--charger", help=f"charger preset: {', '.join(CHARGER_PRESETS)}")
-    sub.add_argument("--trace", action="store_const", const="true", help="write a per-slot trace")
     sub.add_argument("--arrival-profile", dest="arrival_profile",
                      help="24-line hourly arrival weight file")
     sub.add_argument("--load-shape", dest="load_shape",
@@ -408,6 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = commands.add_parser("simulate", help="run one (policy, sdr, seed) cell")
     _add_common_flags(sim)
+    sim.add_argument("--trace", action="store_const", const="true", help="write a per-slot trace")
     sim.set_defaults(func=cmd_simulate)
 
     sw = commands.add_parser("sweep", help="run the full (policy, sdr, seed) grid")

@@ -106,10 +106,13 @@ class TraceRow(NamedTuple):
 # cell builds millions of rows.
 _new_row = tuple.__new__
 
+# trace.csv's columns: a row's slot and k, then its TraceRow.
+TRACE_FIELDS = ("slot", "k", *TraceRow._fields)
+
 # Every trace field is an integer (selected prints as 0 or 1), so no field
 # needs quoting: the rows are formatted directly, one write per slot. The
 # "\r\n" line ending is csv.writer's, so trace.csv stays byte-identical.
-_TRACE_HEADER = ",".join(("slot", "k", *TraceRow._fields)) + "\r\n"
+_TRACE_HEADER = ",".join(TRACE_FIELDS) + "\r\n"
 _TRACE_ROW_FORMAT = ",".join(["%d"] * len(TraceRow._fields)) + "\r\n"
 
 
@@ -197,7 +200,7 @@ def run_simulation(
         ranks = range(len(fleet))
     elif not (ranks.step == 1 and 0 <= ranks.start <= ranks.stop <= len(fleet)):
         raise ValueError(f"{ranks} is not a step-1 range of the fleet's {len(fleet)} ranks")
-    state = new_policy_state(policy, fleet, constants)
+    state = new_policy_state(policy, constants)
     if not trace_path:
         return _run_loop(policy, constants, k_profile, ranks, trace_sink, stats, state)
     with open(trace_path, "w", newline="", encoding="utf-8") as fh:

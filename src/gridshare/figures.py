@@ -2,7 +2,8 @@
 
 Pure string generation: the same table always yields byte-identical
 files. One line chart per headline metric against the supply ratio, and
-a grouped bar chart for the delay distribution at one ratio.
+a grouped bar chart for the delay distribution at one ratio. Each file
+is written through `metrics.write_atomic`, like the CSVs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import os
 import sys
 from typing import Sequence
 
-from .metrics import MetricsReport
+from .metrics import MetricsReport, write_atomic
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 150, 40, 56
@@ -65,6 +66,14 @@ class _Canvas:
     def finish(self) -> str:
         self.parts.append("</svg>")
         return "\n".join(self.parts) + "\n"
+
+    def save(self, path) -> None:
+        """Finish the chart and write it to path, or leave path as it was."""
+        def write(tmp):
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(self.finish())
+
+        write_atomic(path, write)
 
 
 def _line_chart(
@@ -140,8 +149,7 @@ def _line_chart(
             f'<text x="{lx + 24}" y="{ly + 4}" font-size="11">{policy}</text>'
         )
 
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canvas.finish())
+    canvas.save(path)
 
 
 def _polyline(points, color: str) -> str:
@@ -195,8 +203,7 @@ def delay_distribution_figure(reports: Sequence[MetricsReport], path, sdr: float
     canvas = _Canvas(f"Delay distribution at supply ratio {_fmt(sdr)}", "delay (minutes)", "fraction of delayed")
     if not rows:
         print(f"warning: no delay distributions at sdr={sdr}", file=sys.stderr)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(canvas.finish())
+        canvas.save(path)
         return
     n_bins = max(len(r.delay_histogram) for r in rows)
     width = rows[0].delay_histogram[0][1]
@@ -240,8 +247,7 @@ def delay_distribution_figure(reports: Sequence[MetricsReport], path, sdr: float
             f'<rect x="{lx}" y="{ly - 8}" width="12" height="12" fill="{_PALETTE[r.policy]}"/>'
             f'<text x="{lx + 18}" y="{ly + 2}" font-size="11">{r.policy}</text>'
         )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canvas.finish())
+    canvas.save(path)
 
 
 def emit_figures(reports: Sequence[MetricsReport], out_dir) -> list:

@@ -5,23 +5,24 @@ late and the mean lateness of just those vehicles, plus the delay
 distribution among them. Which vehicles are measured is decided here,
 not in the engine: `SweepBase` holds the measurement window (the
 arrival days between the warm-up and the tail) and checks it when it
-is built, and a cell reads the delays of the engine's `Outcomes` rows
-whose arrival falls inside it. A sweep runs one simulation per grid
-cell, optionally across a process pool, and appends seed-averaged rows.
-Fleet rows come in arrival order, so the measured vehicles are one run
-of ranks (`SweepBase.measured_ranks`): a sweep cell asks the engine for
-those ranks only, and its run ends once the last of them has left.
-`run_cell` without `measured_only` (what `simulate` runs) still
-simulates every vehicle, since `outcomes.csv` lists them all.
+is built. A sweep runs one simulation per grid cell, optionally across
+a process pool, and appends seed-averaged rows. Fleet rows, and so
+outcome rows, come in arrival order, so the measured vehicles are one
+run of rows (`SweepBase.measured_ranks`): a cell reads their delays, a
+sweep cell asks the engine for those ranks only and its run ends once
+the last of them has left, and `outcomes.csv` flags them. `run_cell`
+without `measured_only` (what `simulate` runs) still simulates every
+vehicle, since `outcomes.csv` lists them all.
 
 A cell's fleet and its required energy depend only on its fleet key
 (workload, arrival profile, charger, seed), not on the policy or the
 ratio. `run_cells` hands cells out grouped by fleet key (seed-major for
 a sweep's grid), and each process that runs them keeps the last key's
-fleet in a memo, so a process generates each fleet at most once. The memo lives for one `run_cells`
-call: a pool worker's dies with the pool, and the in-process one is
-cleared when the call returns or raises. A direct `run_cell` call keeps
-no memo and generates its fleet every time.
+fleet in the module's memo, so a process generates each fleet at most
+once. The memo lives for one `run_cells` call: a pool worker's dies
+with the pool, and the in-process one is cleared when the call returns
+or raises. A direct `run_cell` call keeps no memo and generates its
+fleet every time.
 """
 
 from __future__ import annotations
@@ -83,13 +84,9 @@ class SweepBase:
                 f"last_measured_day={self.last_measured_day} and days={self.workload.days}: "
                 "set warmup_days and last_measured_day, or raise days (--days)")
 
-    def measured(self, arrival_slot: np.ndarray) -> np.ndarray:
-        """Which arrivals fall in the measurement window: zero-based days warmup_days to last_measured_day - 1."""
-        return ((arrival_slot >= self.warmup_days * SLOTS_PER_DAY)
-                & (arrival_slot < self.last_measured_day * SLOTS_PER_DAY))
-
     def measured_ranks(self, arrival_slot: np.ndarray) -> range:
-        """The ranks `measured` selects, for arrival slots in ascending order (a fleet's)."""
+        """The rows of ascending arrival slots (a fleet's or an outcome table's)
+        that arrive in zero-based days warmup_days to last_measured_day - 1."""
         first, stop = np.searchsorted(
             arrival_slot, (self.warmup_days * SLOTS_PER_DAY, self.last_measured_day * SLOTS_PER_DAY))
         return range(int(first), int(stop))
@@ -117,7 +114,8 @@ def run_cell(
         policy, fleet, day_capacity_profile(grid, base.charger), ranks=ranks, stats=RunStats(),
         trace_path=trace_path,
     )
-    delays = outcomes.delay_slots[base.measured(outcomes.arrival_slot)].tolist()
+    rows = base.measured_ranks(outcomes.arrival_slot)
+    delays = outcomes.delay_slots[rows.start:rows.stop].tolist()
     return build_report(policy.name, sdr, seed, delays, base.bin_width_min), outcomes
 
 
@@ -176,21 +174,15 @@ def build_report(
     )
 
 
-# A sweep pool worker's fleet memo, set by _start_worker in the worker
-# process only; it dies with the pool.
-_worker_memo: dict | None = None
+# This process's sweep fleet memo: empty outside run_cells, so a pool
+# worker, forked or spawned, starts with it empty.
+_memo: dict = {}
 
 
-def _start_worker() -> None:
-    global _worker_memo
-    _worker_memo = {}
-
-
-def _run_cell_entry(cell, memo=None):
+def _run_cell_entry(cell):
     base, policy, sdr, seed = cell
     try:
-        return run_cell(base, policy, sdr, seed, memo=_worker_memo if memo is None else memo,
-                        measured_only=True)[0]
+        return run_cell(base, policy, sdr, seed, memo=_memo, measured_only=True)[0]
     except Exception as exc:
         # A refused input stays a ValueError (a config error), anything else is a runtime one.
         error = ValueError if isinstance(exc, ValueError) else RuntimeError
@@ -242,14 +234,13 @@ def run_cells(cells: Sequence[tuple], max_workers: int | None = None) -> list[Me
         # Imported here: simulate and verify never start a pool.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell_entry, dispatch, chunksize=1))
     else:
-        memo: dict = {}
         try:
-            results = [_run_cell_entry(cell, memo) for cell in dispatch]
+            results = [_run_cell_entry(cell) for cell in dispatch]
         finally:
-            memo.clear()
+            _memo.clear()
 
     reports: list = [None] * len(cells)
     for index, report in zip(order, results):
@@ -319,6 +310,18 @@ def _average_histograms(group):
 # CSV output contracts
 
 
+def write_atomic(path, writer) -> None:
+    """Have writer(tmp) write a temporary file, then move it to path; on failure remove it."""
+    tmp = f"{path}.tmp"
+    try:
+        writer(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
@@ -356,18 +359,21 @@ def write_delaydist_csv(reports: Sequence[MetricsReport], path) -> None:
                 writer.writerow([r.policy, _fmt(r.sdr), _fmt(lo), _fmt(hi), _fmt(frac)])
 
 
-def write_outcomes_csv(outcomes: Outcomes, measured: np.ndarray, path) -> None:
+def write_outcomes_csv(outcomes: Outcomes, measured: range, path) -> None:
     """Raw per-vehicle results, sufficient to recompute every metric.
 
     The engine's columns are followed by two 0/1 flags: delayed (delay
-    above 0) and measured (the row's entry in measured, the mask that
-    `SweepBase.measured` gives for the arrival slots). Every field is an integer, so nothing
-    needs quoting: each row is formatted directly, with csv.writer's
-    "\r\n" line ending, and handed to the file's own buffer. That writes
-    the bytes csv.writer wrote at about half the cost; joining rows into
-    blocks first costs no less and raised the benchmark's peak RSS.
+    above 0) and measured (the row is in measured, the range that
+    `SweepBase.measured_ranks` gives for the arrival slots). Every field
+    is an integer, so nothing needs quoting: each row is formatted
+    directly, with csv.writer's "\r\n" line ending, and handed to the
+    file's own buffer. That writes the bytes csv.writer wrote at about
+    half the cost; joining rows into blocks first costs no less and
+    raised the benchmark's peak RSS.
     """
-    columns = (*outcomes.columns(), outcomes.delay_slots > 0, measured)
+    flags = np.zeros(len(outcomes), dtype=bool)
+    flags[measured.start:measured.stop] = True
+    columns = (*outcomes.columns(), outcomes.delay_slots > 0, flags)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         write = fh.write
         write("id,arrival_slot,expected_departure_slot,satisfied_slot,"

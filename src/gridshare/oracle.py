@@ -21,14 +21,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import Outcomes, RunConstants, RunStats, TraceRow, run_simulation
+from .engine import TRACE_FIELDS, Outcomes, RunConstants, RunStats, TraceRow, run_simulation
 from .policies import Policy, PolicyKind
 from .powergrid import ChargerSpec
-from .workload import Fleet, Vehicle
+from .workload import Fleet
 
 # Rate of one mile per slot makes required_miles equal whole charging
 # intervals, the natural unit for hand-checkable instances.
-ORACLE_CHARGER = ChargerSpec(volts=120.0, amps=28.0, miles_per_slot=1.0)
+ORACLE_CHARGER = ChargerSpec(miles_per_slot=1.0)
 
 MAX_TINY_VEHICLES = 5
 MAX_TINY_HORIZON = 30
@@ -38,23 +38,29 @@ MAX_TINY_HORIZON = 30
 class TinyInstance:
     """Hand-checkable sessions and their capacity profile.
 
-    The exhaustive search reads the vehicles; every policy run on the
-    instance shares the one fleet built from them and its run constants.
+    Each session is an (arrival, expected departure, need) triple: the
+    vehicle arrives empty and needs that many charging intervals, and
+    its battery holds topoff_extra intervals more. The exhaustive search
+    reads the triples; every policy run on the instance shares the one
+    fleet built from them (ids in session order) and its run constants.
     """
 
-    vehicles: tuple[Vehicle, ...]
+    sessions: tuple[tuple[int, int, int], ...]
     k_profile: tuple[int, ...]
+    topoff_extra: float = 0.0
     fleet: Fleet = field(init=False, repr=False, compare=False)
     constants: RunConstants = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 1 <= len(self.vehicles) <= MAX_TINY_VEHICLES:
+        if not 1 <= len(self.sessions) <= MAX_TINY_VEHICLES:
             raise ValueError(f"tiny instances hold 1..{MAX_TINY_VEHICLES} vehicles")
-        if max(v.arrival_slot for v in self.vehicles) > MAX_TINY_HORIZON:
+        arrival, departure, need = np.array(self.sessions, dtype=np.int64).T
+        if arrival.max() > MAX_TINY_HORIZON:
             raise ValueError(f"arrivals must fall within {MAX_TINY_HORIZON} slots")
         if not self.k_profile or any(k < 0 for k in self.k_profile):
             raise ValueError("k_profile must be non-empty and non-negative")
-        fleet = Fleet.from_vehicles(self.vehicles, ORACLE_CHARGER)
+        fleet = Fleet(ORACLE_CHARGER, arrival, departure - arrival, need, 0.0, need + self.topoff_extra,
+                      expected_departure_slot=departure)
         object.__setattr__(self, "fleet", fleet)
         object.__setattr__(self, "constants", RunConstants(fleet))
 
@@ -62,19 +68,8 @@ class TinyInstance:
 def tiny_instance(specs: Sequence[tuple[int, int, int]], k_profile: Sequence[int],
                   topoff_extra: float = 0.0) -> TinyInstance:
     """Build an instance from (arrival, expected_departure, needed_slots) triples."""
-    vehicles = tuple(
-        Vehicle(
-            id=i,
-            arrival_slot=arr,
-            expected_departure_slot=dep,
-            required_miles=float(need),
-            current_miles=0.0,
-            battery_capacity_miles=float(need) + topoff_extra,
-            connected_slots=dep - arr,
-        )
-        for i, (arr, dep, need) in enumerate(specs)
-    )
-    return TinyInstance(vehicles=vehicles, k_profile=tuple(int(k) for k in k_profile))
+    return TinyInstance(tuple((int(a), int(d), int(n)) for a, d, n in specs),
+                        tuple(int(k) for k in k_profile), float(topoff_extra))
 
 
 def brute_force_min_max_delay(inst: TinyInstance, branch_budget: int = 10_000_000,
@@ -92,13 +87,7 @@ def brute_force_min_max_delay(inst: TinyInstance, branch_budget: int = 10_000_00
     charged in every slot from now on. Raises if the search would
     exceed the branch budget.
     """
-    vehicles = inst.vehicles
-    arrivals = [v.arrival_slot for v in vehicles]
-    deadlines = [v.expected_departure_slot for v in vehicles]
-    needs = tuple(
-        math.ceil(max(v.required_miles - v.current_miles, 0.0) / ORACLE_CHARGER.miles_per_slot)
-        for v in vehicles
-    )
+    arrivals, deadlines, needs = zip(*inst.sessions)
     profile = inst.k_profile
     cycle = len(profile)
     limit = math.inf if bound is None else bound
@@ -266,13 +255,6 @@ class Violation:
     detail: str
 
 
-_TRACE_FIELDS = [
-    "slot", "k", "vehicle_id", "tier", "arrival_slot",
-    "expected_departure_slot", "intervals_needed", "delay_if_continuous",
-    "selected",
-]
-
-
 def read_trace(path) -> list[tuple[int, int, list[TraceRow]]]:
     """Parse a trace CSV into (slot, k, rows) groups in slot order.
 
@@ -287,7 +269,7 @@ def read_trace(path) -> list[tuple[int, int, list[TraceRow]]]:
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != _TRACE_FIELDS:
+        if header is None or tuple(header) != TRACE_FIELDS:
             raise ValueError(f"{path}:1: unexpected trace header {header!r}")
         for lineno, raw in enumerate(reader, start=2):
             try:

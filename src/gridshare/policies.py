@@ -85,9 +85,9 @@ def parse_policy(name: str) -> Policy:
 class PolicyState:
     """The vehicle counters of one run and this slot's two tiers.
 
-    A vehicle is named by its rank, its row in `fleet` (whose rows are
-    in arrival order: arrival slot, then id). need[rank] counts the
-    charging intervals until it holds its required charge and
+    A vehicle is named by its rank, its row in the run's fleet (whose
+    rows are in arrival order: arrival slot, then id). need[rank] counts
+    the charging intervals until it holds its required charge and
     spare[rank] those it can take above that: until its battery is
     full, and none once it has left. They start from the fleet's counts
     (spare = room - need), and the engine decrements them as it charges,
@@ -97,7 +97,7 @@ class PolicyState:
 
     A priority key packs a primary value above rank_bits bits of rank,
     which rank_mask recovers (see `_keys`); departure_keys[rank] is the
-    key of the fleet's expected departure slot, `departure_keys(fleet)`.
+    key of the fleet's expected departure slot (`departure_keys`).
 
     deficit and topoff are int64 arrays of ranks in list order (head =
     next in line for the rotation policy), refreshed each slot by
@@ -107,7 +107,6 @@ class PolicyState:
     """
 
     policy: Policy
-    fleet: "Fleet"
     need: np.ndarray
     spare: np.ndarray
     # The tier each rank joins when it plugs in: 1 (deficit), 2
@@ -151,22 +150,19 @@ def joining_tiers(fleet: "Fleet") -> dict[bool, bytes]:
     return {False: single.tobytes(), True: tiered.tobytes()}
 
 
-def new_policy_state(policy: Policy, fleet: "Fleet", constants: "RunConstants | None" = None) -> PolicyState:
-    """Empty tiers and fresh counters for a run over `fleet`.
+def new_policy_state(policy: Policy, constants: "RunConstants") -> PolicyState:
+    """Empty tiers and fresh counters for a run over `constants.fleet`.
 
-    constants is `engine.RunConstants(fleet)`, whose joining tiers and
-    departure keys are used; without it they are built here.
+    constants is the fleet's `engine.RunConstants`, whose joining tiers
+    and departure keys the state shares.
     """
-    if constants is None:
-        joins, keys = joining_tiers(fleet), departure_keys(fleet)
-    else:
-        joins, keys = constants.joins, constants.departure_keys
+    fleet = constants.fleet
     need = fleet.need.copy()
     bits = rank_bits(len(fleet))
     return PolicyState(
-        policy=policy, fleet=fleet, need=need, spare=fleet.room - need,
-        joins=joins[policy.use_distance_info], departure_keys=keys, rank_bits=bits,
-        rank_mask=(1 << bits) - 1,
+        policy=policy, need=need, spare=fleet.room - need,
+        joins=constants.joins[policy.use_distance_info], departure_keys=constants.departure_keys,
+        rank_bits=bits, rank_mask=(1 << bits) - 1,
     )
 
 

@@ -45,20 +45,18 @@ class LoadShape:
 
 @dataclass(frozen=True)
 class ChargerSpec:
-    """A per-vehicle charging circuit.
+    """A per-vehicle charging circuit, by the range it adds in one 5-minute interval.
 
-    `miles_per_slot` is the range added in one 5-minute interval; `kw` is
-    derived from it so battery-side and grid-side energy agree exactly.
-    For the exact-physics presets `kw` equals volts*amps/1000; the
-    rounded household preset delivers 0.5 miles per slot (6 miles/hour,
-    so an empty 100-mile battery takes 200 intervals) and draws the
+    `kw` is derived from `miles_per_slot` at `units.KWH_PER_MILE`, the
+    rate the fleet's demand is counted at, so battery-side and grid-side
+    energy agree exactly. For the exact-physics presets
+    (`from_electrical`) `kw` equals volts*amps/1000; the rounded
+    household preset delivers 0.5 miles per slot (6 miles/hour, so an
+    empty 100-mile battery takes 200 intervals) and draws the
     correspondingly rounded power.
     """
 
-    volts: float
-    amps: float
     miles_per_slot: float
-    kwh_per_mile: float = KWH_PER_MILE
 
     def __post_init__(self):
         if self.miles_per_slot <= 0.0:
@@ -66,16 +64,15 @@ class ChargerSpec:
 
     @property
     def kw(self) -> float:
-        return self.miles_per_slot * SLOTS_PER_HOUR * self.kwh_per_mile
+        return self.miles_per_slot * SLOTS_PER_HOUR * KWH_PER_MILE
 
     @classmethod
     def from_electrical(cls, volts: float, amps: float) -> "ChargerSpec":
-        rate = (volts * amps / 1000.0) / SLOTS_PER_HOUR / KWH_PER_MILE
-        return cls(volts=volts, amps=amps, miles_per_slot=rate)
+        return cls((volts * amps / 1000.0) / SLOTS_PER_HOUR / KWH_PER_MILE)
 
 
 _CHARGERS = {
-    "home-110-15": ChargerSpec(volts=110.0, amps=15.0, miles_per_slot=0.5),
+    "home-110-15": ChargerSpec(miles_per_slot=0.5),
     "home-110-15-exact": ChargerSpec.from_electrical(110.0, 15.0),
     "home-110-13": ChargerSpec.from_electrical(110.0, 13.0),
     "dryer-220-30": ChargerSpec.from_electrical(220.0, 30.0),

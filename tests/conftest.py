@@ -52,7 +52,7 @@ def make_test_vehicle(vid, arrival, departure, required, current=0.0, capacity=N
 @pytest.fixture
 def unit_charger():
     """One mile of range per slot: interval counts equal miles."""
-    return ChargerSpec(volts=120.0, amps=28.0, miles_per_slot=1.0)
+    return ChargerSpec(miles_per_slot=1.0)
 
 
 @pytest.fixture

@@ -243,6 +243,16 @@ def test_trace_flag_writes_trace(tiny_config, tmp_path):
     assert header[:4] == ["slot", "k", "vehicle_id", "tier"]
 
 
+@pytest.mark.parametrize("command", ["sweep", "dump-fleet", "verify"])
+def test_trace_flag_is_a_usage_error_outside_simulate(tiny_config, tmp_path, command):
+    # Only simulate writes a trace; anywhere else the flag would do nothing.
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--config", tiny_config, "--trace", "--out", str(out)])
+    assert exc.value.code == EXIT_CONFIG
+    assert not out.exists()
+
+
 # --- sweep ---------------------------------------------------------------
 
 

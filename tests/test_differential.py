@@ -79,7 +79,7 @@ def read_rows(path):
 @given(scenario=scenarios(), data=st.data())
 def test_engine_matches_reference_loop(policy, scenario, data):
     fleet, k_profile, rate = scenario
-    charger = ChargerSpec(volts=120.0, amps=28.0, miles_per_slot=rate)
+    charger = ChargerSpec(miles_per_slot=rate)
     need = {v.id: intervals_for_deficit(v.required_miles, v.current_miles, rate) for v in fleet}
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = os.path.join(tmp, "trace.csv")

@@ -344,7 +344,7 @@ def test_fcfs_deficit_list_stays_in_rank_order(name, scenario):
         return state
 
     fleet, k_profile, rate = scenario
-    charger = ChargerSpec(volts=120.0, amps=28.0, miles_per_slot=rate)
+    charger = ChargerSpec(miles_per_slot=rate)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine_mod, "update_membership", checked_update)
         run_simulation(parse_policy(name), Fleet.from_vehicles(fleet, charger), k_profile)
@@ -382,20 +382,14 @@ def test_measurement_window_boundaries():
     base = scenario().base  # the command line's default window
     # One-based days 4, 5, 13, 14 are zero-based 3, 4, 12, 13.
     arrival = np.array([day * SLOTS_PER_DAY + 100 for day in (3, 4, 12, 13)])
-    assert base.measured(arrival).tolist() == [False, True, True, False]
+    assert base.measured_ranks(arrival) == range(1, 3)
 
 
 def test_measurement_window_slot_bounds():
     base = scenario().base  # zero-based days 4 to 12: slots 1152 to 3743
-    assert base.measured(np.array([1151, 1152, 3743, 3744])).tolist() == [False, True, True, False]
-
-
-def test_measured_ranks_are_the_rows_of_the_measured_mask():
-    base = scenario().base  # zero-based days 4 to 12: slots 1152 to 3743
-    rng = np.random.default_rng(5)
-    for arrival in (np.array([1151, 1152, 3743, 3744]), np.array([1152, 3743]), np.array([0, 4000]),
-                    np.array([], dtype=np.int64), np.sort(rng.integers(0, 15 * SLOTS_PER_DAY, 400))):
-        assert list(base.measured_ranks(arrival)) == np.flatnonzero(base.measured(arrival)).tolist()
+    assert base.measured_ranks(np.array([1151, 1152, 3743, 3744])) == range(1, 3)
+    assert not base.measured_ranks(np.array([0, 1151, 3744, 4000]))
+    assert not base.measured_ranks(np.array([], dtype=np.int64))
 
 
 def test_measurement_window_empty_is_an_error(monkeypatch):
@@ -414,9 +408,9 @@ def test_engine_measured_flag_agrees_with_filter(tmp_path):
         for d in range(5)
     ]
     outcomes = run_simulation(parse_policy("fcfs"), Fleet.from_vehicles(vehicles, ORACLE_CHARGER), [3])
-    measured = base.measured(outcomes.arrival_slot)
+    measured = base.measured_ranks(outcomes.arrival_slot)
     path = tmp_path / "outcomes.csv"
     metrics.write_outcomes_csv(outcomes, measured, path)
     with open(path, newline="") as fh:
         flagged = {int(row["id"]) for row in csv.DictReader(fh) if row["measured"] == "1"}
-    assert flagged == set(outcomes.id[measured].tolist()) == {1, 2}
+    assert flagged == set(outcomes.id[measured.start:measured.stop].tolist()) == {1, 2}

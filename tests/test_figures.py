@@ -1,5 +1,8 @@
 """SVG chart generation: determinism and gap handling."""
 
+import pytest
+
+from gridshare import figures
 from gridshare.figures import _PALETTE, adfd_figure, delay_distribution_figure, emit_figures, fod_figure
 from gridshare.metrics import average_reports, build_report
 from gridshare.policies import POLICY_NAMES
@@ -32,6 +35,21 @@ def test_figures_are_deterministic(tmp_path):
                  "fig3-delay-distribution.svg"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
         assert (first / name).read_text().startswith("<svg")
+
+
+def test_a_chart_that_fails_leaves_no_file(tmp_path, monkeypatch):
+    def broken(canvas):
+        raise RuntimeError("chart failed")
+
+    monkeypatch.setattr(figures._Canvas, "finish", broken)
+    reports = sample_reports()
+    with pytest.raises(RuntimeError, match="chart failed"):
+        emit_figures(reports, tmp_path)
+    with pytest.raises(RuntimeError, match="chart failed"):
+        delay_distribution_figure(reports, tmp_path / "dist.svg", sdr=1.2)
+    with pytest.raises(RuntimeError, match="chart failed"):
+        delay_distribution_figure(reports, tmp_path / "empty.svg", sdr=9.9)  # no bars to draw
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_single_series_chart(tmp_path):

@@ -24,6 +24,7 @@ from gridshare.metrics import (
     write_outcomes_csv,
 )
 from gridshare.policies import parse_policy
+from gridshare.units import SLOTS_PER_DAY
 from gridshare.workload import generate_fleet
 
 
@@ -204,8 +205,7 @@ def test_sweep_base_window_validation():
     with pytest.raises(ValueError, match="warmup_days must be 0 or more, not -1"):
         dataclasses.replace(base, warmup_days=-1)
     # A window may open on the first day.
-    assert dataclasses.replace(base, warmup_days=0).measured(np.array([0, 3743, 3744])).tolist() == [
-        True, True, False]
+    assert dataclasses.replace(base, warmup_days=0).measured_ranks(np.array([0, 3743, 3744])) == range(0, 2)
 
 
 def test_sweep_cell_measures_part_of_its_outcomes(tiny_base):
@@ -226,9 +226,11 @@ def test_measured_only_cell_stops_once_its_last_measured_vehicle_has_left(tiny_b
     full_report, full = run_cell(tiny_base, policy, 1.05, 3)
     report, measured = run_cell(tiny_base, policy, 1.05, 3, measured_only=True)
     assert report == full_report
-    window = tiny_base.measured(full.arrival_slot)
-    assert measured == Outcomes(*(column[window] for column in full.columns()))
-    assert list(tiny_base.measured_ranks(full.arrival_slot)) == np.flatnonzero(window).tolist()
+    rows = tiny_base.measured_ranks(full.arrival_slot)
+    assert measured == Outcomes(*(column[rows.start:rows.stop] for column in full.columns()))
+    # The window is zero-based day 1 alone.
+    in_window = (full.arrival_slot >= SLOTS_PER_DAY) & (full.arrival_slot < 2 * SLOTS_PER_DAY)
+    assert list(rows) == np.flatnonzero(in_window).tolist()
     assert runs[1].slots_run == measured.actual_departure_slot.max() < runs[0].slots_run
 
 
@@ -269,7 +271,7 @@ def test_outcomes_csv_supports_independent_recomputation(tmp_path):
     arrival = np.arange(len(delay), dtype=np.int64) * 100
     sample = Outcomes(np.arange(len(delay)), arrival, arrival + 50, arrival + 50 + delay,
                       arrival + 50 + delay, delay)
-    in_window = np.array([True] * 5 + [False])
+    in_window = range(5)
     path = tmp_path / "outcomes.csv"
     write_outcomes_csv(sample, in_window, path)
 
@@ -282,7 +284,7 @@ def test_outcomes_csv_supports_independent_recomputation(tmp_path):
     fod = len(delayed) / len(measured)
     adfd = 5.0 * sum(delayed) / len(delayed)
 
-    report = build_report("fcfs", 1.2, 1, delay[in_window].tolist(), 30.0)
+    report = build_report("fcfs", 1.2, 1, delay[:5].tolist(), 30.0)
     assert abs(fod - report.fod) < 1e-9
     assert abs(adfd - report.adfd_minutes) < 1e-9
     recomputed_delay = [

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridshare.engine import RunConstants
 from gridshare.policies import (
     POLICY_NAMES,
     Policy,
@@ -27,30 +28,36 @@ def in_arrival_order(vehicles):
     return sorted(vehicles, key=lambda v: (v.arrival_slot, v.id))
 
 
+def fresh_state(policy, fleet):
+    """Empty tiers and fresh counters for a run of policy over fleet."""
+    return new_policy_state(policy, RunConstants(fleet))
+
+
 def plugged_state(policy, charger, vehicles):
-    """Tiers after `vehicles` plug in together."""
-    state = new_policy_state(policy, Fleet.from_vehicles(vehicles, charger))
+    """Tiers after `vehicles` plug in together, and the fleet whose ranks they hold."""
+    fleet = Fleet.from_vehicles(vehicles, charger)
+    state = fresh_state(policy, fleet)
     update_membership(state, range(len(vehicles)), satisfied=False, emptied=False)
-    return state
+    return state, fleet
 
 
-def ids(state, ranks):
+def ids(fleet, ranks):
     """Vehicle ids of a tier or a selection, in order."""
-    return [state.fleet.id[r] for r in ranks]
+    return [fleet.id[r] for r in ranks]
 
 
-def rank(state, vid):
-    return state.fleet.id.tolist().index(vid)
+def rank(fleet, vid):
+    return fleet.id.tolist().index(vid)
 
 
-def assert_served_in_order(policy, state, t, order):
+def assert_served_in_order(policy, state, fleet, t, order):
     """For every k, select at slot t takes the first k of `order` (ids).
 
     select's picks come in no particular order, so the order is pinned
     one k at a time, each by the set it picks.
     """
     for k in range(1, len(order) + 1):
-        assert set(ids(state, select(policy, state, t, k))) == set(order[:k]), f"k={k}"
+        assert set(ids(fleet, select(policy, state, t, k))) == set(order[:k]), f"k={k}"
 
 
 @pytest.fixture
@@ -66,14 +73,14 @@ def state_for(unit_charger):
 
 def test_full_battery_from_empty_takes_200_intervals(home_charger):
     v = make_test_vehicle(0, 0, 300, required=100.0, current=0.0, capacity=100.0)
-    state = new_policy_state(parse_policy("fcfs"), Fleet.from_vehicles([v], home_charger))
+    state = fresh_state(parse_policy("fcfs"), Fleet.from_vehicles([v], home_charger))
     assert state.need.tolist() == [200]
     assert state.spare.tolist() == [0]
 
 
 def test_no_intervals_needed_at_required_charge(home_charger):
     v = make_test_vehicle(0, 0, 300, required=50.0, current=50.0, capacity=100.0)
-    state = new_policy_state(parse_policy("fcfs"), Fleet.from_vehicles([v], home_charger))
+    state = fresh_state(parse_policy("fcfs"), Fleet.from_vehicles([v], home_charger))
     assert state.need.tolist() == [0]
     assert state.spare.tolist() == [100]
 
@@ -81,7 +88,7 @@ def test_no_intervals_needed_at_required_charge(home_charger):
 def test_runs_count_down_copies_of_the_fleet_counters(home_charger):
     v = make_test_vehicle(0, 0, 300, required=50.0, current=0.0, capacity=100.0)
     fleet = Fleet.from_vehicles([v], home_charger)
-    state = new_policy_state(parse_policy("fcfs"), fleet)
+    state = fresh_state(parse_policy("fcfs"), fleet)
     state.need -= 1
     state.spare -= 1
     assert fleet.need.tolist() == [100] and fleet.room.tolist() == [200]
@@ -121,21 +128,21 @@ def test_minmax_dt_takes_largest_delays(state_for, unit_charger):
     a = make_test_vehicle(1, 0, 15, required=10.0, current=0.0)
     b = make_test_vehicle(2, 0, 20, required=10.0, current=0.0)
     c = make_test_vehicle(3, 0, 22, required=10.0, current=0.0)
-    state = state_for(policy, [a, b, c])
-    assert_served_in_order(policy, state, 10, [1, 2, 3])
+    state, fleet = state_for(policy, [a, b, c])
+    assert_served_in_order(policy, state, fleet, 10, [1, 2, 3])
 
 
 def test_all_eligible_selected_when_capacity_suffices(state_for):
     for name in ("fcfs", "fdfs", "rr", "minmax-er", "minmax-dt"):
         policy = parse_policy(name)
         vehicles = [make_test_vehicle(i, 0, 50, required=5.0, current=0.0) for i in range(4)]
-        state = state_for(policy, vehicles)
-        assert set(ids(state, select(policy, state, 0, 10))) == {0, 1, 2, 3}
+        state, fleet = state_for(policy, vehicles)
+        assert set(ids(fleet, select(policy, state, 0, 10))) == {0, 1, 2, 3}
 
 
 def test_negative_capacity_rejected(state_for):
     policy = parse_policy("fcfs")
-    state = state_for(policy, [])
+    state, _ = state_for(policy, [])
     with pytest.raises(ValueError, match="negative capacity"):
         select(policy, state, 0, -1)
 
@@ -143,11 +150,11 @@ def test_negative_capacity_rejected(state_for):
 def test_rr_rotates_selected_to_bottom(state_for):
     policy = parse_policy("rr")
     vehicles = [make_test_vehicle(i, i, 50, required=10.0, current=0.0) for i in (1, 2, 3)]
-    state = state_for(policy, vehicles)
-    assert ids(state, state.deficit) == [1, 2, 3]
+    state, fleet = state_for(policy, vehicles)
+    assert ids(fleet, state.deficit) == [1, 2, 3]
     picked = select(policy, state, 5, 2)
-    assert ids(state, picked) == [1, 2]
-    assert ids(state, state.deficit) == [3, 1, 2]
+    assert ids(fleet, picked) == [1, 2]
+    assert ids(fleet, state.deficit) == [3, 1, 2]
 
 
 def test_fcfs_orders_by_arrival(state_for):
@@ -157,8 +164,8 @@ def test_fcfs_orders_by_arrival(state_for):
         make_test_vehicle(7, 10, 300, required=10.0, current=0.0),
         make_test_vehicle(2, 20, 300, required=10.0, current=0.0),
     ]
-    state = state_for(policy, vehicles)
-    assert_served_in_order(policy, state, 40, [7, 2, 5])
+    state, fleet = state_for(policy, vehicles)
+    assert_served_in_order(policy, state, fleet, 40, [7, 2, 5])
 
 
 def test_fdfs_prefers_most_delayed_then_earliest_departure(state_for):
@@ -167,8 +174,8 @@ def test_fdfs_prefers_most_delayed_then_earliest_departure(state_for):
     late_small = make_test_vehicle(2, 0, 9, required=30.0, current=0.0)  # 1 slot late
     soon = make_test_vehicle(3, 0, 30, required=30.0, current=0.0)
     later = make_test_vehicle(4, 0, 40, required=30.0, current=0.0)
-    state = state_for(policy, [late_big, late_small, soon, later])
-    assert_served_in_order(policy, state, 10, [1, 2, 3, 4])
+    state, fleet = state_for(policy, [late_big, late_small, soon, later])
+    assert_served_in_order(policy, state, fleet, 10, [1, 2, 3, 4])
 
 
 def test_fdfs_least_slack_variant_orders_by_slack(state_for):
@@ -176,20 +183,20 @@ def test_fdfs_least_slack_variant_orders_by_slack(state_for):
     # At t=0: slack(a) = 20-15 = 5, slack(b) = 30-28 = 2: b first despite later departure.
     a = make_test_vehicle(1, 0, 20, required=15.0, current=0.0)
     b = make_test_vehicle(2, 0, 30, required=28.0, current=0.0)
-    state = state_for(policy, [a, b])
-    assert_served_in_order(policy, state, 0, [2, 1])
+    state, fleet = state_for(policy, [a, b])
+    assert_served_in_order(policy, state, fleet, 0, [2, 1])
     # Default reading picks the earlier departure instead.
     default = parse_policy("fdfs")
-    state2 = state_for(default, [a, b])
-    assert_served_in_order(default, state2, 0, [1, 2])
+    state2, fleet2 = state_for(default, [a, b])
+    assert_served_in_order(default, state2, fleet2, 0, [1, 2])
 
 
 def test_minmax_er_takes_largest_remaining_need(state_for):
     policy = parse_policy("minmax-er")
     small = make_test_vehicle(1, 0, 99, required=5.0, current=0.0)
     big = make_test_vehicle(2, 5, 99, required=50.0, current=0.0)
-    state = state_for(policy, [small, big])
-    assert_served_in_order(policy, state, 10, [2, 1])
+    state, fleet = state_for(policy, [small, big])
+    assert_served_in_order(policy, state, fleet, 10, [2, 1])
 
 
 def test_ties_break_by_arrival_then_id(state_for):
@@ -199,8 +206,8 @@ def test_ties_break_by_arrival_then_id(state_for):
         make_test_vehicle(3, 4, 99, required=10.0, current=0.0),
         make_test_vehicle(5, 2, 99, required=10.0, current=0.0),
     ]
-    state = state_for(policy, vehicles)
-    assert_served_in_order(policy, state, 5, [5, 3, 9])
+    state, fleet = state_for(policy, vehicles)
+    assert_served_in_order(policy, state, fleet, 5, [5, 3, 9])
 
 
 # --- membership maintenance -------------------------------------------------
@@ -211,21 +218,21 @@ def test_vehicle_crossing_required_moves_to_topoff_tail(state_for):
     a = make_test_vehicle(1, 0, 99, required=10.0, current=0.0, capacity=20.0)
     b = make_test_vehicle(2, 1, 99, required=10.0, current=5.0, capacity=20.0)
     old_topoff = make_test_vehicle(3, 2, 99, required=5.0, current=7.0, capacity=20.0)
-    state = state_for(policy, [a, b, old_topoff])
-    assert ids(state, state.deficit) == [1, 2]
-    assert ids(state, state.topoff) == [3]
-    ra = rank(state, 1)
+    state, fleet = state_for(policy, [a, b, old_topoff])
+    assert ids(fleet, state.deficit) == [1, 2]
+    assert ids(fleet, state.topoff) == [3]
+    ra = rank(fleet, 1)
     state.need[ra], state.spare[ra] = 0, 8  # charged to 12 miles: crossed its requirement
     update_membership(state, arrived=(), satisfied=True, emptied=False)
-    assert ids(state, state.deficit) == [2]
-    assert ids(state, state.topoff) == [3, 1]
+    assert ids(fleet, state.deficit) == [2]
+    assert ids(fleet, state.topoff) == [3, 1]
 
 
 def test_full_battery_vehicle_leaves_both_lists(state_for):
     policy = parse_policy("fcfs")
     v = make_test_vehicle(1, 0, 99, required=10.0, current=0.0, capacity=12.0)
-    state = state_for(policy, [v])
-    assert ids(state, state.deficit) == [1]
+    state, fleet = state_for(policy, [v])
+    assert ids(fleet, state.deficit) == [1]
     state.need[0], state.spare[0] = 0, 0  # charged to its 12-mile capacity
     update_membership(state, arrived=(), satisfied=True, emptied=True)
     assert not len(state.deficit) and not len(state.topoff)
@@ -233,19 +240,20 @@ def test_full_battery_vehicle_leaves_both_lists(state_for):
 
 def test_departed_vehicle_dropped(state_for):
     policy = parse_policy("rr")
-    state = state_for(policy, [make_test_vehicle(i, 0, 99, required=10.0, current=0.0) for i in (1, 2)])
+    vehicles = [make_test_vehicle(i, 0, 99, required=10.0, current=0.0) for i in (1, 2)]
+    state, fleet = state_for(policy, vehicles)
     # It left as its last interval came in; the engine empties a leaver's spare.
-    state.need[rank(state, 1)] = state.spare[rank(state, 1)] = 0
+    state.need[rank(fleet, 1)] = state.spare[rank(fleet, 1)] = 0
     update_membership(state, arrived=(), satisfied=True, emptied=True)
-    assert ids(state, state.deficit) == [2]
+    assert ids(fleet, state.deficit) == [2]
 
 
 def test_simple_variant_keeps_single_list(unit_charger):
     policy = parse_policy("fcfs-simple")
     satisfied = make_test_vehicle(1, 0, 99, required=5.0, current=8.0, capacity=20.0)
     needy = make_test_vehicle(2, 0, 99, required=15.0, current=0.0, capacity=20.0)
-    state = plugged_state(policy, unit_charger, [satisfied, needy])
-    assert ids(state, state.deficit) == [1, 2]
+    state, fleet = plugged_state(policy, unit_charger, [satisfied, needy])
+    assert ids(fleet, state.deficit) == [1, 2]
     assert not len(state.topoff)
 
 
@@ -311,10 +319,10 @@ def random_scenario(draw):
 def test_selection_cardinality_property(scenario, name):
     from gridshare.powergrid import ChargerSpec
 
-    charger = ChargerSpec(volts=120.0, amps=28.0, miles_per_slot=1.0)
+    charger = ChargerSpec(miles_per_slot=1.0)
     vehicles, k, t = scenario
     policy = parse_policy(name)
-    state = plugged_state(policy, charger, vehicles)
+    state, _ = plugged_state(policy, charger, vehicles)
     eligible = len(state.deficit) + len(state.topoff)
     picked = select(policy, state, t, k)
     assert len(picked) == min(k, eligible)
@@ -326,10 +334,10 @@ def test_selection_cardinality_property(scenario, name):
 def test_top_k_property_for_sorted_policies(scenario, name):
     from gridshare.powergrid import ChargerSpec
 
-    charger = ChargerSpec(volts=120.0, amps=28.0, miles_per_slot=1.0)
+    charger = ChargerSpec(miles_per_slot=1.0)
     vehicles, k, t = scenario
     policy = parse_policy(name)
-    state = plugged_state(policy, charger, vehicles)
+    state, _ = plugged_state(policy, charger, vehicles)
     plugged = in_arrival_order(vehicles)
     picked = set(select(policy, state, t, k))
 
@@ -376,7 +384,7 @@ def test_select_takes_the_top_k_set_of_each_tier(name, n, unit_charger):
     largest_tier = late = 0
     for satisfied_share in (0.0, 0.1, 0.5, 0.9, 1.0):
         vehicles = keyed_vehicles(rng, n, satisfied_share)
-        state = plugged_state(policy, unit_charger, vehicles)
+        state, _ = plugged_state(policy, unit_charger, vehicles)
         plugged = in_arrival_order(vehicles)
         tiers = [state.deficit.tolist(), state.topoff.tolist()]
         keys = {r: priority_key(policy, t, v, 1.0) for r, v in enumerate(plugged)}
@@ -406,10 +414,10 @@ def test_select_takes_the_top_k_set_of_each_tier(name, n, unit_charger):
 def test_minmax_dt_dominance_property(scenario):
     from gridshare.powergrid import ChargerSpec
 
-    charger = ChargerSpec(volts=120.0, amps=28.0, miles_per_slot=1.0)
+    charger = ChargerSpec(miles_per_slot=1.0)
     vehicles, k, t = scenario
     policy = parse_policy("minmax-dt")
-    state = plugged_state(policy, charger, vehicles)
+    state, _ = plugged_state(policy, charger, vehicles)
     plugged = in_arrival_order(vehicles)
     picked = set(select(policy, state, t, k))
     deficit = list(state.deficit)
@@ -428,14 +436,14 @@ def test_minmax_dt_dominance_property(scenario):
 def test_rr_fairness_over_static_window(unit_charger):
     policy = parse_policy("rr")
     vehicles = [make_test_vehicle(i, 0, 10_000, required=5000.0, current=0.0) for i in range(7)]
-    state = plugged_state(policy, unit_charger, vehicles)
+    state, fleet = plugged_state(policy, unit_charger, vehicles)
     counts = {v.id: 0 for v in vehicles}
     k = 3
     picked = []
     for t in range(70):
         update_membership(state, arrived=(), satisfied=False, emptied=False)
         picked = select(policy, state, t, k)
-        for vid in ids(state, picked):
+        for vid in ids(fleet, picked):
             counts[vid] += 1
     assert max(counts.values()) - min(counts.values()) <= 1
     assert sum(counts.values()) == 70 * k
@@ -443,7 +451,7 @@ def test_rr_fairness_over_static_window(unit_charger):
 
 def test_non_rotation_select_is_pure(state_for):
     policy = parse_policy("minmax-dt")
-    state = state_for(policy, [make_test_vehicle(i, i, 60, required=10.0 + i, current=0.0)
+    state, _ = state_for(policy, [make_test_vehicle(i, i, 60, required=10.0 + i, current=0.0)
                                for i in range(5)])
     before = (state.deficit.copy(), state.topoff.copy())
     first = select(policy, state, 10, 2)

@@ -72,7 +72,7 @@ def test_exact_home_charger_matches_electrical_rating():
 def test_derated_home_charger_runs_at_13_amps():
     c = charger_preset("home-110-13")
     assert c.kw == pytest.approx(110 * 13 / 1000)
-    assert c.amps == 13.0
+    assert c.miles_per_slot == pytest.approx(1.43 / 12 / 0.28)
 
 
 def test_unknown_preset_rejected():
@@ -82,7 +82,7 @@ def test_unknown_preset_rejected():
 
 def test_charger_requires_positive_rate():
     with pytest.raises(ValueError):
-        ChargerSpec(volts=110, amps=15, miles_per_slot=0.0)
+        ChargerSpec(miles_per_slot=0.0)
 
 
 # --- required energy -------------------------------------------------------
