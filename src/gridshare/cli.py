@@ -6,7 +6,9 @@ values, and `_CONFIG_DEFAULTS` holds the only default of every key.
 Every run directory receives a resolved-config capturing all effective
 settings, and output files but trace.csv (which the engine writes as
 the run goes) are written atomically (`metrics.write_atomic`). Only
-`simulate` takes `--trace` and reads the `trace` key.
+`simulate` takes `--trace` and reads the `trace` key; every other
+command refuses `trace=true`, so its resolved-config never records a
+trace it did not write.
 """
 
 from __future__ import annotations
@@ -431,6 +433,9 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
+        if cfg.trace and args.func is not cmd_simulate:
+            raise ValueError(f"trace=true is refused by {args.command}: only simulate reads "
+                             "the trace key and writes a trace; set trace=false")
         return args.func(cfg, args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,11 +18,21 @@ indexed by rank (policies.PolicyState): the picks of a slot are charged
 by index, each part on one counter (the deficit share on need, the
 top-off share on spare), while arrival, satisfaction and departure,
 which happen once per vehicle, are handled rank by rank through plain
-lists made once per fleet (`RunConstants`). Once no vehicle is a
-candidate (nothing is plugged, or every plugged vehicle is full and
-waits for its expected departure), the loop skips ahead to the next
-arrival or departure boundary; skipped slots still count. The tiers
-are refreshed only in a slot where one can change. The run returns one
+lists made once per fleet (`RunConstants`).
+
+A tiered policy serves the deficit tier before the top-off tier, and a
+satisfied vehicle's satisfied slot and departure are fixed, so top-off
+service changes no outcome. Only a run that reads it serves it: a
+traced run, whose rows list the top-off tier, and a simple variant,
+whose one list mixes both kinds of vehicle, so that a satisfied vehicle
+can take a pick. In any other run a satisfied vehicle joins no tier and
+is never picked.
+
+Once no vehicle is a candidate (nothing is plugged, or every plugged
+vehicle is full, or, in a run that does not serve top-off, satisfied,
+and waits for its expected departure), the loop skips ahead to the next
+arrival or departure boundary; skipped slots still count. The tiers are
+refreshed only in a slot where one can change. The run returns one
 `Outcomes` table, built as columns from the satisfied and departure
 slots after the loop, once the conservation checks on them have
 passed. It holds what the run decided, for every vehicle of the range:
@@ -83,7 +93,8 @@ class Outcomes:
 
 @dataclass
 class RunStats:
-    """Slots run and vehicles selected in a run."""
+    """Slots run, and the picks a run made: a run that does not serve
+    top-off (see the module docstring) makes deficit picks only."""
 
     slots_run: int = 0
     total_selections: int = 0
@@ -187,6 +198,9 @@ def run_simulation(
 
     trace_sink, if given, is called with each slot's (slot, k, rows)
     group; trace_path, if given, receives the same groups as trace.csv.
+    A run with either serves the top-off tier, as a run of a simple
+    variant always does; any other run leaves it empty, which changes no
+    outcome.
     """
     if constants is None:
         constants = RunConstants(fleet)
@@ -200,7 +214,8 @@ def run_simulation(
         ranks = range(len(fleet))
     elif not (ranks.step == 1 and 0 <= ranks.start <= ranks.stop <= len(fleet)):
         raise ValueError(f"{ranks} is not a step-1 range of the fleet's {len(fleet)} ranks")
-    state = new_policy_state(policy, constants)
+    serve_topoff = bool(trace_path) or trace_sink is not None or not policy.use_distance_info
+    state = new_policy_state(policy, constants, serve_topoff)
     if not trace_path:
         return _run_loop(policy, constants, k_profile, ranks, trace_sink, stats, state)
     with open(trace_path, "w", newline="", encoding="utf-8") as fh:

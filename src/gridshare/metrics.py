@@ -18,11 +18,12 @@ A cell's fleet and its required energy depend only on its fleet key
 (workload, arrival profile, charger, seed), not on the policy or the
 ratio. `run_cells` hands cells out grouped by fleet key (seed-major for
 a sweep's grid), and each process that runs them keeps the last key's
-fleet in the module's memo, so a process generates each fleet at most
-once. The memo lives for one `run_cells` call: a pool worker's dies
-with the pool, and the in-process one is cleared when the call returns
-or raises. A direct `run_cell` call keeps no memo and generates its
-fleet every time.
+fleet and its `engine.RunConstants` in the module's memo, so a process
+generates each fleet and builds its run constants at most once. The
+memo lives for one `run_cells` call: a pool worker's dies with the
+pool, and the in-process one is cleared when the call returns or
+raises. A direct `run_cell` call keeps no memo and generates its fleet
+every time.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import Outcomes, RunStats, run_simulation
+from .engine import Outcomes, RunConstants, RunStats, run_simulation
 from .policies import Policy
 from .powergrid import (
     ChargerSpec,
@@ -105,14 +106,14 @@ def run_cell(
     the fleet memo of the `run_cells` call running this cell; without
     one the fleet is generated afresh.
     """
-    fleet, tpr = _seed_work(base, seed, {} if memo is None else memo)
+    fleet, tpr, constants = _seed_work(base, seed, {} if memo is None else memo)
     grid = make_grid(base.shape, tpr, sdr, base.peak_other_fraction)
     ranks = base.measured_ranks(fleet.arrival_slot) if measured_only else None
     # Nothing here reads the stats; the benchmark's engine span hooks read
     # them from the `stats` keyword.
     outcomes = run_simulation(
-        policy, fleet, day_capacity_profile(grid, base.charger), ranks=ranks, stats=RunStats(),
-        trace_path=trace_path,
+        policy, fleet, day_capacity_profile(grid, base.charger), ranks=ranks, constants=constants,
+        stats=RunStats(), trace_path=trace_path,
     )
     rows = base.measured_ranks(outcomes.arrival_slot)
     delays = outcomes.delay_slots[rows.start:rows.stop].tolist()
@@ -125,7 +126,7 @@ def _fleet_key(base: SweepBase, seed: int) -> tuple:
 
 
 def _seed_work(base: SweepBase, seed: int, memo: dict) -> tuple:
-    """The fleet and its daily required energy.
+    """The fleet, its daily required energy and its run constants.
 
     memo holds at most one fleet key's work: the same key returns it
     again, another key replaces it.
@@ -134,7 +135,7 @@ def _seed_work(base: SweepBase, seed: int, memo: dict) -> tuple:
     if key not in memo:
         memo.clear()  # the old fleet goes before the new one is built
         fleet = generate_fleet(base.workload, base.profile, base.charger, seed)
-        memo[key] = fleet, total_required_energy(fleet, base.workload.days)
+        memo[key] = fleet, total_required_energy(fleet, base.workload.days), RunConstants(fleet)
     return memo[key]
 
 
@@ -213,9 +214,10 @@ def run_cells(cells: Sequence[tuple], max_workers: int | None = None) -> list[Me
     Cells run independently, across a process pool when more than one
     worker is allowed. They are handed out grouped by fleet key, keys in
     the order they first appear, and each process keeps the last key's
-    fleet in a memo, so it generates each fleet at most once. The memo
-    lives for this call only: a pool worker's dies with the pool, and
-    the in-process one is cleared when the call returns or raises.
+    fleet and run constants in a memo, so it builds each at most once.
+    The memo lives for this call only: a pool worker's dies with the
+    pool, and the in-process one is cleared when the call returns or
+    raises.
     Raises ValueError before any cell runs if there are no cells or a
     supply ratio is outside [1, `powergrid.MAX_SUPPLY_RATIO`].
     """

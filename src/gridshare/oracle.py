@@ -166,6 +166,10 @@ def max_delay(outcomes: Outcomes) -> int:
     return max(outcomes.delay_slots.tolist(), default=0)
 
 
+# The half-open ranges of a random tiny session's arrival, need and stay.
+_SESSION_LOW, _SESSION_HIGH = (0, 0, 1), (10, 7, 15)
+
+
 def random_tiny_instance(rng: np.random.Generator, *, constant_k: bool = False) -> TinyInstance:
     """A feasible random instance: mixed arrivals, needs, and K pattern.
 
@@ -176,20 +180,19 @@ def random_tiny_instance(rng: np.random.Generator, *, constant_k: bool = False) 
     audits only.
     """
     n = int(rng.integers(2, MAX_TINY_VEHICLES + 1))
-    specs = []
-    for _ in range(n):
-        arrival = int(rng.integers(0, 10))
-        need = int(rng.integers(0, 7))
-        stay = int(rng.integers(1, 15))
-        specs.append((arrival, arrival + stay, need))
+    # Each vehicle's arrival, need and stay, drawn in one call that takes
+    # the values one scalar draw each would, in the same order.
+    drawn = rng.integers(_SESSION_LOW * n, _SESSION_HIGH * n).tolist()
+    specs = [(arrival, arrival + stay, need)
+             for arrival, need, stay in zip(drawn[0::3], drawn[1::3], drawn[2::3])]
     if constant_k:
         k_profile = [int(rng.integers(1, 4))]
     else:
         cycle = int(rng.integers(3, 9))
-        k_profile = [int(rng.integers(0, 4)) for _ in range(cycle)]
+        k_profile = rng.integers(0, 4, size=cycle).tolist()
         if sum(k_profile) == 0:
             k_profile[int(rng.integers(0, cycle))] = 1
-    topoff_extra = float(rng.choice([0.0, 2.0]))
+    topoff_extra = (0.0, 2.0)[int(rng.integers(0, 2))]
     return tiny_instance(specs, k_profile, topoff_extra=topoff_extra)
 
 

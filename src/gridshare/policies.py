@@ -4,7 +4,9 @@ Every policy serves the deficit list (vehicles short of their required
 charge) before the top-off list (at or above required, below full).
 Within a tier the order is policy-specific; surplus switches always go
 to top-off under the same key so the comparison isolates the deficit
-tier. Ties break by arrival slot, then id.
+tier. Ties break by arrival slot, then id. Top-off service changes no
+outcome, so a state may leave the top-off tier empty (`serve_topoff`):
+the engine decides which runs serve it.
 
 A policy is chosen by name only. Besides the paper's five there are
 three named variants: `fcfs-simple` and `rr-simple` use no
@@ -101,9 +103,10 @@ class PolicyState:
 
     deficit and topoff are int64 arrays of ranks in list order (head =
     next in line for the rotation policy), refreshed each slot by
-    update_membership. A vehicle's priority key is computed from the
-    departure keys and the counters when select needs it, so no priority
-    key is stored.
+    update_membership. Without serve_topoff no vehicle joins the top-off
+    tier, so it stays empty. A vehicle's priority key is computed from
+    the departure keys and the counters when select needs it, so no
+    priority key is stored.
     """
 
     policy: Policy
@@ -115,6 +118,7 @@ class PolicyState:
     departure_keys: np.ndarray
     rank_bits: int
     rank_mask: int  # (1 << rank_bits) - 1
+    serve_topoff: bool
     deficit: np.ndarray = field(default_factory=lambda: _NO_RANKS)
     topoff: np.ndarray = field(default_factory=lambda: _NO_RANKS)
 
@@ -150,11 +154,13 @@ def joining_tiers(fleet: "Fleet") -> dict[bool, bytes]:
     return {False: single.tobytes(), True: tiered.tobytes()}
 
 
-def new_policy_state(policy: Policy, constants: "RunConstants") -> PolicyState:
+def new_policy_state(policy: Policy, constants: "RunConstants",
+                     serve_topoff: bool = True) -> PolicyState:
     """Empty tiers and fresh counters for a run over `constants.fleet`.
 
     constants is the fleet's `engine.RunConstants`, whose joining tiers
-    and departure keys the state shares.
+    and departure keys the state shares. Without serve_topoff the state
+    keeps no top-off tier (see `update_membership`).
     """
     fleet = constants.fleet
     need = fleet.need.copy()
@@ -162,7 +168,7 @@ def new_policy_state(policy: Policy, constants: "RunConstants") -> PolicyState:
     return PolicyState(
         policy=policy, need=need, spare=fleet.room - need,
         joins=constants.joins[policy.use_distance_info], departure_keys=constants.departure_keys,
-        rank_bits=bits, rank_mask=(1 << bits) - 1,
+        rank_bits=bits, rank_mask=(1 << bits) - 1, serve_topoff=serve_topoff,
     )
 
 
@@ -233,10 +239,11 @@ def update_membership(state: PolicyState, arrived: range,
     Full or departed vehicles (need and spare 0) drop out; deficit
     vehicles whose need reached 0 move to the tail of the top-off list
     (in deficit-list order); arrivals that are not full join the tail of
-    their tier, in rank order. Without distance information there is no
-    top-off tier: every not-full vehicle stays in the single deficit
-    list. Either way only arrivals join the deficit list, so it stays in
-    rank order.
+    their tier, in rank order. Without serve_topoff a satisfied vehicle,
+    arriving or moving, joins no tier. Without distance information there
+    is no top-off tier: every not-full vehicle stays in the single
+    deficit list. Either way only arrivals join the deficit list, so it
+    stays in rank order.
     """
     deficit, topoff = state.deficit, state.topoff
     # Counters never fall below 0, so astype(bool) tests "above 0".
@@ -247,7 +254,8 @@ def update_membership(state: PolicyState, arrived: range,
     else:
         if satisfied:
             short = need[deficit].astype(bool)
-            topoff = np.concatenate((topoff, deficit[~short]))
+            if state.serve_topoff:
+                topoff = np.concatenate((topoff, deficit[~short]))
             deficit = deficit[short]
         # Every top-off vehicle has need 0, so spare alone tells if it is
         # full; a mover whose spare is 0 filled up as it was satisfied,
@@ -259,9 +267,10 @@ def update_membership(state: PolicyState, arrived: range,
         joining = [rank for rank in arrived if joins[rank] == 1]
         if joining:
             deficit = np.concatenate((deficit, joining))
-        joining = [rank for rank in arrived if joins[rank] == 2]
-        if joining:
-            topoff = np.concatenate((topoff, joining))
+        if state.serve_topoff:
+            joining = [rank for rank in arrived if joins[rank] == 2]
+            if joining:
+                topoff = np.concatenate((topoff, joining))
     state.deficit, state.topoff = deficit, topoff
     return state
 

@@ -243,6 +243,21 @@ def test_trace_flag_writes_trace(tiny_config, tmp_path):
     assert header[:4] == ["slot", "k", "vehicle_id", "tier"]
 
 
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_trace_changes_no_simulate_output(tiny_config, tmp_path, name):
+    # Only the traced run serves the top-off tier (the simple variants'
+    # one list always takes satisfied vehicles); the outputs are the same.
+    argv = ["simulate", "--config", tiny_config, "--policy", name, "--sdr", "1.05"]
+    plain, traced = tmp_path / "plain", tmp_path / "traced"
+    assert run(argv + ["--out", str(plain)]) == EXIT_OK
+    assert run(argv + ["--trace", "--out", str(traced)]) == EXIT_OK
+    for output in ("fod.csv", "adfd.csv", "outcomes.csv"):
+        assert (plain / output).read_bytes() == (traced / output).read_bytes(), output
+    rows = read_rows(traced / "trace.csv")
+    served = any(row["tier"] == "2" and row["selected"] == "1" for row in rows)
+    assert served == parse_policy(name).use_distance_info  # the traced run did top off
+
+
 @pytest.mark.parametrize("command", ["sweep", "dump-fleet", "verify"])
 def test_trace_flag_is_a_usage_error_outside_simulate(tiny_config, tmp_path, command):
     # Only simulate writes a trace; anywhere else the flag would do nothing.
@@ -251,6 +266,23 @@ def test_trace_flag_is_a_usage_error_outside_simulate(tiny_config, tmp_path, com
         run([command, "--config", tiny_config, "--trace", "--out", str(out)])
     assert exc.value.code == EXIT_CONFIG
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("sweep", ["--no-figures", "--workers", "1"]),
+    ("dump-fleet", []),
+    ("verify", ["--instances", "2"]),
+])
+def test_trace_key_is_refused_outside_simulate(tiny_config, tmp_path, capsys, command, flags):
+    # A bundle's trace=true would be recorded in resolved-config but write
+    # no trace, so it is refused before any output; trace=false is accepted.
+    for value, code in (("true", EXIT_CONFIG), ("false", EXIT_OK)):
+        bundle = tmp_path / f"trace-{value}.conf"
+        bundle.write_text(TINY_CONFIG + f"trace={value}\n")
+        out = tmp_path / value
+        assert run([command, "--config", str(bundle), *flags, "--out", str(out)]) == code
+        assert out.exists() == (code == EXIT_OK)
+    assert f"trace=true is refused by {command}" in capsys.readouterr().err
 
 
 # --- sweep ---------------------------------------------------------------

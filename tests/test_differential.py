@@ -10,8 +10,10 @@ slots the engine skips are still counted, and never more than the drain
 bound at which the engine gives up. A second run of each example is
 stopped at a drawn range of ranks: it must return the reference's rows
 of that range and end at the boundary where the last of them leaves.
-The test is parametrized by variant so that shrinking a failure re-runs
-one engine and the reference, not eight.
+A third, untraced run must return the same outcomes; it serves no
+top-off tier, so a tiered policy makes only the traced run's deficit
+picks. The test is parametrized by variant so that shrinking a failure
+re-runs one engine and the reference, not eight.
 """
 
 import csv
@@ -105,6 +107,15 @@ def test_engine_matches_reference_loop(policy, scenario, data):
         picks = Counter(row[2] for row in rows if row[8])
         room = dict(zip(hand_built.id.tolist(), hand_built.room.tolist()))
         assert all(picks[vid] <= room[vid] for vid in picks)
+
+    # Untraced, a tiered policy serves no top-off tier: the same outcomes
+    # from its deficit picks alone. A simple variant's one list, all of
+    # it tier 1, still takes satisfied vehicles: it makes every traced pick.
+    untraced_stats = RunStats()
+    assert run_simulation(policy, hand_built, k_profile, stats=untraced_stats) == want_outcomes
+    assert untraced_stats.total_selections == sum(row[8] for row in rows if row[3] == 1)
+    if not policy.use_distance_info:
+        assert untraced_stats.total_selections == stats.total_selections
 
     # Stopped once the last vehicle of a range has left: the same rows for that range.
     first = data.draw(st.integers(min_value=0, max_value=len(fleet)), label="first rank")

@@ -139,12 +139,14 @@ def test_late_vehicle_departs_at_first_satisfied_boundary():
     assert outcome.delay_slots == 15
 
 
-def test_full_battery_vehicle_stops_charging_but_waits_for_departure():
+def test_full_battery_vehicle_stops_charging_but_waits_for_departure(tmp_path):
     a = make_test_vehicle(1, 0, 30, required=2.0, current=0.0, capacity=4.0)
     b = make_test_vehicle(2, 0, 30, required=25.0, current=0.0, capacity=40.0)
-    outcomes = run_tiny([a, b], [2], policy="fcfs")
+    trace = tmp_path / "trace.csv"  # a traced run serves the top-off tier
+    outcomes = simulate("fcfs", [a, b], [2], trace_path=trace)
     by_id = {o.id: o for o in outcomes}
     # a tops off to its 4-mile cap, then all capacity goes to b.
+    assert sum(row[8] for row in read_rows(trace) if row[2] == 1) == 4
     assert by_id[1].satisfied_slot == 2
     assert by_id[1].actual_departure_slot == 30
     assert by_id[2].satisfied_slot == 25
@@ -364,6 +366,42 @@ def test_outcome_invariants_on_random_scenario():
             assert o.delay_slots >= 0
             assert o.actual_departure_slot == max(o.expected_departure_slot, o.satisfied_slot)
             assert o.satisfied_slot >= o.arrival_slot
+
+
+@pytest.mark.parametrize("policy", [p for p in VARIANTS if p.use_distance_info],
+                         ids=lambda policy: policy.name)
+def test_untraced_run_hands_select_no_topoff_rank(policy, monkeypatch, tmp_path):
+    import gridshare.engine as engine_mod
+
+    real_select = engine_mod.select
+    handed = []  # each select call's candidates, as (rank, need) pairs
+
+    def watched_select(policy, state, t, k):
+        ranks = np.concatenate((state.deficit, state.topoff))
+        handed.append(list(zip(ranks.tolist(), state.need[ranks].tolist())))
+        return real_select(policy, state, t, k)
+
+    monkeypatch.setattr(engine_mod, "select", watched_select)
+    # Vehicle 1 arrives holding its requirement with room to spare, and
+    # vehicle 2 becomes satisfied at slot 3; K = 2 leaves room for both.
+    vehicles = [
+        make_test_vehicle(1, 0, 20, required=2.0, current=4.0, capacity=10.0),
+        make_test_vehicle(2, 1, 12, required=2.0, capacity=6.0),
+        make_test_vehicle(3, 15, 18, required=1.0),
+    ]
+    fleet = Fleet.from_vehicles(vehicles, ORACLE_CHARGER)
+    traced_stats, stats = RunStats(), RunStats()
+    traced = run_simulation(policy, fleet, [2], trace_path=tmp_path / "trace.csv", stats=traced_stats)
+    traced_calls = handed.copy()
+    handed.clear()
+    untraced = run_simulation(policy, fleet, [2], stats=stats)
+    assert untraced == traced
+    assert any(need == 0 for call in traced_calls for _, need in call)  # the traced run tops off
+    assert all(need > 0 for call in handed for _, need in call)
+    # Three deficit picks; the slots with only satisfied vehicles plugged are skipped.
+    assert stats.total_selections == 3 < traced_stats.total_selections
+    assert len(handed) == 3 < len(traced_calls)
+    assert stats.slots_run == traced_stats.slots_run == 20
 
 
 def test_stats_collect_slots_and_selections():

@@ -7,7 +7,7 @@ policies or the metrics that moves any output byte fails here. The
 dryer charger and the exact household rate cover charge rates that are
 not a power of two. Three cases (`rr`, `minmax-er`, `fcfs-simple`) are
 pinned again at a supply ratio of 2.0, cells and traces, where much of
-the charging is top-off and batteries fill up.
+a traced run's charging is top-off and batteries fill up.
 
 A second set pins the digest of trace.csv for a small traced cell of
 each differential-test variant, so the order of trace rows (the
@@ -43,7 +43,7 @@ CASES = {
     **{policy.name: ["--policy", policy.name] for policy in VARIANTS},
     "minmax-er-charger-dryer-220-30": ["--policy", "minmax-er", "--charger", "dryer-220-30"],
     "minmax-dt-exact-charger-physics": ["--policy", "minmax-dt", "--charger", "home-110-15-exact"],
-    # Much of the charging is top-off here, and batteries fill up.
+    # Much of a traced run's charging is top-off here, and batteries fill up.
     **{f"{name}-sdr-2.0": ["--policy", name, "--sdr", "2.0"] for name in ("rr", "minmax-er", "fcfs-simple")},
 }
 

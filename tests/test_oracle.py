@@ -69,6 +69,36 @@ def test_instance_size_limits():
         tiny_instance([(40, 45, 1)], [1])
 
 
+def scalar_tiny_instance(rng, constant_k):
+    """random_tiny_instance written as one scalar draw per value."""
+    specs = []
+    for _ in range(int(rng.integers(2, 6))):
+        arrival = int(rng.integers(0, 10))
+        need = int(rng.integers(0, 7))
+        stay = int(rng.integers(1, 15))
+        specs.append((arrival, arrival + stay, need))
+    if constant_k:
+        k_profile = [int(rng.integers(1, 4))]
+    else:
+        cycle = int(rng.integers(3, 9))
+        k_profile = [int(rng.integers(0, 4)) for _ in range(cycle)]
+        if sum(k_profile) == 0:
+            k_profile[int(rng.integers(0, cycle))] = 1
+    return tiny_instance(specs, k_profile, topoff_extra=float(rng.choice([0.0, 2.0])))
+
+
+@pytest.mark.parametrize("seed", [1, 2024])
+def test_random_tiny_instances_take_the_scalar_draws(seed):
+    # The same instances, and the generator left in the same state, as
+    # drawing each value on its own: verify's campaigns stay as they were.
+    rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for i in range(300):
+        constant = i % 3 == 0
+        assert random_tiny_instance(rng, constant_k=constant) == scalar_tiny_instance(
+            scalar_rng, constant), i
+    assert rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
 def test_bounded_search_returns_the_optimum_capped_at_the_bound():
     # Pruning at the bound must never change a result below it, on
     # steady and cycling instances alike.

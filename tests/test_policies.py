@@ -228,6 +228,21 @@ def test_vehicle_crossing_required_moves_to_topoff_tail(state_for):
     assert ids(fleet, state.topoff) == [3, 1]
 
 
+def test_without_topoff_service_a_satisfied_vehicle_joins_no_tier(unit_charger):
+    a = make_test_vehicle(1, 0, 99, required=10.0, current=0.0, capacity=20.0)
+    b = make_test_vehicle(2, 1, 99, required=10.0, current=5.0, capacity=20.0)
+    sated = make_test_vehicle(3, 2, 99, required=5.0, current=7.0, capacity=20.0)
+    fleet = Fleet.from_vehicles([a, b, sated], unit_charger)
+    state = new_policy_state(parse_policy("fcfs"), RunConstants(fleet), serve_topoff=False)
+    update_membership(state, range(3), satisfied=False, emptied=False)
+    assert ids(fleet, state.deficit) == [1, 2]
+    assert not len(state.topoff)
+    state.need[rank(fleet, 1)] = 0  # crossed its requirement
+    update_membership(state, arrived=(), satisfied=True, emptied=False)
+    assert ids(fleet, state.deficit) == [2]
+    assert not len(state.topoff)
+
+
 def test_full_battery_vehicle_leaves_both_lists(state_for):
     policy = parse_policy("fcfs")
     v = make_test_vehicle(1, 0, 99, required=10.0, current=0.0, capacity=12.0)
