@@ -219,9 +219,6 @@ def build_config(overrides: dict) -> ExperimentConfig:
 
     peak_other_fraction = _finite("peak_other_fraction", raw["peak_other_fraction"])
     check_peak_other_fraction(peak_other_fraction)
-    bin_width_min = _finite("bin_width_min", raw["bin_width_min"])
-    if bin_width_min <= 0.0:
-        raise ValueError(f"bin_width_min must be positive, not {bin_width_min:g}")
     base = metrics.SweepBase(
         workload=workload,
         profile=profile,
@@ -230,7 +227,7 @@ def build_config(overrides: dict) -> ExperimentConfig:
         warmup_days=int(raw["warmup_days"]),
         last_measured_day=int(raw["last_measured_day"]),
         peak_other_fraction=peak_other_fraction,
-        bin_width_min=bin_width_min,
+        bin_width_min=_finite("bin_width_min", raw["bin_width_min"]),
     )
     return ExperimentConfig(
         raw=raw,
@@ -273,9 +270,8 @@ def write_run_context(cfg: ExperimentConfig) -> None:
 
 def _cell_summary(report: metrics.MetricsReport) -> str:
     adfd = "NA" if report.adfd_minutes is None else f"{report.adfd_minutes:.1f}min"
-    seed = "mean" if report.seed is None else report.seed
     return (
-        f"{report.policy} sdr={report.sdr:g} seed={seed}: "
+        f"{report.policy} sdr={report.sdr:g} seed={metrics._seed_label(report.seed)}: "
         f"n={report.n_measured} fod={report.fod:.4f} adfd={adfd}"
     )
 

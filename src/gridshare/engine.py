@@ -17,8 +17,8 @@ whose rows come in arrival order. The counters live in int64 arrays
 indexed by rank (policies.PolicyState): the picks of a slot are charged
 by index, each part on one counter (the deficit share on need, the
 top-off share on spare), while arrival, satisfaction and departure,
-which happen once per vehicle, are handled rank by rank through plain
-lists made once per fleet (`RunConstants`).
+which happen once per vehicle, are handled rank by rank through the
+plain lists the fleet carries (`workload.Fleet.arrivals`, `.departures`).
 
 A tiered policy serves the deficit tier before the top-off tier, and a
 satisfied vehicle's satisfied slot and departure are fixed, so top-off
@@ -54,7 +54,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .policies import Policy, departure_keys, joining_tiers, new_policy_state, select, update_membership
+from .policies import Policy, new_policy_state, select, update_membership
 from .units import SLOTS_PER_DAY
 from .workload import Fleet
 
@@ -146,38 +146,12 @@ class SimulationInvariantError(RuntimeError):
     """An internal conservation or ordering rule was violated."""
 
 
-class RunConstants:
-    """What every run over one fleet starts from, whatever the policy.
-
-    The arrival and expected departure slots as lists (the loop reads
-    them vehicle by vehicle), the last expected departure and the total
-    need (they bound the run), each rank's joining tier and the packed
-    priority key of each expected departure (`policies.departure_keys`).
-    A caller that runs several policies over one fleet builds this once
-    and passes it to each `run_simulation`; a run without one builds its
-    own.
-    """
-
-    __slots__ = ("fleet", "arrivals", "departures", "last_departure", "total_need", "joins",
-                 "departure_keys")
-
-    def __init__(self, fleet: Fleet):
-        self.fleet = fleet
-        self.arrivals = fleet.arrival_slot.tolist()
-        self.departures = fleet.expected_departure_slot.tolist()
-        self.last_departure = max(self.departures, default=0)
-        self.total_need = int(fleet.need.sum())
-        self.joins = joining_tiers(fleet)
-        self.departure_keys = departure_keys(fleet)
-
-
 def run_simulation(
     policy: Policy,
     fleet: Fleet,
     k_profile: Sequence[int],
     *,
     ranks: range | None = None,
-    constants: RunConstants | None = None,
     trace_path=None,
     trace_sink=None,
     stats: RunStats | None = None,
@@ -189,12 +163,12 @@ def run_simulation(
     post-horizon slots see the same pattern. ranks (default: every
     rank) are the contiguous fleet rows whose outcomes the caller reads:
     the loop ends at the boundary where the last of them leaves, and
-    only their rows are returned. constants, if given, is
-    `RunConstants(fleet)`. Raises ValueError before the loop if ranks is
-    not a step-1 range inside the fleet, or if the fleet needs charge
-    and no slot has capacity, and RuntimeError if the run has not ended
-    60 days after the day of the last expected departure, or by the
-    drain bound if that comes first.
+    only their rows are returned. The run reads the run data the fleet
+    carries (see `workload.Fleet`), built once with the fleet. Raises
+    ValueError before the loop if ranks is not a step-1 range inside the
+    fleet, or if the fleet needs charge and no slot has capacity, and
+    RuntimeError if the run has not ended 60 days after the day of the
+    last expected departure, or by the drain bound if that comes first.
 
     trace_sink, if given, is called with each slot's (slot, k, rows)
     group; trace_path, if given, receives the same groups as trace.csv.
@@ -202,22 +176,18 @@ def run_simulation(
     variant always does; any other run leaves it empty, which changes no
     outcome.
     """
-    if constants is None:
-        constants = RunConstants(fleet)
-    elif constants.fleet is not fleet:
-        raise ValueError("the run constants were built for another fleet")
-    if not any(k_profile) and constants.total_need:
+    if not any(k_profile) and fleet.total_need:
         raise ValueError(
             f"the capacity profile has no charger slot (K = 0 in every slot), but the fleet "
-            f"needs {constants.total_need} charging intervals; raise the supply ratio or the arrivals")
+            f"needs {fleet.total_need} charging intervals; raise the supply ratio or the arrivals")
     if ranks is None:
         ranks = range(len(fleet))
     elif not (ranks.step == 1 and 0 <= ranks.start <= ranks.stop <= len(fleet)):
         raise ValueError(f"{ranks} is not a step-1 range of the fleet's {len(fleet)} ranks")
     serve_topoff = bool(trace_path) or trace_sink is not None or not policy.use_distance_info
-    state = new_policy_state(policy, constants, serve_topoff)
+    state = new_policy_state(policy, fleet, serve_topoff)
     if not trace_path:
-        return _run_loop(policy, constants, k_profile, ranks, trace_sink, stats, state)
+        return _run_loop(policy, fleet, k_profile, ranks, trace_sink, stats, state)
     with open(trace_path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_TRACE_HEADER)
         write = csv_trace_sink(fh)
@@ -227,21 +197,20 @@ def run_simulation(
             def sink(group):
                 trace_sink(group)
                 write(group)
-        return _run_loop(policy, constants, k_profile, ranks, sink, stats, state)
+        return _run_loop(policy, fleet, k_profile, ranks, sink, stats, state)
 
 
-def _run_loop(policy, constants, k_profile, ranks, trace, stats, state):
+def _run_loop(policy, fleet, k_profile, ranks, trace, stats, state):
     # Ids appear only in outcomes and trace rows. Work done once per pick
     # or per candidate is done on whole arrays; work done once per
     # vehicle (arriving, being satisfied, leaving) is done rank by rank,
     # reading plain lists.
-    fleet = constants.fleet
     need, spare = state.need, state.spare
     # Without distance information one list holds every not-full
     # vehicle, so its picks are split by need instead of by tier.
     split_by_need = not policy.use_distance_info
     n = len(fleet)
-    arrivals, departures = constants.arrivals, constants.departures
+    arrivals, departures = fleet.arrivals, fleet.departures
     ids = fleet.id.tolist() if trace else None
     cycle = len(k_profile)
     # The satisfied slot stays the arrival slot unless charging brings
@@ -252,7 +221,7 @@ def _run_loop(policy, constants, k_profile, ranks, trace, stats, state):
 
     # Give up 60 days after the day of the last expected departure, or
     # sooner at the drain bound.
-    max_slots = (constants.last_departure // SLOTS_PER_DAY + 61) * SLOTS_PER_DAY
+    max_slots = (fleet.last_departure // SLOTS_PER_DAY + 61) * SLOTS_PER_DAY
     if any(k_profile):
         # Once every expected departure has passed (every vehicle has
         # arrived by then), only vehicles short of their need stay
@@ -260,7 +229,7 @@ def _run_loop(policy, constants, k_profile, ranks, trace, stats, state):
         # them: the simple variants' single list holds nothing else by
         # then either. A run that drains ends within one cycle per
         # interval of total need after the last expected departure.
-        max_slots = min(max_slots, constants.last_departure + cycle * constants.total_need)
+        max_slots = min(max_slots, fleet.last_departure + cycle * fleet.total_need)
     plugged = 0        # arrived and not yet departed
     first_read, stop = ranks.start, ranks.stop
     remaining = stop - first_read  # vehicles of ranks yet to depart

@@ -4,26 +4,27 @@ The headline quantities are the fraction of measured vehicles that left
 late and the mean lateness of just those vehicles, plus the delay
 distribution among them. Which vehicles are measured is decided here,
 not in the engine: `SweepBase` holds the measurement window (the
-arrival days between the warm-up and the tail) and checks it when it
-is built. A sweep runs one simulation per grid cell, optionally across
-a process pool, and appends seed-averaged rows. Fleet rows, and so
-outcome rows, come in arrival order, so the measured vehicles are one
-run of rows (`SweepBase.measured_ranks`): a cell reads their delays, a
-sweep cell asks the engine for those ranks only and its run ends once
-the last of them has left, and `outcomes.csv` flags them. `run_cell`
-without `measured_only` (what `simulate` runs) still simulates every
-vehicle, since `outcomes.csv` lists them all.
+arrival days between the warm-up and the tail) and the delay
+histogram's bin width, and checks both when it is built. A sweep runs
+one simulation per grid cell, optionally across a process pool, and
+appends seed-averaged rows. Fleet rows, and so outcome rows, come in
+arrival order, so the measured vehicles are one run of rows
+(`SweepBase.measured_ranks`): a cell reads their delays, a sweep cell
+asks the engine for those ranks only and its run ends once the last of
+them has left, and `outcomes.csv` flags them. `run_cell` without
+`measured_only` (what `simulate` runs) still simulates every vehicle,
+since `outcomes.csv` lists them all.
 
 A cell's fleet and its required energy depend only on its fleet key
 (workload, arrival profile, charger, seed), not on the policy or the
 ratio. `run_cells` hands cells out grouped by fleet key (seed-major for
 a sweep's grid), and each process that runs them keeps the last key's
-fleet and its `engine.RunConstants` in the module's memo, so a process
-generates each fleet and builds its run constants at most once. The
-memo lives for one `run_cells` call: a pool worker's dies with the
-pool, and the in-process one is cleared when the call returns or
-raises. A direct `run_cell` call keeps no memo and generates its fleet
-every time.
+fleet and required energy in the module's memo, so a process generates
+each fleet, and with it the run data every run over it reads (see
+`workload.Fleet`), at most once. The memo lives for one `run_cells`
+call: a pool worker's dies with the pool, and the in-process one is
+cleared when the call returns or raises. A direct `run_cell` call keeps
+no memo and generates its fleet every time.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import Outcomes, RunConstants, RunStats, run_simulation
+from .engine import Outcomes, RunStats, run_simulation
 from .policies import Policy
 from .powergrid import (
     ChargerSpec,
@@ -84,6 +85,14 @@ class SweepBase:
                 f"need warmup_days < last_measured_day < days, but warmup_days={self.warmup_days}, "
                 f"last_measured_day={self.last_measured_day} and days={self.workload.days}: "
                 "set warmup_days and last_measured_day, or raise days (--days)")
+        if self.bin_width_min <= 0.0:
+            raise ValueError(f"bin_width_min must be positive, not {self.bin_width_min:g}")
+        # The histogram has max delay / width bins, so only a bound on
+        # the width bounds its length.
+        if self.bin_width_min < SLOT_MINUTES:
+            raise ValueError(
+                f"bin_width_min must be at least one slot ({SLOT_MINUTES} minutes), not "
+                f"{self.bin_width_min:g}: delays are whole slots, so a narrower bin only adds empty bins")
 
     def measured_ranks(self, arrival_slot: np.ndarray) -> range:
         """The rows of ascending arrival slots (a fleet's or an outcome table's)
@@ -106,13 +115,13 @@ def run_cell(
     the fleet memo of the `run_cells` call running this cell; without
     one the fleet is generated afresh.
     """
-    fleet, tpr, constants = _seed_work(base, seed, {} if memo is None else memo)
+    fleet, tpr = _seed_work(base, seed, {} if memo is None else memo)
     grid = make_grid(base.shape, tpr, sdr, base.peak_other_fraction)
     ranks = base.measured_ranks(fleet.arrival_slot) if measured_only else None
     # Nothing here reads the stats; the benchmark's engine span hooks read
     # them from the `stats` keyword.
     outcomes = run_simulation(
-        policy, fleet, day_capacity_profile(grid, base.charger), ranks=ranks, constants=constants,
+        policy, fleet, day_capacity_profile(grid, base.charger), ranks=ranks,
         stats=RunStats(), trace_path=trace_path,
     )
     rows = base.measured_ranks(outcomes.arrival_slot)
@@ -126,7 +135,7 @@ def _fleet_key(base: SweepBase, seed: int) -> tuple:
 
 
 def _seed_work(base: SweepBase, seed: int, memo: dict) -> tuple:
-    """The fleet, its daily required energy and its run constants.
+    """The fleet and its daily required energy.
 
     memo holds at most one fleet key's work: the same key returns it
     again, another key replaces it.
@@ -135,7 +144,7 @@ def _seed_work(base: SweepBase, seed: int, memo: dict) -> tuple:
     if key not in memo:
         memo.clear()  # the old fleet goes before the new one is built
         fleet = generate_fleet(base.workload, base.profile, base.charger, seed)
-        memo[key] = fleet, total_required_energy(fleet, base.workload.days), RunConstants(fleet)
+        memo[key] = fleet, total_required_energy(fleet, base.workload.days)
     return memo[key]
 
 
@@ -214,7 +223,7 @@ def run_cells(cells: Sequence[tuple], max_workers: int | None = None) -> list[Me
     Cells run independently, across a process pool when more than one
     worker is allowed. They are handed out grouped by fleet key, keys in
     the order they first appear, and each process keeps the last key's
-    fleet and run constants in a memo, so it builds each at most once.
+    fleet in a memo, so it generates each at most once.
     The memo lives for this call only: a pool worker's dies with the
     pool, and the in-process one is cleared when the call returns or
     raises.

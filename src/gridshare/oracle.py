@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import TRACE_FIELDS, Outcomes, RunConstants, RunStats, TraceRow, run_simulation
+from .engine import TRACE_FIELDS, Outcomes, RunStats, TraceRow, run_simulation
 from .policies import Policy, PolicyKind
 from .powergrid import ChargerSpec
 from .workload import Fleet
@@ -42,14 +42,13 @@ class TinyInstance:
     vehicle arrives empty and needs that many charging intervals, and
     its battery holds topoff_extra intervals more. The exhaustive search
     reads the triples; every policy run on the instance shares the one
-    fleet built from them (ids in session order) and its run constants.
+    fleet built from them (ids in session order), with its run data.
     """
 
     sessions: tuple[tuple[int, int, int], ...]
     k_profile: tuple[int, ...]
     topoff_extra: float = 0.0
     fleet: Fleet = field(init=False, repr=False, compare=False)
-    constants: RunConstants = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= len(self.sessions) <= MAX_TINY_VEHICLES:
@@ -59,10 +58,9 @@ class TinyInstance:
             raise ValueError(f"arrivals must fall within {MAX_TINY_HORIZON} slots")
         if not self.k_profile or any(k < 0 for k in self.k_profile):
             raise ValueError("k_profile must be non-empty and non-negative")
-        fleet = Fleet(ORACLE_CHARGER, arrival, departure - arrival, need, 0.0, need + self.topoff_extra,
-                      expected_departure_slot=departure)
-        object.__setattr__(self, "fleet", fleet)
-        object.__setattr__(self, "constants", RunConstants(fleet))
+        object.__setattr__(self, "fleet", Fleet(
+            ORACLE_CHARGER, arrival, departure - arrival, need, 0.0, need + self.topoff_extra,
+            expected_departure_slot=departure))
 
 
 def tiny_instance(specs: Sequence[tuple[int, int, int]], k_profile: Sequence[int],
@@ -158,8 +156,8 @@ def run_policy_on_instance(inst: TinyInstance, policy: Policy, trace_path=None,
     """
     # Nothing here reads the stats; the benchmark's engine span hooks read
     # them from the `stats` keyword.
-    return run_simulation(policy, inst.fleet, inst.k_profile, constants=inst.constants,
-                          trace_path=trace_path, trace_sink=trace_sink, stats=RunStats())
+    return run_simulation(policy, inst.fleet, inst.k_profile, trace_path=trace_path,
+                          trace_sink=trace_sink, stats=RunStats())
 
 
 def max_delay(outcomes: Outcomes) -> int:

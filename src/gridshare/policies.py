@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
-    from .engine import RunConstants
     from .workload import Fleet
 
 
@@ -134,8 +133,8 @@ def rank_bits(n: int) -> int:
 def departure_keys(fleet: "Fleet") -> np.ndarray:
     """departure << rank_bits | rank for every rank: the packed key of each expected departure.
 
-    It depends on the fleet alone, so a caller that runs several
-    policies over one fleet builds it once.
+    It depends on the fleet alone: the `Fleet` constructor builds it
+    once, as `departure_keys`.
     """
     return np.arange(len(fleet)) | fleet.expected_departure_slot << rank_bits(len(fleet))
 
@@ -145,8 +144,8 @@ def joining_tiers(fleet: "Fleet") -> dict[bool, bytes]:
 
     1 (deficit), 2 (top-off) or 0 (none, its battery is full), one byte
     per rank; without distance information there is no top-off tier. It
-    depends on the fleet alone, so a caller that runs several policies
-    over one fleet builds it once.
+    depends on the fleet alone: the `Fleet` constructor builds it once,
+    as `joins`.
     """
     not_full = fleet.room > 0
     single = not_full.astype(np.uint8)  # 1 (deficit) unless full
@@ -154,20 +153,18 @@ def joining_tiers(fleet: "Fleet") -> dict[bool, bytes]:
     return {False: single.tobytes(), True: tiered.tobytes()}
 
 
-def new_policy_state(policy: Policy, constants: "RunConstants",
-                     serve_topoff: bool = True) -> PolicyState:
-    """Empty tiers and fresh counters for a run over `constants.fleet`.
+def new_policy_state(policy: Policy, fleet: "Fleet", serve_topoff: bool = True) -> PolicyState:
+    """Empty tiers and fresh counters for a run over the fleet.
 
-    constants is the fleet's `engine.RunConstants`, whose joining tiers
-    and departure keys the state shares. Without serve_topoff the state
-    keeps no top-off tier (see `update_membership`).
+    The state shares the fleet's joining tiers and departure keys.
+    Without serve_topoff it keeps no top-off tier (see
+    `update_membership`).
     """
-    fleet = constants.fleet
     need = fleet.need.copy()
     bits = rank_bits(len(fleet))
     return PolicyState(
         policy=policy, need=need, spare=fleet.room - need,
-        joins=constants.joins[policy.use_distance_info], departure_keys=constants.departure_keys,
+        joins=fleet.joins[policy.use_distance_info], departure_keys=fleet.departure_keys,
         rank_bits=bits, rank_mask=(1 << bits) - 1, serve_topoff=serve_topoff,
     )
 
@@ -228,8 +225,7 @@ def _keys(state: PolicyState, tier: np.ndarray, t: int) -> np.ndarray:
     return keys
 
 
-def update_membership(state: PolicyState, arrived: range,
-                      satisfied: bool, emptied: bool) -> PolicyState:
+def update_membership(state: PolicyState, arrived: range, satisfied: bool, emptied: bool) -> None:
     """Refresh the tiers at the start of a slot, preserving list order.
 
     arrived holds the ranks of the vehicles plugging in at that slot.
@@ -272,7 +268,6 @@ def update_membership(state: PolicyState, arrived: range,
             if joining:
                 topoff = np.concatenate((topoff, joining))
     state.deficit, state.topoff = deficit, topoff
-    return state
 
 
 def _pick_by_key(state: PolicyState, tier: np.ndarray, k: int, t: int) -> np.ndarray:

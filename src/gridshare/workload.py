@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .policies import _LATE, intervals_for_deficit
+from .policies import _LATE, departure_keys, intervals_for_deficit, joining_tiers
 from .powergrid import ChargerSpec
 from .units import KWH_PER_MILE, SLOTS_PER_DAY, SLOTS_PER_HOUR, hours_to_slots
 
@@ -140,11 +140,20 @@ class Fleet:
     even in every slot. Without ids, rows are numbered in the order
     given. Rows are reordered into arrival order if needed; ids must be
     unique, and every session is checked against its battery's bounds.
+
+    The fleet also carries what every run over it starts from, whatever
+    the policy, built once from the rows in arrival order: arrivals and
+    departures, the arrival and expected departure slots as lists (the
+    engine reads them vehicle by vehicle); last_departure and
+    total_need, which bound a run; joins, each rank's joining tier
+    (`policies.joining_tiers`); and departure_keys, the packed priority
+    key of each expected departure (`policies.departure_keys`).
     """
 
     __slots__ = (
         "id", "arrival_slot", "connected_slots", "expected_departure_slot", "need", "room",
         "required_miles", "initial_miles", "battery_capacity_miles",
+        "arrivals", "departures", "last_departure", "total_need", "joins", "departure_keys",
     )
 
     def __init__(self, charger: ChargerSpec, arrival_slot, connected_slots, required_miles,
@@ -191,6 +200,12 @@ class Fleet:
         (self.id, self.arrival_slot, self.connected_slots, self.expected_departure_slot,
          self.need, self.room) = counts
         self.required_miles, self.initial_miles, self.battery_capacity_miles = miles
+        self.arrivals = arrival.tolist()
+        self.departures = departure.tolist()
+        self.last_departure = int(departure.max()) if n else 0
+        self.total_need = int(need.sum())
+        self.joins = joining_tiers(self)
+        self.departure_keys = departure_keys(self)
 
     @classmethod
     def from_vehicles(cls, vehicles: Sequence[Vehicle], charger: ChargerSpec) -> "Fleet":

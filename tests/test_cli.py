@@ -118,6 +118,8 @@ def test_bundle_refuses_a_non_finite_float_key(tmp_path, capsys, key, value):
 @pytest.mark.parametrize("key, value, message", [
     pytest.param("duration_std_h", "-4", "duration_std_h must be non-negative", id="duration_std_h"),
     pytest.param("bin_width_min", "0", "bin_width_min must be positive, not 0", id="bin_width_min"),
+    pytest.param("bin_width_min", "4.99", "bin_width_min must be at least one slot (5 minutes), not 4.99",
+                 id="bin_width_min-below-a-slot"),
     pytest.param("peak_other_fraction", "1.5", "peak_other_fraction must be in (0, 1), not 1.5",
                  id="peak_other_fraction"),
     pytest.param("warmup_days", "-1", "warmup_days must be 0 or more, not -1", id="warmup_days"),

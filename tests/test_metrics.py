@@ -171,36 +171,6 @@ def test_in_process_sweep_generates_each_fleet_once(tiny_base, fleet_seeds):
             assert report == run_cell(tiny_base, policy, report.sdr, report.seed)[0]
 
 
-@pytest.fixture
-def constants_fleets(monkeypatch):
-    """The fleet of every `engine.RunConstants` built, in build order."""
-    fleets = []
-    real_init = engine.RunConstants.__init__
-
-    def counted(self, fleet):
-        fleets.append(fleet)
-        real_init(self, fleet)
-
-    monkeypatch.setattr(engine.RunConstants, "__init__", counted)
-    return fleets
-
-
-def test_in_process_sweep_builds_each_fleets_run_constants_once(tiny_base, constants_fleets,
-                                                                tmp_path):
-    policies = [parse_policy(name) for name in ("fcfs", "rr", "minmax-dt")]
-    sweep(policies, [1.3, 1.1], [2, 1], tiny_base, max_workers=1)
-    assert len(constants_fleets) == 2  # one per seed, for its six cells
-    assert constants_fleets[0] is not constants_fleets[1]
-    # A direct run_cell call and simulate build their own, every time.
-    constants_fleets.clear()
-    run_cell(tiny_base, policies[0], 1.1, 1)
-    run_cell(tiny_base, policies[0], 1.1, 1)
-    assert len(constants_fleets) == 2
-    assert cli.run(["simulate", "--days", "4", "--arrivals-per-day", "60", "--policy", "fcfs",
-                    "--sdr", "1.1", "--seed", "3", "--out", str(tmp_path)]) == cli.EXIT_OK
-    assert len(constants_fleets) == 3
-
-
 def test_direct_runs_generate_their_fleet_every_time(tiny_base, fleet_seeds, tmp_path):
     policy = parse_policy("fcfs")
     assert run_cell(tiny_base, policy, 1.1, 1) == run_cell(tiny_base, policy, 1.1, 1)
@@ -236,6 +206,15 @@ def test_sweep_base_window_validation():
         dataclasses.replace(base, warmup_days=-1)
     # A window may open on the first day.
     assert dataclasses.replace(base, warmup_days=0).measured_ranks(np.array([0, 3743, 3744])) == range(0, 2)
+
+
+def test_sweep_base_refuses_a_bin_narrower_than_a_slot():
+    base = scenario().base
+    with pytest.raises(ValueError, match="bin_width_min must be positive, not 0$"):
+        dataclasses.replace(base, bin_width_min=0.0)
+    with pytest.raises(ValueError, match=r"at least one slot \(5 minutes\), not 0.01: delays are whole slots"):
+        dataclasses.replace(base, bin_width_min=0.01)
+    assert dataclasses.replace(base, bin_width_min=5.0).bin_width_min == 5.0
 
 
 def test_sweep_cell_measures_part_of_its_outcomes(tiny_base):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridshare.engine import RunConstants
 from gridshare.policies import (
     POLICY_NAMES,
     Policy,
@@ -28,15 +27,10 @@ def in_arrival_order(vehicles):
     return sorted(vehicles, key=lambda v: (v.arrival_slot, v.id))
 
 
-def fresh_state(policy, fleet):
-    """Empty tiers and fresh counters for a run of policy over fleet."""
-    return new_policy_state(policy, RunConstants(fleet))
-
-
 def plugged_state(policy, charger, vehicles):
     """Tiers after `vehicles` plug in together, and the fleet whose ranks they hold."""
     fleet = Fleet.from_vehicles(vehicles, charger)
-    state = fresh_state(policy, fleet)
+    state = new_policy_state(policy, fleet)
     update_membership(state, range(len(vehicles)), satisfied=False, emptied=False)
     return state, fleet
 
@@ -73,14 +67,14 @@ def state_for(unit_charger):
 
 def test_full_battery_from_empty_takes_200_intervals(home_charger):
     v = make_test_vehicle(0, 0, 300, required=100.0, current=0.0, capacity=100.0)
-    state = fresh_state(parse_policy("fcfs"), Fleet.from_vehicles([v], home_charger))
+    state = new_policy_state(parse_policy("fcfs"), Fleet.from_vehicles([v], home_charger))
     assert state.need.tolist() == [200]
     assert state.spare.tolist() == [0]
 
 
 def test_no_intervals_needed_at_required_charge(home_charger):
     v = make_test_vehicle(0, 0, 300, required=50.0, current=50.0, capacity=100.0)
-    state = fresh_state(parse_policy("fcfs"), Fleet.from_vehicles([v], home_charger))
+    state = new_policy_state(parse_policy("fcfs"), Fleet.from_vehicles([v], home_charger))
     assert state.need.tolist() == [0]
     assert state.spare.tolist() == [100]
 
@@ -88,7 +82,7 @@ def test_no_intervals_needed_at_required_charge(home_charger):
 def test_runs_count_down_copies_of_the_fleet_counters(home_charger):
     v = make_test_vehicle(0, 0, 300, required=50.0, current=0.0, capacity=100.0)
     fleet = Fleet.from_vehicles([v], home_charger)
-    state = fresh_state(parse_policy("fcfs"), fleet)
+    state = new_policy_state(parse_policy("fcfs"), fleet)
     state.need -= 1
     state.spare -= 1
     assert fleet.need.tolist() == [100] and fleet.room.tolist() == [200]
@@ -233,7 +227,7 @@ def test_without_topoff_service_a_satisfied_vehicle_joins_no_tier(unit_charger):
     b = make_test_vehicle(2, 1, 99, required=10.0, current=5.0, capacity=20.0)
     sated = make_test_vehicle(3, 2, 99, required=5.0, current=7.0, capacity=20.0)
     fleet = Fleet.from_vehicles([a, b, sated], unit_charger)
-    state = new_policy_state(parse_policy("fcfs"), RunConstants(fleet), serve_topoff=False)
+    state = new_policy_state(parse_policy("fcfs"), fleet, serve_topoff=False)
     update_membership(state, range(3), satisfied=False, emptied=False)
     assert ids(fleet, state.deficit) == [1, 2]
     assert not len(state.topoff)

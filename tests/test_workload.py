@@ -7,7 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from gridshare.policies import intervals_for_deficit
+from gridshare.engine import run_simulation
+from gridshare.policies import (
+    POLICY_NAMES,
+    departure_keys,
+    intervals_for_deficit,
+    joining_tiers,
+    parse_policy,
+)
 from gridshare.powergrid import charger_preset
 from gridshare.workload import (
     ArrivalProfile,
@@ -295,6 +302,39 @@ def test_hand_built_fleet_rows_come_in_arrival_order(unit_charger):
     assert len(fleet) == 3
 
 
+def test_hand_built_fleet_run_data_follow_its_rows_in_arrival_order(unit_charger):
+    # Given latest arrival first: a deficit vehicle, one full on arrival
+    # (it joins no tier), one satisfied with room (it joins top-off), and
+    # two deficit vehicles arriving together, the higher id first.
+    in_order = [
+        make_test_vehicle(1, 0, 9, required=3.0, capacity=5.0),
+        make_test_vehicle(4, 2, 6, required=2.0, current=4.0, capacity=4.0),
+        make_test_vehicle(0, 3, 20, required=1.0, current=2.0, capacity=6.0),
+        make_test_vehicle(2, 5, 12, required=4.0, capacity=4.0),
+        make_test_vehicle(3, 5, 8, required=2.0, capacity=3.0),
+    ]
+    fleet = Fleet.from_vehicles(in_order[::-1], unit_charger)
+    assert fleet.id.tolist() == [1, 4, 0, 2, 3]
+    assert fleet.arrivals == fleet.arrival_slot.tolist() == [0, 2, 3, 5, 5]
+    assert fleet.departures == fleet.expected_departure_slot.tolist() == [9, 6, 20, 12, 8]
+    assert fleet.last_departure == 20
+    assert fleet.total_need == int(fleet.need.sum()) == 9
+    assert fleet.joins == joining_tiers(fleet) == {False: bytes([1, 0, 1, 1, 1]),
+                                                   True: bytes([1, 0, 2, 1, 1])}
+    assert np.array_equal(fleet.departure_keys, departure_keys(fleet))
+    sorted_fleet = Fleet.from_vehicles(in_order, unit_charger)
+    for name in POLICY_NAMES:
+        policy = parse_policy(name)
+        for k_profile in ([1], [2, 0, 1]):
+            # Traced and untraced: only a traced run serves the top-off tier.
+            for sink in (None, lambda group: None):
+                assert (run_simulation(policy, fleet, k_profile, trace_sink=sink)
+                        == run_simulation(policy, sorted_fleet, k_profile, trace_sink=sink))
+    # No run changes the fleet's lists.
+    assert fleet.arrivals == [0, 2, 3, 5, 5]
+    assert fleet.departures == [9, 6, 20, 12, 8]
+
+
 def test_adjusted_fraction_near_five_percent(home_charger):
     base = scenario().base
     fleet = generate_fleet(base.workload, base.profile, home_charger, 1)
@@ -311,9 +351,13 @@ def small_fleet():
     return cfg, profile, generate_fleet(cfg, profile, charger_preset("home-110-15"), 42)
 
 
+COLUMNS = ("id", "arrival_slot", "connected_slots", "expected_departure_slot", "need", "room",
+           "required_miles", "initial_miles", "battery_capacity_miles")
+
+
 def columns(fleet, rows=None):
     """Every column of the fleet as a list, optionally of its first rows only."""
-    return [getattr(fleet, name)[:rows].tolist() for name in Fleet.__slots__]
+    return [getattr(fleet, name)[:rows].tolist() for name in COLUMNS]
 
 
 def test_fleet_deterministic(small_fleet):
