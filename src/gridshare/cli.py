@@ -3,9 +3,9 @@
 Configuration is a flat key=value bundle plus two plain-text column
 files (arrival profile, load shape); command-line flags override file
 values, and `_CONFIG_DEFAULTS` holds the only default of every key.
-Every run directory receives a resolved-config capturing all effective
-settings, and output files but trace.csv (which the engine writes as
-the run goes) are written atomically (`metrics.write_atomic`). Only
+Each command builds and runs first, then writes a resolved-config of
+every effective setting beside its results, so a refused input (exit 2)
+writes nothing; every file it leaves goes through `metrics.write_atomic`. Only
 `simulate` takes `--trace` and reads the `trace` key; every other
 command refuses `trace=true`, so its resolved-config never records a
 trace it did not write.
@@ -247,7 +247,6 @@ def resolve_config(args) -> ExperimentConfig:
 
 def write_run_context(cfg: ExperimentConfig) -> None:
     """Materialize resolved-config and the two input curves in out_dir."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
     profile_path = os.path.join(cfg.out_dir, "arrival-profile.txt")
     shape_path = os.path.join(cfg.out_dir, "load-shape.txt")
     write_atomic(profile_path, lambda p: defaults.write_column_file(
@@ -279,10 +278,10 @@ def _cell_summary(report: metrics.MetricsReport) -> str:
 def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     if len(cfg.policies) != 1 or len(cfg.sdr_grid) != 1 or len(cfg.seeds) != 1:
         raise ValueError("simulate runs exactly one (policy, sdr, seed) cell; use sweep for grids")
-    policy, sdr, seed = cfg.policies[0], cfg.sdr_grid[0], cfg.seeds[0]
+    cell = functools.partial(metrics.run_cell, cfg.base, cfg.policies[0], cfg.sdr_grid[0], cfg.seeds[0])
+    trace_path = os.path.join(cfg.out_dir, "trace.csv")  # the engine writes it as the run goes
+    report, outcomes = write_atomic(trace_path, lambda p: cell(trace_path=p)) if cfg.trace else cell()
     write_run_context(cfg)
-    trace_path = os.path.join(cfg.out_dir, "trace.csv") if cfg.trace else None
-    report, outcomes = metrics.run_cell(cfg.base, policy, sdr, seed, trace_path=trace_path)
     table = [report]
     write_atomic(os.path.join(cfg.out_dir, "fod.csv"), lambda p: metrics.write_fod_csv(table, p))
     write_atomic(os.path.join(cfg.out_dir, "adfd.csv"), lambda p: metrics.write_adfd_csv(table, p))
@@ -294,9 +293,8 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, args) -> int:
-    workers = metrics.resolve_workers(args.workers)  # a bad count fails before any output
+    table = metrics.sweep(cfg.policies, cfg.sdr_grid, cfg.seeds, cfg.base, max_workers=args.workers)
     write_run_context(cfg)
-    table = metrics.sweep(cfg.policies, cfg.sdr_grid, cfg.seeds, cfg.base, max_workers=workers)
     for report in table:
         print(_cell_summary(report))
     out = cfg.out_dir
@@ -311,9 +309,9 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
 def cmd_dump_fleet(cfg: ExperimentConfig, args) -> int:
     if len(cfg.seeds) != 1:
         raise ValueError("dump-fleet writes one seed's fleet; give exactly one --seed")
-    write_run_context(cfg)
     seed = cfg.seeds[0]
     fleet = generate_fleet(cfg.base.workload, cfg.base.profile, cfg.base.charger, seed)
+    write_run_context(cfg)
     path = os.path.join(cfg.out_dir, "fleet.csv")
     write_atomic(path, lambda p: dump_fleet_csv(fleet, p))
     adjusted = adjusted_departure_fraction(fleet)
@@ -322,23 +320,22 @@ def cmd_dump_fleet(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig, args) -> int:
+    out = cfg.out_dir
     if args.audit_trace:
         if len(cfg.policies) != 1:
             raise ValueError("auditing a trace needs exactly one --policy")
-        trace = oracle.read_trace(args.audit_trace)  # an unreadable trace fails before any output
-    elif args.instances < 1:
-        raise ValueError(f"--instances must be at least 1, not {args.instances}")
-    elif args.oracle_seed < 0:
-        raise ValueError(f"--oracle-seed must be 0 or more, not {args.oracle_seed}")
-    write_run_context(cfg)
-    out = cfg.out_dir
-    if args.audit_trace:
-        violations = oracle.audit_trace(trace, cfg.policies[0])
+        violations = oracle.audit_trace(oracle.read_trace(args.audit_trace), cfg.policies[0])
+        write_run_context(cfg)
         write_atomic(os.path.join(out, "violations.csv"),
                      lambda p: oracle.write_violations_csv(violations, p))
         print(f"audited {args.audit_trace}: {len(violations)} violation(s)")
         return EXIT_OK if not violations else EXIT_RUNTIME
-
+    if args.instances < 1:
+        raise ValueError(f"--instances must be at least 1, not {args.instances}")
+    if args.oracle_seed < 0:
+        raise ValueError(f"--oracle-seed must be 0 or more, not {args.oracle_seed}")
+    # The campaign's round-trip trace is written in, and removed from, out.
+    write_run_context(cfg)
     n_cycling = args.instances // 2
     trace_path = os.path.join(out, "verify-trace.csv")
     violations, mismatches = oracle.verify_campaign(
@@ -433,10 +430,7 @@ def run(argv=None) -> int:
             raise ValueError(f"trace=true is refused by {args.command}: only simulate reads "
                              "the trace key and writes a trace; set trace=false")
         return args.func(cfg, args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - boundary of the process

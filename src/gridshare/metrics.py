@@ -85,14 +85,7 @@ class SweepBase:
                 f"need warmup_days < last_measured_day < days, but warmup_days={self.warmup_days}, "
                 f"last_measured_day={self.last_measured_day} and days={self.workload.days}: "
                 "set warmup_days and last_measured_day, or raise days (--days)")
-        if self.bin_width_min <= 0.0:
-            raise ValueError(f"bin_width_min must be positive, not {self.bin_width_min:g}")
-        # The histogram has max delay / width bins, so only a bound on
-        # the width bounds its length.
-        if self.bin_width_min < SLOT_MINUTES:
-            raise ValueError(
-                f"bin_width_min must be at least one slot ({SLOT_MINUTES} minutes), not "
-                f"{self.bin_width_min:g}: delays are whole slots, so a narrower bin only adds empty bins")
+        check_bin_width(self.bin_width_min)
 
     def measured_ranks(self, arrival_slot: np.ndarray) -> range:
         """The rows of ascending arrival slots (a fleet's or an outcome table's)
@@ -100,6 +93,17 @@ class SweepBase:
         first, stop = np.searchsorted(
             arrival_slot, (self.warmup_days * SLOTS_PER_DAY, self.last_measured_day * SLOTS_PER_DAY))
         return range(int(first), int(stop))
+
+
+def check_bin_width(bin_width_min: float) -> None:
+    """Refuse a delay-histogram bin narrower than one slot: the histogram has
+    max delay / width bins, so only a bound on the width bounds its length."""
+    if bin_width_min <= 0.0:
+        raise ValueError(f"bin_width_min must be positive, not {bin_width_min:g}")
+    if bin_width_min < SLOT_MINUTES:
+        raise ValueError(
+            f"bin_width_min must be at least one slot ({SLOT_MINUTES} minutes), not "
+            f"{bin_width_min:g}: delays are whole slots, so a narrower bin only adds empty bins")
 
 
 def run_cell(
@@ -116,13 +120,16 @@ def run_cell(
     one the fleet is generated afresh.
     """
     fleet, tpr = _seed_work(base, seed, {} if memo is None else memo)
+    measured = base.measured_ranks(fleet.arrival_slot)
+    if not measured:
+        raise ValueError(f"measurement window empty: no vehicle arrives between warmup_days="
+                         f"{base.warmup_days} and last_measured_day={base.last_measured_day}")
     grid = make_grid(base.shape, tpr, sdr, base.peak_other_fraction)
-    ranks = base.measured_ranks(fleet.arrival_slot) if measured_only else None
     # Nothing here reads the stats; the benchmark's engine span hooks read
     # them from the `stats` keyword.
     outcomes = run_simulation(
-        policy, fleet, day_capacity_profile(grid, base.charger), ranks=ranks,
-        stats=RunStats(), trace_path=trace_path,
+        policy, fleet, day_capacity_profile(grid, base.charger),
+        ranks=measured if measured_only else None, stats=RunStats(), trace_path=trace_path,
     )
     rows = base.measured_ranks(outcomes.arrival_slot)
     delays = outcomes.delay_slots[rows.start:rows.stop].tolist()
@@ -165,8 +172,7 @@ def build_report(
     """
     if not delays:
         raise ValueError("measurement window empty")
-    if bin_width_min <= 0:
-        raise ValueError("bin width must be positive")
+    check_bin_width(bin_width_min)
     late = [SLOT_MINUTES * d for d in delays if d > 0]
     adfd, histogram = None, ()
     if late:
@@ -321,15 +327,29 @@ def _average_histograms(group):
 # CSV output contracts
 
 
-def write_atomic(path, writer) -> None:
-    """Have writer(tmp) write a temporary file, then move it to path; on failure remove it."""
+def write_atomic(path, writer):
+    """Have writer(tmp) write a temporary file, move it to path, and return what writer returned.
+
+    Missing directories of path are made first. On failure the temporary
+    file is removed, and so are the directories made (`os.rmdir`: empty ones only).
+    """
+    missing = []
+    head = os.path.dirname(os.path.normpath(path))
+    while head and not os.path.isdir(head):
+        missing.append(head)
+        head = os.path.dirname(head)
+    if missing:
+        os.makedirs(missing[0])
     tmp = f"{path}.tmp"
     try:
-        writer(tmp)
+        result = writer(tmp)
         os.replace(tmp, path)
+        return result
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        for made in missing:
+            os.rmdir(made)
         raise
 
 

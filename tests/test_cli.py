@@ -5,7 +5,7 @@ import csv
 import pytest
 
 from conftest import make_test_vehicle
-from gridshare import metrics
+from gridshare import engine, metrics
 from gridshare.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, build_config, run
 from gridshare.policies import POLICY_NAMES, parse_policy
 from gridshare.powergrid import CHARGER_PRESETS
@@ -61,6 +61,7 @@ def test_simulate_rejects_sdr_below_one(tiny_config, tmp_path, capsys):
                 "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert "indefinitely" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_drains_stays_longer_than_sixty_days(tmp_path, capsys):
@@ -214,6 +215,7 @@ def test_simulate_requires_single_cell(tiny_config, tmp_path):
     code = run(["simulate", "--config", tiny_config, "--seeds", "1,2",
                 "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_flag_exits_with_usage_error(tiny_config):
@@ -228,6 +230,7 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     code = run(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert "unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_profile_file_is_config_error(tiny_config, tmp_path, capsys):
@@ -235,6 +238,7 @@ def test_missing_profile_file_is_config_error(tiny_config, tmp_path, capsys):
                 "--arrival-profile", str(tmp_path / "nope.txt"),
                 "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
 
 
 def test_trace_flag_writes_trace(tiny_config, tmp_path):
@@ -402,6 +406,7 @@ def test_sweep_cell_config_error_exits_2(tmp_path, capsys, workers):
     err = capsys.readouterr().err
     assert "sweep cell policy=fcfs sdr=1.2 seed=1 failed" in err
     assert "no charger slot" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_short_horizon_scales_measurement_window(tmp_path):
@@ -437,6 +442,25 @@ def test_sweep_with_an_empty_measurement_window_exits_2(tiny_config, tmp_path, c
                 "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert "measurement window empty" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_refuses_an_empty_measurement_window_before_the_run(tmp_path, capsys, monkeypatch):
+    # The one vehicle arrives on day 0, before the window opens on day 1.
+    def one_early_vehicle(workload, profile, charger, seed):
+        return Fleet.from_vehicles([make_test_vehicle(0, 100, 200, required=20.0)], charger)
+
+    runs = []
+    monkeypatch.setattr(metrics, "generate_fleet", one_early_vehicle)
+    monkeypatch.setattr(metrics, "run_simulation", lambda *args, **kwargs: runs.append(args))
+    out = tmp_path / "o"
+    code = run(["simulate", "--policy", "fcfs", "--sdr", "300", "--seed", "1", "--days", "4",
+                "--arrivals-per-day", "20", "--trace", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert ("measurement window empty: no vehicle arrives between warmup_days=1 and "
+            "last_measured_day=3") in capsys.readouterr().err
+    assert runs == []
+    assert not out.exists()
 
 
 def test_explicit_window_beats_horizon_scaling(tmp_path, capsys):
@@ -454,6 +478,7 @@ def test_simulate_refuses_a_grid_without_charger_slots(tmp_path, capsys):
                 "--arrivals-per-day", "2", "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert "no charger slot" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_exact_charger_physics_flag(tiny_config, tmp_path):
@@ -640,6 +665,88 @@ def test_verify_audit_mode_refuses_a_negative_k(tiny_config, tmp_path, capsys):
     assert "bad-trace.csv:2: k must be 0 or more" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+# --- what a run leaves --------------------------------------------------
+
+# A fleet of 4 days x 20 arrivals a day whose commutes need more range
+# than a 40-mile battery holds: generating it is refused (exit 2).
+SMALL_RUN = ["--seed", "1", "--days", "4", "--arrivals-per-day", "20"]
+SMALL_BATTERY = "battery_capacity_miles=40\n"
+
+
+def snapshot(folder):
+    return {path.relative_to(folder): path.read_bytes() for path in folder.rglob("*")}
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--policy", "fcfs", "--sdr", "1.2"],
+    ["simulate", "--policy", "fcfs", "--sdr", "1.2", "--trace"],
+    ["sweep", "--policy", "fcfs", "--sdr", "1.2", "--workers", "1"],
+    ["dump-fleet"],
+], ids=["simulate", "simulate-trace", "sweep", "dump-fleet"])
+def test_a_refused_rerun_leaves_the_run_directory_byte_identical(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(argv + SMALL_RUN + ["--out", str(out)]) == EXIT_OK
+    before = snapshot(out)
+    bundle = tmp_path / "small-battery.conf"
+    bundle.write_text(SMALL_BATTERY)
+    assert run(argv + SMALL_RUN + ["--config", str(bundle), "--out", str(out)]) == EXIT_CONFIG
+    assert "exceeds battery capacity 40.0" in capsys.readouterr().err
+    assert snapshot(out) == before
+
+
+def test_a_traced_simulate_refused_by_its_fleet_leaves_no_directory(tmp_path, capsys):
+    bundle = tmp_path / "small-battery.conf"
+    bundle.write_text(SMALL_BATTERY)
+    out = tmp_path / "runs" / "sim"  # neither directory exists yet
+    code = run(["simulate", "--config", str(bundle), "--policy", "fcfs", "--sdr", "1.2", *SMALL_RUN,
+                "--trace", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "exceeds battery capacity 40.0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [bundle]
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_a_traced_run_that_raises_leaves_no_trace(tmp_path, capsys, monkeypatch, existing):
+    out = tmp_path / "out"
+    if existing:
+        out.mkdir()
+    calls = []
+
+    def select_then_raise(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise RuntimeError("select failed")
+        return real_select(*args)
+
+    real_select = engine.select
+    monkeypatch.setattr(engine, "select", select_then_raise)
+    code = run(["simulate", "--policy", "fcfs", "--sdr", "1.2", *SMALL_RUN, "--trace",
+                "--out", str(out)])
+    assert code == EXIT_RUNTIME
+    assert "select failed" in capsys.readouterr().err
+    assert len(calls) == 3
+    assert not (out / "trace.csv").exists() and not (out / "trace.csv.tmp").exists()
+    assert out.exists() == existing  # a directory the run did not make stays
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--policy", "minmax-dt", "--sdr", "1.2", "--trace", *SMALL_RUN],
+    ["sweep", "--policies", "fcfs,rr", "--sdr-grid", "1.2,2", *SMALL_RUN, "--workers", "2"],
+    ["dump-fleet", *SMALL_RUN],
+    ["verify", "--instances", "3"],
+], ids=["simulate", "sweep", "dump-fleet", "verify"])
+def test_a_successful_command_leaves_no_temporary_file(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == EXIT_OK
+    assert "resolved-config" in {path.name for path in out.iterdir()}
+    assert list(out.rglob("*.tmp")) == []
+    trace_dir = tmp_path / "audited"
+    if argv[0] == "simulate":
+        assert run(["verify", "--policy", "minmax-dt", "--audit-trace", str(out / "trace.csv"),
+                    "--out", str(trace_dir)]) == EXIT_OK
+        assert list(trace_dir.rglob("*.tmp")) == []
 
 
 # --- resolved config round trip -------------------------------------------

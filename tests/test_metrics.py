@@ -66,8 +66,10 @@ def test_delay_distribution_point_mass():
 
 
 def test_delay_distribution_errors():
-    with pytest.raises(ValueError, match="bin width must be positive"):
+    with pytest.raises(ValueError, match="bin_width_min must be positive, not 0$"):
         report_from_minutes([10], 0.0)
+    with pytest.raises(ValueError, match=r"at least one slot \(5 minutes\), not 0.5: delays are whole slots"):
+        report_from_minutes([10], 0.5)
     # Without a late vehicle there is nothing to bin.
     assert report_from_minutes([0]).delay_histogram == ()
 
