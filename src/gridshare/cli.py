@@ -5,8 +5,11 @@ files (arrival profile, load shape); command-line flags override file
 values, and `_CONFIG_DEFAULTS` holds the only default of every key.
 Each command builds and runs first, then writes a resolved-config of
 every effective setting beside its results, so a refused input (exit 2)
-writes nothing; every file it leaves goes through `metrics.write_atomic`. Only
-`simulate` takes `--trace` and reads the `trace` key; every other
+writes nothing; every file it leaves goes through `metrics.write_atomic`.
+`RUN_FILES` names every file a command can leave in its run directory;
+once a command has written its results it removes the ones it did not
+write, so the directory holds only its last successful command's files.
+Only `simulate` takes `--trace` and reads the `trace` key; every other
 command refuses `trace=true`, so its resolved-config never records a
 trace it did not write.
 """
@@ -245,18 +248,48 @@ def resolve_config(args) -> ExperimentConfig:
     return build_config(config_overrides(args))
 
 
-def write_run_context(cfg: ExperimentConfig) -> None:
-    """Materialize resolved-config and the two input curves in out_dir."""
-    profile_path = os.path.join(cfg.out_dir, "arrival-profile.txt")
-    shape_path = os.path.join(cfg.out_dir, "load-shape.txt")
-    write_atomic(profile_path, lambda p: defaults.write_column_file(
-        p, cfg.base.profile.hourly_weights, header="hourly arrival weights (normalized)"))
-    write_atomic(shape_path, lambda p: defaults.write_column_file(
-        p, cfg.base.shape.values, header="per-slot non-vehicle load shape (peak 1)"))
+# Every file a command can leave in its run directory.
+RUN_FILES = (
+    "resolved-config", "arrival-profile.txt", "load-shape.txt",
+    "fod.csv", "adfd.csv", "delaydist.csv", "outcomes.csv", "trace.csv", *figures.FIGURE_FILES,
+    "fleet.csv", "violations.csv", "mismatches.csv",
+)
 
+
+class RunDir:
+    """A command's run directory: the RUN_FILES it writes, then the removal of the others.
+
+    A command writes each file through `write` (or adds to `written` the
+    names another function wrote), and calls `finish` once its results
+    are written: finish removes every other file of RUN_FILES, left by
+    an earlier command.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self.written = set()
+
+    def write(self, name, writer):
+        """write_atomic the file called name in the directory; returns what writer returned."""
+        self.written.add(name)
+        return write_atomic(os.path.join(self.path, name), writer)
+
+    def finish(self) -> None:
+        for name in RUN_FILES:
+            path = os.path.join(self.path, name)
+            if name not in self.written and os.path.exists(path):
+                os.remove(path)
+
+
+def write_run_context(cfg: ExperimentConfig, run_dir: RunDir) -> None:
+    """Materialize resolved-config and the two input curves in the run directory."""
     resolved = dict(cfg.raw)
-    resolved["arrival_profile"] = profile_path
-    resolved["load_shape"] = shape_path
+    resolved["arrival_profile"] = os.path.join(run_dir.path, "arrival-profile.txt")
+    resolved["load_shape"] = os.path.join(run_dir.path, "load-shape.txt")
+    run_dir.write("arrival-profile.txt", lambda p: defaults.write_column_file(
+        p, cfg.base.profile.hourly_weights, header="hourly arrival weights (normalized)"))
+    run_dir.write("load-shape.txt", lambda p: defaults.write_column_file(
+        p, cfg.base.shape.values, header="per-slot non-vehicle load shape (peak 1)"))
 
     def write(p):
         with open(p, "w", encoding="utf-8") as fh:
@@ -264,7 +297,7 @@ def write_run_context(cfg: ExperimentConfig) -> None:
             for key in sorted(resolved):
                 fh.write(f"{key}={resolved[key]}\n")
 
-    write_atomic(os.path.join(cfg.out_dir, "resolved-config"), write)
+    run_dir.write("resolved-config", write)
 
 
 def _cell_summary(report: metrics.MetricsReport) -> str:
@@ -279,30 +312,33 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     if len(cfg.policies) != 1 or len(cfg.sdr_grid) != 1 or len(cfg.seeds) != 1:
         raise ValueError("simulate runs exactly one (policy, sdr, seed) cell; use sweep for grids")
     cell = functools.partial(metrics.run_cell, cfg.base, cfg.policies[0], cfg.sdr_grid[0], cfg.seeds[0])
-    trace_path = os.path.join(cfg.out_dir, "trace.csv")  # the engine writes it as the run goes
-    report, outcomes = write_atomic(trace_path, lambda p: cell(trace_path=p)) if cfg.trace else cell()
-    write_run_context(cfg)
+    run_dir = RunDir(cfg.out_dir)
+    # The engine writes the trace as the run goes.
+    report, outcomes = run_dir.write("trace.csv", lambda p: cell(trace_path=p)) if cfg.trace else cell()
+    write_run_context(cfg, run_dir)
     table = [report]
-    write_atomic(os.path.join(cfg.out_dir, "fod.csv"), lambda p: metrics.write_fod_csv(table, p))
-    write_atomic(os.path.join(cfg.out_dir, "adfd.csv"), lambda p: metrics.write_adfd_csv(table, p))
+    run_dir.write("fod.csv", lambda p: metrics.write_fod_csv(table, p))
+    run_dir.write("adfd.csv", lambda p: metrics.write_adfd_csv(table, p))
     measured = cfg.base.measured_ranks(outcomes.arrival_slot)
-    write_atomic(os.path.join(cfg.out_dir, "outcomes.csv"),
-                 lambda p: metrics.write_outcomes_csv(outcomes, measured, p))
+    run_dir.write("outcomes.csv", lambda p: metrics.write_outcomes_csv(outcomes, measured, p))
+    run_dir.finish()
     print(_cell_summary(report))
     return EXIT_OK
 
 
 def cmd_sweep(cfg: ExperimentConfig, args) -> int:
     table = metrics.sweep(cfg.policies, cfg.sdr_grid, cfg.seeds, cfg.base, max_workers=args.workers)
-    write_run_context(cfg)
+    run_dir = RunDir(cfg.out_dir)
+    write_run_context(cfg, run_dir)
     for report in table:
         print(_cell_summary(report))
-    out = cfg.out_dir
-    write_atomic(os.path.join(out, "fod.csv"), lambda p: metrics.write_fod_csv(table, p))
-    write_atomic(os.path.join(out, "adfd.csv"), lambda p: metrics.write_adfd_csv(table, p))
-    write_atomic(os.path.join(out, "delaydist.csv"), lambda p: metrics.write_delaydist_csv(table, p))
+    run_dir.write("fod.csv", lambda p: metrics.write_fod_csv(table, p))
+    run_dir.write("adfd.csv", lambda p: metrics.write_adfd_csv(table, p))
+    run_dir.write("delaydist.csv", lambda p: metrics.write_delaydist_csv(table, p))
     if not args.no_figures:
-        figures.emit_figures(table, out)
+        figures.emit_figures(table, run_dir.path)
+        run_dir.written.update(figures.FIGURE_FILES)
+    run_dir.finish()
     return EXIT_OK
 
 
@@ -311,39 +347,40 @@ def cmd_dump_fleet(cfg: ExperimentConfig, args) -> int:
         raise ValueError("dump-fleet writes one seed's fleet; give exactly one --seed")
     seed = cfg.seeds[0]
     fleet = generate_fleet(cfg.base.workload, cfg.base.profile, cfg.base.charger, seed)
-    write_run_context(cfg)
-    path = os.path.join(cfg.out_dir, "fleet.csv")
-    write_atomic(path, lambda p: dump_fleet_csv(fleet, p))
+    run_dir = RunDir(cfg.out_dir)
+    write_run_context(cfg, run_dir)
+    run_dir.write("fleet.csv", lambda p: dump_fleet_csv(fleet, p))
+    run_dir.finish()
     adjusted = adjusted_departure_fraction(fleet)
+    path = os.path.join(cfg.out_dir, "fleet.csv")
     print(f"fleet seed={seed}: {len(fleet)} vehicles, adjusted departures {adjusted:.3%} -> {path}")
     return EXIT_OK
 
 
 def cmd_verify(cfg: ExperimentConfig, args) -> int:
-    out = cfg.out_dir
+    run_dir = RunDir(cfg.out_dir)
     if args.audit_trace:
         if len(cfg.policies) != 1:
             raise ValueError("auditing a trace needs exactly one --policy")
         violations = oracle.audit_trace(oracle.read_trace(args.audit_trace), cfg.policies[0])
-        write_run_context(cfg)
-        write_atomic(os.path.join(out, "violations.csv"),
-                     lambda p: oracle.write_violations_csv(violations, p))
+        write_run_context(cfg, run_dir)
+        run_dir.write("violations.csv", lambda p: oracle.write_violations_csv(violations, p))
+        run_dir.finish()
         print(f"audited {args.audit_trace}: {len(violations)} violation(s)")
         return EXIT_OK if not violations else EXIT_RUNTIME
     if args.instances < 1:
         raise ValueError(f"--instances must be at least 1, not {args.instances}")
     if args.oracle_seed < 0:
         raise ValueError(f"--oracle-seed must be 0 or more, not {args.oracle_seed}")
-    # The campaign's round-trip trace is written in, and removed from, out.
-    write_run_context(cfg)
+    # The campaign's round-trip trace is written in, and removed from, the run directory.
+    write_run_context(cfg, run_dir)
     n_cycling = args.instances // 2
-    trace_path = os.path.join(out, "verify-trace.csv")
     violations, mismatches = oracle.verify_campaign(
-        cfg.policies, np.random.default_rng(args.oracle_seed), args.instances, n_cycling, trace_path)
-    write_atomic(os.path.join(out, "violations.csv"),
-                 lambda p: oracle.write_violations_csv(violations, p))
-    write_atomic(os.path.join(out, "mismatches.csv"),
-                 lambda p: oracle.write_mismatches_csv(mismatches, p))
+        cfg.policies, np.random.default_rng(args.oracle_seed), args.instances, n_cycling,
+        os.path.join(run_dir.path, "verify-trace.csv"))
+    run_dir.write("violations.csv", lambda p: oracle.write_violations_csv(violations, p))
+    run_dir.write("mismatches.csv", lambda p: oracle.write_mismatches_csv(mismatches, p))
+    run_dir.finish()
     print(
         f"verified {args.instances} steady + {n_cycling} cycling random instances "
         f"x {len(cfg.policies)} policies: {len(violations)} audit violation(s), "

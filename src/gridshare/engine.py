@@ -32,12 +32,31 @@ Once no vehicle is a candidate (nothing is plugged, or every plugged
 vehicle is full, or, in a run that does not serve top-off, satisfied,
 and waits for its expected departure), the loop skips ahead to the next
 arrival or departure boundary; skipped slots still count. The tiers are
-refreshed only in a slot where one can change. The run returns one
-`Outcomes` table, built as columns from the satisfied and departure
-slots after the loop, once the conservation checks on them have
-passed. It holds what the run decided, for every vehicle of the range:
-which vehicles a metric counts, and whether a delay makes a vehicle
-late, is for `metrics` to say.
+refreshed only in a slot where one can change.
+
+A run that neither traces nor serves the top-off tier charges each
+uncontended stretch of slots in one step (`_charge_stretch`). At a slot
+with a candidate where K covers the deficit tier, select would pick the
+whole tier and the rotation policy would move nothing, and that holds
+from slot to slot for as long as the tier, every vehicle of it charged
+every slot, stays within K. So one numpy pass over a window of at most
+a day computes the tier's size in each of its slots, a running sum over
+the tier's needs and the window's arrivals, and the stretch ends before
+the first slot where that size exceeds K, after the window, before the
+give-up cap, or at the boundary where the last vehicle of the range
+leaves. Its needs, satisfied slots, arrivals, departures and picks are
+applied at once, and its tiers refreshed through update_membership, so
+outcomes, slots run and picks are those of the slot-by-slot path, and
+the conservation checks after the loop still read every vehicle. A
+traced run (its rows list each slot) and a simple variant go slot by
+slot throughout, and so does every contended slot, so an untraced run
+of the paper's policies calls select in contended slots only.
+
+The run returns one `Outcomes` table, built as columns from the
+satisfied and departure slots after the loop, once the conservation
+checks on them have passed. It holds what the run decided, for every
+vehicle of the range: which vehicles a metric counts, and whether a
+delay makes a vehicle late, is for `metrics` to say.
 
 A traced run hands its trace to a sink, one `(slot, k, rows)` group per
 slot with a candidate: rows are `TraceRow`s, the deficit tier and then
@@ -230,6 +249,12 @@ def _run_loop(policy, fleet, k_profile, ranks, trace, stats, state):
         # then either. A run that drains ends within one cycle per
         # interval of total need after the last expected departure.
         max_slots = min(max_slots, fleet.last_departure + cycle * fleet.total_need)
+    # K over a capacity cycle and the day after it, so that K for a
+    # stretch starting at any slot is one slice; None in a run that
+    # charges slot by slot only.
+    k_ahead = None
+    if trace is None and not state.serve_topoff:
+        k_ahead = np.resize(np.asarray(k_profile, dtype=np.int64), cycle + SLOTS_PER_DAY)
     plugged = 0        # arrived and not yet departed
     first_read, stop = ranks.start, ranks.stop
     remaining = stop - first_read  # vehicles of ranks yet to depart
@@ -270,6 +295,17 @@ def _run_loop(policy, fleet, k_profile, ranks, trace, stats, state):
         eligible = len(state.deficit) + len(state.topoff)
         if eligible:
             k = k_profile[t % cycle]
+            if k >= eligible and k_ahead is not None:
+                end = min(t + SLOTS_PER_DAY, max_slots)
+                t, arrived, left, left_read, picks = _charge_stretch(
+                    state, fleet, t, k_ahead[t % cycle:t % cycle + end - t], next_arrival,
+                    departure_bucket, satisfied_slot, left_at, first_read, stop, remaining)
+                plugged += arrived - next_arrival - left
+                next_arrival = arrived
+                remaining -= left_read
+                selections += picks
+                idle = not len(state.deficit)
+                continue
             k1 = min(k, len(state.deficit))  # select's deficit share comes first
             selected = select(policy, state, t, k)
             count = len(selected)
@@ -297,9 +333,7 @@ def _run_loop(policy, fleet, k_profile, ranks, trace, stats, state):
             if len(first):
                 needed = need[first]
                 if np.count_nonzero(needed) < len(first):
-                    rank = int(first[needed.argmin()])
-                    why = "with a full battery" if not spare[rank] else "from the deficit tier with no need"
-                    raise SimulationInvariantError(f"slot {t}: vehicle {fleet.id[rank]} selected {why}")
+                    _refuse_picks(fleet, spare, t, first, needed)
                 needed -= 1
                 need[first] = needed
                 for rank in first[needed == 0].tolist():
@@ -354,6 +388,90 @@ def _run_loop(policy, fleet, k_profile, ranks, trace, stats, state):
     else:
         _check_departures(ids, need, departure, satisfied_slot, left_at)
     return Outcomes(ids, arrival, departure, satisfied_slot, left_at, left_at - departure)
+
+
+def _refuse_picks(fleet, spare, t, picked, needed) -> None:
+    """Raise for a deficit pick of slot t that has no need (needed: the picks' need)."""
+    rank = int(picked[needed.argmin()])
+    why = "with a full battery" if not spare[rank] else "from the deficit tier with no need"
+    raise SimulationInvariantError(f"slot {t}: vehicle {fleet.id[rank]} selected {why}")
+
+
+def _charge_stretch(state, fleet, t, k_window, next_arrival, departure_bucket,
+                    satisfied_slot, left_at, first_read, stop, remaining):
+    """Run slots t, t + 1, ... in one step, charging every deficit vehicle in each.
+
+    At slot t the tiers are refreshed, there is no top-off tier, and K
+    covers the deficit tier. k_window is K from slot t on, one entry per
+    slot the stretch may run. The stretch ends before the first slot
+    whose deficit tier would outgrow K if every deficit vehicle were
+    charged every slot, after the window's last slot, or at the boundary
+    where the last of the remaining vehicles of ranks [first_read, stop)
+    leaves. In each of its slots select would pick the whole deficit tier,
+    and the rotation policy would move nothing.
+
+    Returns the boundary the stretch ends at, the rank of the next
+    vehicle to arrive, how many vehicles left, how many of those are in
+    ranks, and the picks made.
+    """
+    need, spare = state.need, state.spare
+    arrival, departure = fleet.arrival_slot, fleet.expected_departure_slot
+    deficit = state.deficit
+    needed = need[deficit]
+    if np.count_nonzero(needed) < len(deficit):
+        _refuse_picks(fleet, spare, t, deficit, needed)
+    # Every vehicle charged in the window is in the deficit tier from its
+    # start (counted from t: 0, or its arrival) until its need is met,
+    # at `full`, so the deficit's size in each slot is a running sum.
+    span = len(k_window)
+    last = next_arrival + int(arrival[next_arrival:].searchsorted(t + span))
+    window = np.arange(next_arrival, last)
+    joining = window[np.frombuffer(state.joins, np.uint8)[next_arrival:last] == 1]
+    charged = np.concatenate((deficit, joining))
+    starts = np.concatenate((np.zeros(len(deficit), np.int64), arrival[joining] - t))
+    full = starts + need[charged]
+    sizes = np.bincount(starts, minlength=span)
+    sizes -= np.bincount(np.minimum(full, span), minlength=span + 1)[:span]
+    sizes = sizes.cumsum()
+    over = sizes > k_window
+    if over.any():
+        span = int(over.argmax())
+    end = t + span
+
+    # A vehicle leaves at the later of its expected departure and the
+    # boundary at which its need is met. Those that can leave by `end`:
+    # the plugged vehicles due at a boundary up to it, the arrivals
+    # before it, and the deficit vehicles already past their departure.
+    due = [rank for boundary in range(t + 1, end + 1) for rank in departure_bucket.get(boundary, ())]
+    leaving = np.concatenate((np.array(due, dtype=np.int64), window[arrival[window] < end],
+                              deficit[departure[deficit] <= t]))
+    leave_at = np.maximum(departure[leaving], np.maximum(arrival[leaving], t) + need[leaving])
+    read = (first_read <= leaving) & (leaving < stop)
+    read_at = leave_at[read & (leave_at <= end)]
+    if len(read_at) == remaining:
+        end = int(read_at.max())
+        span = end - t
+    gone = leave_at <= end
+    leaving, leave_at = leaving[gone], leave_at[gone]
+
+    picks = int(sizes[:span].sum())
+    need[charged] = np.maximum(full - span, 0) - np.maximum(starts - span, 0)
+    met = full <= span
+    for rank, boundary in zip(charged[met].tolist(), (full[met] + t).tolist()):
+        satisfied_slot[rank] = boundary
+    for boundary in range(t + 1, end + 1):
+        departure_bucket.pop(boundary, None)
+    for rank, boundary in zip(leaving.tolist(), leave_at.tolist()):
+        left_at[rank] = boundary
+    spare[leaving] = 0  # a vehicle that left takes no more charge
+    arrived = next_arrival + int(arrival[next_arrival:last].searchsorted(end))
+    departures = fleet.departures
+    for rank in range(next_arrival, arrived):
+        if departures[rank] > end:
+            departure_bucket[departures[rank]].append(rank)
+    update_membership(state, range(next_arrival, arrived), False, False)
+    update_membership(state, range(0), True, False)
+    return end, arrived, len(leaving), int(np.count_nonzero(read & gone)), picks
 
 
 def _check_departures(ids, need, departure, satisfied_slot, left_at) -> None:

@@ -250,19 +250,19 @@ def delay_distribution_figure(reports: Sequence[MetricsReport], path, sdr: float
     canvas.save(path)
 
 
+# The three standard charts' file names, in emit_figures's order.
+FIGURE_FILES = ("fig1-fraction-delayed.svg", "fig2-average-delay.svg", "fig3-delay-distribution.svg")
+
+
 def emit_figures(reports: Sequence[MetricsReport], out_dir) -> list:
-    """Write the three standard charts; returns the created paths.
+    """Write the three standard charts (FIGURE_FILES); returns the created paths.
 
     The delay distribution is drawn at supply ratio 1.2 if the table
     has it, else at its lowest ratio.
     """
     ratios = {r.sdr for r in reports}
     dist_sdr = 1.2 if any(abs(s - 1.2) < 1e-9 for s in ratios) else min(ratios)
-    paths = [
-        os.path.join(out_dir, "fig1-fraction-delayed.svg"),
-        os.path.join(out_dir, "fig2-average-delay.svg"),
-        os.path.join(out_dir, "fig3-delay-distribution.svg"),
-    ]
+    paths = [os.path.join(out_dir, name) for name in FIGURE_FILES]
     fod_figure(reports, paths[0])
     adfd_figure(reports, paths[1])
     delay_distribution_figure(reports, paths[2], sdr=dist_sdr)

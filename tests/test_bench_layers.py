@@ -46,8 +46,13 @@ def test_command_fires_the_workload_layers(workload, tmp_path, capsys):
     tracer.require_layers(metrics, bench.WORKLOADS[workload].layers)
     # The engine's span hooks read `stats` and `trace_path` as keywords.
     assert metrics["engine.slots"] > 0
-    # The select hook counts picks as the length of what select returns,
-    # which must be every vehicle the engine switched on.
-    assert metrics["policies.select.picked"] == metrics["engine.selections"] > 0
+    # The select hook counts picks as the length of what select returns.
+    # Every verify run is traced, so select switches on every vehicle the
+    # engine does; an untraced run charges its uncontended slots as
+    # stretches, without select.
+    picked, selections = metrics["policies.select.picked"], metrics["engine.selections"]
     if workload == "verify-oracle":
+        assert picked == selections > 0
         assert metrics["engine.trace_rows"] > 0
+    else:
+        assert 0 < picked < selections

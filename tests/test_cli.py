@@ -6,7 +6,7 @@ import pytest
 
 from conftest import make_test_vehicle
 from gridshare import engine, metrics
-from gridshare.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, build_config, run
+from gridshare.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, RUN_FILES, build_config, run
 from gridshare.policies import POLICY_NAMES, parse_policy
 from gridshare.powergrid import CHARGER_PRESETS
 from gridshare.workload import Fleet
@@ -747,6 +747,40 @@ def test_a_successful_command_leaves_no_temporary_file(tmp_path, capsys, argv):
         assert run(["verify", "--policy", "minmax-dt", "--audit-trace", str(out / "trace.csv"),
                     "--out", str(trace_dir)]) == EXIT_OK
         assert list(trace_dir.rglob("*.tmp")) == []
+
+
+CONTEXT_FILES = {"resolved-config", "arrival-profile.txt", "load-shape.txt"}
+FIGURES = {"fig1-fraction-delayed.svg", "fig2-average-delay.svg", "fig3-delay-distribution.svg"}
+
+
+def test_a_reused_run_directory_keeps_only_the_last_commands_files(tmp_path, capsys):
+    out = tmp_path / "out"
+    simulate = ["simulate", "--policy", "fcfs", *SMALL_RUN]
+    sweep = ["sweep", "--policy", "fcfs", "--sdr", "1.2", "--workers", "1", *SMALL_RUN]
+    bundle = tmp_path / "small-battery.conf"
+    bundle.write_text(SMALL_BATTERY)
+    for argv, code, files in [
+        (simulate + ["--sdr", "1.2", "--trace"], EXIT_OK, {"fod.csv", "adfd.csv", "outcomes.csv", "trace.csv"}),
+        (simulate + ["--sdr", "2"], EXIT_OK, {"fod.csv", "adfd.csv", "outcomes.csv"}),
+        (simulate + ["--sdr", "1.2", "--trace"], EXIT_OK, {"fod.csv", "adfd.csv", "outcomes.csv", "trace.csv"}),
+        (sweep, EXIT_OK, {"fod.csv", "adfd.csv", "delaydist.csv", *FIGURES}),
+        (sweep + ["--no-figures"], EXIT_OK, {"fod.csv", "adfd.csv", "delaydist.csv"}),
+        # A refused command writes and removes nothing.
+        (["dump-fleet", *SMALL_RUN, "--config", str(bundle)], EXIT_CONFIG, None),
+        (["dump-fleet", *SMALL_RUN], EXIT_OK, {"fleet.csv"}),
+        (["verify", "--instances", "3"], EXIT_OK, {"violations.csv", "mismatches.csv"}),
+        (simulate + ["--sdr", "1.2"], EXIT_OK, {"fod.csv", "adfd.csv", "outcomes.csv"}),
+    ]:
+        before = snapshot(out)
+        assert run(argv + ["--out", str(out)]) == code, argv
+        if files is None:
+            assert snapshot(out) == before
+            continue
+        names = {path.name for path in out.iterdir()}
+        assert names == CONTEXT_FILES | files, argv
+        assert names <= set(RUN_FILES)
+        assert ("trace=true" in (out / "resolved-config").read_text()) == ("--trace" in argv)
+    capsys.readouterr()
 
 
 # --- resolved config round trip -------------------------------------------

@@ -278,9 +278,12 @@ def test_invariant_checks_catch_charging_a_full_battery(monkeypatch):
         return [0]  # rank 0 arrived full, so it is in neither tier
 
     monkeypatch.setattr(engine_mod, "select", select_full)
+    # Two deficit vehicles for one charger slot: slot 0 is contended, so
+    # select is consulted there.
     vehicles = [
         make_test_vehicle(1, 0, 30, required=2.0, current=4.0, capacity=4.0),
         make_test_vehicle(2, 0, 30, required=10.0),
+        make_test_vehicle(3, 0, 30, required=10.0),
     ]
     for ranks in FULL_AND_STOPPED:
         with pytest.raises(SimulationInvariantError, match="full battery"):
@@ -298,10 +301,12 @@ def test_invariant_checks_catch_a_satisfied_vehicle_left_in_the_deficit_tier(mon
 
     monkeypatch.setattr(engine_mod, "update_membership", forgetful_update)
     # Satisfied after one slot, with room to spare: picked again from the
-    # deficit tier at slot 1. The second vehicle arrives after the first
+    # deficit tier at slot 1, which the vehicle of id 2 keeps contended
+    # for the one charger slot. The last vehicle arrives after the first
     # has left, so a stopped run never sees it.
     vehicles = [make_test_vehicle(1, 0, 30, required=1.0, capacity=10.0),
-                make_test_vehicle(2, 40, 70, required=1.0)]
+                make_test_vehicle(2, 0, 30, required=5.0),
+                make_test_vehicle(3, 40, 70, required=1.0)]
     for ranks in FULL_AND_STOPPED:
         with pytest.raises(SimulationInvariantError, match="deficit tier with no need"):
             simulate("fcfs", vehicles, [1], ranks=ranks)
@@ -383,7 +388,9 @@ def test_untraced_run_hands_select_no_topoff_rank(policy, monkeypatch, tmp_path)
 
     monkeypatch.setattr(engine_mod, "select", watched_select)
     # Vehicle 1 arrives holding its requirement with room to spare, and
-    # vehicle 2 becomes satisfied at slot 3; K = 2 leaves room for both.
+    # vehicle 2 becomes satisfied at slot 5. K alternates 2 and 0, so each
+    # slot with K = 0 and a deficit vehicle (1, 3 and 15) is contended,
+    # and select is consulted there; K = 2 leaves room for both.
     vehicles = [
         make_test_vehicle(1, 0, 20, required=2.0, current=4.0, capacity=10.0),
         make_test_vehicle(2, 1, 12, required=2.0, capacity=6.0),
@@ -391,14 +398,15 @@ def test_untraced_run_hands_select_no_topoff_rank(policy, monkeypatch, tmp_path)
     ]
     fleet = Fleet.from_vehicles(vehicles, ORACLE_CHARGER)
     traced_stats, stats = RunStats(), RunStats()
-    traced = run_simulation(policy, fleet, [2], trace_path=tmp_path / "trace.csv", stats=traced_stats)
+    traced = run_simulation(policy, fleet, [2, 0], trace_path=tmp_path / "trace.csv", stats=traced_stats)
     traced_calls = handed.copy()
     handed.clear()
-    untraced = run_simulation(policy, fleet, [2], stats=stats)
+    untraced = run_simulation(policy, fleet, [2, 0], stats=stats)
     assert untraced == traced
     assert any(need == 0 for call in traced_calls for _, need in call)  # the traced run tops off
     assert all(need > 0 for call in handed for _, need in call)
-    # Three deficit picks; the slots with only satisfied vehicles plugged are skipped.
+    # Three deficit picks, and select only in the three contended slots: the
+    # uncontended ones are charged as stretches.
     assert stats.total_selections == 3 < traced_stats.total_selections
     assert len(handed) == 3 < len(traced_calls)
     assert stats.slots_run == traced_stats.slots_run == 20
