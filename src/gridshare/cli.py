@@ -3,12 +3,16 @@
 Configuration is a flat key=value bundle plus two plain-text column
 files (arrival profile, load shape); command-line flags override file
 values, and `_CONFIG_DEFAULTS` holds the only default of every key.
-Each command builds and runs first, then writes a resolved-config of
-every effective setting beside its results, so a refused input (exit 2)
-writes nothing; every file it leaves goes through `metrics.write_atomic`.
-`RUN_FILES` names every file a command can leave in its run directory;
-once a command has written its results it removes the ones it did not
-write, so the directory holds only its last successful command's files.
+Each command only runs: it returns its files as `{name: writer(path)}`,
+its stdout lines and its exit code. `run` then writes a resolved-config
+of every effective setting, the two input curves and those files
+through one `RunDir`, so a command that is refused (exit 2) or raises
+(exit 3) writes nothing. Only `simulate --trace` writes while its run
+goes: the engine streams `trace.csv` through the same `RunDir.write`,
+which removes it again if the run raises. `RUN_FILES` names every file
+a command can leave in its run directory; once the results are written
+`run` removes the ones not written this time, so the directory holds
+only its last successful command's files.
 Only `simulate` takes `--trace` and reads the `trace` key; every other
 command refuses `trace=true`, so its resolved-config never records a
 trace it did not write.
@@ -21,13 +25,13 @@ import functools
 import math
 import os
 import sys
+import tempfile
 import textwrap
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import defaults, figures, metrics, oracle
-from .metrics import write_atomic
 from .policies import _LATE, ALL_POLICY_NAMES, POLICY_NAMES, parse_policy
 from .powergrid import (
     CHARGER_PRESETS,
@@ -259,9 +263,8 @@ RUN_FILES = (
 class RunDir:
     """A command's run directory: the RUN_FILES it writes, then the removal of the others.
 
-    A command writes each file through `write` (or adds to `written` the
-    names another function wrote), and calls `finish` once its results
-    are written: finish removes every other file of RUN_FILES, left by
+    Every file is written through `write`, and `finish`, called once the
+    results are written, removes every other file of RUN_FILES, left by
     an earlier command.
     """
 
@@ -270,9 +273,31 @@ class RunDir:
         self.written = set()
 
     def write(self, name, writer):
-        """write_atomic the file called name in the directory; returns what writer returned."""
+        """Have writer(tmp) write `<name>.tmp`, move it to name, and return what writer returned.
+
+        Missing directories are made first. On failure the temporary file is
+        removed, and so are the directories made (`os.rmdir`: empty ones only).
+        """
         self.written.add(name)
-        return write_atomic(os.path.join(self.path, name), writer)
+        path = os.path.join(self.path, name)
+        missing = []
+        head = os.path.normpath(self.path)
+        while head and not os.path.isdir(head):
+            missing.append(head)
+            head = os.path.dirname(head)
+        if missing:
+            os.makedirs(missing[0])
+        tmp = f"{path}.tmp"
+        try:
+            result = writer(tmp)
+            os.replace(tmp, path)
+            return result
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            for made in missing:
+                os.rmdir(made)
+            raise
 
     def finish(self) -> None:
         for name in RUN_FILES:
@@ -281,23 +306,29 @@ class RunDir:
                 os.remove(path)
 
 
-def write_run_context(cfg: ExperimentConfig, run_dir: RunDir) -> None:
-    """Materialize resolved-config and the two input curves in the run directory."""
+def _text_writer(text: str):
+    """A writer of text, for `RunDir.write`."""
+    def write(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    return write
+
+
+def run_context(cfg: ExperimentConfig) -> dict:
+    """The files of the run context: resolved-config and the two input curves."""
     resolved = dict(cfg.raw)
-    resolved["arrival_profile"] = os.path.join(run_dir.path, "arrival-profile.txt")
-    resolved["load_shape"] = os.path.join(run_dir.path, "load-shape.txt")
-    run_dir.write("arrival-profile.txt", lambda p: defaults.write_column_file(
-        p, cfg.base.profile.hourly_weights, header="hourly arrival weights (normalized)"))
-    run_dir.write("load-shape.txt", lambda p: defaults.write_column_file(
-        p, cfg.base.shape.values, header="per-slot non-vehicle load shape (peak 1)"))
-
-    def write(p):
-        with open(p, "w", encoding="utf-8") as fh:
-            fh.write("# effective configuration; rerun with --config to reproduce\n")
-            for key in sorted(resolved):
-                fh.write(f"{key}={resolved[key]}\n")
-
-    run_dir.write("resolved-config", write)
+    resolved["arrival_profile"] = os.path.join(cfg.out_dir, "arrival-profile.txt")
+    resolved["load_shape"] = os.path.join(cfg.out_dir, "load-shape.txt")
+    return {
+        "arrival-profile.txt": lambda p: defaults.write_column_file(
+            p, cfg.base.profile.hourly_weights, header="hourly arrival weights (normalized)"),
+        "load-shape.txt": lambda p: defaults.write_column_file(
+            p, cfg.base.shape.values, header="per-slot non-vehicle load shape (peak 1)"),
+        "resolved-config": _text_writer(
+            "# effective configuration; rerun with --config to reproduce\n"
+            + "".join(f"{key}={resolved[key]}\n" for key in sorted(resolved))),
+    }
 
 
 def _cell_summary(report: metrics.MetricsReport) -> str:
@@ -308,87 +339,75 @@ def _cell_summary(report: metrics.MetricsReport) -> str:
     )
 
 
-def cmd_simulate(cfg: ExperimentConfig, args) -> int:
+def cmd_simulate(cfg: ExperimentConfig, args, run_dir: RunDir):
     if len(cfg.policies) != 1 or len(cfg.sdr_grid) != 1 or len(cfg.seeds) != 1:
         raise ValueError("simulate runs exactly one (policy, sdr, seed) cell; use sweep for grids")
     cell = functools.partial(metrics.run_cell, cfg.base, cfg.policies[0], cfg.sdr_grid[0], cfg.seeds[0])
-    run_dir = RunDir(cfg.out_dir)
     # The engine writes the trace as the run goes.
     report, outcomes = run_dir.write("trace.csv", lambda p: cell(trace_path=p)) if cfg.trace else cell()
-    write_run_context(cfg, run_dir)
     table = [report]
-    run_dir.write("fod.csv", lambda p: metrics.write_fod_csv(table, p))
-    run_dir.write("adfd.csv", lambda p: metrics.write_adfd_csv(table, p))
     measured = cfg.base.measured_ranks(outcomes.arrival_slot)
-    run_dir.write("outcomes.csv", lambda p: metrics.write_outcomes_csv(outcomes, measured, p))
-    run_dir.finish()
-    print(_cell_summary(report))
-    return EXIT_OK
+    files = {
+        "fod.csv": lambda p: metrics.write_fod_csv(table, p),
+        "adfd.csv": lambda p: metrics.write_adfd_csv(table, p),
+        "outcomes.csv": lambda p: metrics.write_outcomes_csv(outcomes, measured, p),
+    }
+    return files, [_cell_summary(report)], EXIT_OK
 
 
-def cmd_sweep(cfg: ExperimentConfig, args) -> int:
+def cmd_sweep(cfg: ExperimentConfig, args, run_dir: RunDir):
     table = metrics.sweep(cfg.policies, cfg.sdr_grid, cfg.seeds, cfg.base, max_workers=args.workers)
-    run_dir = RunDir(cfg.out_dir)
-    write_run_context(cfg, run_dir)
-    for report in table:
-        print(_cell_summary(report))
-    run_dir.write("fod.csv", lambda p: metrics.write_fod_csv(table, p))
-    run_dir.write("adfd.csv", lambda p: metrics.write_adfd_csv(table, p))
-    run_dir.write("delaydist.csv", lambda p: metrics.write_delaydist_csv(table, p))
+    files = {
+        "fod.csv": lambda p: metrics.write_fod_csv(table, p),
+        "adfd.csv": lambda p: metrics.write_adfd_csv(table, p),
+        "delaydist.csv": lambda p: metrics.write_delaydist_csv(table, p),
+    }
     if not args.no_figures:
-        figures.emit_figures(table, run_dir.path)
-        run_dir.written.update(figures.FIGURE_FILES)
-    run_dir.finish()
-    return EXIT_OK
+        files.update((name, _text_writer(svg)) for name, svg in figures.emit_figures(table).items())
+    return files, [_cell_summary(report) for report in table], EXIT_OK
 
 
-def cmd_dump_fleet(cfg: ExperimentConfig, args) -> int:
+def cmd_dump_fleet(cfg: ExperimentConfig, args, run_dir: RunDir):
     if len(cfg.seeds) != 1:
         raise ValueError("dump-fleet writes one seed's fleet; give exactly one --seed")
     seed = cfg.seeds[0]
     fleet = generate_fleet(cfg.base.workload, cfg.base.profile, cfg.base.charger, seed)
-    run_dir = RunDir(cfg.out_dir)
-    write_run_context(cfg, run_dir)
-    run_dir.write("fleet.csv", lambda p: dump_fleet_csv(fleet, p))
-    run_dir.finish()
     adjusted = adjusted_departure_fraction(fleet)
     path = os.path.join(cfg.out_dir, "fleet.csv")
-    print(f"fleet seed={seed}: {len(fleet)} vehicles, adjusted departures {adjusted:.3%} -> {path}")
-    return EXIT_OK
+    line = f"fleet seed={seed}: {len(fleet)} vehicles, adjusted departures {adjusted:.3%} -> {path}"
+    return {"fleet.csv": lambda p: dump_fleet_csv(fleet, p)}, [line], EXIT_OK
 
 
-def cmd_verify(cfg: ExperimentConfig, args) -> int:
-    run_dir = RunDir(cfg.out_dir)
+def cmd_verify(cfg: ExperimentConfig, args, run_dir: RunDir):
     if args.audit_trace:
         if len(cfg.policies) != 1:
             raise ValueError("auditing a trace needs exactly one --policy")
         violations = oracle.audit_trace(oracle.read_trace(args.audit_trace), cfg.policies[0])
-        write_run_context(cfg, run_dir)
-        run_dir.write("violations.csv", lambda p: oracle.write_violations_csv(violations, p))
-        run_dir.finish()
-        print(f"audited {args.audit_trace}: {len(violations)} violation(s)")
-        return EXIT_OK if not violations else EXIT_RUNTIME
+        files = {"violations.csv": lambda p: oracle.write_violations_csv(violations, p)}
+        lines = [f"audited {args.audit_trace}: {len(violations)} violation(s)"]
+        return files, lines, EXIT_OK if not violations else EXIT_RUNTIME
     if args.instances < 1:
         raise ValueError(f"--instances must be at least 1, not {args.instances}")
     if args.oracle_seed < 0:
         raise ValueError(f"--oracle-seed must be 0 or more, not {args.oracle_seed}")
-    # The campaign's round-trip trace is written in, and removed from, the run directory.
-    write_run_context(cfg, run_dir)
     n_cycling = args.instances // 2
-    violations, mismatches = oracle.verify_campaign(
-        cfg.policies, np.random.default_rng(args.oracle_seed), args.instances, n_cycling,
-        os.path.join(run_dir.path, "verify-trace.csv"))
-    run_dir.write("violations.csv", lambda p: oracle.write_violations_csv(violations, p))
-    run_dir.write("mismatches.csv", lambda p: oracle.write_mismatches_csv(mismatches, p))
-    run_dir.finish()
-    print(
+    # The campaign's round-trip trace is written in, and removed from, a temporary directory.
+    with tempfile.TemporaryDirectory() as tmp:
+        violations, mismatches = oracle.verify_campaign(
+            cfg.policies, np.random.default_rng(args.oracle_seed), args.instances, n_cycling,
+            os.path.join(tmp, "verify-trace.csv"))
+    files = {
+        "violations.csv": lambda p: oracle.write_violations_csv(violations, p),
+        "mismatches.csv": lambda p: oracle.write_mismatches_csv(mismatches, p),
+    }
+    lines = [
         f"verified {args.instances} steady + {n_cycling} cycling random instances "
         f"x {len(cfg.policies)} policies: {len(violations)} audit violation(s), "
-        f"{len(mismatches)} optimum mismatch(es)"
-    )
-    for index, achieved, optimum in mismatches[:10]:
-        print(f"  instance {index}: achieved max delay {achieved}, optimum {optimum}")
-    return EXIT_OK if not violations and not mismatches else EXIT_RUNTIME
+        f"{len(mismatches)} optimum mismatch(es)",
+        *(f"  instance {index}: achieved max delay {achieved}, optimum {optimum}"
+          for index, achieved, optimum in mismatches[:10]),
+    ]
+    return files, lines, EXIT_OK if not violations and not mismatches else EXIT_RUNTIME
 
 
 class _HelpFormatter(argparse.HelpFormatter):
@@ -466,7 +485,14 @@ def run(argv=None) -> int:
         if cfg.trace and args.func is not cmd_simulate:
             raise ValueError(f"trace=true is refused by {args.command}: only simulate reads "
                              "the trace key and writes a trace; set trace=false")
-        return args.func(cfg, args)
+        run_dir = RunDir(cfg.out_dir)
+        files, lines, code = args.func(cfg, args, run_dir)
+        for name, writer in {**run_context(cfg), **files}.items():
+            run_dir.write(name, writer)
+        run_dir.finish()
+        for line in lines:
+            print(line)
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -34,7 +34,7 @@ and waits for its expected departure), the loop skips ahead to the next
 arrival or departure boundary; skipped slots still count. The tiers are
 refreshed only in a slot where one can change.
 
-A run that neither traces nor serves the top-off tier charges each
+A run that does not serve the top-off tier (no traced run) charges each
 uncontended stretch of slots in one step (`_charge_stretch`). At a slot
 with a candidate where K covers the deficit tier, select would pick the
 whole tier and the rotation policy would move nothing, and that holds
@@ -253,7 +253,7 @@ def _run_loop(policy, fleet, k_profile, ranks, trace, stats, state):
     # stretch starting at any slot is one slice; None in a run that
     # charges slot by slot only.
     k_ahead = None
-    if trace is None and not state.serve_topoff:
+    if not state.serve_topoff:
         k_ahead = np.resize(np.asarray(k_profile, dtype=np.int64), cycle + SLOTS_PER_DAY)
     plugged = 0        # arrived and not yet departed
     first_read, stop = ranks.start, ranks.stop

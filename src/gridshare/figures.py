@@ -1,19 +1,18 @@
 """Static SVG charts built directly from sweep tables.
 
 Pure string generation: the same table always yields byte-identical
-files. One line chart per headline metric against the supply ratio, and
-a grouped bar chart for the delay distribution at one ratio. Each file
-is written through `metrics.write_atomic`, like the CSVs.
+text. One line chart per headline metric against the supply ratio, and
+a grouped bar chart for the delay distribution at one ratio. Nothing
+here opens a file: `cli.run` writes the returned text with the CSVs.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import sys
 from typing import Sequence
 
-from .metrics import MetricsReport, write_atomic
+from .metrics import MetricsReport
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 150, 40, 56
@@ -67,14 +66,6 @@ class _Canvas:
         self.parts.append("</svg>")
         return "\n".join(self.parts) + "\n"
 
-    def save(self, path) -> None:
-        """Finish the chart and write it to path, or leave path as it was."""
-        def write(tmp):
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(self.finish())
-
-        write_atomic(path, write)
-
 
 def _line_chart(
     title: str,
@@ -82,8 +73,7 @@ def _line_chart(
     series: dict,
     bands: dict,
     x_values: Sequence[float],
-    path,
-) -> None:
+) -> str:
     """series: policy -> {x: y}; bands: policy -> {x: (lo, hi)}."""
     canvas = _Canvas(title, "supply-to-demand ratio", y_label)
     x_lo, x_hi = min(x_values), max(x_values)
@@ -149,7 +139,7 @@ def _line_chart(
             f'<text x="{lx + 24}" y="{ly + 4}" font-size="11">{policy}</text>'
         )
 
-    canvas.save(path)
+    return canvas.finish()
 
 
 def _polyline(points, color: str) -> str:
@@ -187,24 +177,23 @@ def _series_from_reports(reports, value):
     return series, bands, x_values
 
 
-def fod_figure(reports: Sequence[MetricsReport], path) -> None:
+def fod_figure(reports: Sequence[MetricsReport]) -> str:
     series, bands, xs = _series_from_reports(reports, lambda r: r.fod)
-    _line_chart("Fraction of vehicles delayed", "fraction delayed", series, bands, xs, path)
+    return _line_chart("Fraction of vehicles delayed", "fraction delayed", series, bands, xs)
 
 
-def adfd_figure(reports: Sequence[MetricsReport], path) -> None:
+def adfd_figure(reports: Sequence[MetricsReport]) -> str:
     series, bands, xs = _series_from_reports(reports, lambda r: r.adfd_minutes)
-    _line_chart("Average delay of delayed vehicles", "minutes", series, bands, xs, path)
+    return _line_chart("Average delay of delayed vehicles", "minutes", series, bands, xs)
 
 
-def delay_distribution_figure(reports: Sequence[MetricsReport], path, sdr: float) -> None:
+def delay_distribution_figure(reports: Sequence[MetricsReport], sdr: float) -> str:
     """Grouped bars: fraction of delayed vehicles per delay bin, one group per bin."""
     rows = [r for r in reports if r.seed is None and abs(r.sdr - sdr) < 1e-9 and r.delay_histogram]
     canvas = _Canvas(f"Delay distribution at supply ratio {_fmt(sdr)}", "delay (minutes)", "fraction of delayed")
     if not rows:
         print(f"warning: no delay distributions at sdr={sdr}", file=sys.stderr)
-        canvas.save(path)
-        return
+        return canvas.finish()
     n_bins = max(len(r.delay_histogram) for r in rows)
     width = rows[0].delay_histogram[0][1]
     y_max = _nice_ceiling(max(f for r in rows for _, _, f in r.delay_histogram) * 1.1)
@@ -247,23 +236,21 @@ def delay_distribution_figure(reports: Sequence[MetricsReport], path, sdr: float
             f'<rect x="{lx}" y="{ly - 8}" width="12" height="12" fill="{_PALETTE[r.policy]}"/>'
             f'<text x="{lx + 18}" y="{ly + 2}" font-size="11">{r.policy}</text>'
         )
-    canvas.save(path)
+    return canvas.finish()
 
 
 # The three standard charts' file names, in emit_figures's order.
 FIGURE_FILES = ("fig1-fraction-delayed.svg", "fig2-average-delay.svg", "fig3-delay-distribution.svg")
 
 
-def emit_figures(reports: Sequence[MetricsReport], out_dir) -> list:
-    """Write the three standard charts (FIGURE_FILES); returns the created paths.
+def emit_figures(reports: Sequence[MetricsReport]) -> dict:
+    """The three standard charts' SVG text, keyed by their FIGURE_FILES names.
 
     The delay distribution is drawn at supply ratio 1.2 if the table
     has it, else at its lowest ratio.
     """
     ratios = {r.sdr for r in reports}
     dist_sdr = 1.2 if any(abs(s - 1.2) < 1e-9 for s in ratios) else min(ratios)
-    paths = [os.path.join(out_dir, name) for name in FIGURE_FILES]
-    fod_figure(reports, paths[0])
-    adfd_figure(reports, paths[1])
-    delay_distribution_figure(reports, paths[2], sdr=dist_sdr)
-    return paths
+    charts = (fod_figure(reports), adfd_figure(reports),
+              delay_distribution_figure(reports, sdr=dist_sdr))
+    return dict(zip(FIGURE_FILES, charts))

@@ -25,6 +25,9 @@ each fleet, and with it the run data every run over it reads (see
 call: a pool worker's dies with the pool, and the in-process one is
 cleared when the call returns or raises. A direct `run_cell` call keeps
 no memo and generates its fleet every time.
+
+Each CSV writer writes the one file at the path it is given; `cli.run`
+calls them through `cli.RunDir.write` once the command has its results.
 """
 
 from __future__ import annotations
@@ -325,32 +328,6 @@ def _average_histograms(group):
 
 # ---------------------------------------------------------------------------
 # CSV output contracts
-
-
-def write_atomic(path, writer):
-    """Have writer(tmp) write a temporary file, move it to path, and return what writer returned.
-
-    Missing directories of path are made first. On failure the temporary
-    file is removed, and so are the directories made (`os.rmdir`: empty ones only).
-    """
-    missing = []
-    head = os.path.dirname(os.path.normpath(path))
-    while head and not os.path.isdir(head):
-        missing.append(head)
-        head = os.path.dirname(head)
-    if missing:
-        os.makedirs(missing[0])
-    tmp = f"{path}.tmp"
-    try:
-        result = writer(tmp)
-        os.replace(tmp, path)
-        return result
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        for made in missing:
-            os.rmdir(made)
-        raise
 
 
 def _fmt(x: float) -> str:

@@ -1,11 +1,14 @@
 """Command-line driver: subcommands, exit codes, atomic outputs."""
 
+import builtins
 import csv
+import io
+import os
 
 import pytest
 
 from conftest import make_test_vehicle
-from gridshare import engine, metrics
+from gridshare import engine, figures, metrics, oracle
 from gridshare.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, RUN_FILES, build_config, run
 from gridshare.policies import POLICY_NAMES, parse_policy
 from gridshare.powergrid import CHARGER_PRESETS
@@ -667,6 +670,44 @@ def test_verify_audit_mode_refuses_a_negative_k(tiny_config, tmp_path, capsys):
     assert not out.exists()
 
 
+TRACE_HEADER = ",".join(engine.TRACE_FIELDS) + "\n"
+ONE_SLOT_TRACE = TRACE_HEADER + "0,1,0,1,0,2,1,-1,1\n"
+
+
+# "@name" stands for a file of tmp_path holding files[name].
+@pytest.mark.parametrize("files, argv, message", [
+    ({"b.conf": "days=4\nnot a pair\n"}, ["simulate", "--config", "@b.conf"],
+     "b.conf:2: expected key=value, got 'not a pair'"),
+    ({"p.txt": "1\n" * 23}, ["simulate", "--arrival-profile", "@p.txt"],
+     "arrival profile file must hold 24 hourly weights"),
+    ({"p.txt": "0\n" * 24}, ["simulate", "--arrival-profile", "@p.txt"],
+     "arrival weights must have positive sum"),
+    ({}, ["sweep", "--policies", ","], "at least one policy required"),
+    ({}, ["sweep", "--seeds", ","], "at least one seed required"),
+    ({"t.csv": ONE_SLOT_TRACE}, ["verify", "--policies", "fcfs,rr", "--audit-trace", "@t.csv"],
+     "auditing a trace needs exactly one --policy"),
+    ({"s.txt": "1\nhalf\n" + "0.5\n" * 286}, ["simulate", "--load-shape", "@s.txt"],
+     "s.txt:2: not a number: 'half'"),
+    ({"t.csv": "slot,k\n0,1\n"}, ["verify", "--policy", "fcfs", "--audit-trace", "@t.csv"],
+     "t.csv:1: unexpected trace header ['slot', 'k']"),
+    ({"t.csv": ONE_SLOT_TRACE + "0,2,1,1,0,3,1,-2,1\n"},
+     ["verify", "--policy", "fcfs", "--audit-trace", "@t.csv"], "t.csv:3: inconsistent K within slot 0"),
+    ({"t.csv": TRACE_HEADER + "5,1,0,1,0,9,1,-3,1\n3,1,1,1,0,9,1,-5,1\n"},
+     ["verify", "--policy", "fcfs", "--audit-trace", "@t.csv"], "t.csv:3: slots out of order"),
+], ids=["bundle-line", "profile-length", "profile-zero", "policies", "seeds", "audit-policies",
+        "curve-text", "trace-header", "trace-k", "trace-order"])
+def test_a_refused_input_exits_2_and_writes_nothing(tmp_path, capsys, files, argv, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "out"
+    argv = [str(tmp_path / arg[1:]) if arg.startswith("@") else arg for arg in argv]
+    assert run(argv + ["--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 # --- what a run leaves --------------------------------------------------
 
 # A fleet of 4 days x 20 arrivals a day whose commutes need more range
@@ -729,6 +770,76 @@ def test_a_traced_run_that_raises_leaves_no_trace(tmp_path, capsys, monkeypatch,
     assert len(calls) == 3
     assert not (out / "trace.csv").exists() and not (out / "trace.csv.tmp").exists()
     assert out.exists() == existing  # a directory the run did not make stays
+
+
+def _break_charts(monkeypatch):
+    def broken(canvas):
+        raise RuntimeError("chart failed")
+
+    monkeypatch.setattr(figures._Canvas, "finish", broken)
+
+
+def _break_roundtrip(monkeypatch):
+    def broken(groups, path):  # raises while the sampled trace is on disk
+        raise RuntimeError("round trip failed")
+
+    monkeypatch.setattr(oracle, "_roundtrip_violations", broken)
+
+
+@pytest.mark.parametrize("argv, sabotage, code, message", [
+    (["dump-fleet", "--seed", "1", "--days", "3", "--arrivals-per-day", "0.001"], None, EXIT_CONFIG,
+     "empty workload"),
+    (["verify", "--instances", "3"], _break_roundtrip, EXIT_RUNTIME, "round trip failed"),
+    (["sweep", "--policy", "fcfs", "--sdr", "1.2", "--workers", "1", *SMALL_RUN], _break_charts,
+     EXIT_RUNTIME, "chart failed"),
+], ids=["dump-fleet-empty", "verify-raises", "sweep-chart-fails"])
+@pytest.mark.parametrize("existing", [False, True])
+def test_a_command_that_fails_after_its_run_writes_nothing(
+        tmp_path, capsys, monkeypatch, argv, sabotage, code, message, existing):
+    out = tmp_path / "out"
+    if existing:
+        assert run(["simulate", "--policy", "fcfs", "--sdr", "1.2", *SMALL_RUN, "--out", str(out)]) == EXIT_OK
+    before = snapshot(out)
+    if sabotage:
+        sabotage(monkeypatch)
+    assert run(argv + ["--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert out.exists() == existing
+    assert snapshot(out) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--policy", "minmax-dt", "--sdr", "1.2", *SMALL_RUN],
+    ["simulate", "--policy", "minmax-dt", "--sdr", "1.2", "--trace", *SMALL_RUN],
+    ["sweep", "--policies", "fcfs,rr", "--sdr-grid", "1.2,2", *SMALL_RUN, "--workers", "1"],
+    ["dump-fleet", *SMALL_RUN],
+    ["verify", "--instances", "3"],
+    ["verify", "--policy", "rr", "--audit-trace", "@trace"],
+], ids=["simulate", "simulate-trace", "sweep", "dump-fleet", "verify", "verify-audit"])
+def test_every_file_in_the_run_directory_is_written_as_a_named_temporary(
+        tmp_path, capsys, monkeypatch, argv):
+    # What RunDir.finish knows is all a run directory can hold.
+    trace = tmp_path / "traced" / "trace.csv"
+    assert run(["simulate", "--policy", "rr", "--sdr", "1.2", "--trace", *SMALL_RUN,
+                "--out", str(trace.parent)]) == EXIT_OK
+    out = tmp_path / "out"
+    opened = []
+    real_open = builtins.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if not isinstance(file, int) and set(mode) & set("wax+"):
+            opened.append(os.path.abspath(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(io, "open", recording_open)
+    argv = [str(trace) if arg == "@trace" else arg for arg in argv]
+    assert run(argv + ["--out", str(out)]) == EXIT_OK
+    monkeypatch.undo()
+    inside = [os.path.relpath(path, out) for path in opened
+              if os.path.commonpath([path, str(out)]) == str(out)]
+    assert inside and all(name.endswith(".tmp") and name[:-4] in RUN_FILES for name in inside)
+    assert sorted(name[:-4] for name in inside) == sorted(path.name for path in out.iterdir())
 
 
 @pytest.mark.parametrize("argv", [

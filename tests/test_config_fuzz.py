@@ -5,12 +5,12 @@ key left out) and replaces up to three keys with a value drawn from that
 key's valid, boundary and garbage values. The property:
 
 - `build_config` returns or raises ValueError;
-- a bundle it refuses makes `gridshare simulate` exit 2 without
-  creating the output directory;
+- a bundle it refuses makes `gridshare simulate` and `gridshare
+  dump-fleet` exit 2 without creating the output directory;
 - a bundle it accepts, if it is within the scale cap (`MAX_DAYS` days and
-  `MAX_VEHICLES` expected vehicles), exits 0 through `simulate` with an
-  output directory, or exits 2 (a refusal that depends on the drawn
-  fleet) without one. It never exits 3.
+  `MAX_VEHICLES` expected vehicles), exits 0 through either command with
+  an output directory, or exits 2 (a refusal that depends on the drawn
+  fleet, or on the command) without one. It never exits 3.
 
 The values stay clear of the rejection samplers' slow corners, which
 README allows (a commute mean far above its cap, a duration spread far
@@ -110,6 +110,7 @@ def run_quietly(argv):
 @example(bundle={**VALID, "warmup_days": "-1"})
 @example(bundle={**VALID, "battery_capacity_miles": "30", "trace": "false"})
 @example(bundle={**VALID, "battery_capacity_miles": "30", "trace": "true"})
+@example(bundle={**VALID, "arrivals_per_day": "0.001", "trace": "false"})  # draws no vehicle
 @given(bundle=bundles())
 def test_a_bundle_is_refused_before_any_output_or_runs(curve_dir, bundle):
     bundle = {key: str(curve_dir / value.lstrip("@")) if value.startswith("@") else value
@@ -118,20 +119,16 @@ def test_a_bundle_is_refused_before_any_output_or_runs(curve_dir, bundle):
         cfg = build_config(bundle)
     except ValueError:
         cfg = None
-    with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "out")
-        conf = os.path.join(tmp, "bundle.conf")
-        with open(conf, "w", encoding="utf-8") as fh:
-            fh.writelines(f"{key}={value}\n" for key, value in bundle.items())
-        argv = ["simulate", "--config", conf, "--out", out]
-        if cfg is None:
-            code, err = run_quietly(argv)
-            assert code == EXIT_CONFIG, err
-            assert not os.path.exists(out), err
-            return
+    if cfg is not None:
         days = cfg.base.workload.days
         if days > MAX_DAYS or days * cfg.base.profile.expected_daily_arrivals > MAX_VEHICLES:
             return
-        code, err = run_quietly(argv)
-        assert code in (EXIT_OK, EXIT_CONFIG), err
-        assert os.path.exists(out) == (code == EXIT_OK), err
+    with tempfile.TemporaryDirectory() as tmp:
+        conf = os.path.join(tmp, "bundle.conf")
+        with open(conf, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{key}={value}\n" for key, value in bundle.items())
+        for command in ("simulate", "dump-fleet"):
+            out = os.path.join(tmp, command)
+            code, err = run_quietly([command, "--config", conf, "--out", out])
+            assert code in ((EXIT_CONFIG,) if cfg is None else (EXIT_OK, EXIT_CONFIG)), err
+            assert os.path.exists(out) == (code == EXIT_OK), err

@@ -24,17 +24,15 @@ def sample_reports():
     return reports
 
 
-def test_figures_are_deterministic(tmp_path):
+def test_figures_are_deterministic():
     reports = sample_reports()
-    first = tmp_path / "a"
-    second = tmp_path / "b"
-    first.mkdir(), second.mkdir()
-    emit_figures(reports, first)
-    emit_figures(reports, second)
-    for name in ("fig1-fraction-delayed.svg", "fig2-average-delay.svg",
-                 "fig3-delay-distribution.svg"):
-        assert (first / name).read_bytes() == (second / name).read_bytes()
-        assert (first / name).read_text().startswith("<svg")
+    first = emit_figures(reports)
+    second = emit_figures(reports)
+    assert tuple(first) == ("fig1-fraction-delayed.svg", "fig2-average-delay.svg",
+                            "fig3-delay-distribution.svg")
+    for name in first:
+        assert first[name] == second[name]
+        assert first[name].startswith("<svg")
 
 
 def test_a_chart_that_fails_leaves_no_file(tmp_path, monkeypatch):
@@ -42,42 +40,40 @@ def test_a_chart_that_fails_leaves_no_file(tmp_path, monkeypatch):
         raise RuntimeError("chart failed")
 
     monkeypatch.setattr(figures._Canvas, "finish", broken)
+    monkeypatch.chdir(tmp_path)  # a file written by a relative path would land here
     reports = sample_reports()
     with pytest.raises(RuntimeError, match="chart failed"):
-        emit_figures(reports, tmp_path)
+        emit_figures(reports)
     with pytest.raises(RuntimeError, match="chart failed"):
-        delay_distribution_figure(reports, tmp_path / "dist.svg", sdr=1.2)
+        delay_distribution_figure(reports, sdr=1.2)
     with pytest.raises(RuntimeError, match="chart failed"):
-        delay_distribution_figure(reports, tmp_path / "empty.svg", sdr=9.9)  # no bars to draw
+        delay_distribution_figure(reports, sdr=9.9)  # no bars to draw
     assert list(tmp_path.iterdir()) == []
 
 
-def test_single_series_chart(tmp_path):
+def test_single_series_chart():
     per_seed = [build_report("rr", 1.4, 1, delays_from_minutes([0, 20]), 30.0)]
     reports = per_seed + [average_reports(per_seed)]
-    path = tmp_path / "one.svg"
-    fod_figure(reports, path)
-    text = path.read_text()
+    text = fod_figure(reports)
     assert text.count("<polyline") == 0  # one point: no line segment yet
     assert ">rr<" in text
 
 
-def test_missing_cells_warn_and_leave_gaps(tmp_path, capsys):
+def test_missing_cells_warn_and_leave_gaps(capsys):
     reports = sample_reports()
     reports = [r for r in reports
                if not (r.policy == "fcfs" and r.sdr == 1.2 and r.seed is None)]
-    adfd_figure(reports, tmp_path / "gaps.svg")
+    adfd_figure(reports)
     assert "missing sweep cells" in capsys.readouterr().err
 
 
-def test_distribution_chart_without_matching_ratio_warns(tmp_path, capsys):
-    reports = sample_reports()
-    delay_distribution_figure(reports, tmp_path / "dist.svg", sdr=9.9)
+def test_distribution_chart_without_matching_ratio_warns(capsys):
+    text = delay_distribution_figure(sample_reports(), sdr=9.9)
     assert "no delay distributions" in capsys.readouterr().err
-    assert (tmp_path / "dist.svg").read_text().startswith("<svg")
+    assert text.startswith("<svg")
 
 
-def test_each_policy_name_has_its_own_colour(tmp_path):
+def test_each_policy_name_has_its_own_colour():
     assert tuple(_PALETTE) == POLICY_NAMES
     assert len(set(_PALETTE.values())) == len(POLICY_NAMES)
     reports = []
@@ -85,8 +81,6 @@ def test_each_policy_name_has_its_own_colour(tmp_path):
         for sdr in (1.2, 2.0):
             per_seed = [build_report(policy, sdr, 1, delays_from_minutes([0, 20]), 30.0)]
             reports += per_seed + [average_reports(per_seed)]
-    path = tmp_path / "fod.svg"
-    fod_figure(reports, path)
-    text = path.read_text()
+    text = fod_figure(reports)
     assert f'stroke="{_PALETTE["fcfs"]}"' in text
     assert f'stroke="{_PALETTE["fcfs-simple"]}"' in text
