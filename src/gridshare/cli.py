@@ -2,17 +2,19 @@
 
 Configuration is a flat key=value bundle plus two plain-text column
 files (arrival profile, load shape); command-line flags override file
-values, and `_CONFIG_DEFAULTS` holds the only default of every key.
+values, and `_CONFIG_DEFAULTS` holds the only default of every key. The
+library's config objects and functions take every value explicitly, so
+each run, the acceptance tests' included, is built from that table by
+`build_config`.
 Each command only runs: it returns its files as `{name: writer(path)}`,
 its stdout lines and its exit code. `run` then writes a resolved-config
 of every effective setting, the two input curves and those files
 through one `RunDir`, so a command that is refused (exit 2) or raises
 (exit 3) writes nothing. Only `simulate --trace` writes while its run
 goes: the engine streams `trace.csv` through the same `RunDir.write`,
-which removes it again if the run raises. `RUN_FILES` names every file
-a command can leave in its run directory; once the results are written
-`run` removes the ones not written this time, so the directory holds
-only its last successful command's files.
+which removes it again if the run raises; `verify`'s campaign writes its
+round-trip trace in a temporary directory, never in the run directory.
+`RunDir` says what a reused run directory keeps.
 Only `simulate` takes `--trace` and reads the `trace` key; every other
 command refuses `trace=true`, so its resolved-config never records a
 trace it did not write.
@@ -263,9 +265,12 @@ RUN_FILES = (
 class RunDir:
     """A command's run directory: the RUN_FILES it writes, then the removal of the others.
 
-    Every file is written through `write`, and `finish`, called once the
-    results are written, removes every other file of RUN_FILES, left by
-    an earlier command.
+    `RUN_FILES` names every file a command can leave in its run
+    directory. Every file is written through `write`, and `finish`,
+    called once the results are written, removes every other file of
+    RUN_FILES, left by an earlier command, so the directory holds only
+    its last successful command's files; a trace that
+    `verify --audit-trace` audits in its own run directory stays.
     """
 
     def __init__(self, path):
@@ -299,10 +304,12 @@ class RunDir:
                 os.rmdir(made)
             raise
 
-    def finish(self) -> None:
+    def finish(self, audited=None) -> None:
+        """audited, the trace `verify --audit-trace` read, is never removed."""
+        kept = os.path.realpath(audited) if audited else None
         for name in RUN_FILES:
             path = os.path.join(self.path, name)
-            if name not in self.written and os.path.exists(path):
+            if name not in self.written and os.path.exists(path) and os.path.realpath(path) != kept:
                 os.remove(path)
 
 
@@ -471,7 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--oracle-seed", dest="oracle_seed", type=int, default=2024,
                      help="seed for the instance generator")
     ver.add_argument("--audit-trace", dest="audit_trace",
-                     help="audit an existing trace file instead of running the campaign")
+                     help="audit an existing trace file instead of running the campaign; a "
+                          "trace in the --out directory is kept, the audited run's other files "
+                          "are not")
     ver.set_defaults(func=cmd_verify)
     return parser
 
@@ -489,7 +498,7 @@ def run(argv=None) -> int:
         files, lines, code = args.func(cfg, args, run_dir)
         for name, writer in {**run_context(cfg), **files}.items():
             run_dir.write(name, writer)
-        run_dir.finish()
+        run_dir.finish(getattr(args, "audit_trace", None))
         for line in lines:
             print(line)
         return code

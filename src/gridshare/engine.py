@@ -1,16 +1,17 @@
 """The 5-minute slot loop: plug in, select, charge, depart, record.
 
-Each slot: arrivals plug in, update_membership refreshes the deficit and
-top-off tiers, the capacity profile yields K charger slots, the policy
-picks that many vehicles, each selected vehicle gains one interval of
-charge, and vehicles that have reached both their expected departure
-boundary and their required charge leave. The loop runs past the
-arrival horizon, reusing the day-periodic capacity profile, until every
-vehicle whose outcome the caller reads has departed: by default every
-vehicle, or the contiguous ranks the caller names. The engine is
-causal, so a vehicle's outcome does not depend on the slots after it
-left, and a run stopped at a range gives that range the rows of the
-full run.
+The loop consumes a per-slot capacity profile and knows nothing of the
+grid or of the measurement window. Each slot: arrivals plug in,
+update_membership refreshes the deficit and top-off tiers, the capacity
+profile yields K charger slots, the policy picks that many vehicles,
+each selected vehicle gains one interval of charge, and vehicles that
+have reached both their expected departure boundary and their required
+charge leave. The loop runs past the arrival horizon, reusing the
+day-periodic capacity profile, until every vehicle whose outcome the
+caller reads has departed: by default every vehicle, or the contiguous
+ranks the caller names. The engine is causal, so a vehicle's outcome
+does not depend on the slots after it left, and a run stopped at a
+range gives that range the rows of the full run.
 
 A vehicle is named by its rank, its row in the run's `workload.Fleet`,
 whose rows come in arrival order. The counters live in int64 arrays
@@ -34,12 +35,12 @@ and waits for its expected departure), the loop skips ahead to the next
 arrival or departure boundary; skipped slots still count. The tiers are
 refreshed only in a slot where one can change.
 
-A run that does not serve the top-off tier (no traced run) charges each
-uncontended stretch of slots in one step (`_charge_stretch`). At a slot
-with a candidate where K covers the deficit tier, select would pick the
-whole tier and the rotation policy would move nothing, and that holds
-from slot to slot for as long as the tier, every vehicle of it charged
-every slot, stays within K. So one numpy pass over a window of at most
+A run that does not serve the top-off tier charges each uncontended
+stretch of slots in one step (`_charge_stretch`). At a slot with a
+candidate where K covers the deficit tier, select would pick the whole
+tier and the rotation policy would move nothing, and that holds from
+slot to slot for as long as the tier, every vehicle of it charged every
+slot, stays within K. So one numpy pass over a window of at most
 a day computes the tier's size in each of its slots, a running sum over
 the tier's needs and the window's arrivals, and the stretch ends before
 the first slot where that size exceeds K, after the window, before the
@@ -47,10 +48,10 @@ give-up cap, or at the boundary where the last vehicle of the range
 leaves. Its needs, satisfied slots, arrivals, departures and picks are
 applied at once, and its tiers refreshed through update_membership, so
 outcomes, slots run and picks are those of the slot-by-slot path, and
-the conservation checks after the loop still read every vehicle. A
-traced run (its rows list each slot) and a simple variant go slot by
-slot throughout, and so does every contended slot, so an untraced run
-of the paper's policies calls select in contended slots only.
+the conservation checks after the loop still read every vehicle. A run
+that serves the top-off tier goes slot by slot throughout, and so does
+every contended slot, so an untraced run of the paper's policies calls
+select in contended slots only.
 
 The run returns one `Outcomes` table, built as columns from the
 satisfied and departure slots after the loop, once the conservation
@@ -191,9 +192,8 @@ def run_simulation(
 
     trace_sink, if given, is called with each slot's (slot, k, rows)
     group; trace_path, if given, receives the same groups as trace.csv.
-    A run with either serves the top-off tier, as a run of a simple
-    variant always does; any other run leaves it empty, which changes no
-    outcome.
+    A run with either serves the top-off tier (the module docstring says
+    which runs do).
     """
     if not any(k_profile) and fleet.total_need:
         raise ValueError(

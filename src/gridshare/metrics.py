@@ -13,7 +13,13 @@ arrival order, so the measured vehicles are one run of rows
 asks the engine for those ranks only and its run ends once the last of
 them has left, and `outcomes.csv` flags them. `run_cell` without
 `measured_only` (what `simulate` runs) still simulates every vehicle,
-since `outcomes.csv` lists them all.
+since `outcomes.csv` lists them all. At seed 1 of the default scenario
+(`fcfs`, `rr` and `minmax-dt` at ratios 1.05 and 2.0), a sweep cell's
+run ends at slot 4002-4034 of the 4577-4580 a full run takes. The
+engine is causal, so every sweep output is that of a full run; one
+difference follows: a sweep cell whose unmeasured tail would never
+drain finishes, where a full run (`simulate`, `verify`, the tests)
+raises at the engine's drain bound.
 
 A cell's fleet and its required energy depend only on its fleet key
 (workload, arrival profile, charger, seed), not on the policy or the
@@ -22,9 +28,12 @@ a sweep's grid), and each process that runs them keeps the last key's
 fleet and required energy in the module's memo, so a process generates
 each fleet, and with it the run data every run over it reads (see
 `workload.Fleet`), at most once. The memo lives for one `run_cells`
-call: a pool worker's dies with the pool, and the in-process one is
-cleared when the call returns or raises. A direct `run_cell` call keeps
-no memo and generates its fleet every time.
+call: it is empty outside the call, so a pool worker, forked or
+spawned, starts with it empty; a pool worker's dies with the pool, and
+the in-process one is cleared when the call returns or raises. A direct
+`run_cell` call keeps no memo and generates its fleet every time. The
+measured ranks are not memoized with the fleet, since cells that share
+a fleet may not share a window.
 
 Each CSV writer writes the one file at the path it is given; `cli.run`
 calls them through `cli.RunDir.write` once the command has its results.
@@ -120,7 +129,8 @@ def run_cell(
     once the last of them has left; the report is the same either way.
     trace_path, if given, receives the engine's per-slot trace. memo is
     the fleet memo of the `run_cells` call running this cell; without
-    one the fleet is generated afresh.
+    one the fleet is generated afresh. Raises ValueError before the run
+    if no vehicle arrives in the measurement window.
     """
     fleet, tpr = _seed_work(base, seed, {} if memo is None else memo)
     measured = base.measured_ranks(fleet.arrival_slot)
@@ -193,8 +203,7 @@ def build_report(
     )
 
 
-# This process's sweep fleet memo: empty outside run_cells, so a pool
-# worker, forked or spawned, starts with it empty.
+# This process's sweep fleet memo; the module docstring states its lifetime.
 _memo: dict = {}
 
 
@@ -232,10 +241,7 @@ def run_cells(cells: Sequence[tuple], max_workers: int | None = None) -> list[Me
     Cells run independently, across a process pool when more than one
     worker is allowed. They are handed out grouped by fleet key, keys in
     the order they first appear, and each process keeps the last key's
-    fleet in a memo, so it generates each at most once.
-    The memo lives for this call only: a pool worker's dies with the
-    pool, and the in-process one is cleared when the call returns or
-    raises.
+    fleet in the module's memo, so it generates each at most once.
     Raises ValueError before any cell runs if there are no cells or a
     supply ratio is outside [1, `powergrid.MAX_SUPPLY_RATIO`].
     """
@@ -277,11 +283,9 @@ def sweep(
 ) -> list[MetricsReport]:
     """One report per (policy, sdr, seed) plus a seed-averaged row per curve.
 
-    The grid's cells go to `run_cells`, which runs them seed-major (each
-    seed's fleet is generated at most once per process, and the fleet
-    memo lives for this call only). The output order is canonical
-    regardless of run order: policies in the given order, ratios
-    ascending, seeds ascending, averaged row last.
+    The grid's cells go to `run_cells`, which runs them seed-major. The
+    output order is canonical regardless of run order: policies in the
+    given order, ratios ascending, seeds ascending, averaged row last.
     """
     sdr_grid = sorted(sdr_grid)
     seeds = sorted(seeds)

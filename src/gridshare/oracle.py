@@ -5,7 +5,8 @@ on tiny instances (never touching the policy code), and an auditor that
 replays a per-slot trace and checks the selection rules slot by slot.
 The auditor takes a trace as (slot, k, rows) groups of `engine.TraceRow`,
 either as the engine hands them to its trace sink or as `read_trace`
-parses them from a trace.csv file. `verify_campaign` runs both tools
+parses them from a trace.csv file. `verify_campaign`, which
+`gridshare verify` and the acceptance test both run, runs both tools
 over random instances and audits every run from its groups in memory.
 """
 

@@ -4,9 +4,8 @@ Every policy serves the deficit list (vehicles short of their required
 charge) before the top-off list (at or above required, below full).
 Within a tier the order is policy-specific; surplus switches always go
 to top-off under the same key so the comparison isolates the deficit
-tier. Ties break by arrival slot, then id. Top-off service changes no
-outcome, so a state may leave the top-off tier empty (`serve_topoff`):
-the engine decides which runs serve it.
+tier. Ties break by arrival slot, then id. Which runs serve the top-off
+tier is the engine's rule (`gridshare.engine`'s module docstring).
 
 A policy is chosen by name only. Besides the paper's five there are
 three named variants: `fcfs-simple` and `rr-simple` use no
@@ -102,10 +101,9 @@ class PolicyState:
 
     deficit and topoff are int64 arrays of ranks in list order (head =
     next in line for the rotation policy), refreshed each slot by
-    update_membership. Without serve_topoff no vehicle joins the top-off
-    tier, so it stays empty. A vehicle's priority key is computed from
-    the departure keys and the counters when select needs it, so no
-    priority key is stored.
+    update_membership, which says what serve_topoff changes. A vehicle's
+    priority key is computed from the departure keys and the counters
+    when select needs it, so no priority key is stored.
     """
 
     policy: Policy
@@ -196,7 +194,8 @@ def _keys(state: PolicyState, tier: np.ndarray, t: int) -> np.ndarray:
     rank_bits bits recover the rank. For fcfs and rr the key is the
     rank, and `tier` itself is returned; otherwise the keys are a new
     array, built from the departure keys and the counters gathered for
-    the tier.
+    the tier: an fdfs key is one gather, a minmax-dt or fdfs-slack key
+    two gathers, a shift and a subtract.
     """
     policy = state.policy
     kind = policy.kind

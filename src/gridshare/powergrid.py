@@ -5,7 +5,9 @@ follow a daily shape; whatever is left over in a slot is available for
 charging and determines K, the number of vehicles that can be switched
 on simultaneously. Capacity is calibrated so that the daily energy
 available for vehicles divided by the daily energy they require equals a
-target supply-to-demand ratio.
+target supply-to-demand ratio. `day_capacity_profile` is the one
+producer of the per-slot capacity profile (K for each slot of the day)
+that the engine consumes.
 
 A vehicle's charger is one of four named presets: `home-110-15` (the
 default, rounded to 0.5 miles per slot), `home-110-15-exact` (the
@@ -101,15 +103,17 @@ class GridModel:
     available_kw: tuple[float, ...] = field(repr=False)
 
 
-# make_grid holds TPA / TPR to the target ratio within 1e-6. A double
-# carries about 16 significant digits, so past about 1e9 rounding alone
-# can break that check; ratios above 1e6 are refused, three digits short
-# of it.
 MAX_SUPPLY_RATIO = 1e6
 
 
 def check_supply_ratio(sdr: float) -> None:
-    """Refuse a supply-to-demand ratio outside [1, MAX_SUPPLY_RATIO]."""
+    """Refuse a supply-to-demand ratio outside [1, MAX_SUPPLY_RATIO].
+
+    make_grid holds TPA / TPR to the target ratio within 1e-6. A double
+    carries about 16 significant digits, so past about 1e9 rounding
+    alone can break that check; ratios above 1e6 are refused, three
+    digits short of it.
+    """
     if sdr < 1.0:
         raise ValueError("supply-to-demand ratio below 1 is refused: delays would grow indefinitely")
     if sdr > MAX_SUPPLY_RATIO:

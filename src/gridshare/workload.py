@@ -13,7 +13,9 @@ arrival order, and the charging-interval counts for its charger. The
 per-vehicle draws are scalar, in a fixed order; everything derived from
 them is computed on whole columns, and every check on a session is
 made once, by the `Fleet` constructor. Sessions built by hand enter as
-`Vehicle` records through `Fleet.from_vehicles`.
+`Vehicle` records through `Fleet.from_vehicles`. `tests/test_golden.py`
+pins two generated fleets' `fleet.csv`, so a change to the draws shows
+apart from any change downstream.
 """
 
 from __future__ import annotations
@@ -286,6 +288,7 @@ def generate_fleet(
 ) -> Fleet:
     """Deterministic fleet for (cfg, profile, charger, seed).
 
+    The seed is a cell coordinate, not part of the workload config.
     Arrivals and per-vehicle attributes come from separate substreams of
     the seed; the attributes are drawn by `draw_sessions` in arrival
     order, so sampled values depend only on a vehicle's place in the

@@ -737,6 +737,23 @@ def test_a_refused_rerun_leaves_the_run_directory_byte_identical(tmp_path, capsy
     assert snapshot(out) == before
 
 
+@pytest.mark.parametrize("spelling", ["plain", "dotdot", "symlink"])
+def test_an_audit_in_the_run_directory_keeps_the_audited_trace(tmp_path, capsys, spelling):
+    out = tmp_path / "d"
+    assert run(["simulate", "--policy", "fcfs", "--sdr", "1.2", *SMALL_RUN, "--trace",
+                "--out", str(out)]) == EXIT_OK
+    trace = (out / "trace.csv").read_bytes()
+    audited = {"plain": out, "dotdot": out / ".." / "d", "symlink": tmp_path / "link"}[spelling]
+    if spelling == "symlink":
+        os.symlink(out, audited)
+    assert run(["verify", "--policy", "fcfs", "--audit-trace", str(audited / "trace.csv"),
+                "--out", str(out)]) == EXIT_OK
+    assert "0 violation(s)" in capsys.readouterr().out
+    assert (out / "trace.csv").read_bytes() == trace
+    assert sorted(os.listdir(out)) == ["arrival-profile.txt", "load-shape.txt", "resolved-config",
+                                       "trace.csv", "violations.csv"]
+
+
 def test_a_traced_simulate_refused_by_its_fleet_leaves_no_directory(tmp_path, capsys):
     bundle = tmp_path / "small-battery.conf"
     bundle.write_text(SMALL_BATTERY)
