@@ -29,7 +29,7 @@ import os
 import sys
 import tempfile
 import textwrap
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -165,19 +165,9 @@ def build_config(overrides: dict) -> ExperimentConfig:
                 max(warmup + 1, min(days - 1, days * full_last // full_days)))
 
     charger = charger_preset(raw["charger"])
-    workload = WorkloadConfig(
-        days=days,
-        duration_mean_h=_finite("duration_mean_h", raw["duration_mean_h"]),
-        duration_std_h=_finite("duration_std_h", raw["duration_std_h"]),
-        duration_min_h=_finite("duration_min_h", raw["duration_min_h"]),
-        duration_max_h=_finite("duration_max_h", raw["duration_max_h"]),
-        one_way_commute_mean_mi=_finite("one_way_commute_mean_mi", raw["one_way_commute_mean_mi"]),
-        commute_cap_mi=_finite("commute_cap_mi", raw["commute_cap_mi"]),
-        extra_daily_mi=_finite("extra_daily_mi", raw["extra_daily_mi"]),
-        emergency_mi=_finite("emergency_mi", raw["emergency_mi"]),
-        initial_charge_max_mi=_finite("initial_charge_max_mi", raw["initial_charge_max_mi"]),
-        battery_capacity_miles=_finite("battery_capacity_miles", raw["battery_capacity_miles"]),
-    )
+    # Every field but days is a float key, parsed in field order.
+    workload = WorkloadConfig(days=days, **{
+        f.name: _finite(f.name, raw[f.name]) for f in fields(WorkloadConfig) if f.name != "days"})
     if raw["arrival_profile"]:
         weights = defaults.read_column_file(raw["arrival_profile"])
         if len(weights) != 24:

@@ -18,8 +18,10 @@ whose rows come in arrival order. The counters live in int64 arrays
 indexed by rank (policies.PolicyState): the picks of a slot are charged
 by index, each part on one counter (the deficit share on need, the
 top-off share on spare), while arrival, satisfaction and departure,
-which happen once per vehicle, are handled rank by rank through the
-plain lists the fleet carries (`workload.Fleet.arrivals`, `.departures`).
+which happen once per vehicle, are handled rank by rank: the loop keeps
+a pointer into the fleet's arrival order (`workload.Fleet.arrivals`) and
+one into its expected-departure order (`.departure_order`), whose
+vehicles due at a boundary are one slice.
 
 A tiered policy serves the deficit tier before the top-off tier, and a
 satisfied vehicle's satisfied slot and departure are fixed, so top-off
@@ -68,7 +70,7 @@ as trace.csv through `csv_trace_sink`, the one trace writer.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -230,13 +232,13 @@ def _run_loop(policy, fleet, k_profile, ranks, trace, stats, state):
     split_by_need = not policy.use_distance_info
     n = len(fleet)
     arrivals, departures = fleet.arrivals, fleet.departures
+    order, boundaries = fleet.departure_order, fleet.departure_boundaries
     ids = fleet.id.tolist() if trace else None
     cycle = len(k_profile)
     # The satisfied slot stays the arrival slot unless charging brings
     # need to 0; the slot at which the vehicle left is set when it leaves.
     satisfied_slot = arrivals.copy()
     left_at = [-1] * n
-    departure_bucket = defaultdict(list)  # boundary slot -> ranks due to leave there
 
     # Give up 60 days after the day of the last expected departure, or
     # sooner at the drain bound.
@@ -264,7 +266,8 @@ def _run_loop(policy, fleet, k_profile, ranks, trace, stats, state):
     satisfied = emptied = False
     # Whether the last slot had no candidate, or left nothing plugged.
     idle = True
-    next_arrival = 0
+    # The next rank to arrive, and the first in departure order due after t.
+    next_arrival = due = 0
     t = 0
     while remaining:
         if idle:
@@ -273,14 +276,13 @@ def _run_loop(policy, fleet, k_profile, ranks, trace, stats, state):
             # nothing but at a departure boundary: skip to whichever
             # comes first. A run with neither left cannot drain.
             t = arrivals[next_arrival] if next_arrival < n else max_slots
-            if departure_bucket:
-                t = min(t, min(departure_bucket) - 1)
+            if due < n:
+                t = min(t, boundaries[due] - 1)
         if t >= max_slots:
             raise RuntimeError(f"simulation did not drain within {max_slots} slots")
 
         first_arrival = next_arrival
         while next_arrival < n and arrivals[next_arrival] == t:
-            departure_bucket[departures[next_arrival]].append(next_arrival)
             next_arrival += 1
         plugged += next_arrival - first_arrival
 
@@ -297,9 +299,9 @@ def _run_loop(policy, fleet, k_profile, ranks, trace, stats, state):
             k = k_profile[t % cycle]
             if k >= eligible and k_ahead is not None:
                 end = min(t + SLOTS_PER_DAY, max_slots)
-                t, arrived, left, left_read, picks = _charge_stretch(
-                    state, fleet, t, k_ahead[t % cycle:t % cycle + end - t], next_arrival,
-                    departure_bucket, satisfied_slot, left_at, first_read, stop, remaining)
+                t, arrived, due, left, left_read, picks = _charge_stretch(
+                    state, fleet, t, k_ahead[t % cycle:t % cycle + end - t], next_arrival, due,
+                    satisfied_slot, left_at, first_read, stop, remaining)
                 plugged += arrived - next_arrival - left
                 next_arrival = arrived
                 remaining -= left_read
@@ -357,7 +359,9 @@ def _run_loop(policy, fleet, k_profile, ranks, trace, stats, state):
                     emptied = True
             selections += count
 
-        leaving += [rank for rank in departure_bucket.pop(boundary, ()) if not need[rank]]
+        if due < n and boundaries[due] == boundary:
+            first_due, due = due, bisect_right(boundaries, boundary, due)
+            leaving += [rank for rank in order[first_due:due] if not need[rank]]
         for rank in leaving:
             left_at[rank] = boundary
             spare[rank] = 0  # a vehicle that left takes no more charge
@@ -397,7 +401,7 @@ def _refuse_picks(fleet, spare, t, picked, needed) -> None:
     raise SimulationInvariantError(f"slot {t}: vehicle {fleet.id[rank]} selected {why}")
 
 
-def _charge_stretch(state, fleet, t, k_window, next_arrival, departure_bucket,
+def _charge_stretch(state, fleet, t, k_window, next_arrival, due,
                     satisfied_slot, left_at, first_read, stop, remaining):
     """Run slots t, t + 1, ... in one step, charging every deficit vehicle in each.
 
@@ -410,8 +414,10 @@ def _charge_stretch(state, fleet, t, k_window, next_arrival, departure_bucket,
     leaves. In each of its slots select would pick the whole deficit tier,
     and the rotation policy would move nothing.
 
-    Returns the boundary the stretch ends at, the rank of the next
-    vehicle to arrive, how many vehicles left, how many of those are in
+    due is the first index of the fleet's departure order due after slot
+    t. Returns the boundary the stretch ends at, the rank of the next
+    vehicle to arrive, the first index of the departure order due after
+    that boundary, how many vehicles left, how many of those are in
     ranks, and the picks made.
     """
     need, spare = state.need, state.spare
@@ -440,10 +446,10 @@ def _charge_stretch(state, fleet, t, k_window, next_arrival, departure_bucket,
 
     # A vehicle leaves at the later of its expected departure and the
     # boundary at which its need is met. Those that can leave by `end`:
-    # the plugged vehicles due at a boundary up to it, the arrivals
-    # before it, and the deficit vehicles already past their departure.
-    due = [rank for boundary in range(t + 1, end + 1) for rank in departure_bucket.get(boundary, ())]
-    leaving = np.concatenate((np.array(due, dtype=np.int64), window[arrival[window] < end],
+    # the vehicles due at a boundary up to it, plugged or arriving in the
+    # stretch, and the deficit vehicles already past their departure.
+    order, boundaries = fleet.departure_order, fleet.departure_boundaries
+    leaving = np.concatenate((np.array(order[due:bisect_right(boundaries, end, due)], dtype=np.int64),
                               deficit[departure[deficit] <= t]))
     leave_at = np.maximum(departure[leaving], np.maximum(arrival[leaving], t) + need[leaving])
     read = (first_read <= leaving) & (leaving < stop)
@@ -459,19 +465,14 @@ def _charge_stretch(state, fleet, t, k_window, next_arrival, departure_bucket,
     met = full <= span
     for rank, boundary in zip(charged[met].tolist(), (full[met] + t).tolist()):
         satisfied_slot[rank] = boundary
-    for boundary in range(t + 1, end + 1):
-        departure_bucket.pop(boundary, None)
     for rank, boundary in zip(leaving.tolist(), leave_at.tolist()):
         left_at[rank] = boundary
     spare[leaving] = 0  # a vehicle that left takes no more charge
     arrived = next_arrival + int(arrival[next_arrival:last].searchsorted(end))
-    departures = fleet.departures
-    for rank in range(next_arrival, arrived):
-        if departures[rank] > end:
-            departure_bucket[departures[rank]].append(rank)
     update_membership(state, range(next_arrival, arrived), False, False)
     update_membership(state, range(0), True, False)
-    return end, arrived, len(leaving), int(np.count_nonzero(read & gone)), picks
+    due = bisect_right(boundaries, end, due)
+    return end, arrived, due, len(leaving), int(np.count_nonzero(read & gone)), picks
 
 
 def _check_departures(ids, need, departure, satisfied_slot, left_at) -> None:

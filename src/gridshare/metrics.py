@@ -343,19 +343,20 @@ def _seed_label(seed: int | None) -> str:
 
 
 def write_fod_csv(reports: Sequence[MetricsReport], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["policy", "sdr", "seed", "n", "fod"])
-        for r in reports:
-            writer.writerow([r.policy, _fmt(r.sdr), _seed_label(r.seed), r.n_measured, _fmt(r.fod)])
+    _write_curve_csv(reports, path, "fod", [_fmt(r.fod) for r in reports])
 
 
 def write_adfd_csv(reports: Sequence[MetricsReport], path) -> None:
+    _write_curve_csv(reports, path, "adfd_minutes",
+                     ["NA" if r.adfd_minutes is None else _fmt(r.adfd_minutes) for r in reports])
+
+
+def _write_curve_csv(reports, path, column: str, values) -> None:
+    """One row per report: its policy, sdr, seed and measured count, then its value under column."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["policy", "sdr", "seed", "n", "adfd_minutes"])
-        for r in reports:
-            value = "NA" if r.adfd_minutes is None else _fmt(r.adfd_minutes)
+        writer.writerow(["policy", "sdr", "seed", "n", column])
+        for r, value in zip(reports, values):
             writer.writerow([r.policy, _fmt(r.sdr), _seed_label(r.seed), r.n_measured, value])
 
 

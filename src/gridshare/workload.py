@@ -146,7 +146,9 @@ class Fleet:
     The fleet also carries what every run over it starts from, whatever
     the policy, built once from the rows in arrival order: arrivals and
     departures, the arrival and expected departure slots as lists (the
-    engine reads them vehicle by vehicle); last_departure and
+    engine reads them vehicle by vehicle); departure_order, the ranks
+    sorted stably by expected departure, and departure_boundaries, their
+    expected departure slots, both as lists; last_departure and
     total_need, which bound a run; joins, each rank's joining tier
     (`policies.joining_tiers`); and departure_keys, the packed priority
     key of each expected departure (`policies.departure_keys`).
@@ -155,7 +157,8 @@ class Fleet:
     __slots__ = (
         "id", "arrival_slot", "connected_slots", "expected_departure_slot", "need", "room",
         "required_miles", "initial_miles", "battery_capacity_miles",
-        "arrivals", "departures", "last_departure", "total_need", "joins", "departure_keys",
+        "arrivals", "departures", "departure_order", "departure_boundaries", "last_departure",
+        "total_need", "joins", "departure_keys",
     )
 
     def __init__(self, charger: ChargerSpec, arrival_slot, connected_slots, required_miles,
@@ -204,6 +207,8 @@ class Fleet:
         self.required_miles, self.initial_miles, self.battery_capacity_miles = miles
         self.arrivals = arrival.tolist()
         self.departures = departure.tolist()
+        order = departure.argsort(kind="stable")
+        self.departure_order, self.departure_boundaries = order.tolist(), departure[order].tolist()
         self.last_departure = int(departure.max()) if n else 0
         self.total_need = int(need.sum())
         self.joins = joining_tiers(self)

@@ -117,6 +117,23 @@ def test_stretch_ends_where_the_last_vehicle_of_the_range_leaves(recorder):
     assert stats.slots_run == 10
 
 
+def test_a_stretch_takes_leavers_due_arriving_and_late(recorder):
+    # With K = 1 in slots 0-3 fcfs charges only vehicle 0, which is still
+    # short of its need at its expected departure (2). In the stretch from
+    # slot 4 it leaves late, at 8; vehicles 2 and 3 leave at their shared
+    # boundary, 20; vehicle 4 arrives in the stretch with need 0 and
+    # leaves at 15; vehicle 1 leaves last, at 50.
+    fleet = hand_built((0, 0, 2, 8), (1, 0, 50, 4), (2, 1, 20, 1), (3, 1, 20, 1), (4, 10, 15, 0))
+    assert fleet.departure_order == [0, 4, 2, 3, 1]
+    outcomes, stats, calls, stretches = run_both_ways(
+        recorder, parse_policy("fcfs"), fleet, [1] * 4 + [5] * (SLOTS_PER_DAY - 4))
+    assert stretches == [(4, 50)]
+    assert [t for t, *_ in calls] == [0, 1, 2, 3]
+    assert outcomes.satisfied_slot.tolist() == [8, 8, 5, 5, 10]
+    assert outcomes.actual_departure_slot.tolist() == [8, 50, 20, 20, 15]
+    assert stats.slots_run == 50
+
+
 def test_an_uncontended_span_longer_than_a_window_takes_a_stretch_per_window(recorder):
     fleet = hand_built((0, 0, 800, 700), (1, 5, 850, 1))
     outcomes, stats, _, stretches = run_both_ways(recorder, parse_policy("minmax-dt"), fleet, [2])

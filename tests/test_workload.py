@@ -317,6 +317,8 @@ def test_hand_built_fleet_run_data_follow_its_rows_in_arrival_order(unit_charger
     assert fleet.id.tolist() == [1, 4, 0, 2, 3]
     assert fleet.arrivals == fleet.arrival_slot.tolist() == [0, 2, 3, 5, 5]
     assert fleet.departures == fleet.expected_departure_slot.tolist() == [9, 6, 20, 12, 8]
+    assert fleet.departure_order == [1, 4, 0, 3, 2]
+    assert fleet.departure_boundaries == [6, 8, 9, 12, 20]
     assert fleet.last_departure == 20
     assert fleet.total_need == int(fleet.need.sum()) == 9
     assert fleet.joins == joining_tiers(fleet) == {False: bytes([1, 0, 1, 1, 1]),
