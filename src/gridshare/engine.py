@@ -52,8 +52,11 @@ applied at once, and its tiers refreshed through update_membership, so
 outcomes, slots run and picks are those of the slot-by-slot path, and
 the conservation checks after the loop still read every vehicle. A run
 that serves the top-off tier goes slot by slot throughout, and so does
-every contended slot, so an untraced run of the paper's policies calls
-select in contended slots only.
+every contended slot. In every run, traced or not, select is consulted
+only in a contended slot, where K is below the number of candidates
+(both tiers together): a slot where K covers them all charges both
+tiers whole, as select would pick them, a simple variant still
+splitting its one list by need, and its trace rows are all selected.
 
 The run returns one `Outcomes` table, built as columns from the
 satisfied and departure slots after the loop, once the conservation
@@ -297,7 +300,14 @@ def _run_loop(policy, fleet, k_profile, ranks, trace, stats, state):
         eligible = len(state.deficit) + len(state.topoff)
         if eligible:
             k = k_profile[t % cycle]
-            if k >= eligible and k_ahead is not None:
+            if k < eligible:
+                k1 = min(k, len(state.deficit))  # select's deficit share comes first
+                selected = select(policy, state, t, k)
+                if len(selected) != k:
+                    raise SimulationInvariantError(
+                        f"slot {t}: selected {len(selected)} of min({k}, eligible)")
+                first, second = (selected, ()) if k1 == k else (selected[:k1], selected[k1:])
+            elif k_ahead is not None:
                 end = min(t + SLOTS_PER_DAY, max_slots)
                 t, arrived, due, left, left_read, picks = _charge_stretch(
                     state, fleet, t, k_ahead[t % cycle:t % cycle + end - t], next_arrival, due,
@@ -308,13 +318,13 @@ def _run_loop(policy, fleet, k_profile, ranks, trace, stats, state):
                 selections += picks
                 idle = not len(state.deficit)
                 continue
-            k1 = min(k, len(state.deficit))  # select's deficit share comes first
-            selected = select(policy, state, t, k)
-            count = len(selected)
-            if count != min(k, eligible):
-                raise SimulationInvariantError(f"slot {t}: selected {count} of min({k}, eligible)")
+            else:
+                # K covers every candidate: select would return both tiers
+                # whole, and the rotation policy would move nothing.
+                selected = None
+                first, second = state.deficit, state.topoff
             if trace:
-                chosen = set(selected.tolist())
+                chosen = None if selected is None else set(selected.tolist())
                 rows = []
                 for tier, ranks in ((1, state.deficit), (2, state.topoff)):
                     if not len(ranks):
@@ -322,16 +332,13 @@ def _run_loop(policy, fleet, k_profile, ranks, trace, stats, state):
                     for rank, needed in zip(ranks.tolist(), need[ranks].tolist()):
                         t_l = departures[rank]
                         rows.append(_new_row(TraceRow, (ids[rank], tier, arrivals[rank], t_l, needed,
-                                                        needed - (t_l - t), rank in chosen)))
+                                                        needed - (t_l - t),
+                                                        chosen is None or rank in chosen)))
                 trace((t, k, rows))
             # A pick short of its need spends need, any other spends spare.
             if split_by_need:
-                short = need[selected].astype(bool)
-                first, second = selected[short], selected[~short]
-            elif k1 == count:
-                first, second = selected, ()
-            else:
-                first, second = selected[:k1], selected[k1:]
+                short = need[first].astype(bool)
+                first, second = first[short], first[~short]
             if len(first):
                 needed = need[first]
                 if np.count_nonzero(needed) < len(first):
@@ -357,7 +364,7 @@ def _run_loop(policy, fleet, k_profile, ranks, trace, stats, state):
                 spare[second] = left
                 if np.count_nonzero(left) < len(second):
                     emptied = True
-            selections += count
+            selections += min(k, eligible)
 
         if due < n and boundaries[due] == boundary:
             first_due, due = due, bisect_right(boundaries, boundary, due)
@@ -375,10 +382,10 @@ def _run_loop(policy, fleet, k_profile, ranks, trace, stats, state):
     if stats is not None:
         stats.slots_run = t
         stats.total_selections += selections
+    if -1 in left_at[first_read:stop]:
+        raise SimulationInvariantError("missing outcomes for some vehicles")
     satisfied_slot = np.array(satisfied_slot, dtype=np.int64)
     left_at = np.array(left_at, dtype=np.int64)
-    if stop > first_read and left_at[first_read:stop].min() < 0:
-        raise SimulationInvariantError("missing outcomes for some vehicles")
     ids, arrival, departure = fleet.id, fleet.arrival_slot, fleet.expected_departure_slot
     if stop - first_read < n:
         # Part of the fleet: the checks read every vehicle that left, and

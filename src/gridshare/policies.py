@@ -81,7 +81,7 @@ def parse_policy(name: str) -> Policy:
             f"unknown policy {name!r} (choose from {', '.join(POLICY_NAMES)})") from None
 
 
-@dataclass
+@dataclass(slots=True)
 class PolicyState:
     """The vehicle counters of one run and this slot's two tiers.
 
@@ -291,7 +291,9 @@ def select(policy: Policy, state: PolicyState, t: int, K: int) -> np.ndarray:
     part. fcfs takes the head of its deficit list, which is in rank
     order (key order) because only arrivals join it.
     The rotation policy moves what it picks to the bottom of its list;
-    every other policy leaves the state untouched.
+    every other policy leaves the state untouched. The engine consults
+    select only in a contended slot, where K is below the number of
+    candidates (`gridshare.engine`'s module docstring states the rule).
     """
     if K < 0:
         raise ValueError("negative capacity")

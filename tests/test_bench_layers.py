@@ -47,12 +47,14 @@ def test_command_fires_the_workload_layers(workload, tmp_path, capsys):
     # The engine's span hooks read `stats` and `trace_path` as keywords.
     assert metrics["engine.slots"] > 0
     # The select hook counts picks as the length of what select returns.
-    # Every verify run is traced, so select switches on every vehicle the
-    # engine does; an untraced run charges its uncontended slots as
-    # stretches, without select.
+    # Every run, traced or not, consults select only in contended slots:
+    # a slot where K covers every candidate is charged without it (as a
+    # stretch in an untraced run of the paper's policies), so select
+    # switches on some but not all of the vehicles the engine does.
     picked, selections = metrics["policies.select.picked"], metrics["engine.selections"]
+    assert 0 < picked < selections
     if workload == "verify-oracle":
-        assert picked == selections > 0
-        assert metrics["engine.trace_rows"] > 0
-    else:
-        assert 0 < picked < selections
+        # The hook counts trace rows as select's candidates, so a sampled
+        # trace with no contended slot counts none; its bytes are counted
+        # from the file trace_path names.
+        assert metrics["engine.trace_bytes"] > 0

@@ -412,6 +412,48 @@ def test_untraced_run_hands_select_no_topoff_rank(policy, monkeypatch, tmp_path)
     assert stats.slots_run == traced_stats.slots_run == 20
 
 
+@pytest.mark.parametrize("name", ["fcfs", "rr-simple"])
+def test_select_is_consulted_only_in_contended_slots(name, monkeypatch):
+    import gridshare.engine as engine_mod
+
+    def refusing_select(policy, state, t, k):
+        raise AssertionError(f"select consulted at slot {t}, where K = {k} covers every candidate")
+
+    real_select = engine_mod.select
+    consulted = []
+
+    def watched_select(policy, state, t, k):
+        consulted.append(t)
+        return real_select(policy, state, t, k)
+
+    # Vehicles 0 and 2 are satisfied at slot 3 and top off after it, so
+    # from slot 2 until they fill up there are three candidates: the
+    # deficit vehicle 1 and two to top off (in rr-simple's one list, all
+    # three). Three charger slots cover them in every slot; one charger
+    # slot at slot 4 makes that slot contended.
+    fleet = Fleet.from_vehicles([
+        make_test_vehicle(0, 0, 10, required=3.0, capacity=8.0),
+        make_test_vehicle(1, 1, 12, required=5.0),
+        make_test_vehicle(2, 2, 8, required=2.0, current=1.0, capacity=9.0),
+    ], ORACLE_CHARGER)
+    policy = parse_policy(name)
+
+    monkeypatch.setattr(engine_mod, "select", refusing_select)
+    groups = []
+    traced = run_simulation(policy, fleet, [3], trace_sink=groups.append)
+    assert any(row.tier == 2 or row.intervals_needed == 0 for _, _, rows in groups for row in rows)
+    assert all(row.selected for _, _, rows in groups for row in rows)
+    assert traced == run_simulation(policy, fleet, [3])
+
+    monkeypatch.setattr(engine_mod, "select", watched_select)
+    k_profile = [3] * 4 + [1] + [3] * 15
+    groups.clear()
+    traced = run_simulation(policy, fleet, k_profile, trace_sink=groups.append)
+    assert consulted == [4]
+    assert [sum(row.selected for row in rows) < len(rows) for _, _, rows in groups].count(True) == 1
+    assert traced == run_simulation(policy, fleet, k_profile)
+
+
 def test_stats_collect_slots_and_selections():
     vehicles = [make_test_vehicle(i, 0, 600, required=100.0, capacity=200.0) for i in range(3)]
     stats = RunStats()

@@ -7,7 +7,8 @@ sink, which takes the per-slot path, and without. The two runs must
 agree in outcomes, in slots run and in deficit picks (the traced run's
 tier-1 selected rows). Each select call of the untraced run must find
 the deficit tier, order and needs included, that the traced run's call
-at the same slot found.
+at the same slot found, and the untraced run calls select at exactly
+the traced slots whose deficit tier outgrows K.
 """
 
 import pytest
@@ -26,7 +27,7 @@ from conftest import make_test_vehicle, scenario
 
 @pytest.fixture
 def recorder(monkeypatch):
-    """Records each select call as (slot, deficit ranks, their needs, picks)
+    """Records each select call as (slot, deficit ranks, their needs, picks, K)
     and each stretch as (first slot, end boundary)."""
     calls, stretches = [], []
     real_select, real_stretch = engine_mod.select, engine_mod._charge_stretch
@@ -34,7 +35,7 @@ def recorder(monkeypatch):
     def recorded_select(policy, state, t, k):
         deficit = state.deficit.tolist()
         picked = real_select(policy, state, t, k)
-        calls.append((t, deficit, state.need[deficit].tolist(), len(picked)))
+        calls.append((t, deficit, state.need[deficit].tolist(), len(picked), k))
         return picked
 
     def recorded_stretch(state, fleet, t, *args):
@@ -63,9 +64,11 @@ def run_both_ways(recorder, policy, fleet, k_profile, ranks=None):
     assert stats.slots_run == traced_stats.slots_run
     assert stats.total_selections == sum(
         row.selected for _, _, rows in groups for row in rows if row.tier == 1)
-    found = {t: (deficit, needs) for t, deficit, needs, _ in traced_calls}
-    assert all(found[t] == (deficit, needs) for t, deficit, needs, _ in calls)
-    assert len(calls) < len(traced_calls)
+    found = {t: (deficit, needs) for t, deficit, needs, *_ in traced_calls}
+    assert all(found[t] == (deficit, needs) for t, deficit, needs, *_ in calls)
+    # The untraced run consults select at exactly the traced slots whose
+    # deficit tier outgrows K.
+    assert [t for t, *_ in calls] == [t for t, deficit, _, _, k in traced_calls if len(deficit) > k]
     return untraced, stats, calls.copy(), stretches.copy()
 
 
@@ -87,7 +90,7 @@ def test_untraced_generated_fleet_runs_like_the_traced_one(recorder, generated, 
         _, stats, calls, stretches = run_both_ways(recorder, parse_policy(name), fleet, k_profile, ranks)
         # Stretches made some of the picks, select the rest.
         assert stretches
-        assert sum(picked for *_, picked in calls) < stats.total_selections
+        assert sum(picked for *_, picked, _ in calls) < stats.total_selections
         recorder[0].clear()
         recorder[1].clear()
 
