@@ -256,10 +256,11 @@ def _run_loop(policy, fleet, k_profile, ranks, trace, stats, state):
         max_slots = min(max_slots, fleet.last_departure + cycle * fleet.total_need)
     # K over a capacity cycle and the day after it, so that K for a
     # stretch starting at any slot is one slice; None in a run that
-    # charges slot by slot only.
+    # charges slot by slot only, or over an empty profile, which no slot
+    # can read.
     k_ahead = None
-    if not state.serve_topoff:
-        k_ahead = np.resize(np.asarray(k_profile, dtype=np.int64), cycle + SLOTS_PER_DAY)
+    if cycle and not state.serve_topoff:
+        k_ahead = np.asarray(k_profile, dtype=np.int64)[np.arange(cycle + SLOTS_PER_DAY) % cycle]
     plugged = 0        # arrived and not yet departed
     first_read, stop = ranks.start, ranks.stop
     remaining = stop - first_read  # vehicles of ranks yet to depart

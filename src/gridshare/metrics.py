@@ -372,24 +372,76 @@ def write_delaydist_csv(reports: Sequence[MetricsReport], path) -> None:
                 writer.writerow([r.policy, _fmt(r.sdr), _fmt(lo), _fmt(hi), _fmt(frac)])
 
 
+# Rows of outcomes.csv that `write_outcomes_csv` encodes at a time.
+OUTCOMES_BLOCK_ROWS = 4096
+
+
 def write_outcomes_csv(outcomes: Outcomes, measured: range, path) -> None:
     """Raw per-vehicle results, sufficient to recompute every metric.
 
     The engine's columns are followed by two 0/1 flags: delayed (delay
     above 0) and measured (the row is in measured, the range that
     `SweepBase.measured_ranks` gives for the arrival slots). Every field
-    is an integer, so nothing needs quoting: each row is formatted
-    directly, with csv.writer's "\r\n" line ending, and handed to the
-    file's own buffer. That writes the bytes csv.writer wrote at about
-    half the cost; joining rows into blocks first costs no less and
-    raised the benchmark's peak RSS.
+    is an integer, so nothing needs quoting: the file holds exactly the
+    bytes of `"%d,%d,%d,%d,%d,%d,%d,%d\\r\\n" % row` for each row (the
+    bytes csv.writer wrote), for any int64 value. They are encoded in
+    numpy by `_encode_int_rows`, `OUTCOMES_BLOCK_ROWS` rows at a time,
+    and written in binary mode. Formatting one row at a time took 12-13%
+    of a default-scale `simulate` call's CPU (25-33 ms for 22.4k rows on
+    a 2-core host); the blocks take about a sixth of that, and the
+    writer's allocations peak at 0.8 MB against the row loop's 5 MB.
     """
-    flags = np.zeros(len(outcomes), dtype=bool)
-    flags[measured.start:measured.stop] = True
-    columns = (*outcomes.columns(), outcomes.delay_slots > 0, flags)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        write = fh.write
-        write("id,arrival_slot,expected_departure_slot,satisfied_slot,"
-              "actual_departure_slot,delay_slots,delayed,measured\r\n")
-        for row in zip(*(column.tolist() for column in columns)):
-            write("%d,%d,%d,%d,%d,%d,%d,%d\r\n" % row)
+    flags = np.zeros(len(outcomes), dtype=np.int64)
+    flags[measured.start:measured.stop] = 1
+    columns = (*outcomes.columns(), (outcomes.delay_slots > 0).astype(np.int64), flags)
+    with open(path, "wb") as fh:
+        fh.write(b"id,arrival_slot,expected_departure_slot,satisfied_slot,"
+                 b"actual_departure_slot,delay_slots,delayed,measured\r\n")
+        for start in range(0, len(outcomes), OUTCOMES_BLOCK_ROWS):
+            fh.write(_encode_int_rows([column[start:start + OUTCOMES_BLOCK_ROWS] for column in columns]))
+
+
+def _encode_int_rows(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """The bytes of `"%d,...,%d\\r\\n" % row` for each row of equal-length
+    int64 columns (at least one row), as a uint8 array.
+
+    Each field gets a fixed-width byte column: a '-' column if the field
+    has a negative value, then as many digit columns as its largest
+    magnitude has digits, then the separator. Digits are written from
+    the right, one floor division by ten per position; a digit is kept
+    if it is the last or what is left of the value before it is not 0,
+    and a '-' if the value is negative. The kept bytes, read row by row,
+    are the rows. Magnitudes are uint64, so int64's minimum has one.
+    """
+    fields = []
+    for column in columns:
+        value = np.asarray(column, dtype=np.int64)
+        negative = value < 0
+        bits = value.view(np.uint64)
+        if negative.any():
+            magnitude = np.where(negative, 0 - bits, bits)
+        else:
+            magnitude, negative = bits, None
+        fields.append((magnitude, negative, len(str(int(magnitude.max())))))
+    width = sum(digits + (negative is not None) + 1 for _, negative, digits in fields) + 1
+    out = np.empty((len(columns[0]), width), dtype=np.uint8)
+    keep = np.ones(out.shape, dtype=bool)
+    at = 0
+    for magnitude, negative, digits in fields:
+        if negative is not None:
+            out[:, at] = ord("-")
+            keep[:, at] = negative
+            at += 1
+        last = at + digits - 1
+        for j in range(last, at - 1, -1):
+            if j < last:
+                keep[:, j] = magnitude != 0
+            quotient = magnitude // 10
+            out[:, j] = magnitude - quotient * 10 + ord("0")
+            magnitude = quotient
+        at += digits
+        out[:, at] = ord(",")
+        at += 1
+    out[:, at - 1] = ord("\r")
+    out[:, at] = ord("\n")
+    return out[keep]

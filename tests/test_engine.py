@@ -122,6 +122,13 @@ def test_fleet_that_needs_charge_without_any_capacity_is_refused(tmp_path):
     assert not trace.exists()  # refused before the loop
 
 
+@pytest.mark.parametrize("policy", ["minmax-dt", "fcfs-simple"])
+def test_an_empty_fleet_runs_over_an_empty_capacity_profile(policy):
+    # Nothing needs charge, so no slot reads the profile, in a run that
+    # takes stretches or one that goes slot by slot.
+    assert simulate(policy, [], []) == []
+
+
 def test_no_departure_before_expected_slot_even_if_ready_early():
     v = make_test_vehicle(0, 0, 20, required=3.0, current=0.0, capacity=30.0)
     (outcome,) = run_tiny([v], [1])

@@ -21,7 +21,9 @@ itself (`dump-fleet`'s fleet.csv) for two chargers, so a change to the
 workload's draws shows apart from any change downstream. A fourth pins
 a short sweep of every variant (fod.csv, adfd.csv and delaydist.csv),
 whose cells stop once their last measured vehicle has left; most of
-its cells have measured vehicles that leave late.
+its cells have measured vehicles that leave late. A fifth pins one
+default-scale cell (about 22.4k vehicles), whose ids and slots reach
+five digits in outcomes.csv.
 """
 
 import functools
@@ -161,3 +163,15 @@ def test_sweep_outputs_match_golden_digests(tmp_path, capsys):
     assert run([*SWEEP_ARGV, "--out", str(tmp_path)]) == EXIT_OK
     got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16] for name in SWEEP_FILES)
     assert got == SWEEP_GOLDEN
+
+
+# One default-scale `simulate` cell and its (fod.csv, adfd.csv, outcomes.csv) digests, truncated to
+# 16 hex digits; they are also perfbench/digests.json's cell-dt-tight entries for seed 7.
+DEFAULT_SCALE_ARGV = ["simulate", "--policy", "minmax-dt", "--sdr", "1.05", "--seed", "7"]
+DEFAULT_SCALE_GOLDEN = ("ae7f4ffd7f26c573", "0a2722ead2abccee", "2a1e820bc6e9cb0d")
+
+
+def test_default_scale_cell_matches_golden_digests(tmp_path):
+    assert run([*DEFAULT_SCALE_ARGV, "--out", str(tmp_path)]) == EXIT_OK
+    got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16] for name in FILES)
+    assert got == DEFAULT_SCALE_GOLDEN

@@ -302,3 +302,78 @@ def test_outcomes_csv_supports_independent_recomputation(tmp_path):
         int(r["actual_departure_slot"]) - int(r["expected_departure_slot"]) for r in rows
     ]
     assert recomputed_delay == [int(r["delay_slots"]) for r in rows]
+
+
+# --- outcomes.csv encoding ----------------------------------------------------
+
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
+
+OUTCOMES_HEADER = (b"id,arrival_slot,expected_departure_slot,satisfied_slot,"
+                   b"actual_departure_slot,delay_slots,delayed,measured\r\n")
+
+
+def outcomes_of(rows):
+    """An outcome table of int64 (id, arrival, expected, satisfied, actual, delay) rows."""
+    columns = np.array(rows, dtype=np.int64).reshape(-1, 6).T
+    return Outcomes(*(np.ascontiguousarray(column) for column in columns))
+
+
+def percent_d_bytes(rows, measured):
+    """outcomes.csv as one `%d` format per row: the bytes the encoder must write."""
+    return OUTCOMES_HEADER + b"".join(
+        b"%d,%d,%d,%d,%d,%d,%d,%d\r\n" % (*row, row[5] > 0, i in measured)
+        for i, row in enumerate(rows))
+
+
+def written_outcomes(tmp_path, rows, measured):
+    path = tmp_path / "outcomes.csv"
+    write_outcomes_csv(outcomes_of(rows), measured, path)
+    return path.read_bytes()
+
+
+def edge_values():
+    """Each side of every power of ten in int64, both signs, and int64's limits."""
+    values = {0, INT64_MIN, INT64_MAX}
+    for k in range(19):
+        for v in (10**k - 1, 10**k, 10**k + 1):
+            values.update(x for x in (v, -v) if INT64_MIN <= x <= INT64_MAX)
+    return sorted(values)
+
+
+def test_outcomes_csv_of_an_empty_table_is_its_header(tmp_path):
+    assert written_outcomes(tmp_path, [], range(0)) == OUTCOMES_HEADER
+
+
+def test_outcomes_csv_of_one_row(tmp_path):
+    row = (7, 12, 40, 30, 43, 3)
+    assert written_outcomes(tmp_path, [row], range(1)) == OUTCOMES_HEADER + b"7,12,40,30,43,3,1,1\r\n"
+
+
+def test_outcomes_csv_writes_every_int64_edge_as_percent_d(tmp_path):
+    values = edge_values()
+    # Every column meets every value, next to values of other widths and signs.
+    rows = [tuple(values[(i + 7 * c) % len(values)] for c in range(6)) for i in range(len(values))]
+    measured = range(3, len(rows) - 3)
+    assert written_outcomes(tmp_path, rows, measured) == percent_d_bytes(rows, measured)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_outcomes_csv_is_percent_d_across_block_edges(tmp_path, extra):
+    n = metrics.OUTCOMES_BLOCK_ROWS + extra
+    rng = np.random.default_rng(n)
+    # Magnitudes of 1 to 19 digits, a few negative; the last rows are wider than the first block's.
+    magnitudes = rng.integers(0, 2**62, size=(n, 6)) >> rng.integers(0, 63, size=(n, 6))
+    signs = np.where(rng.random((n, 6)) < 0.05, -1, 1)
+    rows = [tuple(row) for row in (magnitudes * signs).tolist()]
+    rows[-1] = (INT64_MAX, INT64_MIN, 10**18, -10**18, 9, -1)
+    measured = range(n // 3, n - 2)
+    assert written_outcomes(tmp_path, rows, measured) == percent_d_bytes(rows, measured)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(min_value=INT64_MIN, max_value=INT64_MAX)] * 6), max_size=40),
+       st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=40))
+def test_outcomes_csv_is_percent_d_for_any_int64_table(tmp_path_factory, rows, start, stop):
+    measured = range(min(start, len(rows)), min(max(start, stop), len(rows)))
+    got = written_outcomes(tmp_path_factory.mktemp("outcomes"), rows, measured)
+    assert got == percent_d_bytes(rows, measured)
