@@ -9,12 +9,13 @@ each run, the acceptance tests' included, is built from that table by
 Each command only runs: it returns its files as `{name: writer(path)}`,
 its stdout lines and its exit code. `run` then writes a resolved-config
 of every effective setting, the two input curves and those files
-through one `RunDir`, so a command that is refused (exit 2) or raises
+through one `RunDir`, which stages every file and moves none into place
+until all are staged, so a command that is refused (exit 2) or raises
 (exit 3) writes nothing. Only `simulate --trace` writes while its run
 goes: the engine streams `trace.csv` through the same `RunDir.write`,
-which removes it again if the run raises; `verify`'s campaign writes its
-round-trip trace in a temporary directory, never in the run directory.
-`RunDir` says what a reused run directory keeps.
+staged like the rest; `verify`'s campaign writes its round-trip trace in
+a temporary directory, never in the run directory. `RunDir` says what a
+reused run directory keeps.
 Only `simulate` takes `--trace` and reads the `trace` key; every other
 command refuses `trace=true`, so its resolved-config never records a
 trace it did not write.
@@ -253,28 +254,40 @@ RUN_FILES = (
 
 
 class RunDir:
-    """A command's run directory: the RUN_FILES it writes, then the removal of the others.
+    """A command's run directory, changed all at once or not at all.
 
     `RUN_FILES` names every file a command can leave in its run
-    directory. Every file is written through `write`, and `finish`,
-    called once the results are written, removes every other file of
-    RUN_FILES, left by an earlier command, so the directory holds only
-    its last successful command's files; a trace that
-    `verify --audit-trace` audits in its own run directory stays.
+    directory. `write` only stages a file, as `<name>.tmp` beside it.
+    `finish`, called once every file is staged, moves them all into
+    place and then removes every other file of RUN_FILES, left by an
+    earlier command, so the directory holds only its last successful
+    command's files; a trace that `verify --audit-trace` audits in its
+    own run directory stays. Used as a context manager, a RunDir left by
+    an exception before `finish` moves a file removes every staged file
+    and every directory it made, so the failed command writes nothing.
     """
 
     def __init__(self, path):
         self.path = path
-        self.written = set()
+        self.staged = {}  # name: its temporary file
+        self.made = []  # the directories made, deepest first
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, value, traceback):
+        if kind is not None:
+            for tmp in self.staged.values():
+                if os.path.isfile(tmp):
+                    os.unlink(tmp)
+            for made in self.made:
+                os.rmdir(made)
 
     def write(self, name, writer):
-        """Have writer(tmp) write `<name>.tmp`, move it to name, and return what writer returned.
+        """Have writer(tmp) write `<name>.tmp`, stage it as name, and return what writer returned.
 
-        Missing directories are made first. On failure the temporary file is
-        removed, and so are the directories made (`os.rmdir`: empty ones only).
+        Missing directories are made first.
         """
-        self.written.add(name)
-        path = os.path.join(self.path, name)
         missing = []
         head = os.path.normpath(self.path)
         while head and not os.path.isdir(head):
@@ -282,24 +295,27 @@ class RunDir:
             head = os.path.dirname(head)
         if missing:
             os.makedirs(missing[0])
-        tmp = f"{path}.tmp"
-        try:
-            result = writer(tmp)
-            os.replace(tmp, path)
-            return result
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            for made in missing:
-                os.rmdir(made)
-            raise
+            self.made += missing
+        self.staged[name] = tmp = os.path.join(self.path, f"{name}.tmp")
+        return writer(tmp)
 
     def finish(self, audited=None) -> None:
-        """audited, the trace `verify --audit-trace` read, is never removed."""
+        """Move the staged files into place and remove the other RUN_FILES.
+
+        A RUN_FILES name that is a directory is refused before the first
+        move. audited, the trace `verify --audit-trace` read, is never
+        removed.
+        """
+        paths = {name: os.path.join(self.path, name) for name in RUN_FILES}
+        for path in paths.values():
+            if os.path.isdir(path):
+                raise IsADirectoryError(f"{path} is a directory, not a run file")
+        self.made = []  # from the first move on, the directory holds results
+        for name, tmp in self.staged.items():
+            os.replace(tmp, paths[name])
         kept = os.path.realpath(audited) if audited else None
-        for name in RUN_FILES:
-            path = os.path.join(self.path, name)
-            if name not in self.written and os.path.exists(path) and os.path.realpath(path) != kept:
+        for name, path in paths.items():
+            if name not in self.staged and os.path.exists(path) and os.path.realpath(path) != kept:
                 os.remove(path)
 
 
@@ -484,11 +500,11 @@ def run(argv=None) -> int:
         if cfg.trace and args.func is not cmd_simulate:
             raise ValueError(f"trace=true is refused by {args.command}: only simulate reads "
                              "the trace key and writes a trace; set trace=false")
-        run_dir = RunDir(cfg.out_dir)
-        files, lines, code = args.func(cfg, args, run_dir)
-        for name, writer in {**run_context(cfg), **files}.items():
-            run_dir.write(name, writer)
-        run_dir.finish(getattr(args, "audit_trace", None))
+        with RunDir(cfg.out_dir) as run_dir:
+            files, lines, code = args.func(cfg, args, run_dir)
+            for name, writer in {**run_context(cfg), **files}.items():
+                run_dir.write(name, writer)
+            run_dir.finish(getattr(args, "audit_trace", None))
         for line in lines:
             print(line)
         return code

@@ -48,8 +48,8 @@ the tier's needs and the window's arrivals, and the stretch ends before
 the first slot where that size exceeds K, after the window, before the
 give-up cap, or at the boundary where the last vehicle of the range
 leaves. Its needs, satisfied slots, arrivals, departures and picks are
-applied at once, and its tiers refreshed through update_membership, so
-outcomes, slots run and picks are those of the slot-by-slot path, and
+applied at once, and its deficit tier left as update_membership would,
+so outcomes, slots run and picks are those of the slot-by-slot path, and
 the conservation checks after the loop still read every vehicle. A run
 that serves the top-off tier goes slot by slot throughout, and so does
 every contended slot. In every run, traced or not, select is consulted
@@ -440,7 +440,7 @@ def _charge_stretch(state, fleet, t, k_window, next_arrival, due,
     span = len(k_window)
     last = next_arrival + int(arrival[next_arrival:].searchsorted(t + span))
     window = np.arange(next_arrival, last)
-    joining = window[np.frombuffer(state.joins, np.uint8)[next_arrival:last] == 1]
+    joining = window[need[next_arrival:last] > 0]
     charged = np.concatenate((deficit, joining))
     starts = np.concatenate((np.zeros(len(deficit), np.int64), arrival[joining] - t))
     full = starts + need[charged]
@@ -477,8 +477,8 @@ def _charge_stretch(state, fleet, t, k_window, next_arrival, due,
         left_at[rank] = boundary
     spare[leaving] = 0  # a vehicle that left takes no more charge
     arrived = next_arrival + int(arrival[next_arrival:last].searchsorted(end))
-    update_membership(state, range(next_arrival, arrived), False, False)
-    update_membership(state, range(0), True, False)
+    # The tier's vehicles in list order, then its arrivals in rank order, still short.
+    state.deficit = charged[(charged < arrived) & (need[charged] > 0)]
     due = bisect_right(boundaries, end, due)
     return end, arrived, due, len(leaving), int(np.count_nonzero(read & gone)), picks
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -100,18 +101,15 @@ class PolicyState:
     key of the fleet's expected departure slot (`departure_keys`).
 
     deficit and topoff are int64 arrays of ranks in list order (head =
-    next in line for the rotation policy), refreshed each slot by
-    update_membership, which says what serve_topoff changes. A vehicle's
-    priority key is computed from the departure keys and the counters
-    when select needs it, so no priority key is stored.
+    next in line for the rotation policy), refreshed each slot from the
+    counters by update_membership, which says what serve_topoff changes.
+    A vehicle's priority key is computed from the departure keys and the
+    counters when select needs it, so no priority key is stored.
     """
 
     policy: Policy
     need: np.ndarray
     spare: np.ndarray
-    # The tier each rank joins when it plugs in: 1 (deficit), 2
-    # (top-off) or 0 (none, its battery is full); one byte per rank.
-    joins: bytes
     departure_keys: np.ndarray
     rank_bits: int
     rank_mask: int  # (1 << rank_bits) - 1
@@ -137,32 +135,16 @@ def departure_keys(fleet: "Fleet") -> np.ndarray:
     return np.arange(len(fleet)) | fleet.expected_departure_slot << rank_bits(len(fleet))
 
 
-def joining_tiers(fleet: "Fleet") -> dict[bool, bytes]:
-    """The tier each rank joins when it plugs in, keyed by use_distance_info.
-
-    1 (deficit), 2 (top-off) or 0 (none, its battery is full), one byte
-    per rank; without distance information there is no top-off tier. It
-    depends on the fleet alone: the `Fleet` constructor builds it once,
-    as `joins`.
-    """
-    not_full = fleet.room > 0
-    single = not_full.astype(np.uint8)  # 1 (deficit) unless full
-    tiered = single + (not_full & (fleet.need == 0))  # 2 (top-off) if satisfied
-    return {False: single.tobytes(), True: tiered.tobytes()}
-
-
 def new_policy_state(policy: Policy, fleet: "Fleet", serve_topoff: bool = True) -> PolicyState:
     """Empty tiers and fresh counters for a run over the fleet.
 
-    The state shares the fleet's joining tiers and departure keys.
-    Without serve_topoff it keeps no top-off tier (see
-    `update_membership`).
+    The state shares the fleet's departure keys. Without serve_topoff it
+    keeps no top-off tier (see `update_membership`).
     """
     need = fleet.need.copy()
     bits = rank_bits(len(fleet))
     return PolicyState(
-        policy=policy, need=need, spare=fleet.room - need,
-        joins=fleet.joins[policy.use_distance_info], departure_keys=fleet.departure_keys,
+        policy=policy, need=need, spare=fleet.room - need, departure_keys=fleet.departure_keys,
         rank_bits=bits, rank_mask=(1 << bits) - 1, serve_topoff=serve_topoff,
     )
 
@@ -234,11 +216,12 @@ def update_membership(state: PolicyState, arrived: range, satisfied: bool, empti
     Full or departed vehicles (need and spare 0) drop out; deficit
     vehicles whose need reached 0 move to the tail of the top-off list
     (in deficit-list order); arrivals that are not full join the tail of
-    their tier, in rank order. Without serve_topoff a satisfied vehicle,
-    arriving or moving, joins no tier. Without distance information there
-    is no top-off tier: every not-full vehicle stays in the single
-    deficit list. Either way only arrivals join the deficit list, so it
-    stays in rank order.
+    their tier, in rank order, read from their counters, which no run
+    touches before a vehicle plugs in. Without serve_topoff a satisfied
+    vehicle, arriving or moving, joins no tier. Without distance
+    information there is no top-off tier: every not-full vehicle stays in
+    the single deficit list. Either way only arrivals join the deficit
+    list, so it stays in rank order.
     """
     deficit, topoff = state.deficit, state.topoff
     # Counters never fall below 0, so astype(bool) tests "above 0".
@@ -258,12 +241,16 @@ def update_membership(state: PolicyState, arrived: range, satisfied: bool, empti
         if emptied and len(topoff):
             topoff = topoff[spare[topoff].astype(bool)]
     if arrived:
-        joins = state.joins
-        joining = [rank for rank in arrived if joins[rank] == 1]
+        rows = slice(arrived.start, arrived.stop)
+        tiered = state.policy.use_distance_info
+        # Only a tiered deficit list refuses a not-full arrival: one with no need.
+        needs = (need[rows] if tiered else need[rows] | spare[rows]).tolist()
+        joining = list(compress(arrived, needs))
         if joining:
             deficit = np.concatenate((deficit, joining))
-        if state.serve_topoff:
-            joining = [rank for rank in arrived if joins[rank] == 2]
+        if tiered and state.serve_topoff and len(joining) < len(needs):  # one has no need
+            rooms = spare[rows].tolist()
+            joining = [rank for rank, short, room in zip(arrived, needs, rooms) if room and not short]
             if joining:
                 topoff = np.concatenate((topoff, joining))
     state.deficit, state.topoff = deficit, topoff

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .policies import _LATE, departure_keys, intervals_for_deficit, joining_tiers
+from .policies import _LATE, departure_keys, intervals_for_deficit
 from .powergrid import ChargerSpec
 from .units import KWH_PER_MILE, SLOTS_PER_DAY, SLOTS_PER_HOUR, hours_to_slots
 
@@ -149,16 +149,15 @@ class Fleet:
     engine reads them vehicle by vehicle); departure_order, the ranks
     sorted stably by expected departure, and departure_boundaries, their
     expected departure slots, both as lists; last_departure and
-    total_need, which bound a run; joins, each rank's joining tier
-    (`policies.joining_tiers`); and departure_keys, the packed priority
-    key of each expected departure (`policies.departure_keys`).
+    total_need, which bound a run; and departure_keys, the packed
+    priority key of each expected departure (`policies.departure_keys`).
     """
 
     __slots__ = (
         "id", "arrival_slot", "connected_slots", "expected_departure_slot", "need", "room",
         "required_miles", "initial_miles", "battery_capacity_miles",
         "arrivals", "departures", "departure_order", "departure_boundaries", "last_departure",
-        "total_need", "joins", "departure_keys",
+        "total_need", "departure_keys",
     )
 
     def __init__(self, charger: ChargerSpec, arrival_slot, connected_slots, required_miles,
@@ -211,7 +210,6 @@ class Fleet:
         self.departure_order, self.departure_boundaries = order.tolist(), departure[order].tolist()
         self.last_departure = int(departure.max()) if n else 0
         self.total_need = int(need.sum())
-        self.joins = joining_tiers(self)
         self.departure_keys = departure_keys(self)
 
     @classmethod

@@ -684,6 +684,8 @@ ONE_SLOT_TRACE = TRACE_HEADER + "0,1,0,1,0,2,1,-1,1\n"
      "arrival weights must have positive sum"),
     ({}, ["sweep", "--policies", ","], "at least one policy required"),
     ({}, ["sweep", "--seeds", ","], "at least one seed required"),
+    ({}, ["sweep", "--sdr-grid", ","], "empty supply-ratio grid"),
+    ({"t.conf": "trace=maybe\n"}, ["simulate", "--config", "@t.conf"], "not a boolean: 'maybe'"),
     ({"t.csv": ONE_SLOT_TRACE}, ["verify", "--policies", "fcfs,rr", "--audit-trace", "@t.csv"],
      "auditing a trace needs exactly one --policy"),
     ({"s.txt": "1\nhalf\n" + "0.5\n" * 286}, ["simulate", "--load-shape", "@s.txt"],
@@ -694,8 +696,8 @@ ONE_SLOT_TRACE = TRACE_HEADER + "0,1,0,1,0,2,1,-1,1\n"
      ["verify", "--policy", "fcfs", "--audit-trace", "@t.csv"], "t.csv:3: inconsistent K within slot 0"),
     ({"t.csv": TRACE_HEADER + "5,1,0,1,0,9,1,-3,1\n3,1,1,1,0,9,1,-5,1\n"},
      ["verify", "--policy", "fcfs", "--audit-trace", "@t.csv"], "t.csv:3: slots out of order"),
-], ids=["bundle-line", "profile-length", "profile-zero", "policies", "seeds", "audit-policies",
-        "curve-text", "trace-header", "trace-k", "trace-order"])
+], ids=["bundle-line", "profile-length", "profile-zero", "policies", "seeds", "sdr-grid",
+        "trace-bool", "audit-policies", "curve-text", "trace-header", "trace-k", "trace-order"])
 def test_a_refused_input_exits_2_and_writes_nothing(tmp_path, capsys, files, argv, message):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -717,7 +719,8 @@ SMALL_BATTERY = "battery_capacity_miles=40\n"
 
 
 def snapshot(folder):
-    return {path.relative_to(folder): path.read_bytes() for path in folder.rglob("*")}
+    return {path.relative_to(folder): path.read_bytes() if path.is_file() else None
+            for path in folder.rglob("*")}
 
 
 @pytest.mark.parametrize("argv", [
@@ -789,18 +792,32 @@ def test_a_traced_run_that_raises_leaves_no_trace(tmp_path, capsys, monkeypatch,
     assert out.exists() == existing  # a directory the run did not make stays
 
 
-def _break_charts(monkeypatch):
+def _break_charts(monkeypatch, out):
     def broken(canvas):
         raise RuntimeError("chart failed")
 
     monkeypatch.setattr(figures._Canvas, "finish", broken)
 
 
-def _break_roundtrip(monkeypatch):
+def _break_roundtrip(monkeypatch, out):
     def broken(groups, path):  # raises while the sampled trace is on disk
         raise RuntimeError("round trip failed")
 
     monkeypatch.setattr(oracle, "_roundtrip_violations", broken)
+
+
+def _break_outcomes(monkeypatch, out):
+    def broken(outcomes, measured, path):  # raises after five files are staged
+        raise OSError("disk full")
+
+    monkeypatch.setattr(metrics, "write_outcomes_csv", broken)
+
+
+def _block_outcomes(monkeypatch, out):
+    # A directory where simulate moves its outcomes.csv.
+    if (out / "outcomes.csv").exists():
+        (out / "outcomes.csv").unlink()
+    (out / "outcomes.csv").mkdir(parents=True)
 
 
 @pytest.mark.parametrize("argv, sabotage, code, message", [
@@ -809,20 +826,24 @@ def _break_roundtrip(monkeypatch):
     (["verify", "--instances", "3"], _break_roundtrip, EXIT_RUNTIME, "round trip failed"),
     (["sweep", "--policy", "fcfs", "--sdr", "1.2", "--workers", "1", *SMALL_RUN], _break_charts,
      EXIT_RUNTIME, "chart failed"),
-], ids=["dump-fleet-empty", "verify-raises", "sweep-chart-fails"])
+    (["simulate", "--policy", "fcfs", "--sdr", "1.2", *SMALL_RUN], _break_outcomes, EXIT_CONFIG,
+     "disk full"),
+    (["simulate", "--policy", "fcfs", "--sdr", "1.2", *SMALL_RUN], _block_outcomes, EXIT_CONFIG,
+     "outcomes.csv is a directory"),
+], ids=["dump-fleet-empty", "verify-raises", "sweep-chart-fails", "simulate-write-fails",
+        "simulate-target-is-a-directory"])
 @pytest.mark.parametrize("existing", [False, True])
 def test_a_command_that_fails_after_its_run_writes_nothing(
         tmp_path, capsys, monkeypatch, argv, sabotage, code, message, existing):
-    out = tmp_path / "out"
-    if existing:
-        assert run(["simulate", "--policy", "fcfs", "--sdr", "1.2", *SMALL_RUN, "--out", str(out)]) == EXIT_OK
-    before = snapshot(out)
+    out = tmp_path / "new" / "out"
+    if existing:  # a run whose every file differs from those of the simulate cases
+        assert run(["simulate", "--policy", "fcfs", "--sdr", "2", *SMALL_RUN, "--out", str(out)]) == EXIT_OK
     if sabotage:
-        sabotage(monkeypatch)
+        sabotage(monkeypatch, out)
+    before = snapshot(tmp_path)  # out and the directory above it, if made
     assert run(argv + ["--out", str(out)]) == code
     assert message in capsys.readouterr().err
-    assert out.exists() == existing
-    assert snapshot(out) == before
+    assert snapshot(tmp_path) == before
 
 
 @pytest.mark.parametrize("argv", [

@@ -53,7 +53,7 @@ VALUES = {
     "peak_other_fraction": (["0.8", "0.5"], ["0", "1", "0.999999"], ["", "nan", "-0.5"]),
     "bin_width_min": (["30", "7.5"], ["0", "-1", "0.5", "1e9"], ["", "inf"]),
     "policies": (["fcfs", "minmax-dt", "rr-simple"], ["all", "fcfs,rr"], ["", "x", "fcfs,fcfs", ","]),
-    "sdr_grid": (["1", "1.2", "3"], ["1000000", "1.2,2", "0.999"], ["", "nan", "1,1", "x", "1e7"]),
+    "sdr_grid": (["1", "1.2", "3"], ["1000000", "1.2,2", "0.999"], ["", "nan", "1,1", "x", "1e7", ","]),
     "seeds": (["1", "2", "0"], ["-1", "1,2", "4294967296"], ["", "x", "1,1", "1.5"]),
     "trace": (["false", "true"], [], ["", "maybe"]),
     "arrival_profile": ([None, "@profile"], [], ["@profile-23", "@profile-zero", "@profile-negative",

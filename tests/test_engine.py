@@ -319,6 +319,41 @@ def test_invariant_checks_catch_a_satisfied_vehicle_left_in_the_deficit_tier(mon
             simulate("fcfs", vehicles, [1], ranks=ranks)
 
 
+def test_invariant_checks_catch_a_full_battery_in_the_top_off_share(monkeypatch):
+    import gridshare.engine as engine_mod
+
+    def select_full(policy, state, t, k):
+        return np.array([0, 3])  # rank 3 arrived full, so it is in neither tier
+
+    monkeypatch.setattr(engine_mod, "select", select_full)
+    # One deficit vehicle and two satisfied ones with room: the traced run
+    # serves the top-off tier, and K = 2 of three candidates makes slot 0
+    # contended, with a top-off share of one.
+    vehicles = [
+        make_test_vehicle(1, 0, 30, required=5.0),
+        make_test_vehicle(2, 0, 30, required=1.0, current=2.0, capacity=6.0),
+        make_test_vehicle(3, 0, 30, required=1.0, current=2.0, capacity=6.0),
+        make_test_vehicle(4, 0, 30, required=2.0, current=4.0, capacity=4.0),
+    ]
+    with pytest.raises(SimulationInvariantError, match="^slot 0: vehicle 4 selected with a full battery$"):
+        simulate("fcfs", vehicles, [2], trace_sink=lambda group: None)
+
+
+def test_departure_checks_catch_a_vehicle_left_short_or_at_the_wrong_slot():
+    from gridshare.engine import _check_departures
+
+    def column(*values):
+        return np.array(values, dtype=np.int64)
+
+    # (ids, need, expected departure, satisfied slot, left at): the second
+    # vehicle is the one each check catches.
+    with pytest.raises(SimulationInvariantError, match="^vehicle 8 departed 2 intervals short$"):
+        _check_departures(column(7, 8), column(0, 2), column(10, 10), column(5, 5), column(10, 10))
+    with pytest.raises(SimulationInvariantError, match="^vehicle 8 departed at 10, not 12$"):
+        _check_departures(column(7, 8), column(0, 0), column(10, 10), column(5, 12), column(10, 10))
+    _check_departures(column(7, 8), column(0, 0), column(10, 10), column(5, 12), column(10, 12))
+
+
 @pytest.mark.parametrize("ranks", [range(0, 3), range(-1, 1), range(2, 1), range(0, 2, 2)])
 def test_ranks_outside_the_fleet_are_refused(ranks):
     vehicles = [make_test_vehicle(i, 0, 30, required=1.0) for i in range(2)]

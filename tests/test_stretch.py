@@ -173,9 +173,9 @@ def test_a_deficit_vehicle_with_no_need_entering_a_stretch_is_caught(monkeypatch
         return real_update(state, arrived, False, emptied)
 
     monkeypatch.setattr(engine_mod, "update_membership", forgetful_update)
-    # Satisfied in the first stretch, still plugged when the window ends at
-    # slot 288, and left in the deficit tier for the next stretch.
-    fleet = hand_built((0, 0, 300, 1))
+    # Slot 0 is contended, and fcfs satisfies vehicle 0 in it; left in the
+    # deficit tier, it enters the stretch that K = 2 starts at slot 1.
+    fleet = hand_built((0, 0, 300, 1), (1, 0, 300, 5))
     with pytest.raises(SimulationInvariantError,
-                       match=f"slot {SLOTS_PER_DAY}: vehicle 0 selected from the deficit tier with no need"):
-        run_simulation(parse_policy("fcfs"), fleet, [1])
+                       match="slot 1: vehicle 0 selected from the deficit tier with no need"):
+        run_simulation(parse_policy("fcfs"), fleet, [1, 2])

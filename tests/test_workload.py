@@ -12,7 +12,6 @@ from gridshare.policies import (
     POLICY_NAMES,
     departure_keys,
     intervals_for_deficit,
-    joining_tiers,
     parse_policy,
 )
 from gridshare.powergrid import charger_preset
@@ -321,8 +320,6 @@ def test_hand_built_fleet_run_data_follow_its_rows_in_arrival_order(unit_charger
     assert fleet.departure_boundaries == [6, 8, 9, 12, 20]
     assert fleet.last_departure == 20
     assert fleet.total_need == int(fleet.need.sum()) == 9
-    assert fleet.joins == joining_tiers(fleet) == {False: bytes([1, 0, 1, 1, 1]),
-                                                   True: bytes([1, 0, 2, 1, 1])}
     assert np.array_equal(fleet.departure_keys, departure_keys(fleet))
     sorted_fleet = Fleet.from_vehicles(in_order, unit_charger)
     for name in POLICY_NAMES:
